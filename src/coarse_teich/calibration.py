@@ -131,14 +131,12 @@ def save_constants(consts: CalibrationConstants, path: Optional[str] = None) -> 
     return p
 
 
-def compare_constants(
-    old: CalibrationConstants, new: CalibrationConstants, rtol: float = 0.05
-) -> list[str]:
-    """Fields drifting beyond rtol (relative, floored at 1.0 absolute scale)."""
+def compare_constants(old: CalibrationConstants, new: CalibrationConstants) -> list[str]:
+    """Fields drifting beyond 5% (relative, floored at 1.0 absolute scale)."""
     drifted = []
     for name, a in old.to_json().items():
         b = new.to_json()[name]
-        if abs(a - b) > rtol * max(1.0, abs(a), abs(b)):
+        if abs(a - b) > 0.05 * max(1.0, abs(a), abs(b)):
             drifted.append(f"{name}: {a} -> {b}")
     return drifted
 
@@ -211,9 +209,9 @@ def quasi_isometry_samples(
     th: Thresholds,
     seed: int,
     basepoints: int = 25,
-    cap: int = 10,
 ) -> list[tuple[int, int]]:
-    """(bfs, formula) pairs within the BFS cap from random basepoints."""
+    """(bfs, formula) pairs within bfs_distance's default cap from random
+    basepoints."""
     rng = random.Random(seed)
     out = []
     for _ in range(basepoints):
@@ -224,7 +222,7 @@ def quasi_isometry_samples(
             cur = rng.choice(elementary_moves(cur))
         partners.append(cur)
         for n in partners:
-            b = bfs_distance(m, n, cap=cap)
+            b = bfs_distance(m, n)
             if b is None:
                 continue
             out.append((b, formula_distance_T(m, n, th)))

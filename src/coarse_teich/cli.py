@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: dist, project, fix-search, barycenter, nonqc, calibrate.
-Every command reads an optional JSON config, prints one ExperimentReport
-JSON document on stdout, and maps failures to stable exit codes: 2 parse,
+Every command reads an optional JSON config, prints one report JSON
+document on stdout, and maps failures to stable exit codes: 2 parse,
 3 model mismatch, 4 precondition violation (with certificate), 5 internal
-assertion, 6 parameter regime.
+assertion, 6 parameter regime.  ``calibrate --check`` exits 1 when a
+refitted constant drifts from the record.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import sha256
 from statistics import linear_regression
 from typing import Optional
@@ -26,7 +27,6 @@ from .calibration import (
     calibrate,
     compare_constants,
     load_constants,
-    resolve_path,
     save_constants,
 )
 from .flatsim import (
@@ -56,12 +56,7 @@ from .projection import Annulus, Slot, Whole, project
 from .search import PreconditionError, coarse_barycenter, fixed_point_search
 from .slots import Slope, transversal_at
 
-__all__ = ["Config", "ExperimentReport", "main"]
-
-# Bers decomposition constants for the model family; inert named references,
-# never entering formulas (every cutoff in the model is an integer level).
-BERS_L = 2.0
-BERS_L_PRIME = 4.0
+__all__ = ["Config", "main"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -79,8 +74,6 @@ class Config:
     K_hat: int = 4
     R: int = 10
     k: int = 2
-    eps0_level: int = 1  # D-cut: curves at level >= this count as short
-    eps_pp_level: int = 3  # finer D-cut for the experiment shadow
     c: float = 0.1
     delta: Optional[float] = None
     d_grid: tuple[float, ...] = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
@@ -90,8 +83,6 @@ class Config:
     def __post_init__(self):
         if not (self.K >= 1 and self.K_hat >= self.K and self.R >= 1):
             raise ValueError("thresholds need K_hat >= K >= 1 and R >= 1")
-        if self.eps0_level <= 0 or self.eps_pp_level <= 0:
-            raise ValueError("shortness cuts must be positive")
         if self.k < 2:
             raise ValueError("the model needs k >= 2")
 
@@ -107,27 +98,6 @@ class Config:
         if "d_grid" in data:
             data = dict(data, d_grid=tuple(float(d) for d in data["d_grid"]))
         return Config(**data)
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    command: str
-    inputs_digest: str
-    outputs: dict
-    wall_time: float
-    calibration: dict
-    calibration_digest: str
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs_digest": self.inputs_digest,
-            "outputs": self.outputs,
-            "wall_time": self.wall_time,
-            "calibration": self.calibration,
-            "calibration_digest": self.calibration_digest,
-            "version": __version__,
-        }
 
 
 def _digest(payload) -> str:
@@ -151,20 +121,17 @@ def _ref_label(ref) -> str:
     return f"slot{c.slot}:{c.slope}"
 
 
-def _load_calibration(cfg: Config) -> CalibrationConstants:
-    return load_constants(cfg.calibration)
-
-
 def _report(command: str, inputs, outputs: dict, t0: float, consts) -> int:
-    rep = ExperimentReport(
-        command=command,
-        inputs_digest=_digest(inputs),
-        outputs=outputs,
-        wall_time=round(time.perf_counter() - t0, 4),
-        calibration=consts.to_json(),
-        calibration_digest=consts.digest(),
-    )
-    print(json.dumps(rep.to_json(), indent=2, sort_keys=True))
+    rep = {
+        "command": command,
+        "inputs_digest": _digest(inputs),
+        "outputs": outputs,
+        "wall_time": round(time.perf_counter() - t0, 4),
+        "calibration": consts.to_json(),
+        "calibration_digest": consts.digest(),
+        "version": __version__,
+    }
+    print(json.dumps(rep, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -184,7 +151,7 @@ def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> None
 
 def cmd_dist(args, cfg: Config) -> int:
     t0 = time.perf_counter()
-    consts = _load_calibration(cfg)
+    consts = load_constants(cfg.calibration)
     th = cfg.thresholds()
     m1, m2 = _read_marking(args.first), _read_marking(args.second)
     terms = [
@@ -197,13 +164,13 @@ def cmd_dist(args, cfg: Config) -> int:
         "terms": terms,
     }
     if args.oracle:
-        outputs["bfs_distance"] = bfs_distance(m1, m2, cap=10)
+        outputs["bfs_distance"] = bfs_distance(m1, m2)
     return _report("dist", [m1.to_json(), m2.to_json()], outputs, t0, consts)
 
 
 def cmd_project(args, cfg: Config) -> int:
     t0 = time.perf_counter()
-    consts = _load_calibration(cfg)
+    consts = load_constants(cfg.calibration)
     m = _read_marking(args.marking)
     if args.slot is not None:
         ref = Slot(args.slot)
@@ -237,7 +204,7 @@ def _planted_search_instance(k: int, magnitude: int) -> AugMarking:
 
 def cmd_fix_search(args, cfg: Config) -> int:
     t0 = time.perf_counter()
-    consts = _load_calibration(cfg)
+    consts = load_constants(cfg.calibration)
     th = cfg.thresholds()
     if args.sweep:
         rows = []
@@ -277,7 +244,7 @@ def cmd_fix_search(args, cfg: Config) -> int:
 
 def cmd_barycenter(args, cfg: Config) -> int:
     t0 = time.perf_counter()
-    consts = _load_calibration(cfg)
+    consts = load_constants(cfg.calibration)
     th = cfg.thresholds()
     if args.sweep:
         xs, ys = [], []
@@ -351,7 +318,7 @@ def _nonqc_checks(res, consts: CalibrationConstants) -> dict:
 
 def cmd_nonqc(args, cfg: Config) -> int:
     t0 = time.perf_counter()
-    consts = _load_calibration(cfg)
+    consts = load_constants(cfg.calibration)
     th = cfg.thresholds()
     if args.sweep:
         results, slope, intercept = nonqc_sweep(cfg.d_grid, c=cfg.c, th=th)
@@ -492,7 +459,7 @@ def _load_config(args) -> Config:
     else:
         cfg = Config()
     if args.seed is not None:
-        cfg = Config.from_json(dict(cfg.__dict__, seed=args.seed, d_grid=cfg.d_grid))
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 

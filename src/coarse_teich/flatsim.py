@@ -157,11 +157,10 @@ class SlitTorus:
 
 @dataclass(frozen=True)
 class Gluing:
-    """Identifies (component, slit) pairs; twist is the regluing offset."""
+    """Identifies (component, slit) pairs, with no regluing twist."""
 
     left: tuple[int, int]
     right: tuple[int, int]
-    twist: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -400,25 +399,19 @@ def _glue_neg_log_ext(ell: float, area: float) -> float:
     return -math.log(est)
 
 
-def shadow(
-    surface: SlitSurface, slot_components: tuple[int, ...] = _SLOT_COMPONENTS
-) -> Snapshot:
+def shadow(surface: SlitSurface) -> Snapshot:
     """Combinatorial snapshot: systole slope and shortness per slot, slit
-    shortness and regluing twist per gluing curve."""
+    shortness per gluing curve.  Gluings carry no twist, so every gluing
+    twist is 0."""
     area = surface.area()
     slots = []
     glue = []
-    for idx in slot_components:
+    for idx in _SLOT_COMPONENTS:
         comp = surface.components[idx]
         slope, length = shortest_slope(comp.torus.matrix())
         phys = comp.scale * length
         slots.append(SlotSnap(slope, math.log(area / (phys * phys))))
-        twist = 0.0
-        for g in surface.gluings:
-            if g.left[0] == idx or g.right[0] == idx:
-                twist = g.twist
-                break
-        glue.append(GlueSnap(twist, _glue_neg_log_ext(comp.slits[0].length, area)))
+        glue.append(GlueSnap(0.0, _glue_neg_log_ext(comp.slits[0].length, area)))
     return Snapshot(tuple(slots), tuple(glue))
 
 
@@ -444,16 +437,14 @@ def snapshot_to_marking(snap: Snapshot) -> AugMarking:
     return AugMarking(glue, slots)
 
 
-def distance_to_fixed(
-    snap: Snapshot, th: Thresholds, short_cut: float = 1.0
-) -> float:
+def distance_to_fixed(snap: Snapshot, th: Thresholds) -> float:
     """Distance to the swap-fixed locus: best symmetrized snapshot wins."""
     k = snap.k
     best = math.inf
     for i in range(k):
         for j in range(len(snap.glue)):
             cand = Snapshot((snap.slots[i],) * k, (snap.glue[j],) * len(snap.glue))
-            best = min(best, rafi_formula(snap, cand, th, short_cut))
+            best = min(best, rafi_formula(snap, cand, th))
     return best
 
 
@@ -559,10 +550,9 @@ def nonqc_sweep(
     ds: tuple[float, ...] = (10, 15, 20, 25, 30, 35, 40),
     c: float = 0.1,
     th: Optional[Thresholds] = None,
-    n_steps: int = 40,
 ) -> tuple[list[NonqcResult], float, float]:
     """Experiment per d plus the fitted midpoint growth (slope, intercept)."""
-    results = [nonqc_experiment(d, c=c, th=th, n_steps=n_steps) for d in ds]
+    results = [nonqc_experiment(d, c=c, th=th) for d in ds]
     slope, intercept = linear_regression(
         [r.d for r in results], [r.midpoint for r in results]
     )

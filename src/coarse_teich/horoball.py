@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Context, Decimal
 from functools import lru_cache
 
 __all__ = [
@@ -48,58 +49,57 @@ class HoroPoint:
 
 @lru_cache(maxsize=None)
 def width(level: int) -> int:
-    """Horizontal reach floor(e^level) at a given level; width(0) == 1."""
+    """Horizontal reach floor(e^level) at a given level, exact; width(0) == 1."""
     if level < 0:
         raise ValueError("negative level")
-    # exact integer floor of e^level via integer comparison around the float
-    w = int(math.exp(level))
-    while math.exp(level) < w:
-        w -= 1
-    return w
+    if level == 0:
+        # e^0 is the only rational power: the bracket below would never close
+        return 1
+    # e^level is irrational, so at some precision the correctly rounded
+    # Decimal exp, widened by one unit in the last place each way, has a
+    # single integer floor
+    prec = level // 2 + 20
+    while True:
+        ctx = Context(prec=prec, Emax=MAX_EMAX)
+        _, digits, exp = Decimal(level).exp(ctx).as_tuple()
+        mant = int("".join(map(str, digits)))
+        if exp < 0:
+            scale = 10**-exp
+            lo, hi = (mant - 1) // scale, (mant + 1) // scale
+            if lo == hi:
+                return lo
+        prec *= 2
+
+
+def _apex_scan(u: HoroPoint, v: HoroPoint) -> tuple[int, int]:
+    """(distance, apex): scan apex levels for up-across-down paths.
+
+    Ties go to the lowest apex level.
+    """
+    gap = abs(u.x - v.x)
+    lo = max(u.level, v.level)
+    if gap == 0:
+        return abs(u.level - v.level), lo
+    best = apex = None
+    level = lo
+    while True:
+        w = width(level)
+        cost = (level - u.level) + (level - v.level) + -(-gap // w)  # ceil
+        if best is None or cost < best:
+            best, apex = cost, level
+        if w >= gap:
+            return best, apex
+        level += 1
 
 
 def horo_distance(u: HoroPoint, v: HoroPoint) -> int:
-    """Exact graph distance: scan apex levels for up-across-down paths."""
-    gap = abs(u.x - v.x)
-    lo = max(u.level, v.level)
-    if gap == 0:
-        return abs(u.level - v.level)
-    best = None
-    level = lo
-    while True:
-        cost = (level - u.level) + (level - v.level) + _ceil_div(gap, width(level))
-        if best is None or cost < best:
-            best = cost
-        if width(level) >= gap:
-            break
-        level += 1
-    return best
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _best_apex(u: HoroPoint, v: HoroPoint) -> int:
-    gap = abs(u.x - v.x)
-    lo = max(u.level, v.level)
-    if gap == 0:
-        return lo
-    best = (math.inf, lo)
-    level = lo
-    while True:
-        cost = (level - u.level) + (level - v.level) + _ceil_div(gap, width(level))
-        if cost < best[0]:
-            best = (cost, level)
-        if width(level) >= gap:
-            break
-        level += 1
-    return best[1]
+    """Exact graph distance: the cost of the best up-across-down path."""
+    return _apex_scan(u, v)[0]
 
 
 def horo_normal_path(u: HoroPoint, v: HoroPoint) -> list[HoroPoint]:
     """An up-across-down geodesic witness; length == horo_distance(u, v)."""
-    apex = _best_apex(u, v)
+    apex = _apex_scan(u, v)[1]
     path = [u]
     for lvl in range(u.level + 1, apex + 1):
         path.append(HoroPoint(u.x, lvl))

@@ -14,12 +14,11 @@ as in the combinatorial horoball, and unit vertical moves on length levels.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .horoball import width
-from .slots import Slope, TwistWord, intersection, twist
+from .slots import Slope, intersection, slopes_in_box
 
 __all__ = [
     "ModelSurface",
@@ -340,8 +339,22 @@ def fixed_locus_members(
     and all glue blocks agree, so the count factors as
     (#glue blocks) * (#slot blocks).
     """
-    from .slots import slopes_in_box
+    glue_choices, slot_choices = _fixed_blocks(bounds)
+    for g in glue_choices:
+        for s in slot_choices:
+            yield AugMarking((g,) * surface.k, (s,) * surface.k)
 
+
+def count_fixed_locus(surface: ModelSurface, bounds: EnumerationBounds) -> int:
+    """Number of fixed_locus_members: #glue blocks times #slot blocks."""
+    glue_choices, slot_choices = _fixed_blocks(bounds)
+    return len(glue_choices) * len(slot_choices)
+
+
+def _fixed_blocks(
+    bounds: EnumerationBounds,
+) -> tuple[list[GlueBlock], list[SlotBlock]]:
+    """The glue blocks and slot blocks within the windows."""
     slopes = slopes_in_box(bounds.slope_box)
     glue_choices = [
         GlueBlock(tau, d)
@@ -355,10 +368,4 @@ def fixed_locus_members(
                 continue
             for d in range(bounds.max_level + 1):
                 slot_choices.append(SlotBlock(base, trans, d))
-    for g in glue_choices:
-        for s in slot_choices:
-            yield AugMarking((g,) * surface.k, (s,) * surface.k)
-
-
-def count_fixed_locus(surface: ModelSurface, bounds: EnumerationBounds) -> int:
-    return sum(1 for _ in fixed_locus_members(surface, bounds))
+    return glue_choices, slot_choices

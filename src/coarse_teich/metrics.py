@@ -117,29 +117,31 @@ def annular_candidates(m1: AugMarking, m2: AugMarking) -> list[CurveRef]:
     """The finite annulus list able to carry a formula term for this pair."""
     out: list[CurveRef] = [Glue(j) for j in range(m1.k)]
     for i in range(m1.k):
-        seen: set[Slope] = set()
+        # pivot_region lists each slope once
         b1, b2 = m1.slots[i].base, m2.slots[i].base
-        for s in pivot_region(b1, b2):
-            if s not in seen:
-                seen.add(s)
-                out.append(InSlot(i, s))
+        out.extend(InSlot(i, s) for s in pivot_region(b1, b2))
     return out
+
+
+def _raw_rows(m1: AugMarking, m2: AugMarking):
+    """(subsurface, projection distance): the whole surface, the slots, then
+    every annular candidate."""
+    check_same_surface(m1, m2)
+    yield Whole(), proj_distance(Whole(), m1, m2)
+    for i in range(m1.k):
+        yield Slot(i), proj_distance(Slot(i), m1, m2)
+    for c in annular_candidates(m1, m2):
+        y = Annulus(c)
+        yield y, proj_distance(y, m1, m2)
 
 
 def formula_terms(
     m1: AugMarking, m2: AugMarking, th: Thresholds
 ) -> list[tuple[SubsurfaceRef, int, int]]:
     """Per-subsurface rows (subsurface, raw value, thresholded contribution)."""
-    check_same_surface(m1, m2)
     rows: list[tuple[SubsurfaceRef, int, int]] = []
-    w = proj_distance(Whole(), m1, m2)
-    rows.append((Whole(), w, _cut(w, th.K)))
-    for i in range(m1.k):
-        d = proj_distance(Slot(i), m1, m2)
-        rows.append((Slot(i), d, _cut(d, th.K)))
-    for c in annular_candidates(m1, m2):
-        d = proj_distance(Annulus(c), m1, m2)
-        rows.append((Annulus(c), d, _cut(d, th.K)))
+    for y, d in _raw_rows(m1, m2):
+        rows.append((y, d, _cut(d, th.K)))
     return rows
 
 
@@ -160,6 +162,10 @@ def formula_distance_WP(m1: AugMarking, m2: AugMarking, th: Thresholds) -> int:
 # ---------------------------------------------------------------------------
 # Numerical snapshots and the four-term formula used by the flat simulation.
 # ---------------------------------------------------------------------------
+
+
+# log(1/extremal length) above which a snapshot curve counts as short
+_SHORT_CUT = 1.0
 
 
 @dataclass(frozen=True)
@@ -190,15 +196,13 @@ class Snapshot:
         return len(self.slots)
 
 
-def rafi_formula(
-    s1: Snapshot, s2: Snapshot, th: Thresholds, short_cut: float = 1.0
-) -> float:
+def rafi_formula(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
     """Four-term coarse distance between numerical snapshots.
 
     Terms: thresholded slot curve-graph distances; log of annular twist
     differences for curves short in neither snapshot; horoball distances for
     curves short in both; and max log-reciprocal-length over curves short in
-    exactly one.  A curve is short when neg_log_ext > short_cut.
+    exactly one.  A curve is short when neg_log_ext > 1.
     """
     if s1.k != s2.k or len(s1.glue) != len(s2.glue):
         raise ValueError("snapshot shapes differ")
@@ -209,7 +213,7 @@ def rafi_formula(
     horo_terms: list[float] = []
     one_sided: list[float] = []
     for a, b in zip(s1.glue, s2.glue):
-        sa, sb = a.neg_log_ext > short_cut, b.neg_log_ext > short_cut
+        sa, sb = a.neg_log_ext > _SHORT_CUT, b.neg_log_ext > _SHORT_CUT
         if sa and sb:
             pa = HoroPoint(round(a.twist), max(0, math.floor(a.neg_log_ext)))
             pb = HoroPoint(round(b.twist), max(0, math.floor(b.neg_log_ext)))
@@ -222,7 +226,7 @@ def rafi_formula(
                 total += math.log(gap)
     # slot slopes short in exactly one snapshot contribute their log length
     for a, b in zip(s1.slots, s2.slots):
-        sa, sb = a.neg_log_ext > short_cut, b.neg_log_ext > short_cut
+        sa, sb = a.neg_log_ext > _SHORT_CUT, b.neg_log_ext > _SHORT_CUT
         if sa and sb and a.slope == b.slope:
             pa = HoroPoint(0, max(0, math.floor(a.neg_log_ext)))
             pb = HoroPoint(0, max(0, math.floor(b.neg_log_ext)))
@@ -245,20 +249,18 @@ def rafi_formula(
 
 
 def large_links(m1: AugMarking, m2: AugMarking, cut: int) -> list[LargeLink]:
-    """All candidate subsurfaces whose projection distance exceeds the cut."""
+    """All candidate subsurfaces whose projection distance exceeds the cut.
+
+    The whole surface is not a link and is left out; its value 2 would
+    exceed the smallest cut.
+    """
     if cut < 1:
         raise ValueError("cut must be >= 1")
-    check_same_surface(m1, m2)
-    out = []
-    for i in range(m1.k):
-        d = proj_distance(Slot(i), m1, m2)
-        if d > cut:
-            out.append(LargeLink(Slot(i), d))
-    for c in annular_candidates(m1, m2):
-        d = proj_distance(Annulus(c), m1, m2)
-        if d > cut:
-            out.append(LargeLink(Annulus(c), d))
-    return out
+    return [
+        LargeLink(y, d)
+        for y, d in _raw_rows(m1, m2)
+        if d > cut and not isinstance(y, Whole)
+    ]
 
 
 def _orbit_refs(c: CurveRef, k: int) -> list[CurveRef]:
@@ -388,26 +390,28 @@ def canonical_path(m1: AugMarking, m2: AugMarking) -> list[AugMarking]:
     for i in range(m1.k):
         geo = farey_geodesic(cur.slots[i].base, m2.slots[i].base)
         for nxt in geo[1:]:
-            blk = cur.slots[i]
-            src = HoroPoint(twist_coordinate(blk.base, blk.trans), blk.D)
-            dst = HoroPoint(twist_coordinate(blk.base, nxt), 0)
-            for pt in horo_normal_path(src, dst)[1:]:
-                cur = _set_slot(
-                    cur, i, SlotBlock(blk.base, transversal_at(blk.base, pt.x), pt.level)
-                )
-                path.append(cur)
+            cur = _slot_excursion(path, cur, i, nxt, 0)
             # flip: the transversal now equals the next geodesic vertex
             cur = _set_slot(cur, i, SlotBlock(nxt, cur.slots[i].base, 0))
             path.append(cur)
-        blk = cur.slots[i]
-        src = HoroPoint(twist_coordinate(blk.base, blk.trans), blk.D)
-        dst = HoroPoint(twist_coordinate(blk.base, m2.slots[i].trans), m2.slots[i].D)
-        for pt in horo_normal_path(src, dst)[1:]:
-            cur = _set_slot(
-                cur, i, SlotBlock(blk.base, transversal_at(blk.base, pt.x), pt.level)
-            )
-            path.append(cur)
+        cur = _slot_excursion(path, cur, i, m2.slots[i].trans, m2.slots[i].D)
     return path
+
+
+def _slot_excursion(
+    path: list[AugMarking], cur: AugMarking, i: int, trans: Slope, level: int
+) -> AugMarking:
+    """Walk slot i's base annulus to (trans, level) along a horoball normal
+    path, appending each step to path; returns the last marking."""
+    blk = cur.slots[i]
+    src = HoroPoint(twist_coordinate(blk.base, blk.trans), blk.D)
+    dst = HoroPoint(twist_coordinate(blk.base, trans), level)
+    for pt in horo_normal_path(src, dst)[1:]:
+        cur = _set_slot(
+            cur, i, SlotBlock(blk.base, transversal_at(blk.base, pt.x), pt.level)
+        )
+        path.append(cur)
+    return cur
 
 
 def active_segment(

@@ -195,8 +195,7 @@ def marked_projection(c: CurveRef, m: AugMarking):
     blk = m.slots[c.slot % m.k]
     if c.slope == blk.base:
         return (c, blk.trans, blk.D)
-    nu = relative_twisting(c.slope, complement(c.slope), blk.base)
-    return (c, transversal_at(c.slope, nu), 0)
+    return (c, transversal_at(c.slope, annulus_point(c, m).x), 0)
 
 
 # ---------------------------------------------------------------------------

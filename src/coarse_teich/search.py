@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Optional, Sequence
+from typing import Optional
 
 from .marking import (
     AugMarking,
@@ -83,22 +83,14 @@ class PreconditionError(ValueError):
         self.certificate = certificate
 
 
-def orbit_diameter(
-    mu: AugMarking, th: Thresholds, group: Optional[SymmetryGroup] = None
-) -> int:
-    """Max pairwise formula distance over the rotation orbit.
-
-    Formula distance is rotation-invariant, so the max over pairs equals
-    the max over distances to the nontrivial rotates.
-    """
-    group = group or SymmetryGroup(mu.k)
-    return max(
-        (formula_distance_T(mu, act(r, mu), th) for r in group.elements() if r),
-        default=0,
-    )
+def orbit_diameter(mu: AugMarking, th: Thresholds) -> int:
+    """Max pairwise formula distance over the rotation orbit."""
+    return almost_fixed_certificate(mu, th).diameter
 
 
 def almost_fixed_certificate(mu: AugMarking, th: Thresholds) -> AlmostFixedCertificate:
+    # formula distance is rotation-invariant, so the max over pairs equals
+    # the max over distances to the nontrivial rotates
     per = tuple(formula_distance_T(mu, act(r, mu), th) for r in range(1, mu.k))
     return AlmostFixedCertificate(mu, max(per, default=0), per)
 
@@ -273,12 +265,14 @@ def _apply_symmetric_multitwist(x: AugMarking, core: CurveRef, d: int) -> AugMar
     return AugMarking(x.glue, tuple(slots))
 
 
+# residual bound on a processed family, the induction's first claim
+_STAGE_BOUND = 14
+
+
 def fixed_point_search(
     mu: AugMarking,
     th: Thresholds,
     seed: Optional[AugMarking] = None,
-    comparability: Optional[int] = None,
-    stage_bound: int = 14,
     process_order: str = "time",
 ) -> tuple[AugMarking, ReductionTrace]:
     """Turn an almost-fixed marking into an exactly fixed one nearby.
@@ -289,9 +283,10 @@ def fixed_point_search(
     into symmetric families; each stage applies one symmetric multitwist
     whose exponent is the representative's annular offset, in time order.
     Stage assertions check the induction: processed families keep residual
-    distance <= stage_bound, unprocessed families move by at most a
-    constant.  The result is exactly fixed with final distance bounded in
-    terms of (k, th.R) only.
+    distance <= _STAGE_BOUND, unprocessed families move by at most a
+    constant; family values must be comparable within th.R + 2.  The
+    result is exactly fixed with final distance bounded in terms of
+    (k, th.R) only.
 
     process_order="reversed" is a negative control for experiments; the
     assertions are relaxed since reversed processing violates the time
@@ -301,7 +296,6 @@ def fixed_point_search(
         raise ValueError(f"unknown process order {process_order!r}")
     if seed is not None and not is_fixed(seed):
         raise ValueError("provided seed is not exactly fixed")
-    comparability = th.R + 2 if comparability is None else comparability
     cert = almost_fixed_certificate(mu, th)
     if cert.diameter > th.R:
         raise PreconditionError(
@@ -314,7 +308,7 @@ def fixed_point_search(
     x = reduce_short_curves(mu, seed_marking(mu), th) if seed is None else seed
     seed_used = x
     links = large_links(mu, x, th.K_hat)
-    families = group_symmetric_families(links, group, mu, x, th, comparability)
+    families = group_symmetric_families(links, group, mu, x, th, th.R + 2)
     ordered = list(families)
     if process_order == "reversed":
         ordered.reverse()
@@ -333,8 +327,8 @@ def fixed_point_search(
         )
         if honest:
             # induction (1): the processed family is now resolved
-            assert max(residuals) <= stage_bound, (
-                f"stage {n} residuals {residuals} exceed {stage_bound}"
+            assert max(residuals) <= _STAGE_BOUND, (
+                f"stage {n} residuals {residuals} exceed {_STAGE_BOUND}"
             )
             # induction (2): later families barely move
             for f, before in zip(ordered[n + 1:], before_unprocessed):

@@ -138,13 +138,6 @@ def relative_twisting(core: Slope, a: Slope, b: Slope) -> int:
 _INF_VEC = (1, 0)
 
 
-def _normalizer(a: Slope) -> tuple[int, int, int, int]:
-    """Rows (x, y), (-a.q, a.p) of a unimodular matrix sending a to (1, 0)."""
-    # x*a.p + y*a.q == 1
-    x, y = _egcd(a.p, a.q)
-    return x, y, -a.q, a.p
-
-
 def _egcd(p: int, q: int) -> tuple[int, int]:
     """Coefficients (x, y) with x*p + y*q == gcd(p, q) == 1."""
     old_r, r = p, q
@@ -259,14 +252,24 @@ def _step(v, w, fan_pivot):
     return 2, fan_pivot
 
 
-def _normalized(a: Slope, b: Slope) -> tuple[int, int]:
-    """Image vector of b under a unimodular map sending a to (1, 0), second >= 0."""
-    r0, r1, r2, r3 = _normalizer(a)
-    u = r0 * b.p + r1 * b.q
-    v = r2 * b.p + r3 * b.q
+def _normalized(a: Slope, b: Slope) -> tuple[tuple[int, int, int, int], int, int]:
+    """A unimodular map sending a to (1, 0), and the image (u, v) of b, v >= 0.
+
+    The map is the rows (x, y), (-a.q, a.p) with x*a.p + y*a.q == 1.
+    """
+    x, y = _egcd(a.p, a.q)
+    u = x * b.p + y * b.q
+    v = a.p * b.q - a.q * b.p
     if v < 0:
         u, v = -u, -v
-    return u, v
+    return (x, y, -a.q, a.p), u, v
+
+
+def _denormalized(rows: tuple[int, int, int, int], vec: tuple[int, int]) -> Slope:
+    """The slope whose image under the unimodular map ``rows`` is ±vec."""
+    r0, r1, r2, r3 = rows
+    x, y = vec
+    return Slope.of(r3 * x - r1 * y, -r2 * x + r0 * y)
 
 
 def farey_distance(a: Slope, b: Slope) -> int:
@@ -277,7 +280,7 @@ def farey_distance(a: Slope, b: Slope) -> int:
         return 1
     if b < a:
         a, b = b, a
-    u, v = _normalized(a, b)
+    _, u, v = _normalized(a, b)
     return _dp(u, v, want_path=False)[0]
 
 
@@ -290,18 +293,9 @@ def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:
     flipped = b < a
     if flipped:
         a, b = b, a
-    r0, r1, r2, r3 = _normalizer(a)
-    u = r0 * b.p + r1 * b.q
-    v = r2 * b.p + r3 * b.q
-    sign = 1
-    if v < 0:
-        u, v, sign = -u, -v, -1
+    rows, u, v = _normalized(a, b)
     _, path = _dp(u, v, want_path=True)
-    # undo the normalization: inverse of [[r0, r1], [r2, r3]] is [[r3, -r1], [-r2, r0]]
-    out = []
-    for vec in path:
-        x, y = vec
-        out.append(Slope.of(r3 * x - r1 * y, -r2 * x + r0 * y))
+    out = [_denormalized(rows, vec) for vec in path]
     # drop repeats left by zero-cost stays
     dedup = [out[0]]
     for s in out[1:]:
@@ -323,19 +317,12 @@ def pivot_region(a: Slope, b: Slope) -> list[Slope]:
         a, b = b, a
     if a == b or intersection(a, b) == 1:
         return sorted({a, b})
-    r0, r1, r2, r3 = _normalizer(a)
-    u = r0 * b.p + r1 * b.q
-    v = r2 * b.p + r3 * b.q
-    if v < 0:
-        u, v = -u, -v
+    rows, u, v = _normalized(a, b)
     seen = {(1, 0), (u, v)}
     for a_vec, b_vec, _ in _ladder_edges(u, v):
         seen.add(a_vec)
         seen.add(b_vec)
-    out = set()
-    for x, y in seen:
-        out.add(Slope.of(r3 * x - r1 * y, -r2 * x + r0 * y))
-    return sorted(out)
+    return sorted({_denormalized(rows, vec) for vec in seen})
 
 
 def slopes_in_box(bound: int) -> list[Slope]:
@@ -436,11 +423,6 @@ def _canon_vec(w: tuple[int, int]) -> tuple[int, int]:
     return p, q
 
 
-def _orientation(base: Slope, t0: Slope) -> int:
-    """Sign making twist(base^j, .) shift twist coordinates by exactly +j."""
-    return det(base, t0)
-
-
 def twist_coordinate(base: Slope, trans: Slope) -> int:
     """Index n with trans == transversal_at(base, n), exact.
 
@@ -453,7 +435,8 @@ def twist_coordinate(base: Slope, trans: Slope) -> int:
             f"{trans} is not a transversal of {base}"
         )
     t0 = complement(base)
-    orient = _orientation(base, t0)
+    # the sign making twist(base^j, .) shift twist coordinates by exactly +j
+    orient = det(base, t0)
     for s in (1, -1):
         dp = s * trans.p - t0.p
         dq = s * trans.q - t0.q
@@ -475,5 +458,5 @@ def twist_coordinate(base: Slope, trans: Slope) -> int:
 def transversal_at(base: Slope, n: int) -> Slope:
     """The transversal of ``base`` with twist coordinate n."""
     t0 = complement(base)
-    m = n * _orientation(base, t0)
+    m = n * det(base, t0)
     return Slope.of(t0.p + m * base.p, t0.q + m * base.q)

@@ -56,8 +56,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         Config(K=3, K_hat=2)
     with pytest.raises(ValueError):
-        Config(eps0_level=0)
-    with pytest.raises(ValueError):
         Config(k=1)
     with pytest.raises(ValueError):
         Config.from_json({"no_such_field": 1})
@@ -232,3 +230,22 @@ def test_config_changes_thresholds(tmp_path, capsys):
     loose = Thresholds(K=9, K_hat=9, R=10)
     assert rep["outputs"]["formula_distance_T"] == formula_distance_T(m1, m2, loose)
     assert rep["outputs"]["formula_distance_T"] < formula_distance_T(m1, m2, TH)
+
+
+def test_dist_deep_levels_exit_zero(tmp_path, capsys):
+    # levels past the float range of e^D need the exact integer horoball width
+    m1 = flat()
+    m2 = AugMarking((GlueBlock(5, 800), GlueBlock(0, 0)), m1.slots)
+    f1 = write_marking(tmp_path / "a.json", m1)
+    f2 = write_marking(tmp_path / "b.json", m2)
+    code, rep, _ = run(capsys, "dist", f1, f2)
+    assert code == 0
+    assert rep["outputs"]["formula_distance_T"] == formula_distance_T(m1, m2, TH)
+
+
+def test_removed_config_fields_are_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps0_level": 1, "eps_pp_level": 3}))
+    code, rep, _ = run(capsys, "--config", str(cfg), "dist", "x.json", "y.json")
+    assert code == 2 and rep["error"] == "parse"
+    assert "unknown config fields" in rep["message"]

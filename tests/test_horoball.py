@@ -1,5 +1,6 @@
 """Combinatorial horoball distances against the BFS oracle."""
 
+import decimal
 import math
 import random
 
@@ -18,6 +19,14 @@ from coarse_teich.horoball import (
 
 def test_width_values():
     assert [width(m) for m in range(7)] == [1, 2, 7, 20, 54, 148, 403]
+
+
+def test_width_is_exact_floor_of_exp():
+    # 100 digits cover e^60 (27 integer digits) with room to spare
+    ctx = decimal.Context(prec=100)
+    for level in range(61):
+        exp = decimal.Decimal(level).exp(ctx)
+        assert width(level) == int(exp.to_integral_value(decimal.ROUND_FLOOR)), level
 
 
 def test_horo_distance_example():

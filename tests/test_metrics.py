@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coarse_teich.calibration import sample_marking
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.marking import (
     AugMarking,
@@ -34,6 +35,7 @@ from coarse_teich.metrics import (
     rafi_formula,
 )
 from coarse_teich.projection import Annulus, Slot, Whole
+from coarse_teich.search import almost_fixed_certificate, orbit_diameter
 from coarse_teich.slots import Slope, farey_distance, transversal_at
 from tests.test_marking import flat_marking, random_marking
 
@@ -172,6 +174,24 @@ def test_large_links_empty_and_planted():
     links = large_links(m1, m2, 4)
     assert [l.subsurface for l in links] == [Annulus(InSlot(0, Slope(0, 1)))]
     assert links[0].value == horo_distance(HoroPoint(0, 0), HoroPoint(70, 0))
+
+
+def test_large_links_and_orbit_diameter_agree_with_their_sources():
+    # large links are the non-whole formula rows above the cut; the orbit
+    # diameter is the almost-fixed certificate's diameter
+    rng = random.Random(2024)
+    for _ in range(40):
+        k = rng.randint(2, 4)
+        m1, m2 = sample_marking(rng, k), sample_marking(rng, k)
+        rows = formula_terms(m1, m2, TH)
+        for cut in range(1, 6):
+            want = [
+                LargeLink(y, d)
+                for y, d, _ in rows
+                if d > cut and not isinstance(y, Whole)
+            ]
+            assert large_links(m1, m2, cut) == want
+        assert orbit_diameter(m1, TH) == almost_fixed_certificate(m1, TH).diameter
 
 
 def test_large_links_planted_geodesic_pivots():
