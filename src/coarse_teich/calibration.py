@@ -29,7 +29,6 @@ from .marking import (
     GlueBlock,
     InSlot,
     SlotBlock,
-    SymmetryGroup,
     act,
     bfs_distance,
     elementary_moves,
@@ -271,9 +270,7 @@ def family_comparability_sweep(
             ),
         )
         links = large_links(mu, x, th.K_hat)
-        fams = group_symmetric_families(
-            links, SymmetryGroup(k), mu, x, th, comparability=th.R + 2
-        )
+        fams = group_symmetric_families(links, mu, x, th, comparability=th.R + 2)
         for fam in fams:
             values = [l.value for l in fam.members]
             worst = max(worst, max(values) / min(values))

@@ -17,12 +17,11 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .horoball import width
-from .slots import Slope, intersection, slopes_in_box
+from .horoball import HoroPoint, horo_distance, width
+from .slots import Slope, intersection, slopes_in_box, transversal_at, twist_coordinate
 
 __all__ = [
     "ModelSurface",
-    "SymmetryGroup",
     "GlueBlock",
     "SlotBlock",
     "AugMarking",
@@ -53,16 +52,6 @@ class ModelSurface:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError(f"need at least two slots, got k={self.k}")
-
-
-@dataclass(frozen=True)
-class SymmetryGroup:
-    """The cyclic group Z/k acting by rotating slots and gluing curves."""
-
-    k: int
-
-    def elements(self) -> range:
-        return range(self.k)
 
 
 @dataclass(frozen=True, order=True)
@@ -187,96 +176,110 @@ def act_curve(r: int, c: CurveRef, k: int) -> CurveRef:
 
 
 # ---------------------------------------------------------------------------
-# Elementary moves.  Implemented on plain nested-int tuples for BFS speed;
-# the dataclass API wraps the key form.
+# Elementary moves.  Each move changes one block, and whether it is legal
+# depends on that block alone, so the move graph is the Cartesian product of
+# one horoball per gluing curve, on (tau, D), and one slot graph per slot.
+# A slot graph is one horoball per base slope, on (twist coordinate of the
+# transversal, D), with flips at level 0 joining the horoballs of Farey
+# neighbours.  Product distances are sums of block distances.
 # ---------------------------------------------------------------------------
 
-Key = tuple
+
+def _horo_edges(x: int, d: int) -> Iterator[tuple[int, int]]:
+    """Horoball neighbours of (x, d): twists by 1..width(d) in both signs,
+    then the unit level steps."""
+    for step in range(1, width(d) + 1):
+        yield x + step, d
+        yield x - step, d
+    if d > 0:
+        yield x, d - 1
+    yield x, d + 1
 
 
-def marking_key(m: AugMarking) -> Key:
-    return (
-        tuple((g.tau, g.D) for g in m.glue),
-        tuple(
-            (s.base.p, s.base.q, s.trans.p, s.trans.q, s.D) for s in m.slots
-        ),
-    )
+def _horo_point(blk: Union[GlueBlock, SlotBlock]) -> HoroPoint:
+    """A block's point in its horoball (for a slot, the base slope's)."""
+    if isinstance(blk, GlueBlock):
+        return HoroPoint(blk.tau, blk.D)
+    return HoroPoint(twist_coordinate(blk.base, blk.trans), blk.D)
 
 
-def marking_from_key(key: Key) -> AugMarking:
-    glue = tuple(GlueBlock(t, d) for t, d in key[0])
-    slots = tuple(
-        SlotBlock(Slope(bp, bq), Slope(tp, tq), d)
-        for bp, bq, tp, tq, d in key[1]
-    )
-    return AugMarking(glue, slots)
+def elementary_moves(m: AugMarking) -> list[AugMarking]:
+    """All markings one elementary move away, block by block.
 
-
-def _twist_slope_key(cp: int, cq: int, n: int, p: int, q: int) -> tuple[int, int]:
-    d = cp * q - cq * p
-    p, q = p + n * d * cp, q + n * d * cq
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return p, q
-
-
-def _neighbor_keys(key: Key, strict_flips: bool) -> Iterator[Key]:
-    glue, slots = key
-    all_zero = all(d == 0 for _, d in glue) and all(s[4] == 0 for s in slots)
-    for j, (tau, d) in enumerate(glue):
-        reach = width(d)
-        for mstep in range(1, reach + 1):
-            for sgn in (1, -1):
-                g2 = glue[:j] + ((tau + sgn * mstep, d),) + glue[j + 1:]
-                yield (g2, slots)
-        for nd in (d - 1, d + 1):
-            if nd >= 0:
-                g2 = glue[:j] + ((tau, nd),) + glue[j + 1:]
-                yield (g2, slots)
-    for i, (bp, bq, tp, tq, d) in enumerate(slots):
-        flip_ok = (d == 0) if not strict_flips else all_zero
-        if flip_ok:
-            s2 = slots[:i] + ((tp, tq, bp, bq, 0),) + slots[i + 1:]
-            yield (glue, s2)
-        reach = width(d)
-        for mstep in range(1, reach + 1):
-            for sgn in (1, -1):
-                np_, nq = _twist_slope_key(bp, bq, sgn * mstep, tp, tq)
-                s2 = slots[:i] + ((bp, bq, np_, nq, d),) + slots[i + 1:]
-                yield (glue, s2)
-        for nd in (d - 1, d + 1):
-            if nd >= 0:
-                s2 = slots[:i] + ((bp, bq, tp, tq, nd),) + slots[i + 1:]
-                yield (glue, s2)
-
-
-def elementary_moves(m: AugMarking, strict_flips: bool = False) -> list[AugMarking]:
-    """All markings one elementary move away.
-
-    Flips need length level 0 on the flipped slot; with strict_flips they
-    need level 0 on every base curve (the conservative variant, kept as a
-    cross-check).  Twist moves about a curve at level D reach exponents
-    1..width(D) in both signs; vertical moves change one level by one.
+    Flips swap base and transversal of a slot at length level 0.  Twist
+    moves about a curve at level D reach exponents 1..width(D) in both
+    signs; vertical moves change one level by one.  The order is fixed
+    (gluing curves, then slots; per block the flip, twists +1, -1, +2, ...,
+    then levels down and up), since samplers draw from this list.
     """
-    return [marking_from_key(k) for k in _neighbor_keys(marking_key(m), strict_flips)]
+    glue, slots = m.glue, m.slots
+    out = [
+        AugMarking(glue[:j] + (GlueBlock(tau, d),) + glue[j + 1:], slots)
+        for j, g in enumerate(glue)
+        for tau, d in _horo_edges(g.tau, g.D)
+    ]
+    for i, s in enumerate(slots):
+        blocks = [SlotBlock(s.trans, s.base, 0)] if s.D == 0 else []
+        n = twist_coordinate(s.base, s.trans)
+        for x, d in _horo_edges(n, s.D):
+            trans = s.trans if x == n else transversal_at(s.base, x)
+            blocks.append(SlotBlock(s.base, trans, d))
+        out.extend(AugMarking(glue, slots[:i] + (b,) + slots[i + 1:]) for b in blocks)
+    return out
 
 
-def is_elementary_move(a: AugMarking, b: AugMarking, strict_flips: bool = False) -> bool:
-    kb = marking_key(b)
-    return any(kb == k for k in _neighbor_keys(marking_key(a), strict_flips))
+def is_elementary_move(a: AugMarking, b: AugMarking) -> bool:
+    """True iff exactly one block differs, by a flip at level 0 or by one
+    edge of the block's horoball.  O(k); enumerates no neighbours."""
+    if a.k != b.k:
+        return False
+    changed = [(x, y) for x, y in zip(a.glue + a.slots, b.glue + b.slots) if x != y]
+    if len(changed) != 1:
+        return False
+    x, y = changed[0]
+    if isinstance(x, SlotBlock) and x.base != y.base:
+        return x.D == y.D == 0 and (x.base, x.trans) == (y.trans, y.base)
+    return horo_distance(_horo_point(x), _horo_point(y)) == 1
 
 
-def bfs_distance(
-    a: AugMarking, b: AugMarking, cap: int = 10, strict_flips: bool = False
-) -> Optional[int]:
+def bfs_distance(a: AugMarking, b: AugMarking, cap: int = 10) -> Optional[int]:
     """Exact elementary-move distance if <= cap, else None.
 
-    Bidirectional breadth-first search, expanding the smaller frontier;
-    the recommended cap is <= 12 on small length levels since twist reach
-    (and so branching) widens exponentially with the levels.
+    The sum of the block distances: horo_distance in closed form per gluing
+    curve, then a breadth-first search per slot within what is left of the
+    cap.
     """
     check_same_surface(a, b)
-    ka, kb = marking_key(a), marking_key(b)
+    total = sum(horo_distance(_horo_point(g), _horo_point(h)) for g, h in zip(a.glue, b.glue))
+    for s, t in zip(a.slots, b.slots):
+        if total > cap:
+            return None
+        d = _slot_distance(s, t, cap - total)
+        if d is None:
+            return None
+        total += d
+    return total if total <= cap else None
+
+
+def _slot_neighbors(key: tuple[Slope, int, int]) -> Iterator[tuple[Slope, int, int]]:
+    """Neighbours of a slot-graph key (base, twist coordinate of the
+    transversal, level): the flip at level 0, then the horoball edges."""
+    base, n, d = key
+    if d == 0:
+        trans = transversal_at(base, n)
+        yield trans, twist_coordinate(trans, base), 0
+    for x, e in _horo_edges(n, d):
+        yield base, x, e
+
+
+def _slot_distance(s: SlotBlock, t: SlotBlock, cap: int) -> Optional[int]:
+    """Exact slot-graph distance if <= cap, else None.
+
+    Bidirectional breadth-first search, expanding the smaller frontier;
+    twist reach (and so branching) widens exponentially with the levels.
+    """
+    ka = (s.base, twist_coordinate(s.base, s.trans), s.D)
+    kb = (t.base, twist_coordinate(t.base, t.trans), t.D)
     if ka == kb:
         return 0
     left = {ka: 0}
@@ -297,7 +300,7 @@ def bfs_distance(
         new = []
         best = None
         for key in front:
-            for nb in _neighbor_keys(key, strict_flips):
+            for nb in _slot_neighbors(key):
                 if nb in side:
                     continue
                 if nb in other:

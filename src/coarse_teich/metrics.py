@@ -27,7 +27,6 @@ from .marking import (
     GlueBlock,
     InSlot,
     SlotBlock,
-    SymmetryGroup,
     check_same_surface,
 )
 from .projection import Annulus, Slot, SubsurfaceRef, Whole, proj_distance
@@ -282,7 +281,6 @@ def _geodesic_position(geo: Sequence[Slope], s: Slope) -> int:
 
 def group_symmetric_families(
     links: Sequence[LargeLink],
-    group: SymmetryGroup,
     mu: AugMarking,
     target: AugMarking,
     th: Thresholds,
@@ -298,11 +296,12 @@ def group_symmetric_families(
     (non-annular) links are legal only up to the almost-fixed scale and are
     not grouped; a slot value beyond th.R + comparability also violates.
 
-    Families are ordered: the gluing orbit first, then slot-slope orbits by
-    position along the slot-0 Farey geodesic from target to mu.
+    Orbits are under the rotation group Z/k, k = mu.k.  Families are
+    ordered: the gluing orbit first, then slot-slope orbits by position
+    along the slot-0 Farey geodesic from target to mu.
     """
     check_same_surface(mu, target)
-    k = group.k
+    k = mu.k
     classes: dict[tuple, list[LargeLink]] = {}
     for link in links:
         y = link.subsurface

@@ -28,7 +28,6 @@ from .marking import (
     GlueBlock,
     InSlot,
     SlotBlock,
-    SymmetryGroup,
     act,
 )
 from .metrics import (
@@ -304,11 +303,10 @@ def fixed_point_search(
     if is_fixed(mu):
         # nothing to search for; every stage would be a no-op anyway
         return mu, ReductionTrace(seed=mu, stages=(), final=mu, final_distance=0)
-    group = SymmetryGroup(mu.k)
     x = reduce_short_curves(mu, seed_marking(mu), th) if seed is None else seed
     seed_used = x
     links = large_links(mu, x, th.K_hat)
-    families = group_symmetric_families(links, group, mu, x, th, th.R + 2)
+    families = group_symmetric_families(links, mu, x, th, th.R + 2)
     ordered = list(families)
     if process_order == "reversed":
         ordered.reverse()

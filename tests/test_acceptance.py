@@ -26,7 +26,6 @@ from coarse_teich.marking import (
     InSlot,
     Slope,
     SlotBlock,
-    SymmetryGroup,
     act,
     act_curve,
 )
@@ -238,7 +237,7 @@ def test_criterion_07_asymmetric_large_links_always_flagged():
             mu = AugMarking(x.glue, tuple(sl))
         links = large_links(mu, x, TH.K_hat)
         try:
-            group_symmetric_families(links, SymmetryGroup(k), mu, x, TH, comparability=TH.R + 2)
+            group_symmetric_families(links, mu, x, TH, comparability=TH.R + 2)
         except SymmetryViolationError:
             hits += 1
     _verdict(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coarse_teich.calibration import sample_marking
 from coarse_teich.horoball import width
 from coarse_teich.marking import (
     AugMarking,
@@ -19,8 +20,6 @@ from coarse_teich.marking import (
     elementary_moves,
     fixed_locus_members,
     is_elementary_move,
-    marking_from_key,
-    marking_key,
 )
 from coarse_teich.slots import Slope, TwistWord, intersection, transversal_at, twist
 
@@ -82,13 +81,6 @@ def test_json_roundtrip():
     }
 
 
-def test_key_roundtrip():
-    rng = random.Random(11)
-    for _ in range(25):
-        m = random_marking(rng, rng.randint(2, 5))
-        assert marking_from_key(marking_key(m)) == m
-
-
 def test_act_is_cyclic_action():
     rng = random.Random(3)
     for _ in range(20):
@@ -119,9 +111,7 @@ def test_flat_marking_moves():
     flips = [n for n in nbs if any(s.base == Slope(1, 0) for s in n.slots)]
     assert len(flips) == k
     assert len(nbs) == k * (2 + 1) + k * (1 + 2 + 1)
-    assert len(set(map(marking_key, nbs))) == len(nbs)
-    # strict flips agree here since every level is zero
-    assert len(elementary_moves(m, strict_flips=True)) == len(nbs)
+    assert len(set(nbs)) == len(nbs)
 
 
 def test_twist_reach_widens_with_level():
@@ -170,9 +160,6 @@ def test_flip_requires_zero_level():
     nbs = elementary_moves(m)
     assert not any(x.slots[0].base == Slope(1, 0) for x in nbs)
     assert any(x.slots[1].base == Slope(1, 0) for x in nbs)
-    # strict variant also vetoes the slot-1 flip: slot 0 still has level 1
-    strict = elementary_moves(m, strict_flips=True)
-    assert not any(x.slots[1].base == Slope(1, 0) for x in strict)
 
 
 def test_move_relation_is_symmetric():
@@ -217,6 +204,73 @@ def test_bfs_distance_cap():
     assert bfs_distance(a, b, cap=3) is None
     d = bfs_distance(a, b, cap=7)
     assert d == 6
+
+
+def whole_graph_distance(a: AugMarking, b: AugMarking, cap: int):
+    """Reference move distance: plain BFS over whole markings from both ends.
+
+    Balls of radius ceil(cap/2) around a and floor(cap/2) around b meet on
+    every path of length <= cap, so the best meeting is exact up to cap.
+    """
+    balls = []
+    for m, radius in ((a, (cap + 1) // 2), (b, cap // 2)):
+        dist = {m: 0}
+        front = [m]
+        for d in range(1, radius + 1):
+            nxt = []
+            for x in front:
+                for n in elementary_moves(x):
+                    if n not in dist:
+                        dist[n] = d
+                        nxt.append(n)
+            front = nxt
+        balls.append(dist)
+    da, db = balls
+    return min((da[x] + db[x] for x in da.keys() & db.keys()), default=None)
+
+
+def test_product_distance_matches_whole_graph_bfs():
+    rng = random.Random(3031)
+    past_cap = flipped = 0
+    for _ in range(40):
+        a = sample_marking(rng, rng.randint(2, 3), level_max=1)
+        b = a
+        for _ in range(rng.randint(1, 5)):
+            b = rng.choice(elementary_moves(b))
+        want = whole_graph_distance(a, b, cap=3)
+        assert bfs_distance(a, b, cap=3) == want, (a, b)
+        past_cap += want is None
+        flipped += any(s.base != t.base for s, t in zip(a.slots, b.slots))
+    # the sample reaches past the cap and crosses flip edges
+    assert past_cap and flipped
+
+
+def test_is_elementary_move_rejects_non_moves():
+    base, trans = Slope(1, 2), transversal_at(Slope(1, 2), 1)
+    rest = SlotBlock(Slope(0, 1), Slope(1, 0), 0)
+    for level in (0, 1, 2):
+        a = AugMarking(
+            (GlueBlock(3, level), GlueBlock(0, 0)), (SlotBlock(base, trans, level), rest)
+        )
+        far = width(level) + 1
+        non_moves = [
+            # a twist one past the reach, about a gluing curve and in a slot
+            AugMarking((GlueBlock(3 + far, level), a.glue[1]), a.slots),
+            AugMarking(a.glue, (SlotBlock(base, transversal_at(base, 1 - far), level), rest)),
+            # a level step of 2
+            AugMarking((GlueBlock(3, level + 2), a.glue[1]), a.slots),
+            # two changed blocks, each a move on its own
+            AugMarking((GlueBlock(4, level), GlueBlock(1, 0)), a.slots),
+        ]
+        if level:
+            # a flip away from level 0
+            non_moves.append(AugMarking(a.glue, (SlotBlock(trans, base, level), rest)))
+        nbs = elementary_moves(a)
+        for b in non_moves:
+            assert b not in nbs
+            assert not is_elementary_move(a, b), b
+        assert all(is_elementary_move(a, n) for n in nbs)
+        assert not is_elementary_move(a, flat_marking(3))
 
 
 def test_length_of_and_base_curves():

@@ -11,7 +11,6 @@ from coarse_teich.marking import (
     GlueBlock,
     InSlot,
     SlotBlock,
-    SymmetryGroup,
     act,
     bfs_distance,
     elementary_moves,
@@ -224,7 +223,7 @@ def test_group_symmetric_families_planted_orbit():
     mu = symmetric_twisted(k, 50)
     links = large_links(mu, target, TH.K_hat)
     fams = group_symmetric_families(
-        links, SymmetryGroup(k), mu, target, TH, comparability=10
+        links, mu, target, TH, comparability=10
     )
     assert len(fams) == 1
     fam = fams[0]
@@ -244,7 +243,7 @@ def test_group_symmetric_families_tolerates_honest_slack():
     target = symmetric_twisted(3, 0)
     links = large_links(mu, target, TH.K_hat)
     fams = group_symmetric_families(
-        links, SymmetryGroup(3), mu, target, TH, comparability=10
+        links, mu, target, TH, comparability=10
     )
     assert len(fams) == 1 and len(fams[0].members) == 3
 
@@ -263,7 +262,7 @@ def test_group_symmetric_families_rejects_asymmetric_link():
     assert links
     with pytest.raises(SymmetryViolationError):
         group_symmetric_families(
-            links, SymmetryGroup(3), mu, target, TH, comparability=10
+            links, mu, target, TH, comparability=10
         )
 
 
@@ -272,7 +271,7 @@ def test_group_symmetric_families_rejects_oversized_slot_link():
     fake = [LargeLink(Slot(0), value=40)]
     with pytest.raises(SymmetryViolationError):
         group_symmetric_families(
-            fake, SymmetryGroup(2), mu, mu, TH, comparability=10
+            fake, mu, mu, TH, comparability=10
         )
 
 
@@ -284,7 +283,7 @@ def test_group_symmetric_families_time_order():
     tgt = flat_marking(2)
     links = large_links(mu, tgt, TH.K_hat)
     fams = group_symmetric_families(
-        links, SymmetryGroup(2), mu, tgt, TH, comparability=10
+        links, mu, tgt, TH, comparability=10
     )
     slopes = [f.representative.subsurface.curve.slope for f in fams]
     assert slopes == [Slope(0, 1), Slope(1, 30)]
