@@ -519,7 +519,7 @@ def nonqc_experiment(
         shadow(fam.at(0.0)), shadow(cons.ref_start.at(0.0)), th
     )
     ref_end_gap = rafi_formula(
-        shadow(fam.at(2 * d)), shadow(cons.ref_start.at(2 * d)), th
+        shadow(fam.at(2 * d)), shadow(cons.ref_end.at(2 * d)), th
     )
     if e0 is not None:
         assert endpoint_max <= e0, (

@@ -277,11 +277,20 @@ def _slot_distance(s: SlotBlock, t: SlotBlock, cap: int) -> Optional[int]:
 
     Bidirectional breadth-first search, expanding the smaller frontier;
     twist reach (and so branching) widens exponentially with the levels.
+    A path through a flip costs at least s.D + t.D + 1; past the cap the
+    answer is the closed-form horoball distance of a shared base, if any.
     """
     ka = (s.base, twist_coordinate(s.base, s.trans), s.D)
     kb = (t.base, twist_coordinate(t.base, t.trans), t.D)
     if ka == kb:
         return 0
+    if s.D + t.D + 1 > cap:
+        # a flip needs level 0 at both ends, so only the base's horoball is
+        # within the cap
+        if s.base != t.base:
+            return None
+        d = horo_distance(_horo_point(s), _horo_point(t))
+        return d if d <= cap else None
     left = {ka: 0}
     right = {kb: 0}
     lfront, rfront = [ka], [kb]

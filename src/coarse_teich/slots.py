@@ -3,9 +3,9 @@
 Simple closed curves are primitive integer slopes p/q.  The curve graph is
 the Farey graph: vertices are slopes, edges join slopes with geometric
 intersection number one.  Distances and geodesics are computed exactly by
-a dynamic program over the fan ladder of triangles that the hyperbolic
-geodesic between two slopes crosses; long fans are compressed, so the cost
-is linear in the number of continued-fraction coefficients.
+one walk over the fans of the continued fraction that the hyperbolic
+geodesic between two slopes crosses, two states per fan, so the cost is
+linear in the number of continued-fraction coefficients.
 """
 
 from __future__ import annotations
@@ -122,20 +122,19 @@ def relative_twisting(core: Slope, a: Slope, b: Slope) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact distance: fan-ladder dynamic program.
+# Exact distance: one walk over the continued-fraction fans.
 #
 # Normalize the first slope to 1/0 by an integer unimodular map.  The
-# hyperbolic geodesic from 1/0 to u/v crosses a chain of ideal triangles of
-# the Farey tessellation, organized into fans around the continued-fraction
-# convergents.  Every edge-path between the endpoints must visit an endpoint
-# of each crossed edge, in order; conversely consecutive crossed edges share
-# a triangle.  A DP over the crossed edges therefore computes the exact
-# graph distance.  Within a fan, two rim vertices i and j satisfy
-# |det| = |i - j| and are joined through the pivot at cost 2, so fans longer
-# than five are compressed to their two boundary rims on each side.
+# convergents c_{-1} = 1/0, c_0, ..., c_n = u/v of the continued fraction
+# split the hyperbolic geodesic from 1/0 to u/v into fans: fan k has pivot
+# c_k and rims c_{k-1} + j*c_k, j = 0..m, from c_{k-1} to c_{k+1}.  Every
+# edge-path from 1/0 to u/v visits an endpoint of each fan-boundary edge
+# (c_k, c_{k+1}), in order, so two states per boundary are exact: the cost
+# (and a geodesic) to reach c_k and to reach c_{k+1}.  Crossing fan k, the
+# pivot c_k is a neighbour of c_{k-1}; c_{k+1} is a neighbour of both
+# c_{k-1} and c_k when m == 1, and otherwise is reached through the pivot,
+# since the rims between c_{k-1} and c_{k+1} are m >= 2 steps apart.
 # ---------------------------------------------------------------------------
-
-_INF_VEC = (1, 0)
 
 
 def _egcd(p: int, q: int) -> tuple[int, int]:
@@ -163,93 +162,32 @@ def _continued_fraction(u: int, v: int) -> list[int]:
     return coeffs
 
 
-def _ladder_edges(u: int, v: int):
-    """Ordered crossed edges of the tessellation from (1,0) to (u,v), v >= 2.
-
-    Yields (A, B, fan_pivot) with A, B integer vectors; within long fans only
-    the near-boundary rim edges are produced (the omitted middle rims are
-    dominated: any geodesic either rides the pivot or stays within two rims
-    of a fan boundary).
-    """
+def _fans(u: int, v: int):
+    """The fans crossed from (1, 0) to (u, v), v >= 1, in order, as
+    (c_{k-1}, c_k, m, c_{k+1}) with m the continued-fraction coefficient."""
     coeffs = _continued_fraction(u, v)
-    n = len(coeffs) - 1  # fans are indexed 0..n-1
-    prev = _INF_VEC  # c_{k-1}
-    cur = (coeffs[0], 1)  # c_k
-    for k in range(n):
-        m = coeffs[k + 1]
-        pivot = cur
-        base = prev
-
-        def rim(j, base=base, pivot=pivot):
-            return (base[0] + j * pivot[0], base[1] + j * pivot[1])
-
-        if m <= 5:
-            js = range(1, m)
-        else:
-            js = (1, 2, m - 2, m - 1)
-        for j in js:
-            yield pivot, rim(j), pivot
-        nxt = rim(m)  # c_{k+1}
-        if k < n - 1:
-            yield pivot, nxt, pivot
+    prev, cur = (1, 0), (coeffs[0], 1)
+    for m in coeffs[1:]:
+        nxt = (prev[0] + m * cur[0], prev[1] + m * cur[1])
+        yield prev, cur, m, nxt
         prev, cur = cur, nxt
 
 
-def _vec_det(a, b) -> int:
-    return a[0] * b[1] - a[1] * b[0]
+def _walk(u: int, v: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Distance and geodesic from (1, 0) to (u, v), v >= 2.
 
-
-def _dp(u: int, v: int, want_path: bool):
-    """Distance (and optionally a witness path) from (1,0) to (u,v), v >= 2."""
-    start = _INF_VEC
-    target = (u, v)
-    # frontier: vec -> (cost, path tuple ending at vec)
-    frontier = {start: (0, (start,) if want_path else None)}
-    last_pivot = None
-    for a_vec, b_vec, pivot in _ladder_edges(u, v):
-        new = {}
-        for w in (a_vec, b_vec):
-            best = None
-            for vtx, (cost, path) in frontier.items():
-                step, via = _step(vtx, w, pivot)
-                key = cost + step
-                if best is None or key < best[0]:
-                    if want_path:
-                        ext = path if vtx == w else (
-                            path + ((via,) if via is not None else ()) + (w,)
-                        )
-                    else:
-                        ext = None
-                    best = (key, ext)
-            new[w] = best
-        frontier = new
-        last_pivot = pivot
-    best = None
-    for vtx, (cost, path) in frontier.items():
-        step, via = _step(vtx, target, last_pivot)
-        key = cost + step
-        if best is None or key < best[0]:
-            if want_path:
-                ext = path if vtx == target else (
-                    path + ((via,) if via is not None else ()) + (target,)
-                )
-            else:
-                ext = None
-            best = (key, ext)
-    return best
-
-
-def _step(v, w, fan_pivot):
-    """Cost to move v -> w inside the ladder, via-vertex when two steps.
-
-    Non-adjacent frontier/edge vertex pairs only arise between rim vertices
-    of the fan currently being crossed, which are joined through its pivot.
+    Ties go through the earlier convergent.
     """
-    if v == w:
-        return 0, None
-    if abs(_vec_det(v, w)) == 1:
-        return 1, None
-    return 2, fan_pivot
+    a, pa = 0, ((1, 0),)  # at c_{k-1}
+    b, pb = 1, ((1, 0), (u // v, 1))  # at c_k
+    for _, pivot, m, nxt in _fans(u, v):
+        at_pivot = (a + 1, pa + (pivot,)) if a + 1 <= b else (b, pb)
+        if m == 1:
+            at_next = (a + 1, pa + (nxt,)) if a <= b else (b + 1, pb + (nxt,))
+        else:
+            at_next = (at_pivot[0] + 1, at_pivot[1] + (nxt,))
+        (a, pa), (b, pb) = at_pivot, at_next
+    return b, pb
 
 
 def _normalized(a: Slope, b: Slope) -> tuple[tuple[int, int, int, int], int, int]:
@@ -281,7 +219,7 @@ def farey_distance(a: Slope, b: Slope) -> int:
     if b < a:
         a, b = b, a
     _, u, v = _normalized(a, b)
-    return _dp(u, v, want_path=False)[0]
+    return _walk(u, v)[0]
 
 
 def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:
@@ -294,34 +232,30 @@ def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:
     if flipped:
         a, b = b, a
     rows, u, v = _normalized(a, b)
-    _, path = _dp(u, v, want_path=True)
-    out = [_denormalized(rows, vec) for vec in path]
-    # drop repeats left by zero-cost stays
-    dedup = [out[0]]
-    for s in out[1:]:
-        if s != dedup[-1]:
-            dedup.append(s)
+    out = [_denormalized(rows, vec) for vec in _walk(u, v)[1]]
     if flipped:
-        dedup.reverse()
-    return dedup
+        out.reverse()
+    return out
 
 
 def pivot_region(a: Slope, b: Slope) -> list[Slope]:
     """Slopes that can carry large relative twisting between a and b.
 
-    The vertices of the compressed fan ladder: continued-fraction pivots plus
-    near-boundary rims, mapped back to the original coordinates, endpoints
-    included.  Deterministic and symmetric in (a, b).
+    The continued-fraction convergents and the rims of each fan, only the two
+    nearest each boundary in fans of more than five, mapped back to the
+    original coordinates, endpoints included.  Deterministic and symmetric
+    in (a, b).
     """
     if b < a:
         a, b = b, a
     if a == b or intersection(a, b) == 1:
         return sorted({a, b})
     rows, u, v = _normalized(a, b)
-    seen = {(1, 0), (u, v)}
-    for a_vec, b_vec, _ in _ladder_edges(u, v):
-        seen.add(a_vec)
-        seen.add(b_vec)
+    seen = {(1, 0)}
+    for prev, pivot, m, nxt in _fans(u, v):
+        js = range(1, m) if m <= 5 else (1, 2, m - 2, m - 1)
+        seen.update((prev[0] + j * pivot[0], prev[1] + j * pivot[1]) for j in js)
+        seen.update((pivot, nxt))
     return sorted({_denormalized(rows, vec) for vec in seen})
 
 
@@ -435,24 +369,9 @@ def twist_coordinate(base: Slope, trans: Slope) -> int:
             f"{trans} is not a transversal of {base}"
         )
     t0 = complement(base)
-    # the sign making twist(base^j, .) shift twist coordinates by exactly +j
-    orient = det(base, t0)
-    for s in (1, -1):
-        dp = s * trans.p - t0.p
-        dq = s * trans.q - t0.q
-        if base.p != 0:
-            if dp % base.p:
-                continue
-            n = dp // base.p
-            if n * base.q == dq:
-                return n * orient
-        else:
-            if dq % base.q:
-                continue
-            n = dq // base.q
-            if n * base.p == dp:
-                return n * orient
-    raise AssertionError(f"no twist index for {trans} about {base}")
+    # trans == ±(t0 + n*det(base, t0)*base); det(t0, .) reads n off, the
+    # other two factors fix the signs
+    return -det(base, trans) * det(base, t0) * det(t0, trans)
 
 
 def transversal_at(base: Slope, n: int) -> Slope:

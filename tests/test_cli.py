@@ -247,12 +247,16 @@ def test_dist_oracle_deep_gluing_level_is_past_the_cap(tmp_path, capsys):
     # the gluing block's distance is closed form, so the oracle enumerates
     # none of the width(800) twist moves to find it past the cap
     m1 = flat()
-    m2 = AugMarking((GlueBlock(5, 800), GlueBlock(0, 0)), m1.slots)
     f1 = write_marking(tmp_path / "a.json", m1)
-    f2 = write_marking(tmp_path / "b.json", m2)
-    code, rep, _ = run(capsys, "dist", f1, f2, "--oracle")
-    assert code == 0
-    assert rep["outputs"]["bfs_distance"] is None
+    deep_slot = SlotBlock(Slope(0, 1), Slope(1, 0), 800)
+    for m2 in (
+        AugMarking((GlueBlock(5, 800), GlueBlock(0, 0)), m1.slots),
+        AugMarking(m1.glue, (deep_slot, m1.slots[1])),
+    ):
+        f2 = write_marking(tmp_path / "b.json", m2)
+        code, rep, _ = run(capsys, "dist", f1, f2, "--oracle")
+        assert code == 0
+        assert rep["outputs"]["bfs_distance"] is None
 
 
 def test_removed_config_fields_are_rejected(tmp_path, capsys):

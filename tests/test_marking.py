@@ -206,6 +206,23 @@ def test_bfs_distance_cap():
     assert d == 6
 
 
+def test_bfs_distance_deep_slot_levels():
+    # a flip needs level 0 at both ends, so past the cap only the base's
+    # horoball counts, in closed form, and no width(15) twists are listed
+    base, trans = Slope(0, 1), transversal_at(Slope(0, 1), 3)
+    flat = flat_marking(2)
+
+    def at(b, t, d):
+        return AugMarking(flat.glue, (SlotBlock(b, t, d), flat.slots[1]))
+
+    deep = at(base, trans, 15)
+    assert bfs_distance(deep, at(base, trans, 16)) == 1
+    assert bfs_distance(deep, at(base, transversal_at(base, 3 + width(15)), 15)) == 1
+    assert bfs_distance(deep, at(base, transversal_at(base, 3 + width(15) + 1), 15)) == 2
+    # a different base is a flip away: 15 levels down and the flip pass the cap
+    assert bfs_distance(deep, at(trans, base, 0)) is None
+
+
 def whole_graph_distance(a: AugMarking, b: AugMarking, cap: int):
     """Reference move distance: plain BFS over whole markings from both ends.
 

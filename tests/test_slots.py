@@ -1,8 +1,8 @@
 """Slot geometry: slopes, twists, and exact Farey distances.
 
 The brute-force oracle is farey_distance_bfs on a denominator-bounded
-subgraph; the ladder DP must match it exactly on ranges where the box
-comfortably contains the pivot region.
+subgraph; the walk over the continued-fraction fans must match it exactly
+on ranges where the box comfortably contains the pivot region.
 """
 
 import math
@@ -197,6 +197,29 @@ def test_farey_geodesic_witness():
             assert intersection(u, v) == 1
         # deterministic
         assert path == farey_geodesic(a, b)
+
+
+def test_farey_geodesic_frozen_paths():
+    # each pair has more than one geodesic; the frozen one pins the tie rule
+    # (ties go through the earlier convergent), the other is a second
+    # geodesic of the same length
+    cases = [
+        ("0/1", "5/2", "0/1 1/0 2/1 5/2", "0/1 1/1 2/1 5/2"),
+        ("1/0", "2/5", "1/0 0/1 1/2 2/5", "1/0 1/1 1/2 2/5"),
+        ("1/0", "55/34", "1/0 2/1 5/3 13/8 21/13 55/34", "1/0 1/1 3/2 8/5 21/13 55/34"),
+        # 3/5 = [0; 1, 1, 2]: the second fan has coefficient one and is
+        # entered at equal cost from both ends of its boundary edge
+        ("1/0", "3/5", "1/0 1/1 1/2 3/5", "1/0 0/1 1/2 3/5"),
+    ]
+    for a, b, frozen, other in cases:
+        a, b = Slope.parse(a), Slope.parse(b)
+        frozen = [Slope.parse(s) for s in frozen.split()]
+        other = [Slope.parse(s) for s in other.split()]
+        assert farey_geodesic(a, b) == frozen
+        assert farey_geodesic(b, a) == frozen[::-1]
+        assert other != frozen and len(other) == len(frozen)
+        assert (other[0], other[-1]) == (a, b)
+        assert all(intersection(u, v) == 1 for u, v in zip(other, other[1:]))
 
 
 def test_pivot_region_contains_geodesic_and_is_symmetric():
