@@ -491,7 +491,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SymmetryViolationError, AssertionError) as err:
         print(json.dumps({"error": "assertion", "message": str(err)}))
         return EXIT_ASSERTION
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as err:
         print(json.dumps({"error": "parse", "message": str(err)}))
         return EXIT_PARSE
 

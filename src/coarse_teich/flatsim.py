@@ -269,6 +269,12 @@ def systole_index(u: float) -> int:
 
 _SLOT_COMPONENTS = (1, 3)  # the two phased small tori in the 4-cycle
 
+# Float limits of the construction, found by bisection for c from 1e-6 to
+# 0.9: past d = 55.27 a flowed torus fails the slit colinearity check, and a
+# small-torus scale delta below about 1e-153.8 overflows the shadow.
+_D_MAX = 55.0
+_DELTA_MIN = 1e-150
+
 
 @dataclass(frozen=True)
 class TrajectoryFamily:
@@ -365,12 +371,14 @@ def build_construction(
         raise ParameterRegimeError("the slit construction needs exactly 2 slots")
     if not 0 < c < 1:
         raise ParameterRegimeError(f"c={c} outside (0, 1)")
-    if d <= 0:
-        raise ParameterRegimeError(f"d={d} must be positive")
-    rho = c * math.exp(-d / 2)
-    if delta <= 0 or delta > rho / 10:
+    if not 0 < d <= _D_MAX:
         raise ParameterRegimeError(
-            f"delta={delta} not far below the slit scale rho={rho}"
+            f"d={d} outside (0, {_D_MAX}], where the float slit geometry holds"
+        )
+    rho = c * math.exp(-d / 2)
+    if not _DELTA_MIN <= delta <= rho / 10:
+        raise ParameterRegimeError(
+            f"delta={delta} outside [{_DELTA_MIN}, rho/10] at the slit scale rho={rho}"
         )
 
     def family(p1: float, p2: float, w1, w2) -> TrajectoryFamily:

@@ -142,12 +142,25 @@ class AugMarking:
 
     @staticmethod
     def from_json(obj: dict) -> "AugMarking":
-        glue = tuple(GlueBlock(int(g["tau"]), int(g["D"])) for g in obj["glue"])
+        glue = tuple(
+            GlueBlock(_json_int(g["tau"], "tau"), _json_int(g["D"], "D"))
+            for g in obj["glue"]
+        )
         slots = tuple(
-            SlotBlock(Slope.parse(s["base"]), Slope.parse(s["trans"]), int(s["D"]))
+            SlotBlock(
+                Slope.parse(s["base"]), Slope.parse(s["trans"]), _json_int(s["D"], "D")
+            )
             for s in obj["slots"]
         )
         return AugMarking(glue, slots)
+
+
+def _json_int(value, name: str) -> int:
+    """An integer field of marking JSON; fractions, non-finite numbers and
+    booleans are rejected rather than truncated or overflowed."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_same_surface(a: AugMarking, b: AugMarking) -> None:

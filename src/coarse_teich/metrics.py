@@ -3,9 +3,9 @@
 The move distance between augmented markings is coarsely the sum, over
 subsurfaces, of the projection distances that exceed a threshold K.  Only
 finitely many subsurfaces can carry a term: the slots, the gluing annuli,
-the annuli over the slot base slopes, and the annuli over fan-ladder pivots
-of the slot Farey geodesics; every other annulus provably stays below a
-small constant.
+the annuli over the slot base slopes, and the annuli over the pivots and
+rims of the fans of the continued fraction between the slot bases; every
+other annulus provably stays below a small constant.
 
 On top of the formulas sit large-link enumeration, the grouping of links
 into orbits of the cyclic symmetry (with the symmetry assertions whose

@@ -31,12 +31,12 @@ from .marking import (
 )
 from .slots import (
     Slope,
+    _twist_coordinate,
     complement,
     farey_distance,
     pivot_region,
     relative_twisting,
     transversal_at,
-    twist_coordinate,
 )
 
 __all__ = [
@@ -141,10 +141,14 @@ def annulus_point(c: CurveRef, m: AugMarking) -> HoroPoint:
     if isinstance(c, Glue):
         g = m.glue[c.j % m.k]
         return HoroPoint(g.tau, g.D)
-    blk = m.slots[c.slot % m.k]
-    if c.slope == blk.base:
-        return HoroPoint(twist_coordinate(blk.base, blk.trans), blk.D)
-    return HoroPoint(relative_twisting(c.slope, complement(c.slope), blk.base), 0)
+    return _slot_point(c.slope, complement(c.slope), m.slots[c.slot % m.k])
+
+
+def _slot_point(s: Slope, t0: Slope, blk: SlotBlock) -> HoroPoint:
+    """annulus_point of the slot slope s, given t0 == complement(s)."""
+    if s == blk.base:
+        return HoroPoint(_twist_coordinate(s, t0, blk.trans), blk.D)
+    return HoroPoint(relative_twisting(s, t0, blk.base), 0)
 
 
 def project(y: SubsurfaceRef, m: AugMarking):
@@ -174,7 +178,14 @@ def proj_distance(y: SubsurfaceRef, m1: AugMarking, m2: AugMarking) -> int:
     if isinstance(y, Slot):
         return farey_distance(m1.slots[y.i % m1.k].base, m2.slots[y.i % m2.k].base)
     if isinstance(y, Annulus):
-        return horo_distance(annulus_point(y.curve, m1), annulus_point(y.curve, m2))
+        c = y.curve
+        if isinstance(c, Glue):
+            return horo_distance(annulus_point(c, m1), annulus_point(c, m2))
+        # one complement serves both markings
+        t0 = complement(c.slope)
+        i = c.slot % m1.k
+        return horo_distance(_slot_point(c.slope, t0, m1.slots[i]),
+                             _slot_point(c.slope, t0, m2.slots[i]))
     if isinstance(y, Whole):
         same = all(a.base == b.base for a, b in zip(m1.slots, m2.slots))
         return 0 if same else 2
@@ -237,8 +248,8 @@ def distance_to_q(delta: Simplex, m: AugMarking, threshold: int) -> int:
     between m and phi(delta, m), keeping only terms above the threshold.
     Interlocking subsurfaces: the slots where delta names a non-base slope,
     and annuli over slopes crossing the delta slope there; the only such
-    annuli able to carry more than a bounded value sit on the fan-ladder
-    pivot region between the old and new base.
+    annuli able to carry more than a bounded value sit on the pivot region
+    of the fans of the continued fraction between the old and new base.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")

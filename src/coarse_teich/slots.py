@@ -102,7 +102,8 @@ def relative_twisting(core: Slope, a: Slope, b: Slope) -> int:
 
     Returns the n minimizing intersection(twist(core^n, a), b).  Exact: the
     intersection is |det(a,b) + n*det(core,a)*det(core,b)|, linear in n.
-    Ties break toward smaller |n|, then toward smaller n.
+    The two nearest integers to the real minimizer are the only candidates;
+    a tie between them breaks toward smaller |n|.
     """
     da, db = det(core, a), det(core, b)
     if da == 0 or db == 0:
@@ -110,15 +111,13 @@ def relative_twisting(core: Slope, a: Slope, b: Slope) -> int:
             f"relative twisting about {core} undefined for disjoint curve"
         )
     aa, bb = det(a, b), da * db
-    # minimize |aa + n*bb| over integers n
-    n0 = -(aa // bb)  # between the two candidates
-    best = None
-    for n in (n0 - 1, n0, n0 + 1):
-        val = abs(aa + n * bb)
-        key = (val, abs(n), n)
-        if best is None or key < best:
-            best = key
-    return best[2]
+    if bb < 0:
+        aa, bb = -aa, -bb
+    # -aa/bb = n + r/bb: the minimum of |aa + n*bb| is r at n, bb - r at n + 1
+    n, r = divmod(-aa, bb)
+    if 2 * r > bb or (2 * r == bb and n < 0):
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +331,23 @@ def _bfs_neighbors(s: Slope, bound: int) -> list[Slope]:
 
 
 def complement(a: Slope) -> Slope:
-    """Canonical dual slope with det(a, complement(a)) == 1.
+    """Canonical dual slope, intersection(a, complement(a)) == 1.
 
-    The extended-gcd solution reduced modulo a to the representative of
-    minimal Euclidean norm (ties toward the smaller twist index).  Fixed once
-    and for all per slope, so annular twist coordinates are deterministic.
+    The solution w of det(a, w) == 1 of minimal Euclidean norm (ties, which
+    only 1/1 and -1/1 have, toward the lexicographically smaller w), then
+    canonicalized.  Fixed once and for all per slope, so annular twist
+    coordinates are deterministic.
     """
     x, y = _egcd(a.p, a.q)
     # det(a, (u, v)) = a.p*v - a.q*u == 1 at (u, v) = (-y, x)
     u, v = -y, x
     norm2 = a.p * a.p + a.q * a.q
-    j = -round((u * a.p + v * a.q) / norm2)
-    cands = [(u + j * a.p, v + j * a.q), (u + (j + 1) * a.p, v + (j + 1) * a.q),
-             (u + (j - 1) * a.p, v + (j - 1) * a.q)]
-    best = min(cands, key=lambda w: (w[0] * w[0] + w[1] * w[1], w))
+    # with -(u, v).a == j*norm2 + r, |(u, v) + j*a|^2 grows by norm2 - 2r
+    # from j to j + 1; at a tie (u, v) + (j + 1)*a is the smaller iff a.p < 0
+    j, r = divmod(-(u * a.p + v * a.q), norm2)
+    if 2 * r > norm2 or (2 * r == norm2 and a.p < 0):
+        j += 1
+    best = (u + j * a.p, v + j * a.q)
     assert a.p * best[1] - a.q * best[0] == 1
     return Slope(*_canon_vec(best))
 
@@ -364,11 +366,15 @@ def twist_coordinate(base: Slope, trans: Slope) -> int:
     slope lies in a single twist orbit of its canonical complement, and the
     orientation is normalized so twist(base^j, .) adds j to the coordinate.
     """
+    return _twist_coordinate(base, complement(base), trans)
+
+
+def _twist_coordinate(base: Slope, t0: Slope, trans: Slope) -> int:
+    """twist_coordinate(base, trans), given t0 == complement(base)."""
     if intersection(base, trans) != 1:
         raise UndefinedProjectionError(
             f"{trans} is not a transversal of {base}"
         )
-    t0 = complement(base)
     # trans == ±(t0 + n*det(base, t0)*base); det(t0, .) reads n off, the
     # other two factors fix the signs
     return -det(base, trans) * det(base, t0) * det(t0, trans)

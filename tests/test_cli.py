@@ -97,6 +97,12 @@ def test_dist_error_exit_codes(tmp_path, capsys):
     assert code == 2 and rep["error"] == "parse"
     code, rep, _ = run(capsys, "dist", str(tmp_path / "missing.json"), f2)
     assert code == 2
+    # an overflowing twist, a fractional level and a boolean level
+    for i, (field, text) in enumerate((("tau", "1e400"), ("D", "2.5"), ("D", "true"))):
+        f = tmp_path / f"field{i}.json"
+        f.write_text(flat(2).to_json_str().replace(f'"{field}": 0', f'"{field}": {text}', 1))
+        code, rep, _ = run(capsys, "dist", str(f), f2)
+        assert code == 2 and rep["error"] == "parse"
 
 
 def test_project_selectors(tmp_path, capsys):
@@ -205,6 +211,14 @@ def test_nonqc_single_passes_claims(tmp_path, capsys):
 def test_nonqc_regime_violation(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"c": 1.5}))
+    code, rep, _ = run(capsys, "--config", str(cfg), "nonqc", "--d", "10")
+    assert code == 6 and rep["error"] == "regime"
+    # past the float regime of the slit geometry
+    for d in ("56", "400", "450", "nan"):
+        code, rep, _ = run(capsys, "nonqc", "--d", d)
+        assert code == 6 and rep["error"] == "regime"
+    # a slit scale whose small tori underflow the shadow
+    cfg.write_text(json.dumps({"c": 1e-160}))
     code, rep, _ = run(capsys, "--config", str(cfg), "nonqc", "--d", "10")
     assert code == 6 and rep["error"] == "regime"
 

@@ -221,6 +221,9 @@ def test_build_construction_shape_and_regime():
         dict(d=10.0, c=0.1, delta=0.1),
         dict(d=10.0, c=0.1, delta=0.0),
         dict(d=10.0, c=0.1, delta=-1e-6),
+        dict(d=10.0, c=0.1, delta=1e-160),
+        dict(d=56.0, c=0.1, delta=1e-20),
+        dict(d=math.nan, c=0.1, delta=1e-6),
         dict(d=10.0, c=0.1, delta=1e-6, k=3),
     ):
         with pytest.raises(ParameterRegimeError):

@@ -85,13 +85,30 @@ def test_twist_properties():
         assert twist(TwistWord(c, -n), twist(w, a)) == a
 
 
+def _big_slope(rng: random.Random, mag: int) -> Slope:
+    return Slope.of(rng.randint(-mag, mag), rng.randint(1, mag))
+
+
 def test_relative_twisting_example_and_bruteforce():
     assert relative_twisting(Slope(1, 0), Slope(0, 1), Slope(1, 1)) == 1
     rng = random.Random(13)
     slopes = slopes_in_box(7)
-    checked = 0
-    for _ in range(500):
-        core, a, b = (rng.choice(slopes) for _ in range(3))
+    cases = [tuple(rng.choice(slopes) for _ in range(3)) for _ in range(500)]
+    # magnitudes 10^12..10^20; every other case plants a tie: with a any
+    # transversal of core and b = alpha*core + 2*t0, alpha odd, the real
+    # minimizer is a half-integer
+    big = random.Random(14)
+    for i in range(300):
+        mag = 10 ** big.randint(12, 20)
+        core, a, b = (_big_slope(big, mag) for _ in range(3))
+        if i % 2:
+            t0 = complement(core)
+            a = transversal_at(core, big.randint(-mag, mag))
+            alpha = 2 * big.randint(-mag, mag) + 1
+            b = Slope.of(alpha * core.p + 2 * t0.p, alpha * core.q + 2 * t0.q)
+        cases.append((core, a, b))
+    checked = tied = 0
+    for core, a, b in cases:
         if intersection(core, a) == 0 or intersection(core, b) == 0:
             with pytest.raises(UndefinedProjectionError):
                 relative_twisting(core, a, b)
@@ -107,7 +124,9 @@ def test_relative_twisting_example_and_bruteforce():
         ties = [m for m, v in vals.items() if v == best]
         assert min(ties, key=lambda m: (abs(m), m)) == n
         checked += 1
-    assert checked > 300
+        tied += len(ties) == 2
+    assert checked > 600
+    assert tied >= 150
 
 
 def test_relative_twisting_shift_property():
@@ -253,6 +272,30 @@ def test_complement_and_twist_coordinate():
         assert twist_coordinate(a, twist(TwistWord(a, j), t)) == n + j
         # the coordinate agrees with relative twisting against the reference
         assert relative_twisting(a, complement(a), t) == n
+
+
+def test_complement_is_the_minimum_norm_dual():
+    # brute force over a box that holds every minimum-norm dual vector
+    ties = 0
+    for a in slopes_in_box(12):
+        duals = sorted(
+            (u * u + v * v, (u, v))
+            for u in range(-20, 21)
+            for v in range(-20, 21)
+            if a.p * v - a.q * u == 1
+        )
+        assert complement(a) == Slope.of(*duals[0][1])
+        ties += duals[0][0] == duals[1][0]
+    assert ties >= 1
+    # large slopes: the norm is convex along w + j*a, so a window decides
+    rng = random.Random(43)
+    for _ in range(300):
+        a = _big_slope(rng, 10 ** rng.randint(12, 20))
+        c = complement(a)
+        assert intersection(a, c) == 1
+        w = (c.p, c.q) if det(a, c) == 1 else (-c.p, -c.q)
+        window = [(w[0] + j * a.p, w[1] + j * a.q) for j in range(-3, 4)]
+        assert min(window, key=lambda x: (x[0] * x[0] + x[1] * x[1], x)) == w
 
 
 def test_twist_coordinate_rejects_non_transversal():
