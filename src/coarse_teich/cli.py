@@ -49,7 +49,6 @@ from .metrics import (
     SymmetryViolationError,
     Thresholds,
     formula_distance_T,
-    formula_distance_WP,
     formula_terms,
 )
 from .projection import Annulus, Slot, Whole, project
@@ -154,13 +153,17 @@ def cmd_dist(args, cfg: Config) -> int:
     consts = load_constants(cfg.calibration)
     th = cfg.thresholds()
     m1, m2 = _read_marking(args.first), _read_marking(args.second)
+    rows = formula_terms(m1, m2, th)
     terms = [
         {"subsurface": _ref_label(ref), "value": v, "contribution": c}
-        for ref, v, c in formula_terms(m1, m2, th)
+        for ref, v, c in rows
     ]
+    # T sums every row, WP the non-annular ones, as in metrics
     outputs = {
-        "formula_distance_T": formula_distance_T(m1, m2, th),
-        "formula_distance_WP": formula_distance_WP(m1, m2, th),
+        "formula_distance_T": sum(c for _, _, c in rows),
+        "formula_distance_WP": sum(
+            c for ref, _, c in rows if not isinstance(ref, Annulus)
+        ),
         "terms": terms,
     }
     if args.oracle:

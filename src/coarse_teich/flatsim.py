@@ -172,7 +172,7 @@ class SlitSurface:
         for g in self.gluings:
             a = self.components[g.left[0]].slits[g.left[1]]
             b = self.components[g.right[0]].slits[g.right[1]]
-            if abs(a.length - b.length) > 1e-7 * max(1.0, a.length):
+            if abs(a.length - b.length) > 1e-7 * max(a.length, b.length):
                 raise ValueError(f"glued slits differ in length: {g}")
             if not _parallel(a.angle, b.angle, tol=1e-7):
                 raise ValueError(f"glued slits differ in angle: {g}")

@@ -7,6 +7,13 @@ the annuli over the slot base slopes, and the annuli over the pivots and
 rims of the fans of the continued fraction between the slot bases; every
 other annulus provably stays below a small constant.
 
+Every row but the whole surface's reads one block pair: the annulus of
+gluing curve j reads the two gluing blocks j, and slot i and the annuli
+over its pivot region read the two slot blocks i.  The model is a product
+of these blocks, so an equal block pair contributes only zero rows (its
+pivot region is its one base slope), and those rows are emitted without
+projecting anything.
+
 On top of the formulas sit large-link enumeration, the grouping of links
 into orbits of the cyclic symmetry (with the symmetry assertions whose
 failure certifies that the input was not almost fixed), a canonical
@@ -124,14 +131,17 @@ def annular_candidates(m1: AugMarking, m2: AugMarking) -> list[CurveRef]:
 
 def _raw_rows(m1: AugMarking, m2: AugMarking):
     """(subsurface, projection distance): the whole surface, the slots, then
-    every annular candidate."""
+    every annular candidate.  Rows of an equal block pair are 0 unprojected."""
     check_same_surface(m1, m2)
+    same_glue = [a == b for a, b in zip(m1.glue, m2.glue)]
+    same_slot = [a == b for a, b in zip(m1.slots, m2.slots)]
     yield Whole(), proj_distance(Whole(), m1, m2)
     for i in range(m1.k):
-        yield Slot(i), proj_distance(Slot(i), m1, m2)
+        yield Slot(i), 0 if same_slot[i] else proj_distance(Slot(i), m1, m2)
     for c in annular_candidates(m1, m2):
         y = Annulus(c)
-        yield y, proj_distance(y, m1, m2)
+        same = same_glue[c.j] if isinstance(c, Glue) else same_slot[c.slot]
+        yield y, 0 if same else proj_distance(y, m1, m2)
 
 
 def formula_terms(

@@ -88,14 +88,26 @@ def orbit_diameter(mu: AugMarking, th: Thresholds) -> int:
 
 
 def almost_fixed_certificate(mu: AugMarking, th: Thresholds) -> AlmostFixedCertificate:
-    # formula distance is rotation-invariant, so the max over pairs equals
-    # the max over distances to the nontrivial rotates
-    per = tuple(formula_distance_T(mu, act(r, mu), th) for r in range(1, mu.k))
+    """Formula distance from mu to each nontrivial rotate act(r, mu).
+
+    The formula is exactly equivariant, so the max over pairs of the orbit
+    is the max over these k - 1 distances.  It is also symmetric, so
+    d(mu, act(k - r, mu)) = d(act(r, mu), mu) = d(mu, act(r, mu)): only
+    r = 1..k//2 are evaluated, and the rest of per_element mirrors them.
+    """
+    k = mu.k
+    half = [formula_distance_T(mu, act(r, mu), th) for r in range(1, k // 2 + 1)]
+    per = tuple(half[min(r, k - r) - 1] for r in range(1, k))
     return AlmostFixedCertificate(mu, max(per, default=0), per)
 
 
 def is_fixed(m: AugMarking) -> bool:
-    return all(act(r, m) == m for r in range(1, m.k))
+    """True iff every rotation fixes m.
+
+    The rotation by 1 generates Z/k, and it fixes m exactly when all gluing
+    blocks are equal and all slot blocks are equal.
+    """
+    return m.glue.count(m.glue[0]) == m.k and m.slots.count(m.slots[0]) == m.k
 
 
 def _iround(v: float) -> int:
@@ -295,14 +307,14 @@ def fixed_point_search(
         raise ValueError(f"unknown process order {process_order!r}")
     if seed is not None and not is_fixed(seed):
         raise ValueError("provided seed is not exactly fixed")
+    if is_fixed(mu):
+        # orbit diameter 0; nothing to search for
+        return mu, ReductionTrace(seed=mu, stages=(), final=mu, final_distance=0)
     cert = almost_fixed_certificate(mu, th)
     if cert.diameter > th.R:
         raise PreconditionError(
             f"orbit diameter {cert.diameter} exceeds R={th.R}", cert
         )
-    if is_fixed(mu):
-        # nothing to search for; every stage would be a no-op anyway
-        return mu, ReductionTrace(seed=mu, stages=(), final=mu, final_distance=0)
     x = reduce_short_curves(mu, seed_marking(mu), th) if seed is None else seed
     seed_used = x
     links = large_links(mu, x, th.K_hat)
@@ -371,7 +383,8 @@ def coarse_barycenter(
     block becomes the slot-0 base with the mean of the orbit's annular
     coordinates and levels.  The average of a full orbit is the same seen
     from every slot, so the result is exactly fixed; a safety search pass
-    asserts that and returns it unchanged.
+    asserts that and returns it unchanged (it sees a fixed input and returns
+    before certifying, so it costs only the block comparisons of is_fixed).
     """
     k = sigma.k
     if math.gcd(f, k) != 1:

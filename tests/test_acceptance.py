@@ -7,6 +7,7 @@ randomized block is seeded, so the sweep is reproducible bit for bit.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from statistics import linear_regression
@@ -52,6 +53,11 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
     line = f"[criterion {num:02d}] {name}: " + ("PASS" if ok else f"FAIL ({detail})")
     print(line)
     assert ok, line
+
+
+def _margin(num: int, **fields) -> None:
+    """One JSON line with how far the criterion sits from its gate."""
+    print(json.dumps({"criterion": num, **fields}, sort_keys=True))
 
 
 def test_criterion_01_horoball_closed_form_is_exact():
@@ -208,6 +214,10 @@ def test_criterion_06_search_fixes_planted_symmetric_twists():
                 finals.append(trace.final_distance)
         floored = [max(1, f) for f in finals]
         worst_ratio = max(worst_ratio, max(floored) / min(floored))
+    _margin(
+        6, worst_ratio=worst_ratio, ratio_gate=1.5, ratio_margin=1.5 - worst_ratio,
+        fixed=fixed, total=total,
+    )
     _verdict(
         6,
         "search output exactly fixed with magnitude-independent final distance",
@@ -261,6 +271,22 @@ def test_criterion_08_barycenter_regression_is_bounded_and_stable():
         abs(s1 - s2) <= 0.05 * max(1.0, abs(s1), abs(s2))
         and abs(i1 - i2) <= 0.05 * max(1.0, abs(i1), abs(i2))
         for (s1, i1), (s2, i2) in fits.values()
+    )
+    # seed spread relative to the same scale the stability gate uses
+    spread = max(
+        abs(a - b) / max(1.0, abs(a), abs(b))
+        for (s1, i1), (s2, i2) in fits.values()
+        for a, b in ((s1, s2), (i1, i2))
+    )
+    _margin(
+        8,
+        fits={k: [{"slope": s, "intercept": i} for s, i in f] for k, f in fits.items()},
+        K_tilde=CAL.K_tilde,
+        C_tilde=CAL.C_tilde,
+        slope_margin=CAL.K_tilde - max(s for f in fits.values() for s, _ in f),
+        intercept_margin=CAL.C_tilde - max(i for f in fits.values() for _, i in f),
+        max_seed_spread=spread,
+        spread_gate=0.05,
     )
     summary = {k: tuple(round(s, 3) for s, _ in f) for k, f in fits.items()}
     _verdict(

@@ -1,10 +1,11 @@
 """Tests for the command-line front end: plumbing identities and exit codes."""
 
 import json
+import random
 
 import pytest
 
-from coarse_teich.calibration import load_constants
+from coarse_teich.calibration import load_constants, sample_marking
 from coarse_teich.cli import Config, main
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock, act, bfs_distance
 from coarse_teich.metrics import Thresholds, formula_distance_T, formula_distance_WP
@@ -76,6 +77,32 @@ def test_dist_matches_library_exactly(tmp_path, capsys):
     assert sum(t["contribution"] for t in out["terms"]) == out["formula_distance_T"]
     assert rep["calibration_digest"] == load_constants().digest()
     assert rep["command"] == "dist" and rep["wall_time"] >= 0
+
+
+def test_dist_totals_are_sums_of_the_reported_terms(tmp_path, capsys):
+    rng = random.Random(609)
+    pairs = [offset_pair()]
+    for _ in range(4):
+        k = rng.randint(2, 4)
+        pairs.append((sample_marking(rng, k, 40, 3), sample_marking(rng, k, 40, 3)))
+    annular_seen = False
+    for m1, m2 in pairs:
+        f1 = write_marking(tmp_path / "a.json", m1)
+        f2 = write_marking(tmp_path / "b.json", m2)
+        code, rep, _ = run(capsys, "dist", f1, f2)
+        assert code == 0
+        out = rep["outputs"]
+        contrib = {t["subsurface"]: t["contribution"] for t in out["terms"]}
+        non_annular = [
+            c for label, c in contrib.items()
+            if label == "whole" or label.startswith("slot:")
+        ]
+        assert out["formula_distance_T"] == formula_distance_T(m1, m2, TH)
+        assert out["formula_distance_T"] == sum(contrib.values())
+        assert out["formula_distance_WP"] == formula_distance_WP(m1, m2, TH)
+        assert out["formula_distance_WP"] == sum(non_annular)
+        annular_seen |= out["formula_distance_T"] > out["formula_distance_WP"]
+    assert annular_seen
 
 
 def test_dist_identical_files_is_zero(tmp_path, capsys):

@@ -204,6 +204,17 @@ def test_slit_surface_validation():
     assert SlitSurface((scaled,), ()).area() == pytest.approx(9.0)
 
 
+def test_slit_surface_length_check_is_relative_for_short_slits():
+    unit = FlatTorus(((1.0, 0.0), (0.0, 1.0)))
+    tiny = lambda length: SlitTorus(unit, (Slit((0.2, 0.2), length, 0.5),))
+    glue = (Gluing((0, 0), (1, 0)),)
+    SlitSurface((tiny(1e-12), tiny(1e-12 * (1 + 1e-9))), glue)
+    with pytest.raises(ValueError):
+        SlitSurface((tiny(1e-12), tiny(5e-12)), glue)
+    with pytest.raises(ValueError):
+        SlitSurface((tiny(5e-12), tiny(1e-12)), glue)
+
+
 def test_build_construction_shape_and_regime():
     cons = build_construction(10.0, 0.1, 1e-6)
     assert isinstance(cons, Construction)

@@ -33,7 +33,7 @@ from coarse_teich.metrics import (
     large_links,
     rafi_formula,
 )
-from coarse_teich.projection import Annulus, Slot, Whole
+from coarse_teich.projection import Annulus, Slot, Whole, proj_distance
 from coarse_teich.search import almost_fixed_certificate, orbit_diameter
 from coarse_teich.slots import Slope, farey_distance, transversal_at
 from tests.test_marking import flat_marking, random_marking
@@ -106,6 +106,45 @@ def test_formula_terms_breakdown():
     assert by_y[Whole()] == (0, 0)
     total = sum(c for _, _, c in rows)
     assert total == formula_distance_T(m1, m2, TH)
+
+
+def _generic_rows(m1, m2, th):
+    """Formula rows with every subsurface projected, equal blocks or not."""
+    refs = [Whole(), *(Slot(i) for i in range(m1.k))]
+    refs += [Annulus(c) for c in annular_candidates(m1, m2)]
+    rows = []
+    for y in refs:
+        d = proj_distance(y, m1, m2)
+        rows.append((y, d, d if d > th.K else 0))
+    return rows
+
+
+def test_formula_terms_on_block_sharing_pairs_match_the_generic_rows():
+    # rotates of markings built from a small block pool, and pairs sharing a
+    # random half of their blocks: the rows of equal block pairs are skipped
+    rng = random.Random(606)
+    equal_glue = equal_slot = 0
+    for n in range(300):
+        k = 2 + n % 5
+        twist_max, level_max = rng.choice(((3, 1), (40, 3)))
+        m1 = sample_marking(rng, k, twist_max, level_max)
+        if n % 2 == 0:
+            pool = sample_marking(rng, 2, twist_max, level_max)
+            m1 = AugMarking(
+                tuple(rng.choice(pool.glue) for _ in range(k)),
+                tuple(rng.choice(pool.slots) for _ in range(k)),
+            )
+            m2 = act(rng.randint(1, k - 1), m1)
+        else:
+            other = sample_marking(rng, k, twist_max, level_max)
+            m2 = AugMarking(
+                tuple(rng.choice(pair) for pair in zip(m1.glue, other.glue)),
+                tuple(rng.choice(pair) for pair in zip(m1.slots, other.slots)),
+            )
+        equal_glue += sum(a == b for a, b in zip(m1.glue, m2.glue))
+        equal_slot += sum(a == b for a, b in zip(m1.slots, m2.slots))
+        assert formula_terms(m1, m2, TH) == _generic_rows(m1, m2, TH)
+    assert equal_glue > 0 and equal_slot > 0
 
 
 def test_formula_envelope_against_bfs():

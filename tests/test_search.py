@@ -33,7 +33,7 @@ from coarse_teich.search import (
     symmetric_short_curves,
 )
 from coarse_teich.slots import Slope, transversal_at, twist_coordinate
-from tests.test_marking import flat_marking
+from tests.test_marking import flat_marking, random_marking
 
 TH = Thresholds()
 
@@ -72,6 +72,44 @@ def test_orbit_diameter_positive_for_one_sided_twist():
     blob = cert.to_json()
     assert set(blob) == {"marking", "diameter", "per_element"}
     assert AugMarking.from_json(blob["marking"]) == m
+
+
+def test_certificate_mirror_matches_every_rotate():
+    # only r = 1..k//2 are evaluated; the rest must equal the direct value
+    rng = random.Random(607)
+    for k in range(2, 7):
+        for n in range(12):
+            mu = random_marking(rng, k, level_max=2)
+            if n % 2:
+                mu = AugMarking(
+                    tuple(GlueBlock(g.tau + 10**n, g.D) for g in mu.glue), mu.slots
+                )
+            cert = almost_fixed_certificate(mu, TH)
+            direct = tuple(formula_distance_T(mu, act(r, mu), TH) for r in range(1, k))
+            assert cert.per_element == direct
+            assert cert.diameter == max(direct)
+
+
+def test_is_fixed_is_invariance_under_every_rotation():
+    rng = random.Random(608)
+    for _ in range(200):
+        k = rng.randint(2, 6)
+        m = random_marking(rng, k)
+        fixed = AugMarking((m.glue[0],) * k, (m.slots[0],) * k)
+        i = rng.randrange(k)
+        g, s = fixed.glue[i], fixed.slots[i]
+        glue_changed = AugMarking(
+            fixed.glue[:i] + (GlueBlock(g.tau + 1, g.D),) + fixed.glue[i + 1:],
+            fixed.slots,
+        )
+        slot_changed = AugMarking(
+            fixed.glue,
+            fixed.slots[:i] + (SlotBlock(s.base, s.trans, s.D + 1),) + fixed.slots[i + 1:],
+        )
+        for x in (m, fixed, glue_changed, slot_changed):
+            assert is_fixed(x) == all(act(r, x) == x for r in range(1, k))
+        assert is_fixed(fixed)
+        assert not is_fixed(glue_changed) and not is_fixed(slot_changed)
 
 
 def test_seed_marking_keeps_lengths_drops_twists():
