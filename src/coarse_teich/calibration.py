@@ -72,7 +72,7 @@ class CalibrationConstants:
     """One record of every pinned constant, written by ``calibrate``."""
 
     version: int
-    L: float  # multiplicative quasi-isometry constant, formula vs BFS
+    L: float  # multiplicative quasi-isometry constant, formula vs move distance
     C: int  # additive quasi-isometry constant
     M2: int  # pre-segment projection bound on canonical paths
     comparability: float  # within-family max/min projection value ratio
@@ -168,8 +168,9 @@ def sample_marking(
 def _planted_partners(
     rng: random.Random, m: AugMarking
 ) -> list[AugMarking]:
-    """Partners of a basepoint that stay within the BFS cap but spread the
-    formula value: twist offsets, level raises, and short base walks."""
+    """Partners of a basepoint that stay within bfs_distance's default cap
+    but spread the formula value: twist offsets, level raises, and short
+    base walks."""
     partners = []
     for n in (rng.randint(4, 9), rng.randint(10, 40), rng.randint(50, 120)):
         j = rng.randrange(m.k)
@@ -209,8 +210,8 @@ def quasi_isometry_samples(
     seed: int,
     basepoints: int = 25,
 ) -> list[tuple[int, int]]:
-    """(bfs, formula) pairs within bfs_distance's default cap from random
-    basepoints."""
+    """(move distance, formula) pairs from random basepoints, for the
+    partners whose bfs_distance is within its default cap."""
     rng = random.Random(seed)
     out = []
     for _ in range(basepoints):

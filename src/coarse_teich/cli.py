@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="distance formulas between two markings")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--oracle", action="store_true", help="include BFS distance")
+    p.add_argument("--oracle", action="store_true", help="include the move distance (bfs_distance)")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("project", help="subsurface projection of a marking")

@@ -9,16 +9,29 @@ base.  The cyclic symmetry group permutes slots and gluing indices.
 Elementary moves: flips (swap base and transversal at length level 0),
 twist moves whose reach widens exponentially with the length level exactly
 as in the combinatorial horoball, and unit vertical moves on length levels.
+The move distance is the sum of exact block distances (bfs_distance).
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .horoball import HoroPoint, horo_distance, width
-from .slots import Slope, intersection, slopes_in_box, transversal_at, twist_coordinate
+from .slots import (
+    Slope,
+    _twist_coordinate,
+    complement,
+    farey_distance,
+    intersection,
+    pivot_region,
+    slopes_in_box,
+    transversal_at,
+    twist_coordinate,
+)
 
 __all__ = [
     "ModelSurface",
@@ -259,86 +272,75 @@ def bfs_distance(a: AugMarking, b: AugMarking, cap: int = 10) -> Optional[int]:
     """Exact elementary-move distance if <= cap, else None.
 
     The sum of the block distances: horo_distance in closed form per gluing
-    curve, then a breadth-first search per slot within what is left of the
-    cap.
+    curve, and the exact slot distance per slot.  A slot path from one base
+    to another goes down to level 0 at both ends and takes one flip per
+    Farey edge, so s.D + t.D + farey_distance(s.base, t.base) is a lower
+    bound; a slot whose bound passes what is left of the cap returns None
+    without a walk, which keeps long continued fractions cheap.
     """
     check_same_surface(a, b)
     total = sum(horo_distance(_horo_point(g), _horo_point(h)) for g, h in zip(a.glue, b.glue))
     for s, t in zip(a.slots, b.slots):
         if total > cap:
             return None
-        d = _slot_distance(s, t, cap - total)
-        if d is None:
+        if s.base != t.base and s.D + t.D + farey_distance(s.base, t.base) > cap - total:
             return None
-        total += d
+        total += _slot_distance(s, t)
     return total if total <= cap else None
 
 
-def _slot_neighbors(key: tuple[Slope, int, int]) -> Iterator[tuple[Slope, int, int]]:
-    """Neighbours of a slot-graph key (base, twist coordinate of the
-    transversal, level): the flip at level 0, then the horoball edges."""
-    base, n, d = key
-    if d == 0:
-        trans = transversal_at(base, n)
-        yield trans, twist_coordinate(trans, base), 0
-    for x, e in _horo_edges(n, d):
-        yield base, x, e
+def _slot_distance(s: SlotBlock, t: SlotBlock) -> int:
+    """Exact slot-graph distance, with no cap.
 
+    A slot path is a Farey path s.base = g_0, ..., g_m = t.base: m flips,
+    the flip between g and h joining the level-0 points twist_coordinate(g,
+    h) of H_g and twist_coordinate(h, g) of H_h, plus one closed-form
+    horo_distance leg inside each H_g from where the path enters it to
+    where it leaves.  The end legs start and finish at the blocks' own
+    points.
 
-def _slot_distance(s: SlotBlock, t: SlotBlock, cap: int) -> Optional[int]:
-    """Exact slot-graph distance if <= cap, else None.
-
-    Bidirectional breadth-first search, expanding the smaller frontier;
-    twist reach (and so branching) widens exponentially with the levels.
-    A path through a flip costs at least s.D + t.D + 1; past the cap the
-    answer is the closed-form horoball distance of a shared base, if any.
+    On a shared base that horoball distance is the answer: a detour leaving
+    H_base towards the neighbour with twist coordinate i and returning from
+    the one with j visits every neighbour between them, since the Farey
+    edge from the base to each separates the base's link, so it costs at
+    least |i - j| + 2 flips against |i - j| level-0 twists.  Otherwise a
+    shortest path over states (slope, previous slope), with the slopes of
+    pivot_region(s.base, t.base) as vertices: the convergents and fan rims
+    that every Farey path between the bases passes near.  That leaving out
+    all other slopes loses nothing is checked, not proved: on seeded pairs
+    the search equals one over every slope of a box around the region.
     """
-    ka = (s.base, twist_coordinate(s.base, s.trans), s.D)
-    kb = (t.base, twist_coordinate(t.base, t.trans), t.D)
-    if ka == kb:
-        return 0
-    if s.D + t.D + 1 > cap:
-        # a flip needs level 0 at both ends, so only the base's horoball is
-        # within the cap
-        if s.base != t.base:
-            return None
-        d = horo_distance(_horo_point(s), _horo_point(t))
-        return d if d <= cap else None
-    left = {ka: 0}
-    right = {kb: 0}
-    lfront, rfront = [ka], [kb]
-    dl = dr = 0
-    while lfront and rfront:
-        if dl + dr >= cap:
-            return None
-        if len(lfront) <= len(rfront):
-            side, other, front = left, right, lfront
-            dl += 1
-            dcur = dl
-        else:
-            side, other, front = right, left, rfront
-            dr += 1
-            dcur = dr
-        new = []
-        best = None
-        for key in front:
-            for nb in _slot_neighbors(key):
-                if nb in side:
-                    continue
-                if nb in other:
-                    cand = dcur + other[nb]
-                    if best is None or cand < best:
-                        best = cand
-                side[nb] = dcur
-                new.append(nb)
-        if best is not None:
-            # frontiers met; the first meeting depth is optimal for BFS
-            return best if best <= cap else None
-        if side is left:
-            lfront = new
-        else:
-            rfront = new
-    return None
+    start, goal = _horo_point(s), _horo_point(t)
+    if s.base == t.base:
+        return horo_distance(start, goal)
+    region = pivot_region(s.base, t.base)
+    # coords[i][j]: twist coordinate of region[j] in H_region[i], over the
+    # Farey neighbours j of i in the region
+    coords = []
+    for g in region:
+        t0 = complement(g)
+        coords.append(
+            {j: _twist_coordinate(g, t0, h) for j, h in enumerate(region) if intersection(g, h) == 1}
+        )
+    src, dst = region.index(s.base), region.index(t.base)
+    heap = [(horo_distance(start, HoroPoint(x, 0)) + 1, j, src) for j, x in coords[src].items()]
+    heapq.heapify(heap)
+    done = set()
+    best = math.inf
+    while heap:
+        d, i, prev = heapq.heappop(heap)
+        if d >= best:
+            break
+        if (i, prev) in done:
+            continue
+        done.add((i, prev))
+        entry = HoroPoint(coords[i][prev], 0)
+        if i == dst:
+            best = min(best, d + horo_distance(entry, goal))
+        for j, x in coords[i].items():
+            if j != prev:
+                heapq.heappush(heap, (d + 1 + horo_distance(entry, HoroPoint(x, 0)), j, i))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,8 @@ def fixed_point_search(
     # one pass is complete by construction: each family got its multitwist
     assert len(stages) == len(families), "stage count drifted from family count"
     assert is_fixed(x)
-    final_distance = formula_distance_T(mu, x, th)
+    # x is unchanged since the last stage, which already measured it
+    final_distance = stages[-1].distance_after if stages else formula_distance_T(mu, x, th)
     trace = ReductionTrace(
         seed=seed_used,
         stages=tuple(stages),

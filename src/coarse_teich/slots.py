@@ -24,7 +24,6 @@ __all__ = [
     "farey_distance",
     "farey_geodesic",
     "pivot_region",
-    "farey_distance_bfs",
     "complement",
     "twist_coordinate",
     "transversal_at",
@@ -265,63 +264,6 @@ def slopes_in_box(bound: int) -> list[Slope]:
         for p in range(-bound, bound + 1):
             if math.gcd(p, q) == 1:
                 out.append(Slope(p, q))
-    return out
-
-
-def farey_distance_bfs(a: Slope, b: Slope, bound: int) -> int | None:
-    """Brute-force BFS distance inside the |p|,|q| <= bound subgraph.
-
-    Upper bound for the true distance; equals it once the bound comfortably
-    contains the pivot region of the pair.  Oracle for tests; returns None
-    if b is unreachable inside the box.
-    """
-
-    def ok(s: Slope) -> bool:
-        return abs(s.p) <= bound and s.q <= bound
-
-    if not (ok(a) and ok(b)):
-        raise ValueError("endpoints outside the BFS box")
-    if a == b:
-        return 0
-    from collections import deque
-
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur]
-        for nb in _bfs_neighbors(cur, bound):
-            if nb not in dist:
-                dist[nb] = d + 1
-                if nb == b:
-                    return d + 1
-                queue.append(nb)
-    return None
-
-
-def _n_window(t0: int, s: int, bound: int) -> tuple[float, float]:
-    """Real interval of n with |t0 + n*s| <= bound (whole line if s == 0)."""
-    if s == 0:
-        return (-math.inf, math.inf) if abs(t0) <= bound else (1.0, 0.0)
-    lo, hi = (-bound - t0) / s, (bound - t0) / s
-    return (min(lo, hi), max(lo, hi))
-
-
-def _bfs_neighbors(s: Slope, bound: int) -> list[Slope]:
-    """Neighbors of s in the Farey graph with entries inside the box."""
-    t0 = complement(s)
-    lo1, hi1 = _n_window(t0.p, s.p, bound)
-    lo2, hi2 = _n_window(t0.q, s.q, bound)
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    out = []
-    n = math.ceil(lo)
-    while n <= hi:
-        p, q = t0.p + n * s.p, t0.q + n * s.q
-        if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
-        if abs(p) <= bound and q <= bound:
-            out.append(Slope(p, q))
-        n += 1
     return out
 
 

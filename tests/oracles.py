@@ -1,0 +1,138 @@
+"""Brute-force reference distances that the exact closed forms and walks in
+``coarse_teich`` are checked against.  Breadth-first searches over the raw
+graphs: independent of the package's fan walks and slot Dijkstra, and
+exact only inside their caps or boxes.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from typing import Iterator, Optional
+
+from coarse_teich.marking import SlotBlock, _horo_edges
+from coarse_teich.slots import Slope, complement, transversal_at, twist_coordinate
+
+
+# ---------------------------------------------------------------------------
+# Farey graph inside a box.
+# ---------------------------------------------------------------------------
+
+
+def farey_distance_bfs(a: Slope, b: Slope, bound: int) -> int | None:
+    """Brute-force BFS distance inside the |p|,|q| <= bound subgraph.
+
+    Upper bound for the true distance; equals it once the bound comfortably
+    contains the pivot region of the pair.  Returns None if b is unreachable
+    inside the box.
+    """
+
+    def ok(s: Slope) -> bool:
+        return abs(s.p) <= bound and s.q <= bound
+
+    if not (ok(a) and ok(b)):
+        raise ValueError("endpoints outside the BFS box")
+    if a == b:
+        return 0
+    dist = {a: 0}
+    queue = deque([a])
+    while queue:
+        cur = queue.popleft()
+        d = dist[cur]
+        for nb in _bfs_neighbors(cur, bound):
+            if nb not in dist:
+                dist[nb] = d + 1
+                if nb == b:
+                    return d + 1
+                queue.append(nb)
+    return None
+
+
+def _n_window(t0: int, s: int, bound: int) -> tuple[float, float]:
+    """Real interval of n with |t0 + n*s| <= bound (whole line if s == 0)."""
+    if s == 0:
+        return (-math.inf, math.inf) if abs(t0) <= bound else (1.0, 0.0)
+    lo, hi = (-bound - t0) / s, (bound - t0) / s
+    return (min(lo, hi), max(lo, hi))
+
+
+def _bfs_neighbors(s: Slope, bound: int) -> list[Slope]:
+    """Neighbors of s in the Farey graph with entries inside the box."""
+    t0 = complement(s)
+    lo1, hi1 = _n_window(t0.p, s.p, bound)
+    lo2, hi2 = _n_window(t0.q, s.q, bound)
+    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    out = []
+    n = math.ceil(lo)
+    while n <= hi:
+        p, q = t0.p + n * s.p, t0.q + n * s.q
+        if q < 0 or (q == 0 and p < 0):
+            p, q = -p, -q
+        if abs(p) <= bound and q <= bound:
+            out.append(Slope(p, q))
+        n += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Slot graph within a cap.
+# ---------------------------------------------------------------------------
+
+
+def _slot_neighbors(key: tuple[Slope, int, int]) -> Iterator[tuple[Slope, int, int]]:
+    """Neighbours of a slot-graph key (base, twist coordinate of the
+    transversal, level): the flip at level 0, then the horoball edges."""
+    base, n, d = key
+    if d == 0:
+        trans = transversal_at(base, n)
+        yield trans, twist_coordinate(trans, base), 0
+    for x, e in _horo_edges(n, d):
+        yield base, x, e
+
+
+def slot_distance_bfs(s: SlotBlock, t: SlotBlock, cap: int) -> Optional[int]:
+    """Slot-graph distance if <= cap, else None.
+
+    Bidirectional breadth-first search over the raw slot graph, expanding
+    the smaller frontier; twist reach (and so branching) widens
+    exponentially with the levels, so keep levels and cap small.
+    """
+    ka = (s.base, twist_coordinate(s.base, s.trans), s.D)
+    kb = (t.base, twist_coordinate(t.base, t.trans), t.D)
+    if ka == kb:
+        return 0
+    left = {ka: 0}
+    right = {kb: 0}
+    lfront, rfront = [ka], [kb]
+    dl = dr = 0
+    while lfront and rfront:
+        if dl + dr >= cap:
+            return None
+        if len(lfront) <= len(rfront):
+            side, other, front = left, right, lfront
+            dl += 1
+            dcur = dl
+        else:
+            side, other, front = right, left, rfront
+            dr += 1
+            dcur = dr
+        new = []
+        best = None
+        for key in front:
+            for nb in _slot_neighbors(key):
+                if nb in side:
+                    continue
+                if nb in other:
+                    cand = dcur + other[nb]
+                    if best is None or cand < best:
+                        best = cand
+                side[nb] = dcur
+                new.append(nb)
+        if best is not None:
+            # frontiers met; the first meeting depth is optimal for BFS
+            return best if best <= cap else None
+        if side is left:
+            lfront = new
+        else:
+            rfront = new
+    return None

@@ -100,14 +100,20 @@ def test_criterion_03_distance_formula_two_sided_bounds():
     # Fresh seeds, disjoint from the ones calibrate() fitted on, so this is a
     # regression of the pinned (L, C) rather than a replay of the fit.
     t0 = time.perf_counter()
-    violations = 0
-    n = 0
-    for k, seed in ((2, 1001), (3, 1002)):
-        for b, f in quasi_isometry_samples(k, TH, seed, basepoints=25):
-            n += 1
-            if f > CAL.L * b + CAL.C or f < b / CAL.L - CAL.C:
-                violations += 1
+    samples = [
+        bf
+        for k, seed in ((2, 1001), (3, 1002))
+        for bf in quasi_isometry_samples(k, TH, seed, basepoints=25)
+    ]
+    n = len(samples)
+    upper = [CAL.L * b + CAL.C - f for b, f in samples]
+    lower = [f - (b / CAL.L - CAL.C) for b, f in samples]
+    violations = sum(u < 0 or lo < 0 for u, lo in zip(upper, lower))
     dt = time.perf_counter() - t0
+    _margin(
+        3, L=CAL.L, C=CAL.C, samples=n, upper_margin=min(upper),
+        lower_margin=min(lower), max_b=max(b for b, _ in samples),
+    )
     _verdict(
         3,
         "formula within pinned (L, C) of move distance on k=2 and k=3",

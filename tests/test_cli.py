@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -298,6 +299,24 @@ def test_dist_oracle_deep_gluing_level_is_past_the_cap(tmp_path, capsys):
         code, rep, _ = run(capsys, "dist", f1, f2, "--oracle")
         assert code == 0
         assert rep["outputs"]["bfs_distance"] is None
+
+
+def test_dist_oracle_on_long_continued_fractions_is_past_the_cap(tmp_path, capsys):
+    # Fibonacci slopes with about 2,000 continued-fraction terms: the slot's
+    # Farey distance alone passes the cap, so the oracle runs no walk
+    p, q = 1, 1
+    for _ in range(2000):
+        p, q = p + q, p
+    m1 = flat()
+    deep = Slope(p, q)
+    m2 = AugMarking(m1.glue, (SlotBlock(deep, transversal_at(deep, 0), 0), m1.slots[1]))
+    f1 = write_marking(tmp_path / "a.json", m1)
+    f2 = write_marking(tmp_path / "b.json", m2)
+    t0 = time.perf_counter()
+    code, rep, _ = run(capsys, "dist", f1, f2, "--oracle")
+    assert code == 0
+    assert rep["outputs"]["bfs_distance"] is None
+    assert time.perf_counter() - t0 < 30.0
 
 
 def test_removed_config_fields_are_rejected(tmp_path, capsys):

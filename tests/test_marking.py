@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from coarse_teich.marking import (
     ModelSurface,
     SlotBlock,
     SurfaceMismatchError,
+    _slot_distance,
     act,
     act_curve,
     bfs_distance,
@@ -21,7 +24,19 @@ from coarse_teich.marking import (
     fixed_locus_members,
     is_elementary_move,
 )
-from coarse_teich.slots import Slope, TwistWord, intersection, transversal_at, twist
+from coarse_teich.horoball import HoroPoint, horo_distance
+from coarse_teich.slots import (
+    Slope,
+    TwistWord,
+    farey_distance,
+    intersection,
+    pivot_region,
+    slopes_in_box,
+    transversal_at,
+    twist,
+    twist_coordinate,
+)
+from tests.oracles import _bfs_neighbors, _slot_neighbors, slot_distance_bfs
 
 
 def flat_marking(k: int) -> AugMarking:
@@ -221,6 +236,140 @@ def test_bfs_distance_deep_slot_levels():
     assert bfs_distance(deep, at(base, transversal_at(base, 3 + width(15) + 1), 15)) == 2
     # a different base is a flip away: 15 levels down and the flip pass the cap
     assert bfs_distance(deep, at(trans, base, 0)) is None
+
+
+def test_bfs_distance_found_pair_at_levels_4_and_5():
+    # down 4, flip, up 5: the flip lands on the transversal's own point
+    base, trans = Slope(0, 1), transversal_at(Slope(0, 1), 3)
+    s, t = SlotBlock(base, trans, 4), SlotBlock(trans, base, 5)
+    assert _slot_distance(s, t) == 10
+    flat = flat_marking(2)
+    a = AugMarking(flat.glue, (s, flat.slots[1]))
+    b = AugMarking(flat.glue, (t, flat.slots[1]))
+    assert bfs_distance(a, b) == 10
+    assert bfs_distance(a, b, cap=9) is None
+
+
+def _random_slot_block(rng: random.Random, slopes, twist_max: int, level_max: int) -> SlotBlock:
+    base = rng.choice(slopes)
+    return SlotBlock(
+        base, transversal_at(base, rng.randint(-twist_max, twist_max)), rng.randint(0, level_max)
+    )
+
+
+def test_slot_distance_matches_slot_graph_bfs_within_cap():
+    # random pairs, and pairs a short walk of raw slot-graph moves apart,
+    # so that most of the second half lies inside the BFS cap
+    rng = random.Random(7001)
+    slopes = slopes_in_box(4)
+    within = flipped = 0
+    for n in range(500):
+        s = _random_slot_block(rng, slopes, 4, 2)
+        if n % 2:
+            key = (s.base, twist_coordinate(s.base, s.trans), s.D)
+            for _ in range(rng.randint(1, 8)):
+                key = rng.choice([nb for nb in _slot_neighbors(key) if nb[2] <= 2])
+            t = SlotBlock(key[0], transversal_at(key[0], key[1]), key[2])
+        else:
+            t = _random_slot_block(rng, slopes, 4, 2)
+        want = slot_distance_bfs(s, t, 9)
+        got = _slot_distance(s, t)
+        if want is None:
+            assert got > 9, (s, t, got)
+        else:
+            assert got == want, (s, t, got, want)
+            within += 1
+            flipped += s.base != t.base
+    assert within >= 200 and flipped >= 100, (within, flipped)
+
+
+def _box_slot_distance(s: SlotBlock, t: SlotBlock, bound: int, legs: dict) -> int:
+    """Dijkstra over every slope in the box, on the points of each horoball
+    H_g that face a Farey neighbour h (node (g, h)): flips (g, h) -> (h, g)
+    cost 1, legs (g, h) -> (g, h') cost their horoball distance."""
+    goal = HoroPoint(twist_coordinate(t.base, t.trans), t.D)
+    order = itertools.count()  # tie-break, so the heap never compares nodes
+    heap = []
+
+    def push(d, node):
+        heapq.heappush(heap, (d, next(order), node))
+
+    start = HoroPoint(twist_coordinate(s.base, s.trans), s.D)
+    for h in _bfs_neighbors(s.base, bound):
+        push(horo_distance(start, HoroPoint(twist_coordinate(s.base, h), 0)), (s.base, h))
+    done = set()
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if node is None:
+            return d
+        if node in done:
+            continue
+        done.add(node)
+        g, h = node
+        here = HoroPoint(twist_coordinate(g, h), 0)
+        if g == t.base:
+            push(d + horo_distance(here, goal), None)
+        push(d + 1, (h, g))
+        if g not in legs:
+            legs[g] = [(h2, twist_coordinate(g, h2)) for h2 in _bfs_neighbors(g, bound)]
+        for h2, x in legs[g]:
+            if h2 != h:
+                push(d + horo_distance(here, HoroPoint(x, 0)), (g, h2))
+    raise AssertionError("goal unreachable in the box")
+
+
+def test_slot_distance_pivot_region_matches_box_dijkstra():
+    # far pairs, whose pivot regions lie inside box 12; a walk restricted to
+    # the box can only be longer than the true distance, so equality shows
+    # that leaving out the slopes outside the pivot region loses nothing
+    rng = random.Random(7002)
+    slopes = slopes_in_box(7)
+    legs: dict = {}
+    checked = 0
+    longest = 0
+    while checked < 80:
+        s = _random_slot_block(rng, slopes, 30, 3)
+        t = _random_slot_block(rng, slopes, 30, 3)
+        region = pivot_region(s.base, t.base)
+        if farey_distance(s.base, t.base) < 2 or not all(
+            abs(g.p) <= 12 and g.q <= 12 for g in region
+        ):
+            continue
+        got = _slot_distance(s, t)
+        assert got == _box_slot_distance(s, t, 12, legs), (s, t)
+        checked += 1
+        longest = max(longest, got)
+    assert longest > 12
+
+
+def test_slot_distance_is_a_metric():
+    rng = random.Random(7003)
+    slopes = slopes_in_box(5)
+    for _ in range(300):
+        s, t, u = (_random_slot_block(rng, slopes, 10, 3) for _ in range(3))
+        dst = _slot_distance(s, t)
+        assert dst == _slot_distance(t, s)
+        assert (dst == 0) == (s == t)
+        assert _slot_distance(s, u) <= dst + _slot_distance(t, u)
+
+
+def test_bfs_distance_cap_and_action_on_random_pairs():
+    # the early exits never change the answer: every cap sees the uncapped
+    # block sum or None, for every rotate of the pair
+    rng = random.Random(7004)
+    for _ in range(150):
+        k = rng.randint(2, 4)
+        a = sample_marking(rng, k, twist_max=6, level_max=2)
+        b = sample_marking(rng, k, twist_max=6, level_max=2)
+        total = sum(
+            horo_distance(HoroPoint(g.tau, g.D), HoroPoint(h.tau, h.D))
+            for g, h in zip(a.glue, b.glue)
+        ) + sum(_slot_distance(s, t) for s, t in zip(a.slots, b.slots))
+        r = rng.randrange(1, k)
+        for cap in (0, total - 1, total, 10, 40):
+            want = total if total <= cap else None
+            assert bfs_distance(a, b, cap) == want
+            assert bfs_distance(act(r, a), act(r, b), cap) == want
 
 
 def whole_graph_distance(a: AugMarking, b: AugMarking, cap: int):

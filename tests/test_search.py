@@ -328,6 +328,30 @@ def test_search_magnitude_sweep_resolves_exactly():
             assert trace.final_distance == 0
 
 
+def test_final_distance_is_the_formula_distance_of_the_output():
+    # criterion 06's planted inputs: the trace's final distance, read off the
+    # last stage, is the formula distance from the input to the output
+    rng = random.Random(6001)
+    bases = [Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(2, 1)]
+    staged = 0
+    for k in (2, 3, 4):
+        for e in range(1, 7):
+            for _ in range(3):
+                mag = 10**e
+                base = rng.choice(bases)
+                glue = tuple(GlueBlock(mag + rng.randint(0, 1), 0) for _ in range(k))
+                slots = tuple(
+                    SlotBlock(base, transversal_at(base, -mag + rng.randint(0, 1)), 0)
+                    for _ in range(k)
+                )
+                mu = AugMarking(glue, slots)
+                x, trace = fixed_point_search(mu, TH)
+                assert trace.final == x
+                assert trace.final_distance == formula_distance_T(mu, x, TH)
+                staged += bool(trace.stages)
+    assert staged
+
+
 def test_trace_json_schema_and_roundtrip():
     n = 10**6
     glue = (GlueBlock(n, 0), GlueBlock(n + 1, 0), GlueBlock(n - 1, 0))

@@ -1,8 +1,9 @@
 """Slot geometry: slopes, twists, and exact Farey distances.
 
-The brute-force oracle is farey_distance_bfs on a denominator-bounded
-subgraph; the walk over the continued-fraction fans must match it exactly
-on ranges where the box comfortably contains the pivot region.
+The brute-force oracle is tests.oracles.farey_distance_bfs on a
+denominator-bounded subgraph; the walk over the continued-fraction fans
+must match it exactly on ranges where the box comfortably contains the
+pivot region.
 """
 
 import math
@@ -10,6 +11,7 @@ import random
 
 import pytest
 
+from tests.oracles import farey_distance_bfs
 from coarse_teich.slots import (
     Slope,
     TwistWord,
@@ -17,7 +19,6 @@ from coarse_teich.slots import (
     complement,
     det,
     farey_distance,
-    farey_distance_bfs,
     farey_geodesic,
     intersection,
     pivot_region,
