@@ -1,12 +1,15 @@
-"""Flat slit-torus simulation behind the non-quasiconvexity experiment.
+"""Flat slit-torus family behind the non-quasiconvexity experiment.
 
-Two unit tori carry two small phased slit tori glued along parallel slits.
-Flowing by diag(e^t, e^{-t}) pinches the first slit pair around t = d/2 and
-the second around t = 3d/2, while the small tori's systoles walk along the
-Farey graph at rate 2/log lambda.  Snapshots of the flowed family feed the
-four-term numerical distance; the orbit-diameter curve of a snapshot against
-its slot swap is flat near the endpoints and grows linearly to a peak at the
-midpoint, which is the whole point of the construction.
+Two unit tori carry two small phased slit tori glued in a 4-cycle along
+parallel 45-degree slits.  Flowing by diag(e^t, e^{-t}) pinches the first
+slit pair around t = d/2 and the second around t = 3d/2, while the small
+tori's systoles walk along the Farey graph at rate 2/log lambda.  A snapshot
+needs only the small tori's flowed lattices, their slit lengths and the
+total area, so the family computes those and builds no slit geometry.
+Snapshots feed the four-term numerical distance; the orbit-diameter curve
+of a snapshot against its slot swap is flat near the endpoints and grows
+linearly to a peak at the midpoint, which is the whole point of the
+construction.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .marking import AugMarking, GlueBlock, SlotBlock
 from .metrics import GlueSnap, Snapshot, SlotSnap, Thresholds, rafi_formula
-from .slots import Slope, transversal_at
+from .slots import Slope
 
 __all__ = [
     "LAMBDA",
@@ -28,23 +30,17 @@ __all__ = [
     "FAREY_RATE",
     "ParameterRegimeError",
     "FlatTorus",
-    "Slit",
-    "SlitTorus",
-    "Gluing",
-    "SlitSurface",
     "anosov_torus",
-    "flow",
     "slit_length",
     "shortest_slope",
-    "flowed_anosov_slope",
     "fibonacci_slope",
     "systole_index",
+    "FlowedSlots",
     "TrajectoryFamily",
     "Construction",
     "build_construction",
     "shadow",
     "rotate_snapshot",
-    "snapshot_to_marking",
     "distance_to_fixed",
     "NonqcRow",
     "NonqcResult",
@@ -65,7 +61,7 @@ class ParameterRegimeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Flat tori and slit surfaces.
+# Flat tori.
 # ---------------------------------------------------------------------------
 
 
@@ -108,101 +104,14 @@ def anosov_torus() -> FlatTorus:
     return FlatTorus((v1, v2))
 
 
-@dataclass(frozen=True)
-class Slit:
-    """Straight slit: midpoint and half-open direction data, plane units."""
-
-    midpoint: tuple[float, float]
-    length: float
-    angle: float
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("slit length must be positive")
-
-    def vector(self) -> tuple[float, float]:
-        return (
-            self.length * math.cos(self.angle),
-            self.length * math.sin(self.angle),
-        )
-
-
-def _parallel(a: float, b: float, tol: float = 1e-9) -> bool:
-    d = (a - b) % math.pi
-    return min(d, math.pi - d) < tol
-
-
-@dataclass(frozen=True)
-class SlitTorus:
-    """Flat torus with slits; scale multiplies the lattice, not the slits."""
-
-    torus: FlatTorus
-    slits: tuple[Slit, ...]
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if len(self.slits) == 2:
-            a, b = self.slits
-            if a.midpoint == b.midpoint:
-                raise ValueError("slit midpoints coincide")
-            if _parallel(a.angle, b.angle):
-                dx = b.midpoint[0] - a.midpoint[0]
-                dy = b.midpoint[1] - a.midpoint[1]
-                cross = dx * math.sin(a.angle) - dy * math.cos(a.angle)
-                if abs(cross) < 1e-12:
-                    raise ValueError("parallel slits must not be colinear")
-
-
-@dataclass(frozen=True)
-class Gluing:
-    """Identifies (component, slit) pairs, with no regluing twist."""
-
-    left: tuple[int, int]
-    right: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class SlitSurface:
-    components: tuple[SlitTorus, ...]
-    gluings: tuple[Gluing, ...]
-
-    def __post_init__(self):
-        for g in self.gluings:
-            a = self.components[g.left[0]].slits[g.left[1]]
-            b = self.components[g.right[0]].slits[g.right[1]]
-            if abs(a.length - b.length) > 1e-7 * max(a.length, b.length):
-                raise ValueError(f"glued slits differ in length: {g}")
-            if not _parallel(a.angle, b.angle, tol=1e-7):
-                raise ValueError(f"glued slits differ in angle: {g}")
-
-    def area(self) -> float:
-        return sum(c.scale**2 * c.torus.area for c in self.components)
-
-
 def _flow_vec(v: tuple[float, float], t: float) -> tuple[float, float]:
     return (v[0] * math.exp(t), v[1] * math.exp(-t))
 
 
-def flow(surface: SlitSurface, t: float) -> SlitSurface:
-    """Apply diag(e^t, e^-t) to every basis vector, slit, and midpoint."""
-    comps = []
-    for c in surface.components:
-        v1, v2 = c.torus.basis
-        torus = FlatTorus((_flow_vec(v1, t), _flow_vec(v2, t)))
-        slits = []
-        for s in c.slits:
-            vec = _flow_vec(s.vector(), t)
-            slits.append(
-                Slit(
-                    midpoint=_flow_vec(s.midpoint, t),
-                    length=math.hypot(*vec),
-                    angle=math.atan2(vec[1], vec[0]),
-                )
-            )
-        comps.append(SlitTorus(torus, tuple(slits), c.scale))
-    return SlitSurface(tuple(comps), surface.gluings)
+def _flowed_anosov(t: float) -> FlatTorus:
+    """The Anosov torus flowed by diag(e^t, e^-t), in double precision."""
+    v1, v2 = anosov_torus().basis
+    return FlatTorus((_flow_vec(v1, t), _flow_vec(v2, t)))
 
 
 def slit_length(rho: float, u: float) -> float:
@@ -239,13 +148,6 @@ def shortest_slope(basis: np.ndarray) -> tuple[Slope, float]:
     return Slope.of(*c1), float(math.sqrt(float(v1 @ v1)))
 
 
-def flowed_anosov_slope(u: float) -> Slope:
-    """Systole slope of the Anosov torus flowed by u."""
-    g = anosov_torus().matrix()
-    d = np.diag([np.exp(np.longdouble(u)), np.exp(np.longdouble(-u))])
-    return shortest_slope(d @ g)[0]
-
-
 def fibonacci_slope(n: int) -> Slope:
     """Closed-form systole family: class (F_{n+1}, F_n), n ranging over Z."""
     a, b = 1, 0  # (F_1, F_0)
@@ -267,22 +169,38 @@ def systole_index(u: float) -> int:
 # The slit construction.
 # ---------------------------------------------------------------------------
 
-_SLOT_COMPONENTS = (1, 3)  # the two phased small tori in the 4-cycle
-
-# Float limits of the construction, found by bisection for c from 1e-6 to
-# 0.9: past d = 55.27 a flowed torus fails the slit colinearity check, and a
+# Regime of the construction: d <= 55 is the range on which the float
+# family was validated, by bisection for c from 1e-6 to 0.9, and a
 # small-torus scale delta below about 1e-153.8 overflows the shadow.
 _D_MAX = 55.0
 _DELTA_MIN = 1e-150
 
 
 @dataclass(frozen=True)
+class FlowedSlots:
+    """What a shadow reads of one snapshot of the flowed family.
+
+    area: total area of the slit surface; scale: the small tori's scale
+    delta; slots: per slot, the small torus's flowed lattice (unscaled) and
+    the length of its slits.
+    """
+
+    area: float
+    scale: float
+    slots: tuple[tuple[FlatTorus, float], ...]
+
+
+@dataclass(frozen=True)
 class TrajectoryFamily:
     """One-parameter family of slit surfaces on [0, horizon].
 
-    Each small torus and its slit pair carries a phase; in clamped mode the
-    piece's time is pinned to its active window, which is the combinatorial
-    straightening that makes shadows stable while the piece is inactive.
+    The surface at time t is the 4-cycle (big, small 0, big, small 1): the
+    big tori are the Anosov torus flowed by t, small torus i is the Anosov
+    torus flowed by its slot time and scaled by delta, and slot i's slits
+    have length slit_length(rho, slot time).  Each small torus and its slit
+    pair carries a phase; in clamped mode the piece's time is pinned to its
+    active window, which is the combinatorial straightening that makes
+    shadows stable while the piece is inactive.
     """
 
     d: float
@@ -308,43 +226,16 @@ class TrajectoryFamily:
     def slit_len(self, i: int, t: float, clamped: bool = True) -> float:
         return slit_length(self.rho, self.slot_time(i, t, clamped))
 
-    def at(self, t: float, clamped: bool = True) -> SlitSurface:
-        base = anosov_torus()
+    def at(self, t: float, clamped: bool = True) -> FlowedSlots:
         u = [self.slot_time(i, t, clamped) for i in range(2)]
-        lens = [slit_length(self.rho, ui) for ui in u]
-        angles = [math.atan2(math.exp(-ui), math.exp(ui)) for ui in u]
-
-        def flowed(s: float) -> FlatTorus:
-            v1, v2 = base.basis
-            return FlatTorus((_flow_vec(v1, s), _flow_vec(v2, s)))
-
-        def mids(s: float) -> list[tuple[float, float]]:
-            m = flowed(s).matrix().astype(float)
-            return [tuple(m @ (0.25, 0.25)), tuple(m @ (0.75, 0.75))]
-
-        def big() -> SlitTorus:
-            ma, mb = mids(t)
-            return SlitTorus(
-                flowed(t),
-                (Slit(ma, lens[0], angles[0]), Slit(mb, lens[1], angles[1])),
-            )
-
-        def small(i: int) -> SlitTorus:
-            ma, mb = mids(u[i])
-            return SlitTorus(
-                flowed(u[i]),
-                (Slit(ma, lens[i], angles[i]), Slit(mb, lens[i], angles[i])),
-                scale=self.delta,
-            )
-
-        comps = (big(), small(0), big(), small(1))
-        gluings = (
-            Gluing((0, 0), (1, 0)),
-            Gluing((1, 1), (2, 0)),
-            Gluing((2, 1), (3, 0)),
-            Gluing((3, 1), (0, 1)),
-        )
-        return SlitSurface(comps, gluings)
+        small = [_flowed_anosov(ui) for ui in u]
+        big = _flowed_anosov(t).area
+        sq = self.delta**2
+        # summed component by component around the 4-cycle, not as
+        # 2 + 2 delta^2: rafi_formula floors values derived from it
+        area = big + sq * small[0].area + big + sq * small[1].area
+        slots = tuple((torus, slit_length(self.rho, ui)) for torus, ui in zip(small, u))
+        return FlowedSlots(area, self.delta, slots)
 
 
 @dataclass(frozen=True)
@@ -373,7 +264,7 @@ def build_construction(
         raise ParameterRegimeError(f"c={c} outside (0, 1)")
     if not 0 < d <= _D_MAX:
         raise ParameterRegimeError(
-            f"d={d} outside (0, {_D_MAX}], where the float slit geometry holds"
+            f"d={d} outside (0, {_D_MAX}], where the float family was validated"
         )
     rho = c * math.exp(-d / 2)
     if not _DELTA_MIN <= delta <= rho / 10:
@@ -407,19 +298,18 @@ def _glue_neg_log_ext(ell: float, area: float) -> float:
     return -math.log(est)
 
 
-def shadow(surface: SlitSurface) -> Snapshot:
+def shadow(flowed: FlowedSlots) -> Snapshot:
     """Combinatorial snapshot: systole slope and shortness per slot, slit
     shortness per gluing curve.  Gluings carry no twist, so every gluing
     twist is 0."""
-    area = surface.area()
+    area = flowed.area
     slots = []
     glue = []
-    for idx in _SLOT_COMPONENTS:
-        comp = surface.components[idx]
-        slope, length = shortest_slope(comp.torus.matrix())
-        phys = comp.scale * length
+    for torus, slit in flowed.slots:
+        slope, length = shortest_slope(torus.matrix())
+        phys = flowed.scale * length
         slots.append(SlotSnap(slope, math.log(area / (phys * phys))))
-        glue.append(GlueSnap(0.0, _glue_neg_log_ext(comp.slits[0].length, area)))
+        glue.append(GlueSnap(0.0, _glue_neg_log_ext(slit, area)))
     return Snapshot(tuple(slots), tuple(glue))
 
 
@@ -429,20 +319,6 @@ def rotate_snapshot(r: int, snap: Snapshot) -> Snapshot:
         tuple(snap.slots[(i - r) % k] for i in range(k)),
         tuple(snap.glue[(j - r) % len(snap.glue)] for j in range(len(snap.glue))),
     )
-
-
-def snapshot_to_marking(snap: Snapshot) -> AugMarking:
-    """Round a numerical snapshot down to an augmented marking."""
-
-    def bucket(nle: float) -> int:
-        return max(0, math.floor(nle))
-
-    glue = tuple(GlueBlock(round(g.twist), bucket(g.neg_log_ext)) for g in snap.glue)
-    slots = tuple(
-        SlotBlock(s.slope, transversal_at(s.slope, 0), bucket(s.neg_log_ext))
-        for s in snap.slots
-    )
-    return AugMarking(glue, slots)
 
 
 def distance_to_fixed(snap: Snapshot, th: Thresholds) -> float:

@@ -11,7 +11,6 @@ at the best apex level realizes that bound.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal
 from functools import lru_cache
@@ -22,8 +21,6 @@ __all__ = [
     "width",
     "horo_distance",
     "horo_normal_path",
-    "horo_distance_bfs",
-    "horo_distances_from",
     "compare_to_horodisk",
 ]
 
@@ -62,7 +59,8 @@ def width(level: int) -> int:
     while True:
         ctx = Context(prec=prec, Emax=MAX_EMAX)
         _, digits, exp = Decimal(level).exp(ctx).as_tuple()
-        mant = int("".join(map(str, digits)))
+        # through Decimal, not str: no int-string digit limit at deep levels
+        mant = int(Decimal((0, digits, 0)))
         if exp < 0:
             scale = 10**-exp
             lo, hi = (mant - 1) // scale, (mant + 1) // scale
@@ -80,10 +78,12 @@ def _apex_scan(u: HoroPoint, v: HoroPoint) -> tuple[int, int]:
     lo = max(u.level, v.level)
     if gap == 0:
         return abs(u.level - v.level), lo
+    # floor(e^level) >= 2^level > gap once level reaches gap's bit length
+    nbits = gap.bit_length()
     best = apex = None
     level = lo
     while True:
-        w = width(level)
+        w = width(level) if level < nbits else gap
         cost = (level - u.level) + (level - v.level) + -(-gap // w)  # ceil
         if best is None or cost < best:
             best, apex = cost, level
@@ -112,70 +112,6 @@ def horo_normal_path(u: HoroPoint, v: HoroPoint) -> list[HoroPoint]:
     for lvl in range(apex - 1, v.level - 1, -1):
         path.append(HoroPoint(v.x, lvl))
     return path
-
-
-# ---------------------------------------------------------------------------
-# BFS oracle.  Breadth-first search in the box
-# [min(x)-margin, max(x)+margin] x [0, level_cap]; level-wise "next
-# unvisited" pointers keep it near-linear despite the wide horizontal edges.
-# ---------------------------------------------------------------------------
-
-
-def horo_distances_from(
-    src: HoroPoint, x_lo: int, x_hi: int, level_cap: int
-) -> dict[HoroPoint, int]:
-    """Single-source BFS distances within the box (independent oracle)."""
-    if not (x_lo <= src.x <= x_hi and 0 <= src.level <= level_cap):
-        raise ValueError("source outside the BFS box")
-    import bisect
-
-    dist = {}
-    # per level, the sorted x coordinates not yet visited; horizontal
-    # expansion pops a contiguous range, so every vertex is touched once
-    unvisited = [list(range(x_lo, x_hi + 1)) for _ in range(level_cap + 1)]
-
-    def pop_range(level: int, lo: int, hi: int) -> list[int]:
-        row = unvisited[level]
-        i = bisect.bisect_left(row, lo)
-        j = bisect.bisect_right(row, hi)
-        out = row[i:j]
-        del row[i:j]
-        return out
-
-    # remove the source
-    pop_range(src.level, src.x, src.x)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        w = width(cur.level)
-        for x in pop_range(cur.level, cur.x - w, cur.x + w):
-            pt = HoroPoint(x, cur.level)
-            dist[pt] = d
-            queue.append(pt)
-        for lvl in (cur.level - 1, cur.level + 1):
-            if 0 <= lvl <= level_cap:
-                got = pop_range(lvl, cur.x, cur.x)
-                if got:
-                    pt = HoroPoint(cur.x, lvl)
-                    dist[pt] = d
-                    queue.append(pt)
-    return dist
-
-
-def horo_distance_bfs(
-    u: HoroPoint, v: HoroPoint, margin: int = 8, level_margin: int = 6
-) -> int:
-    """Independent BFS distance; box covers the endpoints with a margin."""
-    x_lo = min(u.x, v.x) - margin
-    x_hi = max(u.x, v.x) + margin
-    cap = max(u.level, v.level) + level_margin + _apex_headroom(abs(u.x - v.x))
-    return horo_distances_from(u, x_lo, x_hi, cap)[v]
-
-
-def _apex_headroom(gap: int) -> int:
-    return max(2, int(math.log(gap + 1)) + 2)
 
 
 # ---------------------------------------------------------------------------

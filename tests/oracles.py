@@ -1,15 +1,21 @@
-"""Brute-force reference distances that the exact closed forms and walks in
+"""Brute-force references that the exact closed forms and walks in
 ``coarse_teich`` are checked against.  Breadth-first searches over the raw
-graphs: independent of the package's fan walks and slot Dijkstra, and
-exact only inside their caps or boxes.
+graphs: independent of the package's fan walks, horoball apex scan and slot
+Dijkstra, and exact only inside their caps or boxes.  Plus the longdouble
+systole of the flowed Anosov torus, the reference for its Fibonacci family.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from typing import Iterator, Optional
 
+import numpy as np
+
+from coarse_teich.flatsim import anosov_torus, shortest_slope
+from coarse_teich.horoball import HoroPoint, width
 from coarse_teich.marking import SlotBlock, _horo_edges
 from coarse_teich.slots import Slope, complement, transversal_at, twist_coordinate
 
@@ -136,3 +142,75 @@ def slot_distance_bfs(s: SlotBlock, t: SlotBlock, cap: int) -> Optional[int]:
         else:
             rfront = new
     return None
+
+
+# ---------------------------------------------------------------------------
+# Horoball inside a box.  Level-wise "next unvisited" lists keep the BFS
+# near-linear despite the wide horizontal edges.
+# ---------------------------------------------------------------------------
+
+
+def horo_distances_from(
+    src: HoroPoint, x_lo: int, x_hi: int, level_cap: int
+) -> dict[HoroPoint, int]:
+    """Single-source BFS distances within the box [x_lo, x_hi] x [0, level_cap]."""
+    if not (x_lo <= src.x <= x_hi and 0 <= src.level <= level_cap):
+        raise ValueError("source outside the BFS box")
+    dist = {}
+    # per level, the sorted x coordinates not yet visited; horizontal
+    # expansion pops a contiguous range, so every vertex is touched once
+    unvisited = [list(range(x_lo, x_hi + 1)) for _ in range(level_cap + 1)]
+
+    def pop_range(level: int, lo: int, hi: int) -> list[int]:
+        row = unvisited[level]
+        i = bisect.bisect_left(row, lo)
+        j = bisect.bisect_right(row, hi)
+        out = row[i:j]
+        del row[i:j]
+        return out
+
+    pop_range(src.level, src.x, src.x)
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        d = dist[cur] + 1
+        w = width(cur.level)
+        for x in pop_range(cur.level, cur.x - w, cur.x + w):
+            pt = HoroPoint(x, cur.level)
+            dist[pt] = d
+            queue.append(pt)
+        for lvl in (cur.level - 1, cur.level + 1):
+            if 0 <= lvl <= level_cap:
+                got = pop_range(lvl, cur.x, cur.x)
+                if got:
+                    pt = HoroPoint(cur.x, lvl)
+                    dist[pt] = d
+                    queue.append(pt)
+    return dist
+
+
+def horo_distance_bfs(
+    u: HoroPoint, v: HoroPoint, margin: int = 8, level_margin: int = 6
+) -> int:
+    """BFS distance in a box that covers the endpoints with a margin."""
+    x_lo = min(u.x, v.x) - margin
+    x_hi = max(u.x, v.x) + margin
+    cap = max(u.level, v.level) + level_margin + _apex_headroom(abs(u.x - v.x))
+    return horo_distances_from(u, x_lo, x_hi, cap)[v]
+
+
+def _apex_headroom(gap: int) -> int:
+    return max(2, int(math.log(gap + 1)) + 2)
+
+
+# ---------------------------------------------------------------------------
+# Flowed Anosov torus.
+# ---------------------------------------------------------------------------
+
+
+def flowed_anosov_slope(u: float) -> Slope:
+    """Systole slope of the Anosov torus flowed by u, flowed in longdouble."""
+    g = anosov_torus().matrix()
+    d = np.diag([np.exp(np.longdouble(u)), np.exp(np.longdouble(-u))])
+    return shortest_slope(d @ g)[0]

@@ -19,7 +19,7 @@ from coarse_teich.calibration import (
     barycenter_samples,
 )
 from coarse_teich.flatsim import FAREY_RATE, nonqc_sweep
-from coarse_teich.horoball import HoroPoint, compare_to_horodisk, horo_distance, horo_distances_from
+from coarse_teich.horoball import HoroPoint, compare_to_horodisk, horo_distance
 from coarse_teich.marking import (
     AugMarking,
     Glue,
@@ -44,6 +44,7 @@ from coarse_teich.metrics import (
 from coarse_teich.projection import Simplex, annulus_point, phi, proj_distance, q_membership
 from coarse_teich.search import fixed_point_search, is_fixed
 from coarse_teich.slots import transversal_at, twist_coordinate
+from tests.oracles import horo_distances_from
 
 TH = Thresholds()
 CAL = load_constants()
@@ -306,13 +307,18 @@ def test_criterion_08_barycenter_regression_is_bounded_and_stable():
 def test_criterion_09_flat_family_is_not_quasiconvex():
     t0 = time.perf_counter()
     results, slope, intercept = nonqc_sweep(th=TH)
-    flat_ends = all(
-        max(r.endpoint_max, r.ref_start_gap, r.ref_end_gap) <= CAL.E0 for r in results
-    )
+    ends = [max(r.endpoint_max, r.ref_start_gap, r.ref_end_gap) for r in results]
+    flat_ends = all(e <= CAL.E0 for e in ends)
     peaks = all(0.8 * r.d <= r.peak_t <= 1.2 * r.d for r in results)
     growth = all(r.midpoint >= CAL.c1 * r.d - CAL.c2 for r in results)
-    rate_ok = 0.5 * FAREY_RATE <= slope <= 2.0 * FAREY_RATE
+    rate = [0.5 * FAREY_RATE, 2.0 * FAREY_RATE]
+    rate_ok = rate[0] <= slope <= rate[1]
     dt = time.perf_counter() - t0
+    _margin(
+        9, slope=slope, rate_range=rate,
+        growth_margin=min(r.midpoint - (CAL.c1 * r.d - CAL.c2) for r in results),
+        end_margin=CAL.E0 - max(ends),
+    )
     _verdict(
         9,
         "bounded endpoints, linear midpoint growth at the expected rate",

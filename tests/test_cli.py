@@ -285,6 +285,19 @@ def test_dist_deep_levels_exit_zero(tmp_path, capsys):
     assert rep["outputs"]["formula_distance_T"] == formula_distance_T(m1, m2, TH)
 
 
+def test_dist_gluing_levels_past_the_int_string_digit_limit(tmp_path, capsys):
+    # e^10000 has 4,343 digits, past Python 3.11's int-string limit; from
+    # level 2^bits > gap on, the apex scan needs no width at all
+    m1 = flat()
+    f1 = write_marking(tmp_path / "a.json", m1)
+    for level in (10_000, 10**6):
+        m2 = AugMarking((GlueBlock(5, level), GlueBlock(0, 0)), m1.slots)
+        f2 = write_marking(tmp_path / "b.json", m2)
+        code, rep, _ = run(capsys, "dist", f1, f2)
+        assert code == 0
+        assert rep["outputs"]["formula_distance_T"] == formula_distance_T(m1, m2, TH)
+
+
 def test_dist_oracle_deep_gluing_level_is_past_the_cap(tmp_path, capsys):
     # the gluing block's distance is closed form, so the oracle enumerates
     # none of the width(800) twist moves to find it past the cap

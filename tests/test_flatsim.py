@@ -1,4 +1,4 @@
-"""Tests for the flat slit-torus simulation and the orbit-diameter curve."""
+"""Tests for the flat slit-torus family and the orbit-diameter curve."""
 
 import math
 import random
@@ -11,56 +11,27 @@ from coarse_teich.flatsim import (
     LAMBDA,
     Construction,
     FlatTorus,
-    Gluing,
+    FlowedSlots,
     ParameterRegimeError,
-    Slit,
-    SlitSurface,
-    SlitTorus,
     anosov_torus,
     build_construction,
     distance_to_fixed,
     fibonacci_slope,
-    flow,
-    flowed_anosov_slope,
     nonqc_experiment,
     nonqc_sweep,
     rotate_snapshot,
     shadow,
     shortest_slope,
     slit_length,
-    snapshot_to_marking,
     systole_index,
 )
-from coarse_teich.marking import AugMarking
 from coarse_teich.metrics import GlueSnap, Snapshot, SlotSnap, Thresholds, rafi_formula
-from coarse_teich.slots import Slope, farey_distance, transversal_at
+from coarse_teich.slots import Slope, farey_distance
+from tests.oracles import flowed_anosov_slope
 
 TH = Thresholds()
 
 LOG_GAMMA = math.log((1 + math.sqrt(5)) / 2)
-
-
-def surfaces_close(a: SlitSurface, b: SlitSurface, tol: float = 1e-9) -> bool:
-    if len(a.components) != len(b.components) or a.gluings != b.gluings:
-        return False
-    for ca, cb in zip(a.components, b.components):
-        if abs(ca.scale - cb.scale) > tol:
-            return False
-        fa, fb = np.array(ca.torus.basis), np.array(cb.torus.basis)
-        if np.abs(fa - fb).max() > tol * max(1.0, np.abs(fa).max()):
-            return False
-        for sa, sb in zip(ca.slits, cb.slits):
-            if abs(sa.length - sb.length) > tol * max(1.0, sa.length):
-                return False
-            da = (sa.angle - sb.angle) % math.pi
-            if min(da, math.pi - da) > tol:
-                return False
-            if max(
-                abs(sa.midpoint[0] - sb.midpoint[0]),
-                abs(sa.midpoint[1] - sb.midpoint[1]),
-            ) > tol * max(1.0, abs(sa.midpoint[0]), abs(sa.midpoint[1])):
-                return False
-    return True
 
 
 def test_anosov_torus_diagonalizes_the_cat_map():
@@ -83,26 +54,23 @@ def test_flat_torus_validation():
     assert t.basis[1] == (-0.0, 1.0)
 
 
-def test_flow_group_law_and_area():
-    cons = build_construction(10.0, 0.1, 1e-6)
-    s = cons.main.at(3.0)
-    assert surfaces_close(flow(flow(s, 0.7), -0.7), s)
-    rng = random.Random(7)
-    for _ in range(10):
-        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        assert surfaces_close(flow(flow(s, a), b), flow(s, a + b))
-        assert flow(s, a).area() == pytest.approx(s.area(), rel=1e-9)
+def test_family_area_is_two_big_tori_plus_two_scaled_small_ones():
+    # delta large enough that 2 delta^2 shows at the relative tolerance
+    delta = 1e-3
+    cons = build_construction(4.0, 0.1, delta)
+    for fam in (cons.main, cons.ref_start, cons.ref_end):
+        for i in range(41):
+            t = fam.horizon * i / 40
+            for clamped in (True, False):
+                assert fam.at(t, clamped).area == pytest.approx(2 + 2 * delta**2, rel=1e-12)
 
 
 def test_flowed_slit_length_matches_closed_form():
     rho = 0.02
-    one = SlitSurface(
-        (SlitTorus(FlatTorus(((1.0, 0.0), (0.0, 1.0))), (Slit((0.3, 0.4), rho, math.pi / 4),)),),
-        (),
-    )
+    vec = (rho * math.cos(math.pi / 4), rho * math.sin(math.pi / 4))
     assert slit_length(rho, 0.0) == rho
     for t in (-3.0, -0.5, 0.0, 1.2, 4.0):
-        got = flow(one, t).components[0].slits[0].length
+        got = math.hypot(vec[0] * math.exp(t), vec[1] * math.exp(-t))
         assert got == pytest.approx(slit_length(rho, t), rel=1e-12)
         assert slit_length(rho, t) == pytest.approx(slit_length(rho, -t), rel=1e-12)
 
@@ -172,49 +140,6 @@ def test_systole_walks_the_farey_graph_at_the_expected_rate():
         assert 0.35 * FAREY_RATE * u <= steps <= 0.65 * FAREY_RATE * u + 1
 
 
-def test_slit_torus_validation():
-    unit = FlatTorus(((1.0, 0.0), (0.0, 1.0)))
-    mk = lambda mid, ang: Slit(mid, 0.1, ang)
-    with pytest.raises(ValueError):
-        SlitTorus(unit, (mk((0.2, 0.2), 0.3), mk((0.2, 0.2), 0.3)))
-    with pytest.raises(ValueError):
-        # parallel and colinear: offset along the slit direction
-        SlitTorus(unit, (mk((0.0, 0.0), math.pi / 4), mk((0.5, 0.5), math.pi / 4)))
-    with pytest.raises(ValueError):
-        SlitTorus(unit, (mk((0.2, 0.2), 0.0),), scale=0.0)
-    SlitTorus(unit, (mk((0.0, 0.0), math.pi / 4), mk((0.5, 0.6), math.pi / 4)))
-    SlitTorus(unit, (mk((0.0, 0.0), 0.0), mk((0.5, 0.5), 1.0)))
-    with pytest.raises(ValueError):
-        Slit((0.0, 0.0), 0.0, 0.0)
-
-
-def test_slit_surface_validation():
-    unit = FlatTorus(((1.0, 0.0), (0.0, 1.0)))
-    a = SlitTorus(unit, (Slit((0.2, 0.2), 0.1, 0.5),))
-    b = SlitTorus(unit, (Slit((0.2, 0.2), 0.1, 0.5),))
-    ok = SlitSurface((a, b), (Gluing((0, 0), (1, 0)),))
-    assert ok.area() == pytest.approx(2.0)
-    bad_len = SlitTorus(unit, (Slit((0.2, 0.2), 0.11, 0.5),))
-    with pytest.raises(ValueError):
-        SlitSurface((a, bad_len), (Gluing((0, 0), (1, 0)),))
-    bad_ang = SlitTorus(unit, (Slit((0.2, 0.2), 0.1, 0.9),))
-    with pytest.raises(ValueError):
-        SlitSurface((a, bad_ang), (Gluing((0, 0), (1, 0)),))
-    scaled = SlitTorus(unit, (Slit((0.2, 0.2), 0.1, 0.5),), scale=3.0)
-    assert SlitSurface((scaled,), ()).area() == pytest.approx(9.0)
-
-
-def test_slit_surface_length_check_is_relative_for_short_slits():
-    unit = FlatTorus(((1.0, 0.0), (0.0, 1.0)))
-    tiny = lambda length: SlitTorus(unit, (Slit((0.2, 0.2), length, 0.5),))
-    glue = (Gluing((0, 0), (1, 0)),)
-    SlitSurface((tiny(1e-12), tiny(1e-12 * (1 + 1e-9))), glue)
-    with pytest.raises(ValueError):
-        SlitSurface((tiny(1e-12), tiny(5e-12)), glue)
-    with pytest.raises(ValueError):
-        SlitSurface((tiny(5e-12), tiny(1e-12)), glue)
-
-
 def test_build_construction_shape_and_regime():
     cons = build_construction(10.0, 0.1, 1e-6)
     assert isinstance(cons, Construction)
@@ -243,12 +168,17 @@ def test_build_construction_shape_and_regime():
 
 def test_construction_surfaces_glue_in_both_modes():
     cons = build_construction(8.0, 0.1, 1e-6)
+    fam = cons.main
     for t in (0.0, 3.7, 8.0, 12.2, 16.0):
         for clamped in (True, False):
-            s = cons.main.at(t, clamped=clamped)
-            assert len(s.components) == 4
-            assert len(s.gluings) == 4
-            assert s.components[1].scale == s.components[3].scale == 1e-6
+            s = fam.at(t, clamped=clamped)
+            assert isinstance(s, FlowedSlots)
+            assert len(s.slots) == 2
+            assert s.scale == 1e-6
+            for i, (torus, slit) in enumerate(s.slots):
+                assert isinstance(torus, FlatTorus)
+                assert torus.area == pytest.approx(1.0, rel=1e-9)
+                assert slit == fam.slit_len(i, t, clamped)
 
 
 def test_shadow_of_the_start_surface_is_swap_symmetric():
@@ -262,8 +192,8 @@ def test_shadow_of_the_start_surface_is_swap_symmetric():
     assert snap.glue[0].twist == snap.glue[1].twist == 0.0
     assert rafi_formula(snap, rotate_snapshot(1, snap), TH) == 0.0
     # slot shortness is log(area / scaled systole^2), far past every threshold
-    _, syst = shortest_slope(s.components[1].torus.matrix())
-    expect = math.log(s.area() / (1e-6 * syst) ** 2)
+    _, syst = shortest_slope(s.slots[0][0].matrix())
+    expect = math.log(s.area / (1e-6 * syst) ** 2)
     assert snap.slots[0].neg_log_ext == pytest.approx(expect, rel=1e-9)
     assert snap.slots[0].neg_log_ext > 20.0
 
@@ -277,22 +207,6 @@ def test_rotate_snapshot_cycles_slots_and_glue():
     assert r.slots == (snap.slots[1], snap.slots[0])
     assert r.glue == (snap.glue[1], snap.glue[0])
     assert rotate_snapshot(1, r) == snap
-
-
-def test_snapshot_to_marking_buckets():
-    snap = Snapshot(
-        (SlotSnap(Slope(3, 1), 6.2), SlotSnap(Slope(0, 1), -0.5)),
-        (GlueSnap(2.6, 4.7), GlueSnap(-1.4, -3.0)),
-    )
-    m = snapshot_to_marking(snap)
-    assert isinstance(m, AugMarking)
-    assert m.k == 2
-    assert m.glue[0].tau == 3 and m.glue[0].D == 4
-    assert m.glue[1].tau == -1 and m.glue[1].D == 0
-    assert m.slots[0].base == Slope(3, 1)
-    assert m.slots[0].trans == transversal_at(Slope(3, 1), 0)
-    assert m.slots[0].D == 6
-    assert m.slots[1].D == 0
 
 
 def test_experiment_curve_is_flat_at_the_ends_and_large_in_the_middle():

@@ -1,4 +1,4 @@
-"""Combinatorial horoball distances against the BFS oracle."""
+"""Combinatorial horoball distances against the BFS oracle in tests/oracles."""
 
 import decimal
 import math
@@ -10,11 +10,10 @@ from coarse_teich.horoball import (
     HoroPoint,
     compare_to_horodisk,
     horo_distance,
-    horo_distance_bfs,
-    horo_distances_from,
     horo_normal_path,
     width,
 )
+from tests.oracles import horo_distance_bfs, horo_distances_from
 
 
 def test_width_values():
@@ -27,6 +26,19 @@ def test_width_is_exact_floor_of_exp():
     for level in range(61):
         exp = decimal.Decimal(level).exp(ctx)
         assert width(level) == int(exp.to_integral_value(decimal.ROUND_FLOOR)), level
+
+
+def test_width_past_the_int_string_digit_limit():
+    # e^10000 has 4,343 decimal digits, past Python 3.11's default limit
+    # on int <-> str conversion
+    assert width(10_000).bit_length() == math.floor(10_000 / math.log(2)) + 1
+
+
+def test_deep_apex_scan_needs_no_width():
+    # at levels >= gap.bit_length() one horizontal step covers the gap
+    for gap, lo, hi in ((1, 1, 1), (5, 3, 7), (10**6, 20, 25), (10**30, 10**6, 10**6 + 4)):
+        assert horo_distance(HoroPoint(0, lo), HoroPoint(gap, hi)) == hi - lo + 1
+        assert horo_distance(HoroPoint(gap, hi), HoroPoint(0, lo)) == hi - lo + 1
 
 
 def test_horo_distance_example():
