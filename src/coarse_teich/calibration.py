@@ -53,6 +53,7 @@ __all__ = [
     "resolve_path",
     "load_constants",
     "save_constants",
+    "constant_drift",
     "compare_constants",
     "sample_marking",
     "quasi_isometry_samples",
@@ -130,14 +131,19 @@ def save_constants(consts: CalibrationConstants, path: Optional[str] = None) -> 
     return p
 
 
+def constant_drift(old: CalibrationConstants, new: CalibrationConstants) -> dict[str, float]:
+    """Per field |a - b| / max(1, |a|, |b|): relative, floored at 1.0 absolute scale."""
+    fresh = new.to_json()
+    return {
+        name: abs(a - fresh[name]) / max(1.0, abs(a), abs(fresh[name]))
+        for name, a in old.to_json().items()
+    }
+
+
 def compare_constants(old: CalibrationConstants, new: CalibrationConstants) -> list[str]:
-    """Fields drifting beyond 5% (relative, floored at 1.0 absolute scale)."""
-    drifted = []
-    for name, a in old.to_json().items():
-        b = new.to_json()[name]
-        if abs(a - b) > 0.05 * max(1.0, abs(a), abs(b)):
-            drifted.append(f"{name}: {a} -> {b}")
-    return drifted
+    """Fields whose constant_drift exceeds 5%."""
+    a, b = old.to_json(), new.to_json()
+    return [f"{n}: {a[n]} -> {b[n]}" for n, r in constant_drift(old, new).items() if r > 0.05]
 
 
 # ---------------------------------------------------------------------------

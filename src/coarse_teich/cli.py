@@ -26,6 +26,7 @@ from .calibration import (
     barycenter_samples,
     calibrate,
     compare_constants,
+    constant_drift,
     load_constants,
     save_constants,
 )
@@ -354,15 +355,7 @@ def cmd_nonqc(args, cfg: Config) -> int:
         )
         return _report("nonqc", {"sweep": list(cfg.d_grid)}, outputs, t0, consts)
     d = args.d if args.d is not None else cfg.d_grid[0]
-    res = nonqc_experiment(
-        d,
-        c=cfg.c,
-        delta=cfg.delta,
-        th=th,
-        e0=consts.E0,
-        c1=consts.c1,
-        c2=consts.c2,
-    )
+    res = nonqc_experiment(d, c=cfg.c, delta=cfg.delta, th=th)
     checks = _nonqc_checks(res, consts)
     assert all(checks.values()), f"claims failed at d={d}: {checks}"
     rows = _nonqc_rows(res)
@@ -392,6 +385,7 @@ def cmd_calibrate(args, cfg: Config) -> int:
         outputs = {
             "recorded_digest": old.digest(),
             "fresh_digest": fresh.digest(),
+            "drift": constant_drift(old, fresh),
             "drifted": drifted,
         }
         code = _report("calibrate", {"check": True}, outputs, t0, fresh)

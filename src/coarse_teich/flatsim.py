@@ -249,17 +249,13 @@ class Construction:
     ref_end: TrajectoryFamily
 
 
-def build_construction(
-    d: float, c: float, delta: float, k: int = 2
-) -> Construction:
+def build_construction(d: float, c: float, delta: float) -> Construction:
     """Main family plus the two reference families, on [0, 2d].
 
     The main family phases its small tori at -d/2 and -3d/2, so the first
     slit pair is shortest at t = d/2 and active on [0, d], the second at
     t = 3d/2 and active on [d, 2d].  The references phase both pieces alike.
     """
-    if k != 2:
-        raise ParameterRegimeError("the slit construction needs exactly 2 slots")
     if not 0 < c < 1:
         raise ParameterRegimeError(f"c={c} outside (0, 1)")
     if not 0 < d <= _D_MAX:
@@ -366,15 +362,13 @@ def nonqc_experiment(
     delta: Optional[float] = None,
     th: Optional[Thresholds] = None,
     n_steps: int = 40,
-    e0: Optional[float] = None,
-    c1: Optional[float] = None,
-    c2: float = 0.0,
 ) -> NonqcResult:
     """Orbit-diameter curve of the slit construction over [0, 2d].
 
     Per grid time: snapshot, orbit diameter against the slot swap, distance
-    to the fixed locus, and the slit shortness column.  With bounds given,
-    asserts the endpoint and midpoint claims.
+    to the fixed locus, and the slit shortness column.  The endpoint and
+    midpoint claims are checked against the calibrated bounds by
+    cli._nonqc_checks, not here.
     """
     th = th or Thresholds()
     delta = delta if delta is not None else c * math.exp(-d / 2) / 100
@@ -405,17 +399,6 @@ def nonqc_experiment(
     ref_end_gap = rafi_formula(
         shadow(fam.at(2 * d)), shadow(cons.ref_end.at(2 * d)), th
     )
-    if e0 is not None:
-        assert endpoint_max <= e0, (
-            f"endpoint orbit diameter {endpoint_max} exceeds {e0}"
-        )
-        assert max(ref_start_gap, ref_end_gap) <= e0, (
-            f"reference gaps {(ref_start_gap, ref_end_gap)} exceed {e0}"
-        )
-    if c1 is not None:
-        assert mid.orbit_diam >= c1 * d - c2, (
-            f"midpoint {mid.orbit_diam} below {c1} * {d} - {c2}"
-        )
     return NonqcResult(
         d=d,
         c=c,

@@ -36,13 +36,6 @@ class HoroPoint:
         if self.level < 0:
             raise ValueError(f"negative horoball level {self.level}")
 
-    def to_json(self) -> dict:
-        return {"x": self.x, "level": self.level}
-
-    @staticmethod
-    def from_json(obj: dict) -> "HoroPoint":
-        return HoroPoint(int(obj["x"]), int(obj["level"]))
-
 
 @lru_cache(maxsize=None)
 def width(level: int) -> int:
@@ -126,13 +119,6 @@ class HoroballMetricReport:
     pairs: int
     max_mult: float  # max ratio over pairs with both distances >= 1
     max_add: float  # max |graph - hyperbolic| over all pairs
-
-    def to_json(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "max_mult": self.max_mult,
-            "max_add": self.max_add,
-        }
 
 
 def _hyperbolic_distance(dx: float, y1: float, y2: float) -> float:

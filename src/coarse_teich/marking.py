@@ -28,13 +28,11 @@ from .slots import (
     farey_distance,
     intersection,
     pivot_region,
-    slopes_in_box,
     transversal_at,
     twist_coordinate,
 )
 
 __all__ = [
-    "ModelSurface",
     "GlueBlock",
     "SlotBlock",
     "AugMarking",
@@ -47,24 +45,11 @@ __all__ = [
     "elementary_moves",
     "is_elementary_move",
     "bfs_distance",
-    "fixed_locus_members",
-    "EnumerationBounds",
 ]
 
 
 class SurfaceMismatchError(ValueError):
     """Two objects live on model surfaces with different slot counts."""
-
-
-@dataclass(frozen=True, order=True)
-class ModelSurface:
-    """The chain of k punctured-torus slots; k >= 2."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"need at least two slots, got k={self.k}")
 
 
 @dataclass(frozen=True, order=True)
@@ -125,21 +110,10 @@ class AugMarking:
     def k(self) -> int:
         return len(self.slots)
 
-    @property
-    def surface(self) -> ModelSurface:
-        return ModelSurface(self.k)
-
     def base_curves(self) -> list[CurveRef]:
         out: list[CurveRef] = [Glue(j) for j in range(self.k)]
         out.extend(InSlot(i, blk.base) for i, blk in enumerate(self.slots))
         return out
-
-    def length_of(self, c: CurveRef) -> int:
-        """Length level of a base curve (0 for non-base slot slopes)."""
-        if isinstance(c, Glue):
-            return self.glue[c.j % self.k].D
-        blk = self.slots[c.slot % self.k]
-        return blk.D if blk.base == c.slope else 0
 
     def to_json(self) -> dict:
         return {
@@ -341,58 +315,3 @@ def _slot_distance(s: SlotBlock, t: SlotBlock) -> int:
             if j != prev:
                 heapq.heappush(heap, (d + 1 + horo_distance(entry, HoroPoint(x, 0)), j, i))
     return best
-
-
-# ---------------------------------------------------------------------------
-# Fixed locus enumeration.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnumerationBounds:
-    """Finite windows for streaming symmetric markings."""
-
-    slope_box: int = 2
-    max_twist: int = 2
-    max_level: int = 1
-
-
-def fixed_locus_members(
-    surface: ModelSurface, bounds: EnumerationBounds
-) -> Iterator[AugMarking]:
-    """Stream all symmetric markings within the windows.
-
-    A marking is fixed by the full rotation group iff all slot blocks agree
-    and all glue blocks agree, so the count factors as
-    (#glue blocks) * (#slot blocks).
-    """
-    glue_choices, slot_choices = _fixed_blocks(bounds)
-    for g in glue_choices:
-        for s in slot_choices:
-            yield AugMarking((g,) * surface.k, (s,) * surface.k)
-
-
-def count_fixed_locus(surface: ModelSurface, bounds: EnumerationBounds) -> int:
-    """Number of fixed_locus_members: #glue blocks times #slot blocks."""
-    glue_choices, slot_choices = _fixed_blocks(bounds)
-    return len(glue_choices) * len(slot_choices)
-
-
-def _fixed_blocks(
-    bounds: EnumerationBounds,
-) -> tuple[list[GlueBlock], list[SlotBlock]]:
-    """The glue blocks and slot blocks within the windows."""
-    slopes = slopes_in_box(bounds.slope_box)
-    glue_choices = [
-        GlueBlock(tau, d)
-        for tau in range(-bounds.max_twist, bounds.max_twist + 1)
-        for d in range(bounds.max_level + 1)
-    ]
-    slot_choices = []
-    for base in slopes:
-        for trans in slopes:
-            if intersection(base, trans) != 1:
-                continue
-            for d in range(bounds.max_level + 1):
-                slot_choices.append(SlotBlock(base, trans, d))
-    return glue_choices, slot_choices

@@ -23,7 +23,7 @@ elementary-move path, and active segments of subsurfaces along paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .horoball import HoroPoint, horo_distance, horo_normal_path
@@ -96,15 +96,12 @@ class LargeLink:
 
     subsurface: SubsurfaceRef
     value: int
-    family: Optional[int] = None
-    time_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class SymmetricFamily:
     """An orbit of annular large links under the cyclic symmetry."""
 
-    index: int
     members: tuple[LargeLink, ...]
     representative: LargeLink
     time_index: int
@@ -351,16 +348,10 @@ def group_symmetric_families(
             pos = _geodesic_position(geo, rep_ref.slope)
         families.append((pos, key, members, rep))
     families.sort(key=lambda f: (f[0], f[1]))
-    out = []
-    for n, (pos, _key, members, rep) in enumerate(families):
-        fam = SymmetricFamily(
-            index=n,
-            members=tuple(replace(l, family=n, time_index=n) for l in members),
-            representative=replace(rep, family=n, time_index=n),
-            time_index=n,
-        )
-        out.append(fam)
-    return out
+    return [
+        SymmetricFamily(members, rep, time_index=n)
+        for n, (_pos, _key, members, rep) in enumerate(families)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ family, applied in time order, cancels the family's twist offset.
 
 Also here: the orbit-diameter certificate, symmetric short-curve analysis,
 the short-curve reduction that matches length data before the staged run,
-and the coarse barycenter for arbitrary (not almost-fixed) inputs.
+and the coarse barycenter for arbitrary (not almost-fixed) inputs: the
+orbit average, exactly fixed by construction, so it needs no search.
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ def fixed_point_search(
             for f, before in zip(ordered[n + 1:], before_unprocessed):
                 now = proj_distance(f.representative.subsurface, mu, x)
                 assert abs(now - before) <= 6, (
-                    f"unprocessed family {f.index} moved {before} -> {now}"
+                    f"unprocessed family {f.time_index} moved {before} -> {now}"
                 )
         stages.append(
             SearchStage(
@@ -379,13 +380,12 @@ def coarse_barycenter(
 ) -> AugMarking:
     """An exactly fixed marking within linearly bounded distance of sigma.
 
-    f must generate the rotation group.  The construction averages the
-    orbit: every gluing block becomes the mean twist and level, every slot
-    block becomes the slot-0 base with the mean of the orbit's annular
-    coordinates and levels.  The average of a full orbit is the same seen
-    from every slot, so the result is exactly fixed; a safety search pass
-    asserts that and returns it unchanged (it sees a fixed input and returns
-    before certifying, so it costs only the block comparisons of is_fixed).
+    f must generate the rotation group; th is not read, since the average
+    needs no thresholds.  The construction averages the orbit: every gluing
+    block becomes the mean twist and level, every slot block becomes the
+    slot-0 base with the mean of the orbit's annular coordinates and levels.
+    The average of a full orbit is the same seen from every slot, so the
+    result is exactly fixed, which is asserted.
     """
     k = sigma.k
     if math.gcd(f, k) != 1:
@@ -398,6 +398,5 @@ def coarse_barycenter(
     slot_lvl = _iround(fmean(p.level for p in points))
     block = SlotBlock(b0, transversal_at(b0, psi), slot_lvl)
     bary = AugMarking((GlueBlock(tau, lvl),) * k, (block,) * k)
-    x, _trace = fixed_point_search(bary, th)
-    assert x == bary, "barycenter was already fixed; search must not move it"
-    return x
+    assert is_fixed(bary), "the orbit average is not fixed"
+    return bary

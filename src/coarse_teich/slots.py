@@ -27,7 +27,6 @@ __all__ = [
     "complement",
     "twist_coordinate",
     "transversal_at",
-    "slopes_in_box",
 ]
 
 
@@ -255,16 +254,6 @@ def pivot_region(a: Slope, b: Slope) -> list[Slope]:
         seen.update((prev[0] + j * pivot[0], prev[1] + j * pivot[1]) for j in js)
         seen.update((pivot, nxt))
     return sorted({_denormalized(rows, vec) for vec in seen})
-
-
-def slopes_in_box(bound: int) -> list[Slope]:
-    """All canonical slopes with |p| <= bound and q <= bound."""
-    out = [Slope(1, 0)]
-    for q in range(1, bound + 1):
-        for p in range(-bound, bound + 1):
-            if math.gcd(p, q) == 1:
-                out.append(Slope(p, q))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Brute-force references that the exact closed forms and walks in
 ``coarse_teich`` are checked against.  Breadth-first searches over the raw
 graphs: independent of the package's fan walks, horoball apex scan and slot
-Dijkstra, and exact only inside their caps or boxes.  Plus the longdouble
-systole of the flowed Anosov torus, the reference for its Fibonacci family.
+Dijkstra, and exact only inside their caps or boxes.  Plus the slope boxes
+the tests enumerate, and the longdouble systole of the flowed Anosov torus,
+the reference for its Fibonacci family.
 """
 
 from __future__ import annotations
@@ -23,6 +24,16 @@ from coarse_teich.slots import Slope, complement, transversal_at, twist_coordina
 # ---------------------------------------------------------------------------
 # Farey graph inside a box.
 # ---------------------------------------------------------------------------
+
+
+def slopes_in_box(bound: int) -> list[Slope]:
+    """All canonical slopes with |p| <= bound and q <= bound."""
+    out = [Slope(1, 0)]
+    for q in range(1, bound + 1):
+        for p in range(-bound, bound + 1):
+            if math.gcd(p, q) == 1:
+                out.append(Slope(p, q))
+    return out
 
 
 def farey_distance_bfs(a: Slope, b: Slope, bound: int) -> int | None:

@@ -11,6 +11,7 @@ from coarse_teich.calibration import (
     CalibrationConstants,
     barycenter_samples,
     compare_constants,
+    constant_drift,
     family_comparability_sweep,
     fit_quasi_isometry,
     load_constants,
@@ -95,6 +96,14 @@ def test_compare_constants_flags_drift():
     drift = compare_constants(a, make_constants(L=3.0))
     assert drift and drift[0].startswith("L:")
     assert compare_constants(a, make_constants(C=12))
+    # the list is read off the per-field relative drift
+    assert constant_drift(a, a) == dict.fromkeys(a.to_json(), 0.0)
+    drift = constant_drift(a, make_constants(E0=8.0))
+    assert drift == dict(dict.fromkeys(a.to_json(), 0.0), E0=pytest.approx(0.25))
+    assert compare_constants(a, make_constants(E0=8.0)) == ["E0: 6.0 -> 8.0"]
+    # floored at scale 1: 0.02 -> 0.06 is a drift of 0.04, not of 67%
+    assert constant_drift(make_constants(c2=0.02), make_constants(c2=0.06))["c2"] == pytest.approx(0.04)
+    assert compare_constants(make_constants(c2=0.02), make_constants(c2=0.06)) == []
 
 
 def test_fit_quasi_isometry_synthetic():

@@ -1,12 +1,14 @@
 """Tests for the command-line front end: plumbing identities and exit codes."""
 
+import copy
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
-from coarse_teich.calibration import load_constants, sample_marking
+from coarse_teich.calibration import ENV_VAR, load_constants, sample_marking, save_constants
 from coarse_teich.cli import Config, main
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock, act, bfs_distance
 from coarse_teich.metrics import Thresholds, formula_distance_T, formula_distance_WP
@@ -338,3 +340,114 @@ def test_removed_config_fields_are_rejected(tmp_path, capsys):
     code, rep, _ = run(capsys, "--config", str(cfg), "dist", "x.json", "y.json")
     assert code == 2 and rep["error"] == "parse"
     assert "unknown config fields" in rep["message"]
+
+
+def calibration_config(tmp_path, monkeypatch, **overrides) -> str:
+    """A config whose calibration record is the packaged one with overrides.
+
+    The environment variable beats the config path, so it is cleared.  The
+    sweep's rate fit needs two grid points."""
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    record = save_constants(replace(load_constants(), **overrides), str(tmp_path / "cal.json"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"calibration": str(record), "d_grid": [10, 15]}))
+    return str(cfg)
+
+
+def test_nonqc_gate_fails_on_wrong_bounds(tmp_path, capsys, monkeypatch):
+    # the CLI's checks are the only gate on the experiment's claims
+    for overrides in ({"E0": -1.0}, {"c1": 100.0}):
+        cfg = calibration_config(tmp_path, monkeypatch, **overrides)
+        code, rep, _ = run(capsys, "--config", cfg, "nonqc", "--d", "10")
+        assert code == 5 and rep["error"] == "assertion", overrides
+        assert rep["message"].startswith("claims failed at d=10.0")
+    cfg = calibration_config(tmp_path, monkeypatch, E0=-1.0)
+    code, rep, _ = run(capsys, "--config", cfg, "nonqc", "--sweep")
+    assert code == 5 and rep["error"] == "assertion"
+    assert rep["message"].startswith("claims failed at d=10.0")
+
+
+def test_calibrate_check_reports_relative_drift(tmp_path, capsys, monkeypatch):
+    packaged = load_constants()
+    cfg = calibration_config(tmp_path, monkeypatch, E0=2 * packaged.E0)
+    code, rep, _ = run(capsys, "--config", cfg, "calibrate", "--check")
+    assert code == 1
+    out = rep["outputs"]
+    assert out["drifted"] == [f"E0: {2 * packaged.E0} -> {packaged.E0}"]
+    assert out["drift"]["E0"] == pytest.approx(0.5)
+    assert {k: v for k, v in out["drift"].items() if k != "E0"} == dict.fromkeys(
+        set(packaged.to_json()) - {"E0"}, 0.0
+    )
+
+
+_FUZZ_VALUES = (
+    2**70, 10**300, 1e300, float("nan"), True, False, None, "7", "x", [1], {},
+    "0/0", "2/4", "1/2/3", -1, 0.5,
+)
+
+
+def _fuzz_value(rng: random.Random):
+    return copy.deepcopy(rng.choice(_FUZZ_VALUES))
+
+
+def _fuzz_marking(rng: random.Random, obj: dict):
+    """One to three random mutations of a marking's JSON object."""
+    obj = copy.deepcopy(obj)
+    for _ in range(rng.randint(1, 3)):
+        if not isinstance(obj, dict):
+            break
+        kind = rng.randrange(7)
+        blocks = [b for key in ("glue", "slots") if isinstance(obj.get(key), list)
+                  for b in obj[key] if isinstance(b, dict)]
+        blk = rng.choice(blocks) if blocks else None
+        if kind == 0 and blk:  # a field takes a wrong value
+            blk[rng.choice(sorted(blk))] = _fuzz_value(rng)
+        elif kind == 1 and blk:  # a huge but legal twist or level
+            field = "D" if "base" in blk or rng.random() < 0.5 else "tau"
+            blk[field] = rng.choice((2**70, 10**300, 1e300))
+        elif kind == 2 and blk:  # a field goes missing
+            del blk[rng.choice(sorted(blk))]
+        elif kind == 3:  # a key goes missing or an extra one appears
+            if rng.random() < 0.5 and obj:
+                del obj[rng.choice(sorted(obj))]
+            else:
+                target = blk if blk and rng.random() < 0.5 else obj
+                target["extra"] = _fuzz_value(rng)
+        elif kind == 4:  # glue and slot lengths stop matching
+            key = rng.choice(("glue", "slots"))
+            if isinstance(obj.get(key), list) and obj[key]:
+                if rng.random() < 0.5:
+                    obj[key].pop()
+                else:
+                    obj[key].append(copy.deepcopy(obj[key][0]))
+        elif kind == 5:  # a block list is not a list
+            obj[rng.choice(("glue", "slots"))] = _fuzz_value(rng)
+        elif kind == 6:  # the top level is not an object
+            obj = rng.choice((_fuzz_value(rng), [obj]))
+    return obj
+
+
+def test_fuzzed_marking_json_ends_in_a_documented_exit_code(tmp_path, capsys):
+    rng = random.Random(2024)
+    for case in range(300):
+        base = sample_marking(rng, rng.choice((2, 3)))
+        f_base = write_marking(tmp_path / "base.json", base)
+        fuzzed = tmp_path / "fuzzed.json"
+        fuzzed.write_text(json.dumps(_fuzz_marking(rng, base.to_json())))
+        f = str(fuzzed)
+        for argv in (
+            ["dist", f, f_base],
+            ["dist", "--oracle", f, f_base],
+            ["project", f, "--slot", "0"],
+            ["project", f, "--annulus", "0:1/2"],
+            ["fix-search", f],
+            ["barycenter", f, "--generator", str(rng.choice((1, 2, -1)))],
+        ):
+            t0 = time.perf_counter()
+            code = main(argv)
+            out = capsys.readouterr().out
+            context = (case, argv[0], fuzzed.read_text()[:200])
+            assert code in (0, 2, 3, 4, 5, 6), context
+            if out.strip():
+                json.loads(out)
+            assert time.perf_counter() - t0 < 2.0, context

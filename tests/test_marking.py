@@ -8,35 +8,31 @@ from coarse_teich.calibration import sample_marking
 from coarse_teich.horoball import width
 from coarse_teich.marking import (
     AugMarking,
-    EnumerationBounds,
     Glue,
     GlueBlock,
     InSlot,
-    ModelSurface,
     SlotBlock,
     SurfaceMismatchError,
     _slot_distance,
     act,
     act_curve,
     bfs_distance,
-    count_fixed_locus,
     elementary_moves,
-    fixed_locus_members,
     is_elementary_move,
 )
 from coarse_teich.horoball import HoroPoint, horo_distance
+from coarse_teich.projection import annulus_point
 from coarse_teich.slots import (
     Slope,
     TwistWord,
     farey_distance,
     intersection,
     pivot_region,
-    slopes_in_box,
     transversal_at,
     twist,
     twist_coordinate,
 )
-from tests.oracles import _bfs_neighbors, _slot_neighbors, slot_distance_bfs
+from tests.oracles import _bfs_neighbors, _slot_neighbors, slopes_in_box, slot_distance_bfs
 
 
 def flat_marking(k: int) -> AugMarking:
@@ -65,7 +61,7 @@ def random_marking(rng: random.Random, k: int, level_max: int = 1) -> AugMarking
 
 def test_validation():
     with pytest.raises(ValueError):
-        ModelSurface(1)
+        AugMarking((GlueBlock(0, 0),), (SlotBlock(Slope(0, 1), Slope(1, 0), 0),))
     with pytest.raises(ValueError):
         GlueBlock(0, -1)
     with pytest.raises(ValueError):
@@ -444,26 +440,12 @@ def test_length_of_and_base_curves():
         (GlueBlock(2, 3), GlueBlock(0, 1)),
         (SlotBlock(Slope(1, 2), Slope(0, 1), 2), SlotBlock(Slope(0, 1), Slope(1, 0), 0)),
     )
-    assert m.length_of(Glue(0)) == 3
-    assert m.length_of(Glue(1)) == 1
-    assert m.length_of(InSlot(0, Slope(1, 2))) == 2
-    assert m.length_of(InSlot(0, Slope(5, 7))) == 0
+    # a curve's length level is the level of its annulus point
+    assert annulus_point(Glue(0), m).level == 3
+    assert annulus_point(Glue(1), m).level == 1
+    assert annulus_point(InSlot(0, Slope(1, 2)), m).level == 2
+    assert annulus_point(InSlot(0, Slope(5, 7)), m).level == 0
     refs = m.base_curves()
     assert refs[:2] == [Glue(0), Glue(1)]
     assert InSlot(0, Slope(1, 2)) in refs and InSlot(1, Slope(0, 1)) in refs
 
-
-def test_fixed_locus_members_are_symmetric():
-    surface = ModelSurface(3)
-    bounds = EnumerationBounds(slope_box=1, max_twist=1, max_level=1)
-    seen = 0
-    for m in fixed_locus_members(surface, bounds):
-        seen += 1
-        for r in range(3):
-            assert act(r, m) == m
-    assert seen == count_fixed_locus(surface, bounds)
-    # count factors: glue choices x slot choices
-    glue_n = 3 * 2  # tau in {-1,0,1}, D in {0,1}
-    # slopes in box 1: 0/1, 1/1, -1/1, 1/0; ordered pairs at intersection 1
-    slot_n = 10 * 2
-    assert seen == glue_n * slot_n

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from tests.oracles import farey_distance_bfs
+from tests.oracles import farey_distance_bfs, slopes_in_box
 from coarse_teich.slots import (
     Slope,
     TwistWord,
@@ -23,7 +23,6 @@ from coarse_teich.slots import (
     intersection,
     pivot_region,
     relative_twisting,
-    slopes_in_box,
     transversal_at,
     twist,
     twist_coordinate,
