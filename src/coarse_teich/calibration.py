@@ -31,7 +31,8 @@ from .marking import (
     SlotBlock,
     act,
     bfs_distance,
-    elementary_moves,
+    move_count,
+    nth_move,
 )
 from .metrics import (
     Thresholds,
@@ -225,7 +226,8 @@ def quasi_isometry_samples(
         partners = _planted_partners(rng, m)
         cur = m
         for _ in range(rng.randint(4, 8)):
-            cur = rng.choice(elementary_moves(cur))
+            # the draw rng.choice(elementary_moves(cur)) makes, building one move
+            cur = nth_move(cur, rng.choice(range(move_count(cur))))
         partners.append(cur)
         for n in partners:
             b = bfs_distance(m, n)

@@ -85,6 +85,8 @@ class Config:
             raise ValueError("thresholds need K_hat >= K >= 1 and R >= 1")
         if self.k < 2:
             raise ValueError("the model needs k >= 2")
+        if not self.d_grid:
+            raise ValueError("d_grid is empty")
 
     def thresholds(self) -> Thresholds:
         return Thresholds(K=self.K, K_hat=self.K_hat, R=self.R)
@@ -325,6 +327,8 @@ def cmd_nonqc(args, cfg: Config) -> int:
     consts = load_constants(cfg.calibration)
     th = cfg.thresholds()
     if args.sweep:
+        if len(set(cfg.d_grid)) < 2:
+            raise ValueError("nonqc --sweep fits a line: d_grid needs two distinct values")
         results, slope, intercept = nonqc_sweep(cfg.d_grid, c=cfg.c, th=th)
         per_d = []
         for res in results:

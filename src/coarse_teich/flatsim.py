@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import linear_regression
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .metrics import GlueSnap, Snapshot, SlotSnap, Thresholds, rafi_formula
 from .slots import Slope
+
+if TYPE_CHECKING:
+    import numpy
 
 __all__ = [
     "LAMBDA",
@@ -88,7 +89,9 @@ class FlatTorus:
     def area(self) -> float:
         return abs(self.det)
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> numpy.ndarray:
+        import numpy as np  # deferred, as in shortest_slope
+
         (a, c), (b, d) = self.basis
         return np.array([[a, b], [c, d]], dtype=np.longdouble)
 
@@ -124,13 +127,16 @@ def slit_length(rho: float, u: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def shortest_slope(basis: np.ndarray) -> tuple[Slope, float]:
+def shortest_slope(basis: numpy.ndarray) -> tuple[Slope, float]:
     """Shortest primitive class of a 2d lattice and its length.
 
     Lagrange reduction with exact integer bookkeeping; the returned slope is
     the class of the reduced first vector.  Ties (the square torus) resolve
     to the earlier basis vector, so the unit lattice reports 1/0.
     """
+    # imported here, so that importing the package does not load numpy
+    import numpy as np
+
     b = np.asarray(basis, dtype=np.longdouble)
     v1, v2 = b[:, 0].copy(), b[:, 1].copy()
     c1, c2 = (1, 0), (0, 1)

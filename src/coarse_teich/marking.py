@@ -18,7 +18,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .horoball import HoroPoint, horo_distance, width
 from .slots import (
@@ -43,6 +43,8 @@ __all__ = [
     "act",
     "act_curve",
     "elementary_moves",
+    "move_count",
+    "nth_move",
     "is_elementary_move",
     "bfs_distance",
 ]
@@ -185,22 +187,63 @@ def act_curve(r: int, c: CurveRef, k: int) -> CurveRef:
 # ---------------------------------------------------------------------------
 
 
-def _horo_edges(x: int, d: int) -> Iterator[tuple[int, int]]:
-    """Horoball neighbours of (x, d): twists by 1..width(d) in both signs,
-    then the unit level steps."""
-    for step in range(1, width(d) + 1):
-        yield x + step, d
-        yield x - step, d
-    if d > 0:
-        yield x, d - 1
-    yield x, d + 1
-
-
 def _horo_point(blk: Union[GlueBlock, SlotBlock]) -> HoroPoint:
     """A block's point in its horoball (for a slot, the base slope's)."""
     if isinstance(blk, GlueBlock):
         return HoroPoint(blk.tau, blk.D)
     return HoroPoint(twist_coordinate(blk.base, blk.trans), blk.D)
+
+
+def _block_move_count(blk: Union[GlueBlock, SlotBlock]) -> int:
+    """Moves of one block: 2*width(D) twists, a level step down if D > 0
+    and one up, and for a slot at level 0 its flip."""
+    flip = isinstance(blk, SlotBlock) and blk.D == 0
+    return 2 * width(blk.D) + 1 + (blk.D > 0) + flip
+
+
+def _block_move(blk: Union[GlueBlock, SlotBlock], i: int) -> Union[GlueBlock, SlotBlock]:
+    """The i-th move of one block, 0 <= i < _block_move_count(blk), in the
+    order: the flip (a slot at level 0), twists +1, -1, +2, -2, ...,
+    +width(D), -width(D), then the level steps down and up."""
+    d = blk.D
+    if isinstance(blk, SlotBlock) and d == 0:
+        if i == 0:
+            return SlotBlock(blk.trans, blk.base, 0)
+        i -= 1
+    w2 = 2 * width(d)
+    if i < w2:
+        step = i // 2 + 1 if i % 2 == 0 else -(i // 2 + 1)
+        if isinstance(blk, GlueBlock):
+            return GlueBlock(blk.tau + step, d)
+        n = twist_coordinate(blk.base, blk.trans)
+        return SlotBlock(blk.base, transversal_at(blk.base, n + step), d)
+    d += -1 if i == w2 and d > 0 else 1
+    if isinstance(blk, GlueBlock):
+        return GlueBlock(blk.tau, d)
+    return SlotBlock(blk.base, blk.trans, d)
+
+
+def move_count(m: AugMarking) -> int:
+    """Number of markings one elementary move away; O(k), builds none."""
+    return sum(_block_move_count(b) for b in m.glue + m.slots)
+
+
+def nth_move(m: AugMarking, i: int) -> AugMarking:
+    """elementary_moves(m)[i], building only that one marking.
+
+    Raises IndexError unless 0 <= i < move_count(m).
+    """
+    if i >= 0:
+        for j, blk in enumerate(m.glue + m.slots):
+            c = _block_move_count(blk)
+            if i < c:
+                new = _block_move(blk, i)
+                if j < m.k:
+                    return AugMarking(m.glue[:j] + (new,) + m.glue[j + 1:], m.slots)
+                j -= m.k
+                return AugMarking(m.glue, m.slots[:j] + (new,) + m.slots[j + 1:])
+            i -= c
+    raise IndexError("move index out of range")
 
 
 def elementary_moves(m: AugMarking) -> list[AugMarking]:
@@ -209,23 +252,10 @@ def elementary_moves(m: AugMarking) -> list[AugMarking]:
     Flips swap base and transversal of a slot at length level 0.  Twist
     moves about a curve at level D reach exponents 1..width(D) in both
     signs; vertical moves change one level by one.  The order is fixed
-    (gluing curves, then slots; per block the flip, twists +1, -1, +2, ...,
-    then levels down and up), since samplers draw from this list.
+    (gluing curves, then slots; per block the order of _block_move), since
+    samplers draw from it through nth_move.
     """
-    glue, slots = m.glue, m.slots
-    out = [
-        AugMarking(glue[:j] + (GlueBlock(tau, d),) + glue[j + 1:], slots)
-        for j, g in enumerate(glue)
-        for tau, d in _horo_edges(g.tau, g.D)
-    ]
-    for i, s in enumerate(slots):
-        blocks = [SlotBlock(s.trans, s.base, 0)] if s.D == 0 else []
-        n = twist_coordinate(s.base, s.trans)
-        for x, d in _horo_edges(n, s.D):
-            trans = s.trans if x == n else transversal_at(s.base, x)
-            blocks.append(SlotBlock(s.base, trans, d))
-        out.extend(AugMarking(glue, slots[:i] + (b,) + slots[i + 1:]) for b in blocks)
-    return out
+    return [nth_move(m, i) for i in range(move_count(m))]
 
 
 def is_elementary_move(a: AugMarking, b: AugMarking) -> bool:

@@ -1,8 +1,9 @@
 """Brute-force references that the exact closed forms and walks in
 ``coarse_teich`` are checked against.  Breadth-first searches over the raw
 graphs: independent of the package's fan walks, horoball apex scan and slot
-Dijkstra, and exact only inside their caps or boxes.  Plus the slope boxes
-the tests enumerate, and the longdouble systole of the flowed Anosov torus,
+Dijkstra, and exact only inside their caps or boxes.  Plus the whole list
+of elementary moves that ``nth_move`` indexes, the slope boxes the tests
+enumerate, and the longdouble systole of the flowed Anosov torus,
 the reference for its Fibonacci family.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from coarse_teich.flatsim import anosov_torus, shortest_slope
 from coarse_teich.horoball import HoroPoint, width
-from coarse_teich.marking import SlotBlock, _horo_edges
+from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock
 from coarse_teich.slots import Slope, complement, transversal_at, twist_coordinate
 
 
@@ -88,6 +89,43 @@ def _bfs_neighbors(s: Slope, bound: int) -> list[Slope]:
         if abs(p) <= bound and q <= bound:
             out.append(Slope(p, q))
         n += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Elementary moves, every neighbour built.
+# ---------------------------------------------------------------------------
+
+
+def _horo_edges(x: int, d: int) -> Iterator[tuple[int, int]]:
+    """Horoball neighbours of (x, d): twists by 1..width(d) in both signs,
+    then the unit level steps."""
+    for step in range(1, width(d) + 1):
+        yield x + step, d
+        yield x - step, d
+    if d > 0:
+        yield x, d - 1
+    yield x, d + 1
+
+
+def listed_moves(m: AugMarking) -> list[AugMarking]:
+    """All markings one elementary move away, in the order that
+    ``elementary_moves`` and ``nth_move`` index: gluing curves, then slots;
+    per block the flip at level 0, twists +1, -1, +2, ..., then levels down
+    and up.  One twist coordinate per slot, one transversal per twist."""
+    glue, slots = m.glue, m.slots
+    out = [
+        AugMarking(glue[:j] + (GlueBlock(tau, d),) + glue[j + 1:], slots)
+        for j, g in enumerate(glue)
+        for tau, d in _horo_edges(g.tau, g.D)
+    ]
+    for i, s in enumerate(slots):
+        blocks = [SlotBlock(s.trans, s.base, 0)] if s.D == 0 else []
+        n = twist_coordinate(s.base, s.trans)
+        for x, d in _horo_edges(n, s.D):
+            trans = s.trans if x == n else transversal_at(s.base, x)
+            blocks.append(SlotBlock(s.base, trans, d))
+        out.extend(AugMarking(glue, slots[:i] + (b,) + slots[i + 1:]) for b in blocks)
     return out
 
 

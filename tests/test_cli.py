@@ -2,12 +2,17 @@
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import coarse_teich
 from coarse_teich.calibration import ENV_VAR, load_constants, sample_marking, save_constants
 from coarse_teich.cli import Config, main
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock, act, bfs_distance
@@ -261,6 +266,34 @@ def test_nonqc_sweep_fits_rate(tmp_path, capsys):
     out = rep["outputs"]
     assert out["slope_in_window"] is True
     assert [p["d"] for p in out["per_d"]] == [10.0, 15.0, 20.0]
+
+
+def test_nonqc_short_d_grid_exits_2(tmp_path, capsys, monkeypatch):
+    # an empty grid is no config; a sweep's fit needs two distinct d values,
+    # checked before the sweep runs, while plain nonqc reads grid[0] alone
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("nonqc_sweep ran on a short grid")
+
+    monkeypatch.setattr("coarse_teich.cli.nonqc_sweep", no_sweep)
+    cfg = tmp_path / "cfg.json"
+    for grid, plain in (([], 2), ([10], 0), ([10, 10], 0)):
+        cfg.write_text(json.dumps({"d_grid": grid}))
+        code, rep, _ = run(capsys, "--config", str(cfg), "nonqc", "--sweep")
+        assert code == 2 and rep["error"] == "parse" and "d_grid" in rep["message"], grid
+        code, rep, _ = run(capsys, "--config", str(cfg), "nonqc")
+        assert code == plain, grid
+        assert rep["outputs"]["d"] == 10.0 if plain == 0 else "d_grid" in rep["message"]
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # flatsim imports numpy inside its two lattice functions only
+    src = str(Path(coarse_teich.__file__).resolve().parent.parent)
+    probe = "import sys, coarse_teich.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_config_changes_thresholds(tmp_path, capsys):

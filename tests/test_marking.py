@@ -19,6 +19,8 @@ from coarse_teich.marking import (
     bfs_distance,
     elementary_moves,
     is_elementary_move,
+    move_count,
+    nth_move,
 )
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.projection import annulus_point
@@ -32,7 +34,13 @@ from coarse_teich.slots import (
     twist,
     twist_coordinate,
 )
-from tests.oracles import _bfs_neighbors, _slot_neighbors, slopes_in_box, slot_distance_bfs
+from tests.oracles import (
+    _bfs_neighbors,
+    _slot_neighbors,
+    listed_moves,
+    slopes_in_box,
+    slot_distance_bfs,
+)
 
 
 def flat_marking(k: int) -> AugMarking:
@@ -405,6 +413,46 @@ def test_product_distance_matches_whole_graph_bfs():
         flipped += any(s.base != t.base for s, t in zip(a.slots, b.slots))
     # the sample reaches past the cap and crosses flip edges
     assert past_cap and flipped
+
+
+def wide_marking(rng: random.Random, k: int) -> AugMarking:
+    """Twists up to 10^6 and levels 0..4: flips at level 0, wide twists from 2."""
+    big = 10 ** rng.randint(0, 6)
+    glue = tuple(GlueBlock(rng.randint(-big, big), rng.randint(0, 4)) for _ in range(k))
+    slots = []
+    for _ in range(k):
+        base = Slope.of(rng.randint(-20, 20), rng.randint(1, 20))
+        trans = transversal_at(base, rng.randint(-big, big))
+        slots.append(SlotBlock(base, trans, rng.randint(0, 4)))
+    return AugMarking(glue, tuple(slots))
+
+
+def test_nth_move_draws_what_the_listed_moves_draw():
+    # the sampler's rng.choice(range(move_count)) makes the same draw, and
+    # leaves the same generator state, as rng.choice over every neighbour
+    rng = random.Random(61)
+    levels = set()
+    for case in range(240):
+        m = wide_marking(rng, 2 + case % 7)
+        listed = listed_moves(m)
+        if case % 8 == 0:
+            assert elementary_moves(m) == listed
+        assert move_count(m) == len(listed)
+        levels.update(b.D for b in m.glue + m.slots)
+        whole, indexed = random.Random(case), random.Random(case)
+        for _ in range(5):
+            assert whole.choice(listed) == nth_move(m, indexed.choice(range(move_count(m))))
+        assert whole.getstate() == indexed.getstate()
+    assert levels == {0, 1, 2, 3, 4}
+
+
+def test_nth_move_rejects_out_of_range_index():
+    m = wide_marking(random.Random(5), 3)
+    n = move_count(m)
+    assert nth_move(m, n - 1) == listed_moves(m)[-1]
+    for i in (-1, n, n + 7):
+        with pytest.raises(IndexError):
+            nth_move(m, i)
 
 
 def test_is_elementary_move_rejects_non_moves():

@@ -274,6 +274,16 @@ def test_complement_and_twist_coordinate():
         assert relative_twisting(a, complement(a), t) == n
 
 
+def test_twist_coordinate_inverts_transversal_at_on_large_inputs():
+    rng = random.Random(47)
+    for _ in range(2000):
+        a = Slope(1, 0) if rng.random() < 0.05 else _big_slope(rng, 10 ** rng.randint(0, 6))
+        n = rng.randint(-(10 ** rng.randint(0, 18)), 10 ** rng.randint(0, 18))
+        t = transversal_at(a, n)
+        assert intersection(a, t) == 1
+        assert twist_coordinate(a, t) == n
+
+
 def test_complement_is_the_minimum_norm_dual():
     # brute force over a box that holds every minimum-norm dual vector
     ties = 0
