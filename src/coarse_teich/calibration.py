@@ -15,7 +15,7 @@ import json
 import math
 import os
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from hashlib import sha256
 from importlib import resources
 from pathlib import Path
@@ -90,10 +90,22 @@ class CalibrationConstants:
         return asdict(self)
 
     @staticmethod
-    def from_json(data: dict) -> "CalibrationConstants":
-        if data.get("version") != CALIBRATION_VERSION:
+    def from_json(data) -> "CalibrationConstants":
+        """Parse a record: an object with exactly the dataclass's keys,
+        version 1, integers for version, C and M2, and finite numbers for
+        the rest.  Anything else raises ValueError."""
+        names = sorted(f.name for f in fields(CalibrationConstants))
+        if not isinstance(data, dict) or sorted(data) != names:
+            raise ValueError(f"a calibration record is an object with the keys {names}")
+        for name, value in data.items():
+            kinds = (int,) if name in ("version", "C", "M2") else (int, float)
+            if type(value) not in kinds or not -math.inf < value < math.inf:
+                raise ValueError(
+                    f"calibration {name}={value!r} is not a finite {kinds[-1].__name__}"
+                )
+        if data["version"] != CALIBRATION_VERSION:
             raise ValueError(
-                f"calibration version {data.get('version')!r} is not "
+                f"calibration version {data['version']!r} is not "
                 f"{CALIBRATION_VERSION}"
             )
         return CalibrationConstants(**data)

@@ -5,7 +5,10 @@ parallel 45-degree slits.  Flowing by diag(e^t, e^{-t}) pinches the first
 slit pair around t = d/2 and the second around t = 3d/2, while the small
 tori's systoles walk along the Farey graph at rate 2/log lambda.  A snapshot
 needs only the small tori's flowed lattices, their slit lengths and the
-total area, so the family computes those and builds no slit geometry.
+total area, so the family computes those and builds no slit geometry.  A
+lattice is its pair of basis vectors ((x1, y1), (x2, y2)), flowed and
+reduced in double precision, so the module needs nothing past the standard
+library.
 Snapshots feed the four-term numerical distance; the orbit-diameter curve
 of a snapshot against its slot swap is flat near the endpoints and grows
 linearly to a peak at the midpoint, which is the whole point of the
@@ -17,13 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import linear_regression
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .metrics import GlueSnap, Snapshot, SlotSnap, Thresholds, rafi_formula
 from .slots import Slope
-
-if TYPE_CHECKING:
-    import numpy
 
 __all__ = [
     "LAMBDA",
@@ -68,7 +68,7 @@ class ParameterRegimeError(ValueError):
 
 @dataclass(frozen=True)
 class FlatTorus:
-    """Marked flat torus; basis = (v1, v2) lattice generator columns."""
+    """Marked flat torus; basis = (v1, v2), the lattice generators as (x, y)."""
 
     basis: tuple[tuple[float, float], tuple[float, float]]
 
@@ -88,12 +88,6 @@ class FlatTorus:
     @property
     def area(self) -> float:
         return abs(self.det)
-
-    def matrix(self) -> numpy.ndarray:
-        import numpy as np  # deferred, as in shortest_slope
-
-        (a, c), (b, d) = self.basis
-        return np.array([[a, b], [c, d]], dtype=np.longdouble)
 
 
 def anosov_torus() -> FlatTorus:
@@ -127,31 +121,32 @@ def slit_length(rho: float, u: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def shortest_slope(basis: numpy.ndarray) -> tuple[Slope, float]:
+def shortest_slope(
+    basis: tuple[tuple[float, float], tuple[float, float]]
+) -> tuple[Slope, float]:
     """Shortest primitive class of a 2d lattice and its length.
 
-    Lagrange reduction with exact integer bookkeeping; the returned slope is
-    the class of the reduced first vector.  Ties (the square torus) resolve
-    to the earlier basis vector, so the unit lattice reports 1/0.
+    basis is ((x1, y1), (x2, y2)), the two generator vectors, as in
+    FlatTorus.basis.  Lagrange reduction in double precision with exact
+    integer bookkeeping; the returned slope is the class of the reduced
+    first vector.  Ties (the square torus) resolve to the earlier basis
+    vector, so the unit lattice reports 1/0.
     """
-    # imported here, so that importing the package does not load numpy
-    import numpy as np
-
-    b = np.asarray(basis, dtype=np.longdouble)
-    v1, v2 = b[:, 0].copy(), b[:, 1].copy()
+    (x1, y1), (x2, y2) = basis
     c1, c2 = (1, 0), (0, 1)
     for _ in range(256):
-        if v2 @ v2 < v1 @ v1:
-            v1, v2 = v2, v1
+        n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+        if n2 < n1:
+            x1, y1, x2, y2, n1 = x2, y2, x1, y1, n2
             c1, c2 = c2, c1
-        mu = int(round(float((v1 @ v2) / (v1 @ v1))))
+        mu = round((x1 * x2 + y1 * y2) / n1)
         if mu == 0:
             break
-        v2 = v2 - mu * v1
+        x2, y2 = x2 - mu * x1, y2 - mu * y1
         c2 = (c2[0] - mu * c1[0], c2[1] - mu * c1[1])
     else:
         raise ArithmeticError("lattice reduction did not terminate")
-    return Slope.of(*c1), float(math.sqrt(float(v1 @ v1)))
+    return Slope.of(*c1), math.sqrt(n1)
 
 
 def fibonacci_slope(n: int) -> Slope:
@@ -204,9 +199,9 @@ class TrajectoryFamily:
     big tori are the Anosov torus flowed by t, small torus i is the Anosov
     torus flowed by its slot time and scaled by delta, and slot i's slits
     have length slit_length(rho, slot time).  Each small torus and its slit
-    pair carries a phase; in clamped mode the piece's time is pinned to its
-    active window, which is the combinatorial straightening that makes
-    shadows stable while the piece is inactive.
+    pair carries a phase, and the piece's time is clamped to its active
+    window, which is the combinatorial straightening that makes shadows
+    stable while the piece is inactive.  Windows of (-inf, inf) unclamp it.
     """
 
     d: float
@@ -223,17 +218,15 @@ class TrajectoryFamily:
     def horizon(self) -> float:
         return 2 * self.d
 
-    def slot_time(self, i: int, t: float, clamped: bool = True) -> float:
+    def slot_time(self, i: int, t: float) -> float:
         lo, hi = self.windows[i]
-        if clamped:
-            t = min(max(t, lo), hi)
-        return t + self.phases[i]
+        return min(max(t, lo), hi) + self.phases[i]
 
-    def slit_len(self, i: int, t: float, clamped: bool = True) -> float:
-        return slit_length(self.rho, self.slot_time(i, t, clamped))
+    def slit_len(self, i: int, t: float) -> float:
+        return slit_length(self.rho, self.slot_time(i, t))
 
-    def at(self, t: float, clamped: bool = True) -> FlowedSlots:
-        u = [self.slot_time(i, t, clamped) for i in range(2)]
+    def at(self, t: float) -> FlowedSlots:
+        u = [self.slot_time(i, t) for i in range(2)]
         small = [_flowed_anosov(ui) for ui in u]
         big = _flowed_anosov(t).area
         sq = self.delta**2
@@ -308,7 +301,7 @@ def shadow(flowed: FlowedSlots) -> Snapshot:
     slots = []
     glue = []
     for torus, slit in flowed.slots:
-        slope, length = shortest_slope(torus.matrix())
+        slope, length = shortest_slope(torus.basis)
         phys = flowed.scale * length
         slots.append(SlotSnap(slope, math.log(area / (phys * phys))))
         glue.append(GlueSnap(0.0, _glue_neg_log_ext(slit, area)))

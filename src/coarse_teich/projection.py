@@ -151,17 +151,28 @@ def _slot_point(s: Slope, t0: Slope, blk: SlotBlock) -> HoroPoint:
     return HoroPoint(relative_twisting(s, t0, blk.base), 0)
 
 
+def _check_index(i: int, m: AugMarking) -> None:
+    if not 0 <= i < m.k:
+        raise SurfaceMismatchError(
+            f"index {i} is outside 0..{m.k - 1} on a k={m.k} surface"
+        )
+
+
 def project(y: SubsurfaceRef, m: AugMarking):
     """Projection of a marking to a subsurface.
 
     Slot(i) yields the slot block, Annulus(c) a HoroPoint, Whole the base
-    curve list.  Always defined: every curve of the model meets every slot
-    and every annulus core is crossed by some marking curve.
+    curve list.  Defined for every slot and gluing index in 0..k-1: every
+    curve of the model meets every slot and every annulus core is crossed by
+    some marking curve.  Any other index raises SurfaceMismatchError.
     """
     if isinstance(y, Slot):
-        return m.slots[y.i % m.k]
+        _check_index(y.i, m)
+        return m.slots[y.i]
     if isinstance(y, Annulus):
-        return annulus_point(y.curve, m)
+        c = y.curve
+        _check_index(c.j if isinstance(c, Glue) else c.slot, m)
+        return annulus_point(c, m)
     if isinstance(y, Whole):
         return m.base_curves()
     raise TypeError(f"not a subsurface: {y!r}")

@@ -3,8 +3,9 @@
 graphs: independent of the package's fan walks, horoball apex scan and slot
 Dijkstra, and exact only inside their caps or boxes.  Plus the whole list
 of elementary moves that ``nth_move`` indexes, the slope boxes the tests
-enumerate, and the longdouble systole of the flowed Anosov torus,
-the reference for its Fibonacci family.
+enumerate, and the lattice reduction in longdouble, the reference for the
+package's double-precision one and, on the Anosov torus flowed in
+longdouble, for its Fibonacci systole family.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from coarse_teich.flatsim import anosov_torus, shortest_slope
+from coarse_teich.flatsim import anosov_torus
 from coarse_teich.horoball import HoroPoint, width
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock
 from coarse_teich.slots import Slope, complement, transversal_at, twist_coordinate
@@ -258,8 +259,35 @@ def _apex_headroom(gap: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def shortest_slope_longdouble(basis) -> tuple[Slope, float]:
+    """Shortest primitive class of the lattice with basis vectors
+    ((x1, y1), (x2, y2)) and its length: Lagrange reduction in longdouble,
+    with the same swap test, rounding, guard and tie rule as
+    flatsim.shortest_slope."""
+    v1, v2 = np.array(basis, dtype=np.longdouble)
+    c1, c2 = (1, 0), (0, 1)
+    for _ in range(256):
+        if v2 @ v2 < v1 @ v1:
+            v1, v2 = v2, v1
+            c1, c2 = c2, c1
+        mu = int(round(float((v1 @ v2) / (v1 @ v1))))
+        if mu == 0:
+            break
+        v2 = v2 - mu * v1
+        c2 = (c2[0] - mu * c1[0], c2[1] - mu * c1[1])
+    else:
+        raise ArithmeticError("lattice reduction did not terminate")
+    return Slope.of(*c1), float(math.sqrt(float(v1 @ v1)))
+
+
+def flowed_anosov_systole(u: float) -> tuple[Slope, float]:
+    """Systole of the Anosov torus flowed by u, flowed and reduced in
+    longdouble."""
+    flow = np.array([np.exp(np.longdouble(u)), np.exp(np.longdouble(-u))])
+    return shortest_slope_longdouble(
+        np.array(anosov_torus().basis, dtype=np.longdouble) * flow
+    )
+
+
 def flowed_anosov_slope(u: float) -> Slope:
-    """Systole slope of the Anosov torus flowed by u, flowed in longdouble."""
-    g = anosov_torus().matrix()
-    d = np.diag([np.exp(np.longdouble(u)), np.exp(np.longdouble(-u))])
-    return shortest_slope(d @ g)[0]
+    return flowed_anosov_systole(u)[0]

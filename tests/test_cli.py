@@ -154,6 +154,15 @@ def test_project_selectors(tmp_path, capsys):
     assert "slot0:5/2" in rep["outputs"]["projection"]["base_curves"]
 
 
+def test_project_rejects_out_of_range_indices(tmp_path, capsys):
+    # a wrapped index would report another block's data under the asked label
+    _, m2 = offset_pair()
+    f = write_marking(tmp_path / "m.json", m2)
+    for argv in (("--slot", "5"), ("--slot", "-1"), ("--glue", "7"), ("--annulus", "9:1/2")):
+        code, rep, _ = run(capsys, "project", f, *argv)
+        assert code == 3 and rep["error"] == "model", argv
+
+
 def test_fix_search_fixed_input(tmp_path, capsys):
     f = write_marking(tmp_path / "m.json", flat())
     code, rep, err = run(capsys, "fix-search", f)
@@ -285,15 +294,21 @@ def test_nonqc_short_d_grid_exits_2(tmp_path, capsys, monkeypatch):
         assert rep["outputs"]["d"] == 10.0 if plain == 0 else "d_grid" in rep["message"]
 
 
-def test_importing_the_cli_loads_no_numpy():
-    # flatsim imports numpy inside its two lattice functions only
+def test_nonqc_runs_with_numpy_blocked(capsys):
+    # numpy is a test dependency only: the flat experiment runs without it
     src = str(Path(coarse_teich.__file__).resolve().parent.parent)
-    probe = "import sys, coarse_teich.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys; sys.modules['numpy'] = None; from coarse_teich.cli import main; "
+        "sys.exit(main(['nonqc', '--d', '10']))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.returncode == 0, out.stderr
+    code, rep, _ = run(capsys, "nonqc", "--d", "10")
+    assert code == 0
+    assert json.loads(out.stdout)["outputs"] == rep["outputs"]
 
 
 def test_config_changes_thresholds(tmp_path, capsys):
@@ -484,3 +499,40 @@ def test_fuzzed_marking_json_ends_in_a_documented_exit_code(tmp_path, capsys):
             if out.strip():
                 json.loads(out)
             assert time.perf_counter() - t0 < 2.0, context
+
+
+def _fuzz_calibration(rng: random.Random, record: dict):
+    """One mutation that makes a calibration record invalid."""
+    record = dict(record)
+    name = rng.choice(sorted(record))
+    kind = rng.randrange(6)
+    if kind == 0:  # the top level is not an object
+        return rng.choice(([1], [record], None, "x", 7))
+    if kind == 1:  # a field takes a wrong type
+        record[name] = rng.choice(("x", "7", None, [1], {}))
+    elif kind == 2:  # a field is not finite
+        record[name] = rng.choice((float("nan"), float("inf"), -float("inf")))
+    elif kind == 3:  # a field is a bool
+        record[name] = rng.choice((True, False))
+    elif kind == 4:  # a key goes missing
+        del record[name]
+    else:  # an extra key appears
+        record[rng.choice(("extra", "K"))] = _fuzz_value(rng)
+    return record
+
+
+def test_fuzzed_calibration_records_exit_2(tmp_path, capsys, monkeypatch):
+    rng = random.Random(2025)
+    good = load_constants().to_json()
+    record = tmp_path / "cal.json"
+    record.write_text(json.dumps(good))
+    monkeypatch.setenv(ENV_VAR, str(record))
+    f = write_marking(tmp_path / "m.json", planted_symmetric())
+    commands = (["dist", f, f], ["nonqc", "--d", "10"], ["barycenter", f])
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+    for case in range(40):
+        record.write_text(json.dumps(_fuzz_calibration(rng, good)))
+        for argv in commands:
+            code, rep, _ = run(capsys, *argv)
+            assert code == 2 and rep["error"] == "parse", (case, argv, record.read_text())

@@ -1,5 +1,6 @@
 """Tests for the flat slit-torus family and the orbit-diameter curve."""
 
+import dataclasses
 import math
 import random
 
@@ -13,6 +14,8 @@ from coarse_teich.flatsim import (
     FlatTorus,
     FlowedSlots,
     ParameterRegimeError,
+    TrajectoryFamily,
+    _flowed_anosov,
     anosov_torus,
     build_construction,
     distance_to_fixed,
@@ -27,18 +30,23 @@ from coarse_teich.flatsim import (
 )
 from coarse_teich.metrics import GlueSnap, Snapshot, SlotSnap, Thresholds, rafi_formula
 from coarse_teich.slots import Slope, farey_distance
-from tests.oracles import flowed_anosov_slope
+from tests.oracles import flowed_anosov_slope, flowed_anosov_systole, shortest_slope_longdouble
 
 TH = Thresholds()
 
 LOG_GAMMA = math.log((1 + math.sqrt(5)) / 2)
 
 
+def unclamped(fam: TrajectoryFamily) -> TrajectoryFamily:
+    """The family with every piece active at all times."""
+    return dataclasses.replace(fam, windows=((-math.inf, math.inf),) * 2)
+
+
 def test_anosov_torus_diagonalizes_the_cat_map():
     torus = anosov_torus()
     assert torus.area == pytest.approx(1.0, abs=1e-12)
     assert torus.det > 0
-    b = torus.matrix().astype(float)
+    b = np.array(torus.basis).T  # columns are the basis vectors
     cat = np.array([[2.0, 1.0], [1.0, 1.0]])
     lhs = b @ cat
     rhs = np.diag([1 / LAMBDA, LAMBDA]) @ b
@@ -61,8 +69,8 @@ def test_family_area_is_two_big_tori_plus_two_scaled_small_ones():
     for fam in (cons.main, cons.ref_start, cons.ref_end):
         for i in range(41):
             t = fam.horizon * i / 40
-            for clamped in (True, False):
-                assert fam.at(t, clamped).area == pytest.approx(2 + 2 * delta**2, rel=1e-12)
+            for f in (fam, unclamped(fam)):
+                assert f.at(t).area == pytest.approx(2 + 2 * delta**2, rel=1e-12)
 
 
 def test_flowed_slit_length_matches_closed_form():
@@ -78,8 +86,8 @@ def test_flowed_slit_length_matches_closed_form():
 def test_family_slit_lengths_pinch_at_the_phase_centers():
     fam = build_construction(10.0, 0.1, 1e-6).main
     grid = [0.5 * i for i in range(41)]
-    raw0 = [fam.slit_len(0, t, clamped=False) for t in grid]
-    raw1 = [fam.slit_len(1, t, clamped=False) for t in grid]
+    raw0 = [unclamped(fam).slit_len(0, t) for t in grid]
+    raw1 = [unclamped(fam).slit_len(1, t) for t in grid]
     assert grid[min(range(41), key=raw0.__getitem__)] == 5.0
     assert grid[min(range(41), key=raw1.__getitem__)] == 15.0
     # cosh profile is strictly convex
@@ -95,7 +103,7 @@ def test_family_slit_lengths_pinch_at_the_phase_centers():
 
 def test_shortest_slope_square_torus_tie():
     # ties resolve to the first basis vector, so the unit lattice reports 1/0
-    slope, length = shortest_slope(np.eye(2))
+    slope, length = shortest_slope(((1.0, 0.0), (0.0, 1.0)))
     assert slope == Slope(1, 0)
     assert length == pytest.approx(1.0, rel=1e-12)
 
@@ -107,7 +115,7 @@ def test_systole_family_closed_form():
     assert systole_index(0.0) == -1
     assert systole_index(5.0) == 9
     assert systole_index(-5.0) == -11
-    _, len0 = shortest_slope(anosov_torus().matrix())
+    _, len0 = shortest_slope(anosov_torus().basis)
     assert len0**2 == pytest.approx(2 / math.sqrt(5), rel=1e-12)
     rng = random.Random(11)
     for _ in range(60):
@@ -125,10 +133,7 @@ def test_systole_family_closed_form():
             (2 / math.sqrt(5)) * math.cosh(2 * (u - (n + j + 1) * LOG_GAMMA))
             for j in (-1, 0, 1)
         )
-        _, length = shortest_slope(
-            np.diag([np.exp(np.longdouble(u)), np.exp(np.longdouble(-u))])
-            @ anosov_torus().matrix()
-        )
+        _, length = flowed_anosov_systole(u)
         assert length**2 == pytest.approx(best, rel=1e-8)
 
 
@@ -169,15 +174,15 @@ def test_construction_surfaces_glue_in_both_modes():
     cons = build_construction(8.0, 0.1, 1e-6)
     fam = cons.main
     for t in (0.0, 3.7, 8.0, 12.2, 16.0):
-        for clamped in (True, False):
-            s = fam.at(t, clamped=clamped)
+        for f in (fam, unclamped(fam)):
+            s = f.at(t)
             assert isinstance(s, FlowedSlots)
             assert len(s.slots) == 2
             assert s.scale == 1e-6
             for i, (torus, slit) in enumerate(s.slots):
                 assert isinstance(torus, FlatTorus)
                 assert torus.area == pytest.approx(1.0, rel=1e-9)
-                assert slit == fam.slit_len(i, t, clamped)
+                assert slit == f.slit_len(i, t)
 
 
 def test_shadow_of_the_start_surface_is_swap_symmetric():
@@ -191,7 +196,7 @@ def test_shadow_of_the_start_surface_is_swap_symmetric():
     assert snap.glue[0].twist == snap.glue[1].twist == 0.0
     assert rafi_formula(snap, rotate_snapshot(1, snap), TH) == 0.0
     # slot shortness is log(area / scaled systole^2), far past every threshold
-    _, syst = shortest_slope(s.slots[0][0].matrix())
+    _, syst = shortest_slope(s.slots[0][0].basis)
     expect = math.log(s.area / (1e-6 * syst) ** 2)
     assert snap.slots[0].neg_log_ext == pytest.approx(expect, rel=1e-9)
     assert snap.slots[0].neg_log_ext > 20.0
@@ -246,3 +251,17 @@ def test_distance_to_fixed_vanishes_on_symmetric_snapshots():
         (GlueSnap(4.0, 3.0),) * 2,
     )
     assert distance_to_fixed(snap, TH) == 0.0
+
+
+def test_double_reduction_matches_the_longdouble_reference():
+    # the same reduction on the same double-precision bases, so only the
+    # precision of the arithmetic differs
+    rng = random.Random(90)
+    for u in [rng.uniform(-90, 90) for _ in range(2000)] + [-90.0, 0.0, 90.0]:
+        basis = _flowed_anosov(u).basis
+        slope, length = shortest_slope(basis)
+        ref_slope, ref_length = shortest_slope_longdouble(basis)
+        assert slope == ref_slope, u
+        assert length == pytest.approx(ref_length, rel=1e-14), u
+    unit = ((1.0, 0.0), (0.0, 1.0))
+    assert shortest_slope(unit) == shortest_slope_longdouble(unit) == (Slope(1, 0), 1.0)
