@@ -92,14 +92,38 @@ class Config:
         return Thresholds(K=self.K, K_hat=self.K_hat, R=self.R)
 
     @staticmethod
-    def from_json(data: dict) -> "Config":
-        known = set(Config.__dataclass_fields__)
-        extra = set(data) - known
+    def from_json(data) -> "Config":
+        """Parse a config object: integers for K, K_hat, R, k and seed, a
+        finite number for c, a finite number or null for delta, a list of
+        finite numbers for d_grid, and a string or null for calibration.
+        Bools are not numbers here.  Anything else raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("a config is a JSON object")
+        extra = set(data) - set(Config.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
+        for name, value in data.items():
+            if name in ("K", "K_hat", "R", "k", "seed"):
+                ok = type(value) is int
+            elif name == "c":
+                ok = _finite(value)
+            elif name == "delta":
+                ok = value is None or _finite(value)
+            elif name == "d_grid":
+                ok = type(value) is list and all(_finite(d) for d in value)
+            else:
+                ok = value is None or type(value) is str
+            if not ok:
+                raise ValueError(f"config {name}={value!r} has a wrong type or range")
         if "d_grid" in data:
             data = dict(data, d_grid=tuple(float(d) for d in data["d_grid"]))
         return Config(**data)
+
+
+def _finite(value) -> bool:
+    """A non-bool number within the range of finite floats."""
+    top = sys.float_info.max
+    return type(value) in (int, float) and -top <= value <= top
 
 
 def _digest(payload) -> str:

@@ -36,7 +36,14 @@ from .marking import (
     SlotBlock,
     check_same_surface,
 )
-from .projection import Annulus, Slot, SubsurfaceRef, Whole, proj_distance
+from .projection import (
+    Annulus,
+    Slot,
+    SubsurfaceRef,
+    Whole,
+    _check_index,
+    proj_distance,
+)
 from .slots import (
     Slope,
     farey_distance,
@@ -423,6 +430,7 @@ def active_segment(
     curves that every marking carries, so their segment is the full path.
     The annulus over a slot slope is active exactly while that slope is the
     slot's base; None when it never is.  Ties go to the earliest interval.
+    A slot index outside 0..k-1 raises SurfaceMismatchError.
     """
     if not path:
         return None
@@ -431,7 +439,8 @@ def active_segment(
         best: Optional[tuple[int, int]] = None
         start = None
         for t, m in enumerate(path):
-            if m.slots[i % m.k].base == s:
+            _check_index(i, m)
+            if m.slots[i].base == s:
                 if start is None:
                     start = t
             elif start is not None:

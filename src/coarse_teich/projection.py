@@ -137,11 +137,14 @@ def annulus_point(c: CurveRef, m: AugMarking) -> HoroPoint:
     relative twisting of the base about c, measured from the canonical dual
     of c, at level 0.  The base branch agrees with the relative-twisting
     branch on transversals, so flips do not move annulus projections.
+    An index outside 0..k-1 raises SurfaceMismatchError.
     """
     if isinstance(c, Glue):
-        g = m.glue[c.j % m.k]
+        _check_index(c.j, m)
+        g = m.glue[c.j]
         return HoroPoint(g.tau, g.D)
-    return _slot_point(c.slope, complement(c.slope), m.slots[c.slot % m.k])
+    _check_index(c.slot, m)
+    return _slot_point(c.slope, complement(c.slope), m.slots[c.slot])
 
 
 def _slot_point(s: Slope, t0: Slope, blk: SlotBlock) -> HoroPoint:
@@ -170,9 +173,7 @@ def project(y: SubsurfaceRef, m: AugMarking):
         _check_index(y.i, m)
         return m.slots[y.i]
     if isinstance(y, Annulus):
-        c = y.curve
-        _check_index(c.j if isinstance(c, Glue) else c.slot, m)
-        return annulus_point(c, m)
+        return annulus_point(y.curve, m)
     if isinstance(y, Whole):
         return m.base_curves()
     raise TypeError(f"not a subsurface: {y!r}")
@@ -187,16 +188,17 @@ def proj_distance(y: SubsurfaceRef, m1: AugMarking, m2: AugMarking) -> int:
     """
     check_same_surface(m1, m2)
     if isinstance(y, Slot):
-        return farey_distance(m1.slots[y.i % m1.k].base, m2.slots[y.i % m2.k].base)
+        _check_index(y.i, m1)
+        return farey_distance(m1.slots[y.i].base, m2.slots[y.i].base)
     if isinstance(y, Annulus):
         c = y.curve
         if isinstance(c, Glue):
             return horo_distance(annulus_point(c, m1), annulus_point(c, m2))
         # one complement serves both markings
+        _check_index(c.slot, m1)
         t0 = complement(c.slope)
-        i = c.slot % m1.k
-        return horo_distance(_slot_point(c.slope, t0, m1.slots[i]),
-                             _slot_point(c.slope, t0, m2.slots[i]))
+        return horo_distance(_slot_point(c.slope, t0, m1.slots[c.slot]),
+                             _slot_point(c.slope, t0, m2.slots[c.slot]))
     if isinstance(y, Whole):
         same = all(a.base == b.base for a, b in zip(m1.slots, m2.slots))
         return 0 if same else 2
@@ -212,9 +214,11 @@ def marked_projection(c: CurveRef, m: AugMarking):
     so the result keeps a curve identity rather than a bare number.
     """
     if isinstance(c, Glue):
-        g = m.glue[c.j % m.k]
+        _check_index(c.j, m)
+        g = m.glue[c.j]
         return (c, g.tau, g.D)
-    blk = m.slots[c.slot % m.k]
+    _check_index(c.slot, m)
+    blk = m.slots[c.slot]
     if c.slope == blk.base:
         return (c, blk.trans, blk.D)
     return (c, transversal_at(c.slope, annulus_point(c, m).x), 0)

@@ -2,10 +2,11 @@
 
 Simple closed curves are primitive integer slopes p/q.  The curve graph is
 the Farey graph: vertices are slopes, edges join slopes with geometric
-intersection number one.  Distances and geodesics are computed exactly by
-one walk over the fans of the continued fraction that the hyperbolic
-geodesic between two slopes crosses, two states per fan, so the cost is
-linear in the number of continued-fraction coefficients.
+intersection number one.  The hyperbolic geodesic between two slopes crosses
+the fans of a continued fraction, and two states per fan make the Farey
+distance exact.  The distance reads only the continued-fraction
+coefficients, one Euclid step each; a geodesic walks the fans and their
+convergents.
 """
 
 from __future__ import annotations
@@ -131,6 +132,10 @@ def relative_twisting(core: Slope, a: Slope, b: Slope) -> int:
 # pivot c_k is a neighbour of c_{k-1}; c_{k+1} is a neighbour of both
 # c_{k-1} and c_k when m == 1, and otherwise is reached through the pivot,
 # since the rims between c_{k-1} and c_{k+1} are m >= 2 steps apart.
+#
+# The two costs depend on the coefficients m alone, never on the convergents,
+# so farey_distance runs the recurrence inside Euclid's algorithm on u/v and
+# builds no vertex; farey_geodesic walks the fans with their convergents.
 # ---------------------------------------------------------------------------
 
 
@@ -216,7 +221,21 @@ def farey_distance(a: Slope, b: Slope) -> int:
     if b < a:
         a, b = b, a
     _, u, v = _normalized(a, b)
-    return _walk(u, v)[0]
+    # _walk's costs at c_{k-1} and c_k, from c_{-1} = 1/0 and c_0; each
+    # Euclid step past the integer part yields the next fan's coefficient m.
+    # The pivot costs min(at_prev + 1, at_cur) and c_{k+1} one more, except
+    # that both cost at_prev + 1 when m == 1 and c_{k-1} is the cheaper end.
+    at_prev, at_cur = 0, 1
+    u, v = v, u % v
+    while v:
+        m, r = divmod(u, v)
+        if at_prev < at_cur:
+            at_prev += 1
+            at_cur = at_prev if m == 1 else at_prev + 1
+        else:
+            at_prev, at_cur = at_cur, at_cur + 1
+        u, v = v, r
+    return at_cur
 
 
 def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:

@@ -62,15 +62,18 @@ def _margin(num: int, **fields) -> None:
 
 
 def test_criterion_01_horoball_closed_form_is_exact():
-    # All ordered pairs with |x| <= 60 and level <= 6, against a BFS run on a
-    # padded box (x to +-75, levels to 14) so no geodesic wants to leave it.
+    # All ordered pairs with |x| <= 60 and level <= 6.  The horoball graph is
+    # invariant under twist translation, so one BFS per level from x = 0, on
+    # a box padded by 15 past |dx| <= 120 (x to +-135, levels to 14) so no
+    # geodesic wants to leave it, gives every pair's distance.
     t0 = time.perf_counter()
     pts = [HoroPoint(x, lv) for lv in range(7) for x in range(-60, 61)]
+    tables = [horo_distances_from(HoroPoint(0, lv), -135, 135, 14) for lv in range(7)]
     mismatches = 0
     for src in pts:
-        table = horo_distances_from(src, -75, 75, 14)
+        table = tables[src.level]
         for dst in pts:
-            if horo_distance(src, dst) != table[dst]:
+            if horo_distance(src, dst) != table[HoroPoint(dst.x - src.x, dst.level)]:
                 mismatches += 1
     dt = time.perf_counter() - t0
     _verdict(

@@ -536,3 +536,47 @@ def test_fuzzed_calibration_records_exit_2(tmp_path, capsys, monkeypatch):
         for argv in commands:
             code, rep, _ = run(capsys, *argv)
             assert code == 2 and rep["error"] == "parse", (case, argv, record.read_text())
+
+
+_BAD_CONFIG_VALUES = {
+    "int": (True, False, 3.5, 1e400, float("nan"), "3", None, [3], {}),
+    "number": (True, float("inf"), -1e999, float("nan"), 10**400, "0.1", [0.1], {}),
+    "grid": ("10", 10, None, {}, [True, 10], [1e999, 10], [float("nan")], ["10"], [[10]]),
+    "path": (7, True, 0.5, [], {}),
+}
+_CONFIG_KINDS = {
+    "K": "int", "K_hat": "int", "R": "int", "k": "int", "seed": "int",
+    "c": "number", "delta": "number", "d_grid": "grid", "calibration": "path",
+}
+
+
+def _fuzz_config(rng: random.Random) -> object:
+    """A config that some field's type or range makes invalid."""
+    if rng.random() < 0.1:  # the top level is not an object
+        return rng.choice(([], [{"K": 3}], "K", 7, None))
+    # three valid fields (json writes the d_grid tuple as a list), one bad one
+    cfg = {name: getattr(Config(), name) for name in rng.sample(sorted(_CONFIG_KINDS), 3)}
+    name = rng.choice(sorted(_CONFIG_KINDS))
+    cfg[name] = copy.deepcopy(rng.choice(_BAD_CONFIG_VALUES[_CONFIG_KINDS[name]]))
+    return cfg
+
+
+def test_config_rejects_wrong_types():
+    for data in ({"K": True, "K_hat": True}, {"K": 3.5, "K_hat": 4}, {"k": 1e400},
+                 {"d_grid": [1e999, 10]}, {"delta": False}, {"calibration": 1}, [1]):
+        with pytest.raises(ValueError):
+            Config.from_json(data)
+    ok = Config.from_json({"K": 2, "K_hat": 2, "c": 1, "delta": None, "calibration": None})
+    assert (ok.K, ok.c, ok.delta) == (2, 1, None)
+
+
+def test_fuzzed_config_json_exits_2(tmp_path, capsys):
+    rng = random.Random(2026)
+    f = write_marking(tmp_path / "m.json", planted_symmetric())
+    config = tmp_path / "config.json"
+    commands = (["dist", f, f], ["nonqc", "--d", "10"], ["barycenter", f])
+    for case in range(40):
+        config.write_text(json.dumps(_fuzz_config(rng)))
+        for argv in commands:
+            code, rep, _ = run(capsys, "--config", str(config), *argv)
+            assert code == 2 and rep["error"] == "parse", (case, argv, config.read_text())

@@ -9,10 +9,12 @@ from coarse_teich.marking import (
     GlueBlock,
     InSlot,
     SlotBlock,
+    SurfaceMismatchError,
     act,
     act_curve,
     elementary_moves,
 )
+from coarse_teich.metrics import active_segment
 from coarse_teich.projection import (
     Annulus,
     Simplex,
@@ -47,6 +49,30 @@ def test_project_glue_annulus():
     )
     assert project(Annulus(Glue(0)), m) == HoroPoint(3, 2)
     assert project(Annulus(Glue(1)), m) == HoroPoint(0, 0)
+
+
+def test_indices_outside_the_surface_raise():
+    # no index wraps modulo k: Glue(7) on k = 2 is not glue 1
+    m = AugMarking(
+        (GlueBlock(3, 0), GlueBlock(9, 0)),
+        (SlotBlock(Slope(0, 1), Slope(1, 0), 0),) * 2,
+    )
+    s = Slope(1, 2)
+    calls = [
+        lambda: annulus_point(Glue(7), m),
+        lambda: annulus_point(InSlot(2, s), m),
+        lambda: annulus_point(Glue(-1), m),
+        lambda: marked_projection(Glue(2), m),
+        lambda: marked_projection(InSlot(-1, s), m),
+        lambda: proj_distance(Slot(5), m, m),
+        lambda: proj_distance(Annulus(Glue(2)), m, m),
+        lambda: proj_distance(Annulus(InSlot(3, s)), m, m),
+        lambda: active_segment([m, m], Annulus(InSlot(2, s))),
+    ]
+    for call in calls:
+        with pytest.raises(SurfaceMismatchError):
+            call()
+    assert annulus_point(Glue(1), m) == HoroPoint(9, 0)
 
 
 def test_project_slot_and_whole():

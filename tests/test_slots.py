@@ -16,6 +16,8 @@ from coarse_teich.slots import (
     Slope,
     TwistWord,
     UndefinedProjectionError,
+    _normalized,
+    _walk,
     complement,
     det,
     farey_distance,
@@ -200,6 +202,44 @@ def test_farey_distance_large_coefficients():
     assert all(intersection(u, v) == 1 for u, v in zip(chain, chain[1:]))
     assert farey_distance(Slope(1, 2), big) == 4
     assert farey_distance(Slope(0, 1), big) <= 4
+
+
+def _fibonacci_classes(n_max: int) -> list[Slope]:
+    """The slopes ±F_{n+1}/F_n for n <= n_max."""
+    fib = [0, 1]
+    while len(fib) < n_max + 2:
+        fib.append(fib[-1] + fib[-2])
+    return sorted({Slope.of(sign * fib[n + 1], fib[n])
+                   for n in range(n_max + 1) for sign in (1, -1)})
+
+
+def _assert_distance_matches_walk(a: Slope, b: Slope) -> None:
+    """farey_distance on both orders against the geodesic and the path walk."""
+    d = farey_distance(a, b)
+    assert d == farey_distance(b, a) == len(farey_geodesic(a, b)) - 1, (a, b)
+    lo, hi = min(a, b), max(a, b)
+    _, u, v = _normalized(lo, hi)
+    if v >= 2:
+        assert d == _walk(u, v)[0], (a, b)
+
+
+def test_farey_distance_matches_the_path_walk():
+    # the coefficient recurrence against the walk that builds the path: long
+    # runs of m == 1 (Fibonacci classes), random deep slopes, and the BFS
+    fibs = _fibonacci_classes(90)
+    for i, a in enumerate(fibs):
+        for b in fibs[i:]:
+            _assert_distance_matches_walk(a, b)
+    rng = random.Random(47)
+    big = 10**12
+    for _ in range(2000):
+        a, b = (Slope.of(rng.randint(-big, big), rng.randint(1, big)) for _ in "ab")
+        _assert_distance_matches_walk(a, b)
+    slopes = slopes_in_box(4)
+    for a in slopes:
+        for b in slopes:
+            _assert_distance_matches_walk(a, b)
+            assert farey_distance(a, b) == farey_distance_bfs(a, b, 24), (a, b)
 
 
 def test_farey_geodesic_witness():
