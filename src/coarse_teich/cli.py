@@ -65,6 +65,11 @@ EXIT_PRECONDITION = 4
 EXIT_ASSERTION = 5
 EXIT_REGIME = 6
 
+# largest k a config may set: the fix-search and barycenter sweeps build
+# k-block markings, and their time grows faster than k (about 3 s each at
+# k = 256 on a 2-vCPU Xeon, 10 s at 512)
+MAX_K = 256
+
 
 @dataclass(frozen=True)
 class Config:
@@ -83,8 +88,8 @@ class Config:
     def __post_init__(self):
         if not (self.K >= 1 and self.K_hat >= self.K and self.R >= 1):
             raise ValueError("thresholds need K_hat >= K >= 1 and R >= 1")
-        if self.k < 2:
-            raise ValueError("the model needs k >= 2")
+        if not 2 <= self.k <= MAX_K:
+            raise ValueError(f"the model needs 2 <= k <= {MAX_K}")
         if not self.d_grid:
             raise ValueError("d_grid is empty")
 

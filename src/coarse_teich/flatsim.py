@@ -13,6 +13,12 @@ Snapshots feed the four-term numerical distance; the orbit-diameter curve
 of a snapshot against its slot swap is flat near the endpoints and grows
 linearly to a peak at the midpoint, which is the whole point of the
 construction.
+
+Within one nonqc_experiment call each distinct slot time's lattice is
+reduced once (a slot's time is constant outside its window, and both slots
+sweep the same times), and each grid row walks the Farey graph once per pair
+of distinct slot slopes, for the orbit diameter and every candidate of
+distance_to_fixed alike.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import linear_regression
-from typing import Optional
+from typing import Callable, Optional
 
-from .metrics import GlueSnap, Snapshot, SlotSnap, Thresholds, rafi_formula
-from .slots import Slope
+from .metrics import GlueSnap, Snapshot, SlotSnap, Thresholds
+from .metrics import rafi_formula, rafi_remaining_terms, rafi_slot_term
+from .slots import Slope, farey_distance
 
 __all__ = [
     "LAMBDA",
@@ -42,6 +49,7 @@ __all__ = [
     "build_construction",
     "shadow",
     "rotate_snapshot",
+    "farey_lookup",
     "distance_to_fixed",
     "NonqcRow",
     "NonqcResult",
@@ -182,13 +190,24 @@ class FlowedSlots:
     """What a shadow reads of one snapshot of the flowed family.
 
     area: total area of the slit surface; scale: the small tori's scale
-    delta; slots: per slot, the small torus's flowed lattice (unscaled) and
-    the length of its slits.
+    delta; slots: per slot, the systole slope of the small torus's flowed
+    lattice, the systole's length on the unscaled torus, and the length of
+    the slot's slits.
     """
 
     area: float
     scale: float
-    slots: tuple[tuple[FlatTorus, float], ...]
+    slots: tuple[tuple[Slope, float, float], ...]
+
+
+# slot time -> (area, systole slope, systole length) of the flowed small torus
+Reductions = dict[float, tuple[float, Slope, float]]
+
+
+def _reduced_small_torus(u: float) -> tuple[float, Slope, float]:
+    torus = _flowed_anosov(u)
+    slope, length = shortest_slope(torus.basis)
+    return torus.area, slope, length
 
 
 @dataclass(frozen=True)
@@ -225,15 +244,27 @@ class TrajectoryFamily:
     def slit_len(self, i: int, t: float) -> float:
         return slit_length(self.rho, self.slot_time(i, t))
 
-    def at(self, t: float) -> FlowedSlots:
+    def at(self, t: float, reduced: Reductions) -> FlowedSlots:
+        """The snapshot record at time t.
+
+        reduced maps slot times to their small torus's reading and is filled
+        as it goes, so each distinct slot time is reduced once per dict; pass
+        a fresh dict for a one-off snapshot.
+        """
         u = [self.slot_time(i, t) for i in range(2)]
-        small = [_flowed_anosov(ui) for ui in u]
+        for ui in u:
+            if ui not in reduced:
+                reduced[ui] = _reduced_small_torus(ui)
+        small = [reduced[ui] for ui in u]
         big = _flowed_anosov(t).area
         sq = self.delta**2
         # summed component by component around the 4-cycle, not as
         # 2 + 2 delta^2: rafi_formula floors values derived from it
-        area = big + sq * small[0].area + big + sq * small[1].area
-        slots = tuple((torus, slit_length(self.rho, ui)) for torus, ui in zip(small, u))
+        area = big + sq * small[0][0] + big + sq * small[1][0]
+        slots = tuple(
+            (slope, length, slit_length(self.rho, ui))
+            for (_, slope, length), ui in zip(small, u)
+        )
         return FlowedSlots(area, self.delta, slots)
 
 
@@ -296,12 +327,12 @@ def _glue_neg_log_ext(ell: float, area: float) -> float:
 def shadow(flowed: FlowedSlots) -> Snapshot:
     """Combinatorial snapshot: systole slope and shortness per slot, slit
     shortness per gluing curve.  Gluings carry no twist, so every gluing
-    twist is 0."""
+    twist is 0.  It reads the systoles that TrajectoryFamily.at reduced
+    and reduces no lattice itself."""
     area = flowed.area
     slots = []
     glue = []
-    for torus, slit in flowed.slots:
-        slope, length = shortest_slope(torus.basis)
+    for slope, length, slit in flowed.slots:
         phys = flowed.scale * length
         slots.append(SlotSnap(slope, math.log(area / (phys * phys))))
         glue.append(GlueSnap(0.0, _glue_neg_log_ext(slit, area)))
@@ -316,14 +347,51 @@ def rotate_snapshot(r: int, snap: Snapshot) -> Snapshot:
     )
 
 
-def distance_to_fixed(snap: Snapshot, th: Thresholds) -> float:
-    """Distance to the swap-fixed locus: best symmetrized snapshot wins."""
-    k = snap.k
+# the Farey distance of two distinct slopes, as rafi_slot_term reads it
+FareyLookup = Callable[[Slope, Slope], int]
+
+
+def farey_lookup(snap: Snapshot) -> FareyLookup:
+    """The Farey distance between any two distinct slot slopes of snap.
+
+    Each unordered pair is walked once, here.  Every slot pair that the
+    orbit diameter and distance_to_fixed compare is a pair of the
+    snapshot's own slopes, so the lookup serves them all.
+    """
+    slopes = list(dict.fromkeys(s.slope for s in snap.slots))
+    table = {}
+    for i, a in enumerate(slopes):
+        for b in slopes[i + 1 :]:
+            table[a, b] = table[b, a] = farey_distance(a, b)
+    return lambda a, b: table[a, b]
+
+
+def _swap_distance(
+    snap: Snapshot, th: Thresholds, farey: FareyLookup
+) -> tuple[float, int]:
+    """rafi_formula(snap, rotate_snapshot(1, snap), th) and its slot term,
+    read from farey, the snapshot's farey_lookup."""
+    swapped = rotate_snapshot(1, snap)
+    slot_term = rafi_slot_term(snap, swapped, th, farey)
+    return rafi_remaining_terms(snap, swapped, th, slot_term), slot_term
+
+
+def distance_to_fixed(snap: Snapshot, th: Thresholds, farey: FareyLookup) -> float:
+    """Distance to the swap-fixed locus: best symmetrized snapshot wins.
+
+    A candidate repeats one slot and one gluing curve of snap, so its slot
+    term reads farey, the snapshot's farey_lookup, and is shared by the
+    candidates that repeat the same slot; no candidate walks the Farey graph.
+    Each candidate's value equals rafi_formula(snap, candidate, th).
+    """
+    k, g = snap.k, len(snap.glue)
     best = math.inf
-    for i in range(k):
-        for j in range(len(snap.glue)):
-            cand = Snapshot((snap.slots[i],) * k, (snap.glue[j],) * len(snap.glue))
-            best = min(best, rafi_formula(snap, cand, th))
+    for slot in snap.slots:
+        slots = (slot,) * k
+        slot_term = rafi_slot_term(snap, Snapshot(slots, snap.glue), th, farey)
+        for glue in snap.glue:
+            cand = Snapshot(slots, (glue,) * g)
+            best = min(best, rafi_remaining_terms(snap, cand, th, slot_term))
     return best
 
 
@@ -334,11 +402,14 @@ def distance_to_fixed(snap: Snapshot, th: Thresholds) -> float:
 
 @dataclass(frozen=True)
 class NonqcRow:
+    """One grid time; farey_term is the slot curve-graph part of orbit_diam."""
+
     t: float
     orbit_diam: float
     dist_to_fixed: float
     slot_slopes: tuple[Slope, ...]
     glue_loglen: float
+    farey_term: int
 
 
 @dataclass(frozen=True)
@@ -364,39 +435,43 @@ def nonqc_experiment(
 ) -> NonqcResult:
     """Orbit-diameter curve of the slit construction over [0, 2d].
 
-    Per grid time: snapshot, orbit diameter against the slot swap, distance
-    to the fixed locus, and the slit shortness column.  The endpoint and
-    midpoint claims are checked against the calibrated bounds by
-    cli._nonqc_checks, not here.
+    Per grid time: snapshot, orbit diameter against the slot swap with its
+    Farey term, distance to the fixed locus, and the slit shortness column.
+    Each distinct slot time is reduced once for the whole call (the
+    reference families included), and each row walks the Farey graph once
+    per pair of distinct slot slopes, for its farey_lookup.  The endpoint and midpoint claims are checked
+    against the calibrated bounds by cli._nonqc_checks, not here.
     """
     th = th or Thresholds()
     delta = delta if delta is not None else c * math.exp(-d / 2) / 100
     cons = build_construction(d, c, delta)
     fam = cons.main
+    reduced: Reductions = {}
     rows = []
     for i in range(n_steps + 1):
         t = 2 * d * i / n_steps
-        snap = shadow(fam.at(t))
-        swapped = rotate_snapshot(1, snap)
+        flowed = fam.at(t, reduced)
+        snap = shadow(flowed)
+        farey = farey_lookup(snap)
+        orbit_diam, farey_term = _swap_distance(snap, th, farey)
         rows.append(
             NonqcRow(
                 t=t,
-                orbit_diam=rafi_formula(snap, swapped, th),
-                dist_to_fixed=distance_to_fixed(snap, th),
+                orbit_diam=orbit_diam,
+                dist_to_fixed=distance_to_fixed(snap, th, farey),
                 slot_slopes=tuple(s.slope for s in snap.slots),
-                glue_loglen=max(
-                    math.log(1 / fam.slit_len(j, t)) for j in range(2)
-                ),
+                glue_loglen=max(math.log(1 / slit) for _, _, slit in flowed.slots),
+                farey_term=farey_term,
             )
         )
     peak = max(rows, key=lambda r: r.orbit_diam)
     mid = min(rows, key=lambda r: abs(r.t - d))
     endpoint_max = max(rows[0].orbit_diam, rows[-1].orbit_diam)
     ref_start_gap = rafi_formula(
-        shadow(fam.at(0.0)), shadow(cons.ref_start.at(0.0)), th
+        shadow(fam.at(0.0, reduced)), shadow(cons.ref_start.at(0.0, reduced)), th
     )
     ref_end_gap = rafi_formula(
-        shadow(fam.at(2 * d)), shadow(cons.ref_end.at(2 * d)), th
+        shadow(fam.at(2 * d, reduced)), shadow(cons.ref_end.at(2 * d, reduced)), th
     )
     return NonqcResult(
         d=d,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .horoball import HoroPoint, horo_distance, horo_normal_path
 from .marking import (
@@ -67,6 +67,8 @@ __all__ = [
     "formula_distance_T",
     "formula_distance_WP",
     "rafi_formula",
+    "rafi_slot_term",
+    "rafi_remaining_terms",
     "large_links",
     "group_symmetric_families",
     "canonical_path",
@@ -215,14 +217,42 @@ def rafi_formula(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
     Terms: thresholded slot curve-graph distances; log of annular twist
     differences for curves short in neither snapshot; horoball distances for
     curves short in both; and max log-reciprocal-length over curves short in
-    exactly one.  A curve is short when neg_log_ext > 1.
+    exactly one.  A curve is short when neg_log_ext > 1.  The first term is
+    rafi_slot_term and rafi_remaining_terms adds the other three, so a caller
+    that knows the slot Farey distances can skip the walks.
     """
+    return rafi_remaining_terms(s1, s2, th, rafi_slot_term(s1, s2, th, farey_distance))
+
+
+def _check_shapes(s1: Snapshot, s2: Snapshot) -> None:
     if s1.k != s2.k or len(s1.glue) != len(s2.glue):
         raise ValueError("snapshot shapes differ")
-    total = 0.0
-    # slot curve-graph terms
-    for a, b in zip(s1.slots, s2.slots):
-        total += _cut(farey_distance(a.slope, b.slope), th.K)
+
+
+def rafi_slot_term(
+    s1: Snapshot, s2: Snapshot, th: Thresholds, farey: Callable[[Slope, Slope], int]
+) -> int:
+    """The thresholded slot curve-graph sum of rafi_formula, an exact int.
+
+    farey(a, b) is the Farey distance of two distinct slopes: farey_distance
+    itself, or a lookup of distances walked once.  Equal slopes are at
+    distance 0 and are not asked for.
+    """
+    _check_shapes(s1, s2)
+    return sum(
+        _cut(farey(a.slope, b.slope), th.K)
+        for a, b in zip(s1.slots, s2.slots)
+        if a.slope != b.slope
+    )
+
+
+def rafi_remaining_terms(
+    s1: Snapshot, s2: Snapshot, th: Thresholds, slot_term: int
+) -> float:
+    """rafi_formula from its slot term: adds the twist, horoball and
+    one-sided shortness terms to 0.0 + slot_term, in rafi_formula's order."""
+    _check_shapes(s1, s2)
+    total = 0.0 + slot_term
     horo_terms: list[float] = []
     one_sided: list[float] = []
     for a, b in zip(s1.glue, s2.glue):

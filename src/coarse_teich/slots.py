@@ -178,18 +178,25 @@ def _fans(u: int, v: int):
 def _walk(u: int, v: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Distance and geodesic from (1, 0) to (u, v), v >= 2.
 
-    Ties go through the earlier convergent.
+    Ties go through the earlier convergent.  Each state's path is a chain
+    (last vertex, chain of the rest), so a fan extends a path in O(1) and
+    the geodesic is unrolled once at the end.
     """
-    a, pa = 0, ((1, 0),)  # at c_{k-1}
-    b, pb = 1, ((1, 0), (u // v, 1))  # at c_k
+    a, pa = 0, ((1, 0), None)  # at c_{k-1}
+    b, pb = 1, ((u // v, 1), pa)  # at c_k
     for _, pivot, m, nxt in _fans(u, v):
-        at_pivot = (a + 1, pa + (pivot,)) if a + 1 <= b else (b, pb)
+        at_pivot = (a + 1, (pivot, pa)) if a + 1 <= b else (b, pb)
         if m == 1:
-            at_next = (a + 1, pa + (nxt,)) if a <= b else (b + 1, pb + (nxt,))
+            at_next = (a + 1, (nxt, pa)) if a <= b else (b + 1, (nxt, pb))
         else:
-            at_next = (at_pivot[0] + 1, at_pivot[1] + (nxt,))
+            at_next = (at_pivot[0] + 1, (nxt, at_pivot[1]))
         (a, pa), (b, pb) = at_pivot, at_next
-    return b, pb
+    path = []
+    while pb is not None:
+        vertex, pb = pb
+        path.append(vertex)
+    path.reverse()
+    return b, tuple(path)
 
 
 def _normalized(a: Slope, b: Slope) -> tuple[tuple[int, int, int, int], int, int]:

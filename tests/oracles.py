@@ -5,7 +5,10 @@ Dijkstra, and exact only inside their caps or boxes.  Plus the whole list
 of elementary moves that ``nth_move`` indexes, the slope boxes the tests
 enumerate, and the lattice reduction in longdouble, the reference for the
 package's double-precision one and, on the Anosov torus flowed in
-longdouble, for its Fibonacci systole family.
+longdouble, for its Fibonacci systole family.  And the flat rows' formula
+terms evaluated one candidate at a time: the four-term formula in one pass,
+before its split into a slot term and the rest, and the distance to the
+swap-fixed locus as the minimum of that formula over every candidate.
 """
 
 from __future__ import annotations
@@ -18,9 +21,16 @@ from typing import Iterator, Optional
 import numpy as np
 
 from coarse_teich.flatsim import anosov_torus
-from coarse_teich.horoball import HoroPoint, width
+from coarse_teich.horoball import HoroPoint, horo_distance, width
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock
-from coarse_teich.slots import Slope, complement, transversal_at, twist_coordinate
+from coarse_teich.metrics import Snapshot, Thresholds
+from coarse_teich.slots import (
+    Slope,
+    complement,
+    farey_distance,
+    transversal_at,
+    twist_coordinate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +301,60 @@ def flowed_anosov_systole(u: float) -> tuple[Slope, float]:
 
 def flowed_anosov_slope(u: float) -> Slope:
     return flowed_anosov_systole(u)[0]
+
+
+# ---------------------------------------------------------------------------
+# The flat rows' formula, one candidate at a time.
+# ---------------------------------------------------------------------------
+
+
+def rafi_formula_one_pass(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
+    """The four-term snapshot distance in one pass, a Farey walk per slot."""
+    if s1.k != s2.k or len(s1.glue) != len(s2.glue):
+        raise ValueError("snapshot shapes differ")
+    total = 0.0
+    for a, b in zip(s1.slots, s2.slots):
+        dist = farey_distance(a.slope, b.slope)
+        total += dist if dist > th.K else 0
+    horo_terms: list[float] = []
+    one_sided: list[float] = []
+    for a, b in zip(s1.glue, s2.glue):
+        sa, sb = a.neg_log_ext > 1.0, b.neg_log_ext > 1.0
+        if sa and sb:
+            pa = HoroPoint(round(a.twist), max(0, math.floor(a.neg_log_ext)))
+            pb = HoroPoint(round(b.twist), max(0, math.floor(b.neg_log_ext)))
+            horo_terms.append(horo_distance(pa, pb))
+        elif sa or sb:
+            one_sided.append(a.neg_log_ext if sa else b.neg_log_ext)
+        else:
+            gap = abs(a.twist - b.twist)
+            if gap > th.K:
+                total += math.log(gap)
+    for a, b in zip(s1.slots, s2.slots):
+        sa, sb = a.neg_log_ext > 1.0, b.neg_log_ext > 1.0
+        if sa and sb and a.slope == b.slope:
+            pa = HoroPoint(0, max(0, math.floor(a.neg_log_ext)))
+            pb = HoroPoint(0, max(0, math.floor(b.neg_log_ext)))
+            horo_terms.append(horo_distance(pa, pb))
+        else:
+            if sa:
+                one_sided.append(a.neg_log_ext)
+            if sb:
+                one_sided.append(b.neg_log_ext)
+    if horo_terms:
+        total += max(horo_terms)
+    if one_sided:
+        total += max(one_sided)
+    return total
+
+
+def distance_to_fixed_per_candidate(snap: Snapshot, th: Thresholds) -> float:
+    """Distance to the swap-fixed locus: the minimum of the one-pass formula
+    over the k * g symmetrized candidates, each evaluated in full."""
+    k = snap.k
+    best = math.inf
+    for i in range(k):
+        for j in range(len(snap.glue)):
+            cand = Snapshot((snap.slots[i],) * k, (snap.glue[j],) * len(snap.glue))
+            best = min(best, rafi_formula_one_pass(snap, cand, th))
+    return best

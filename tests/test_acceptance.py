@@ -317,10 +317,15 @@ def test_criterion_09_flat_family_is_not_quasiconvex():
     rate = [0.5 * FAREY_RATE, 2.0 * FAREY_RATE]
     rate_ok = rate[0] <= slope <= rate[1]
     dt = time.perf_counter() - t0
+    # the midpoint's slot Farey term alone, against the systole walk's rate;
+    # printed, not gated
+    mid_farey = [min(r.rows, key=lambda row: abs(row.t - r.d)).farey_term for r in results]
+    farey_slope, _ = linear_regression([r.d for r in results], mid_farey)
     _margin(
         9, slope=slope, rate_range=rate,
         growth_margin=min(r.midpoint - (CAL.c1 * r.d - CAL.c2) for r in results),
         end_margin=CAL.E0 - max(ends),
+        farey_slope=farey_slope, farey_rate=FAREY_RATE,
     )
     _verdict(
         9,

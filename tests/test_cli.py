@@ -14,7 +14,7 @@ import pytest
 
 import coarse_teich
 from coarse_teich.calibration import ENV_VAR, load_constants, sample_marking, save_constants
-from coarse_teich.cli import Config, main
+from coarse_teich.cli import MAX_K, Config, main
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock, act, bfs_distance
 from coarse_teich.metrics import Thresholds, formula_distance_T, formula_distance_WP
 from coarse_teich.search import coarse_barycenter, fixed_point_search
@@ -292,6 +292,26 @@ def test_nonqc_short_d_grid_exits_2(tmp_path, capsys, monkeypatch):
         code, rep, _ = run(capsys, "--config", str(cfg), "nonqc")
         assert code == plain, grid
         assert rep["outputs"]["d"] == 10.0 if plain == 0 else "d_grid" in rep["message"]
+
+
+def test_config_k_past_max_k_exits_2(tmp_path, capsys, monkeypatch):
+    # k = 2e7 would build 2e7 blocks per swept marking; the config is
+    # rejected before any marking is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a sweep built markings for k past MAX_K")
+
+    monkeypatch.setattr("coarse_teich.cli._planted_search_instance", no_build)
+    monkeypatch.setattr("coarse_teich.cli.barycenter_samples", no_build)
+    cfg = tmp_path / "cfg.json"
+    for k in (20_000_000, MAX_K + 1):
+        cfg.write_text(json.dumps({"k": k}))
+        for cmd in ("fix-search", "barycenter"):
+            start = time.perf_counter()
+            code, rep, _ = run(capsys, "--config", str(cfg), cmd, "--sweep")
+            assert code == 2 and rep["error"] == "parse", (k, cmd)
+            assert f"k <= {MAX_K}" in rep["message"], rep["message"]
+            assert time.perf_counter() - start < 5.0
+    assert Config.from_json({"k": MAX_K}).k == MAX_K
 
 
 def test_nonqc_runs_with_numpy_blocked(capsys):

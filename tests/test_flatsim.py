@@ -1,6 +1,7 @@
 """Tests for the flat slit-torus family and the orbit-diameter curve."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -19,6 +20,7 @@ from coarse_teich.flatsim import (
     anosov_torus,
     build_construction,
     distance_to_fixed,
+    farey_lookup,
     fibonacci_slope,
     nonqc_experiment,
     nonqc_sweep,
@@ -28,9 +30,23 @@ from coarse_teich.flatsim import (
     slit_length,
     systole_index,
 )
-from coarse_teich.metrics import GlueSnap, Snapshot, SlotSnap, Thresholds, rafi_formula
+from coarse_teich.flatsim import _swap_distance
+from coarse_teich.metrics import (
+    GlueSnap,
+    Snapshot,
+    SlotSnap,
+    Thresholds,
+    rafi_formula,
+    rafi_slot_term,
+)
 from coarse_teich.slots import Slope, farey_distance
-from tests.oracles import flowed_anosov_slope, flowed_anosov_systole, shortest_slope_longdouble
+from tests.oracles import (
+    distance_to_fixed_per_candidate,
+    flowed_anosov_slope,
+    flowed_anosov_systole,
+    rafi_formula_one_pass,
+    shortest_slope_longdouble,
+)
 
 TH = Thresholds()
 
@@ -70,7 +86,7 @@ def test_family_area_is_two_big_tori_plus_two_scaled_small_ones():
         for i in range(41):
             t = fam.horizon * i / 40
             for f in (fam, unclamped(fam)):
-                assert f.at(t).area == pytest.approx(2 + 2 * delta**2, rel=1e-12)
+                assert f.at(t, {}).area == pytest.approx(2 + 2 * delta**2, rel=1e-12)
 
 
 def test_flowed_slit_length_matches_closed_form():
@@ -175,19 +191,20 @@ def test_construction_surfaces_glue_in_both_modes():
     fam = cons.main
     for t in (0.0, 3.7, 8.0, 12.2, 16.0):
         for f in (fam, unclamped(fam)):
-            s = f.at(t)
+            s = f.at(t, {})
             assert isinstance(s, FlowedSlots)
             assert len(s.slots) == 2
             assert s.scale == 1e-6
-            for i, (torus, slit) in enumerate(s.slots):
-                assert isinstance(torus, FlatTorus)
+            for i, (slope, length, slit) in enumerate(s.slots):
+                torus = _flowed_anosov(f.slot_time(i, t))
                 assert torus.area == pytest.approx(1.0, rel=1e-9)
+                assert (slope, length) == shortest_slope(torus.basis)
                 assert slit == f.slit_len(i, t)
 
 
 def test_shadow_of_the_start_surface_is_swap_symmetric():
     cons = build_construction(10.0, 0.1, 1e-6)
-    s = cons.main.at(0.0)
+    s = cons.main.at(0.0, {})
     snap = shadow(s)
     assert snap.k == 2
     # both phased tori sit at flow time -d/2 once clamping is applied
@@ -196,7 +213,7 @@ def test_shadow_of_the_start_surface_is_swap_symmetric():
     assert snap.glue[0].twist == snap.glue[1].twist == 0.0
     assert rafi_formula(snap, rotate_snapshot(1, snap), TH) == 0.0
     # slot shortness is log(area / scaled systole^2), far past every threshold
-    _, syst = shortest_slope(s.slots[0][0].basis)
+    _, syst = shortest_slope(_flowed_anosov(cons.main.slot_time(0, 0.0)).basis)
     expect = math.log(s.area / (1e-6 * syst) ** 2)
     assert snap.slots[0].neg_log_ext == pytest.approx(expect, rel=1e-9)
     assert snap.slots[0].neg_log_ext > 20.0
@@ -236,6 +253,24 @@ def test_experiment_curve_is_flat_at_the_ends_and_large_in_the_middle():
         assert row.orbit_diam <= 60.0
 
 
+def test_off_grid_rows_match_their_recorded_digest():
+    # every output field, by repr, at d and c off the benchmark's grid (its
+    # records keep c = 0.1, integer d <= 40 and 6 decimals); recorded before
+    # the rows shared their Farey walks and lattice reductions.  The digest
+    # pins the last bits that libm's exp and log give on x86-64 glibc.
+    h = hashlib.sha256()
+    for d in (12.3, 33.7, 45, 55):
+        for c in (0.1, 0.5):
+            res = nonqc_experiment(d, c=c)
+            h.update(repr((res.d, res.c, res.delta, res.peak_t, res.peak_value,
+                           res.midpoint, res.endpoint_max, res.ref_start_gap,
+                           res.ref_end_gap)).encode())
+            for r in res.rows:
+                h.update(repr((r.t, r.orbit_diam, r.dist_to_fixed, r.slot_slopes,
+                               r.glue_loglen)).encode())
+    assert h.hexdigest()[:16] == "1f7ad1f07c25c2b1"
+
+
 def test_sweep_midpoint_growth_is_linear_at_the_farey_rate():
     results, slope, intercept = nonqc_sweep(ds=(10, 15, 20))
     assert 0.5 * FAREY_RATE <= slope <= 2.0 * FAREY_RATE
@@ -250,7 +285,70 @@ def test_distance_to_fixed_vanishes_on_symmetric_snapshots():
         (SlotSnap(Slope(2, 1), 9.0),) * 2,
         (GlueSnap(4.0, 3.0),) * 2,
     )
-    assert distance_to_fixed(snap, TH) == 0.0
+    assert distance_to_fixed(snap, TH, farey_lookup(snap)) == 0.0
+
+
+def _random_snapshot(rng: random.Random, k: int, g: int, slopes: list[Slope]) -> Snapshot:
+    """Slots and gluing curves short or long (the cut is neg_log_ext > 1),
+    with twists whose gaps fall above and below K."""
+
+    def neg_log_ext() -> float:
+        return rng.choice(
+            (rng.uniform(-1.0, 1.0), 1.0, rng.uniform(1.0, 4.0), rng.uniform(20.0, 60.0))
+        )
+
+    def twist() -> float:
+        return rng.choice(
+            (0.0, rng.uniform(-2.0, 2.0), rng.uniform(-40.0, 40.0), float(rng.randint(-9, 9)))
+        )
+
+    slots = tuple(SlotSnap(rng.choice(slopes), neg_log_ext()) for _ in range(k))
+    glue = tuple(GlueSnap(twist(), neg_log_ext()) for _ in range(g))
+    return Snapshot(slots, glue)
+
+
+def test_shared_farey_lookup_matches_the_per_candidate_reference(monkeypatch):
+    # the orbit diameter and the distance to the fixed locus, read from one
+    # farey_lookup per snapshot, against full one-pass evaluations
+    walks = []
+
+    def counted(a, b):
+        walks.append((a, b))
+        return farey_distance(a, b)
+
+    monkeypatch.setattr("coarse_teich.flatsim.farey_distance", counted)
+    rng = random.Random(1313)
+    pool = [fibonacci_slope(n) for n in (-12, -3, -1, 0, 2, 9)] + [Slope(3, 7)]
+    thresholds = (TH, Thresholds(K=1, K_hat=1), Thresholds(K=5, K_hat=6))
+    seen = {"equal": 0, "far": 0, "twist": 0, "fixed_positive": 0}
+    for case in range(1500):
+        k, g = rng.randint(2, 4), rng.randint(1, 4)
+        # small pools make equal slopes common
+        slopes = rng.sample(pool, rng.randint(1, 3)) if case % 2 else pool
+        snap = _random_snapshot(rng, k, g, slopes)
+        th = rng.choice(thresholds)
+        walks.clear()
+        farey = farey_lookup(snap)
+        distinct = set(s.slope for s in snap.slots)
+        swapped = rotate_snapshot(1, snap)
+        want = rafi_formula_one_pass(snap, swapped, th)
+        slot_term = rafi_slot_term(snap, swapped, th, farey_distance)
+        assert _swap_distance(snap, th, farey) == (want, slot_term)
+        fixed = distance_to_fixed(snap, th, farey)
+        assert fixed == distance_to_fixed_per_candidate(snap, th), (snap, th)
+        # one walk per unordered pair of distinct slopes, all in farey_lookup
+        assert len(walks) == len(distinct) * (len(distinct) - 1) // 2
+        assert rafi_formula(snap, swapped, th) == want
+        other = _random_snapshot(rng, k, g, pool)
+        assert rafi_formula(snap, other, th) == rafi_formula_one_pass(snap, other, th)
+        seen["equal"] += len(distinct) < k
+        seen["far"] += slot_term > 0
+        seen["fixed_positive"] += fixed > 0
+        seen["twist"] += any(
+            a.neg_log_ext <= 1 and b.neg_log_ext <= 1 and abs(a.twist - b.twist) > th.K
+            for a, b in zip(snap.glue, swapped.glue)
+        )
+    assert min(seen.values()) >= 100, seen
 
 
 def test_double_reduction_matches_the_longdouble_reference():

@@ -258,6 +258,22 @@ def test_farey_geodesic_witness():
         assert path == farey_geodesic(a, b)
 
 
+def test_farey_geodesic_on_a_4000_coefficient_fraction():
+    # F_4001/F_4000 has 4,000 continued-fraction coefficients, all 1; a walk
+    # that copies its paths at every fan takes about 50 ms on it
+    fib = [0, 1]
+    while len(fib) < 4002:
+        fib.append(fib[-1] + fib[-2])
+    deep = Slope(fib[4001], fib[4000])
+    for a, b in ((Slope(1, 0), deep), (deep, Slope(0, 1)), (Slope(-1, 1), deep)):
+        path = farey_geodesic(a, b)
+        assert path[0] == a and path[-1] == b
+        assert len(path) == farey_distance(a, b) + 1
+        assert len(set(path)) == len(path)
+        for u, v in zip(path, path[1:]):
+            assert intersection(u, v) == 1
+
+
 def test_farey_geodesic_frozen_paths():
     # each pair has more than one geodesic; the frozen one pins the tie rule
     # (ties go through the earlier convergent), the other is a second
