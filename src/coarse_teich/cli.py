@@ -358,7 +358,7 @@ def cmd_nonqc(args, cfg: Config) -> int:
     if args.sweep:
         if len(set(cfg.d_grid)) < 2:
             raise ValueError("nonqc --sweep fits a line: d_grid needs two distinct values")
-        results, slope, intercept = nonqc_sweep(cfg.d_grid, c=cfg.c, th=th)
+        results, slope, intercept = nonqc_sweep(cfg.d_grid, c=cfg.c, delta=cfg.delta, th=th)
         per_d = []
         for res in results:
             checks = _nonqc_checks(res, consts)
@@ -386,7 +386,8 @@ def cmd_nonqc(args, cfg: Config) -> int:
             ["d", "midpoint", "peak_t", "endpoint_max"],
             [[p["d"], p["midpoint"], p["peak_t"], p["endpoint_max"]] for p in per_d],
         )
-        return _report("nonqc", {"sweep": list(cfg.d_grid)}, outputs, t0, consts)
+        inputs = {"sweep": list(cfg.d_grid), "c": cfg.c, "delta": cfg.delta}
+        return _report("nonqc", inputs, outputs, t0, consts)
     d = args.d if args.d is not None else cfg.d_grid[0]
     res = nonqc_experiment(d, c=cfg.c, delta=cfg.delta, th=th)
     checks = _nonqc_checks(res, consts)
@@ -406,7 +407,7 @@ def cmd_nonqc(args, cfg: Config) -> int:
         "endpoint_max": round(res.endpoint_max, 6),
         "checks": checks,
     }
-    return _report("nonqc", {"d": d, "c": cfg.c}, outputs, t0, consts)
+    return _report("nonqc", {"d": d, "c": cfg.c, "delta": cfg.delta}, outputs, t0, consts)
 
 
 def cmd_calibrate(args, cfg: Config) -> int:

@@ -6,9 +6,9 @@ slit pair around t = d/2 and the second around t = 3d/2, while the small
 tori's systoles walk along the Farey graph at rate 2/log lambda.  A snapshot
 needs only the small tori's flowed lattices, their slit lengths and the
 total area, so the family computes those and builds no slit geometry.  A
-lattice is its pair of basis vectors ((x1, y1), (x2, y2)), flowed and
-reduced in double precision, so the module needs nothing past the standard
-library.
+lattice is a plain tuple of its basis vectors ((x1, y1), (x2, y2)), flowed
+and reduced in double precision, so the module needs nothing past the
+standard library.
 Snapshots feed the four-term numerical distance; the orbit-diameter curve
 of a snapshot against its slot swap is flat near the endpoints and grows
 linearly to a peak at the midpoint, which is the whole point of the
@@ -18,7 +18,9 @@ Within one nonqc_experiment call each distinct slot time's lattice is
 reduced once (a slot's time is constant outside its window, and both slots
 sweep the same times), and each grid row walks the Farey graph once per pair
 of distinct slot slopes, for the orbit diameter and every candidate of
-distance_to_fixed alike.  Nothing is kept between calls.
+distance_to_fixed alike.  Those candidates are combined from one partial
+per slot and one per gluing curve of the row.  Nothing is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from statistics import linear_regression
 from typing import Callable, Optional
 
-from .metrics import GlueSnap, Snapshot, SlotSnap, Thresholds
+from .horoball import HoroPoint, horo_distance
+from .metrics import _SHORT_CUT, GlueSnap, Snapshot, SlotSnap, Thresholds
 from .metrics import rafi_formula, rafi_remaining_terms, rafi_slot_term
 from .slots import Slope, farey_distance
 
@@ -37,8 +40,6 @@ __all__ = [
     "LOG_LAMBDA",
     "FAREY_RATE",
     "ParameterRegimeError",
-    "FlatTorus",
-    "anosov_torus",
     "slit_length",
     "shortest_slope",
     "fibonacci_slope",
@@ -73,50 +74,25 @@ class ParameterRegimeError(ValueError):
 # Flat tori.
 # ---------------------------------------------------------------------------
 
+# lattice basis ((x1, y1), (x2, y2)): the two generator vectors
+Basis = tuple[tuple[float, float], tuple[float, float]]
 
-@dataclass(frozen=True)
-class FlatTorus:
-    """Marked flat torus; basis = (v1, v2), the lattice generators as (x, y)."""
-
-    basis: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self):
-        d = self.det
-        if abs(d) < 1e-12:
-            raise ValueError("degenerate lattice basis")
-        if d < 0:
-            (v1, (x, y)) = self.basis
-            object.__setattr__(self, "basis", (v1, (-x, -y)))
-
-    @property
-    def det(self) -> float:
-        (a, c), (b, d) = self.basis
-        return a * d - c * b
-
-    @property
-    def area(self) -> float:
-        return abs(self.det)
+# unit-area torus whose marking diagonalizes [[2,1],[1,1]]: the expanding
+# eigendirection (eigenvalue lambda) maps to the vertical axis, so remarking
+# by the matrix equals flowing by -log lambda
+_ANOSOV_BASIS: Basis = ((_QUARTER / _GAMMA, _QUARTER * _GAMMA), (-_QUARTER, _QUARTER))
 
 
-def anosov_torus() -> FlatTorus:
-    """Unit-area torus whose marking diagonalizes [[2,1],[1,1]].
-
-    The expanding eigendirection (eigenvalue (3+sqrt 5)/2) maps to the
-    vertical axis, so remarking by the matrix equals flowing by -log lambda.
-    """
-    v1 = (_QUARTER / _GAMMA, _QUARTER * _GAMMA)
-    v2 = (-_QUARTER, _QUARTER)
-    return FlatTorus((v1, v2))
+def _flowed_basis(t: float) -> Basis:
+    """The Anosov torus's basis flowed by diag(e^t, e^-t), in double precision."""
+    (x1, y1), (x2, y2) = _ANOSOV_BASIS
+    grow, shrink = math.exp(t), math.exp(-t)
+    return (x1 * grow, y1 * shrink), (x2 * grow, y2 * shrink)
 
 
-def _flow_vec(v: tuple[float, float], t: float) -> tuple[float, float]:
-    return (v[0] * math.exp(t), v[1] * math.exp(-t))
-
-
-def _flowed_anosov(t: float) -> FlatTorus:
-    """The Anosov torus flowed by diag(e^t, e^-t), in double precision."""
-    v1, v2 = anosov_torus().basis
-    return FlatTorus((_flow_vec(v1, t), _flow_vec(v2, t)))
+def _area(basis: Basis) -> float:
+    (a, c), (b, d) = basis
+    return abs(a * d - c * b)
 
 
 def slit_length(rho: float, u: float) -> float:
@@ -129,16 +105,14 @@ def slit_length(rho: float, u: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def shortest_slope(
-    basis: tuple[tuple[float, float], tuple[float, float]]
-) -> tuple[Slope, float]:
+def shortest_slope(basis: Basis) -> tuple[Slope, float]:
     """Shortest primitive class of a 2d lattice and its length.
 
-    basis is ((x1, y1), (x2, y2)), the two generator vectors, as in
-    FlatTorus.basis.  Lagrange reduction in double precision with exact
-    integer bookkeeping; the returned slope is the class of the reduced
-    first vector.  Ties (the square torus) resolve to the earlier basis
-    vector, so the unit lattice reports 1/0.
+    basis is the plain tuple ((x1, y1), (x2, y2)) of the two generator
+    vectors; no torus object is built.  Lagrange reduction in double
+    precision with exact integer bookkeeping; the returned slope is the
+    class of the reduced first vector.  Ties (the square torus) resolve to
+    the earlier basis vector, so the unit lattice reports 1/0.
     """
     (x1, y1), (x2, y2) = basis
     c1, c2 = (1, 0), (0, 1)
@@ -205,9 +179,9 @@ Reductions = dict[float, tuple[float, Slope, float]]
 
 
 def _reduced_small_torus(u: float) -> tuple[float, Slope, float]:
-    torus = _flowed_anosov(u)
-    slope, length = shortest_slope(torus.basis)
-    return torus.area, slope, length
+    basis = _flowed_basis(u)
+    slope, length = shortest_slope(basis)
+    return _area(basis), slope, length
 
 
 @dataclass(frozen=True)
@@ -256,7 +230,7 @@ class TrajectoryFamily:
             if ui not in reduced:
                 reduced[ui] = _reduced_small_torus(ui)
         small = [reduced[ui] for ui in u]
-        big = _flowed_anosov(t).area
+        big = _area(_flowed_basis(t))
         sq = self.delta**2
         # summed component by component around the 4-cycle, not as
         # 2 + 2 delta^2: rafi_formula floors values derived from it
@@ -376,22 +350,95 @@ def _swap_distance(
     return rafi_remaining_terms(snap, swapped, th, slot_term), slot_term
 
 
+# A partial holds one side of a candidate's terms: what is added one term at
+# a time (the log twist gaps, or the thresholded Farey sum), then the largest
+# horoball term and the largest one-sided shortness term, each as a tuple of
+# zero or one value, so that a candidate takes the max of two concatenated
+# tuples where rafi_remaining_terms takes the max of one list.
+def _largest(terms: list) -> tuple:
+    return (max(terms),) if terms else ()
+
+
+def _glue_partial(
+    glue: tuple[GlueSnap, ...], x: GlueSnap, th: Thresholds
+) -> tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...]]:
+    """The gluing curves against x repeated, as rafi_remaining_terms reads
+    them: the log twist gaps in gluing order, then the largest horoball and
+    one-sided terms."""
+    logs: list[float] = []
+    horo: list[int] = []
+    one_sided: list[float] = []
+    sx = x.neg_log_ext > _SHORT_CUT
+    px = HoroPoint(round(x.twist), max(0, math.floor(x.neg_log_ext))) if sx else None
+    for a in glue:
+        sa = a.neg_log_ext > _SHORT_CUT
+        if sa and sx:
+            pa = HoroPoint(round(a.twist), max(0, math.floor(a.neg_log_ext)))
+            horo.append(horo_distance(pa, px))
+        elif sa or sx:
+            one_sided.append(a.neg_log_ext if sa else x.neg_log_ext)
+        else:
+            gap = abs(a.twist - x.twist)
+            if gap > th.K:
+                logs.append(math.log(gap))
+    return tuple(logs), _largest(horo), _largest(one_sided)
+
+
+def _slot_partial(
+    slots: tuple[SlotSnap, ...], y: SlotSnap, th: Thresholds, farey: FareyLookup
+) -> tuple[int, tuple[int, ...], tuple[float, ...]]:
+    """The slots against y repeated, as rafi_slot_term and
+    rafi_remaining_terms read them: the thresholded Farey sum, then the
+    largest horoball and one-sided terms."""
+    slot_term = 0
+    horo: list[int] = []
+    one_sided: list[float] = []
+    sy = y.neg_log_ext > _SHORT_CUT
+    py = HoroPoint(0, max(0, math.floor(y.neg_log_ext))) if sy else None
+    for a in slots:
+        sa = a.neg_log_ext > _SHORT_CUT
+        if a.slope != y.slope:
+            dist = farey(a.slope, y.slope)
+            if dist > th.K:
+                slot_term += dist
+        if sa and sy and a.slope == y.slope:
+            pa = HoroPoint(0, max(0, math.floor(a.neg_log_ext)))
+            horo.append(horo_distance(pa, py))
+        else:
+            if sa:
+                one_sided.append(a.neg_log_ext)
+            if sy:
+                one_sided.append(y.neg_log_ext)
+    return slot_term, _largest(horo), _largest(one_sided)
+
+
 def distance_to_fixed(snap: Snapshot, th: Thresholds, farey: FareyLookup) -> float:
     """Distance to the swap-fixed locus: best symmetrized snapshot wins.
 
-    A candidate repeats one slot and one gluing curve of snap, so its slot
-    term reads farey, the snapshot's farey_lookup, and is shared by the
-    candidates that repeat the same slot; no candidate walks the Farey graph.
-    Each candidate's value equals rafi_formula(snap, candidate, th).
+    A candidate repeats one slot and one gluing curve of snap, and its
+    value equals rafi_formula(snap, candidate, th).  Its terms split into a
+    slot half that depends only on the repeated slot and a gluing half that
+    depends only on the repeated gluing curve, so the row computes one
+    partial per slot (its slot term reads farey, the snapshot's
+    farey_lookup, so no candidate walks the Farey graph) and one per gluing
+    curve, k^2 + g^2 entry pairs in all, and combines each of the k * g
+    candidates from two partials in rafi_remaining_terms' float order.
     """
-    k, g = snap.k, len(snap.glue)
+    glue_parts = [_glue_partial(snap.glue, x, th) for x in snap.glue]
     best = math.inf
-    for slot in snap.slots:
-        slots = (slot,) * k
-        slot_term = rafi_slot_term(snap, Snapshot(slots, snap.glue), th, farey)
-        for glue in snap.glue:
-            cand = Snapshot(slots, (glue,) * g)
-            best = min(best, rafi_remaining_terms(snap, cand, th, slot_term))
+    for y in snap.slots:
+        slot_term, slot_horo, slot_one = _slot_partial(snap.slots, y, th, farey)
+        for logs, glue_horo, glue_one in glue_parts:
+            total = 0.0 + slot_term
+            for term in logs:
+                total += term
+            horo = glue_horo + slot_horo
+            if horo:
+                total += max(horo)
+            one_sided = glue_one + slot_one
+            if one_sided:
+                total += max(one_sided)
+            best = min(best, total)
     return best
 
 
@@ -439,8 +486,9 @@ def nonqc_experiment(
     Farey term, distance to the fixed locus, and the slit shortness column.
     Each distinct slot time is reduced once for the whole call (the
     reference families included), and each row walks the Farey graph once
-    per pair of distinct slot slopes, for its farey_lookup.  The endpoint and midpoint claims are checked
-    against the calibrated bounds by cli._nonqc_checks, not here.
+    per pair of distinct slot slopes, for its farey_lookup.  The endpoint
+    and midpoint claims are checked against the calibrated bounds by
+    cli._nonqc_checks, not here.
     """
     th = th or Thresholds()
     delta = delta if delta is not None else c * math.exp(-d / 2) / 100
@@ -488,12 +536,14 @@ def nonqc_experiment(
 
 
 def nonqc_sweep(
-    ds: tuple[float, ...] = (10, 15, 20, 25, 30, 35, 40),
-    c: float = 0.1,
-    th: Optional[Thresholds] = None,
+    ds: tuple[float, ...] = (10, 15, 20, 25, 30, 35, 40), **params
 ) -> tuple[list[NonqcResult], float, float]:
-    """Experiment per d plus the fitted midpoint growth (slope, intercept)."""
-    results = [nonqc_experiment(d, c=c, th=th) for d in ds]
+    """Experiment per d plus the fitted midpoint growth (slope, intercept).
+
+    params are nonqc_experiment's keywords (c, delta, th, n_steps) and reach
+    every d alike, so a fixed delta is fixed across the whole sweep.
+    """
+    results = [nonqc_experiment(d, **params) for d in ds]
     slope, intercept = linear_regression(
         [r.d for r in results], [r.midpoint for r in results]
     )

@@ -5,7 +5,9 @@ Dijkstra, and exact only inside their caps or boxes.  Plus the whole list
 of elementary moves that ``nth_move`` indexes, the slope boxes the tests
 enumerate, and the lattice reduction in longdouble, the reference for the
 package's double-precision one and, on the Anosov torus flowed in
-longdouble, for its Fibonacci systole family.  And the flat rows' formula
+longdouble, for its Fibonacci systole family.  The marked flat torus, the
+Anosov torus and its flow, the geometric reference for the plain basis
+tuples that the package flows and reduces.  And the flat rows' formula
 terms evaluated one candidate at a time: the four-term formula in one pass,
 before its split into a slot term and the rest, and the distance to the
 swap-fixed locus as the minimum of that formula over every candidate.
@@ -16,11 +18,11 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
-from coarse_teich.flatsim import anosov_torus
 from coarse_teich.horoball import HoroPoint, horo_distance, width
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock
 from coarse_teich.metrics import Snapshot, Thresholds
@@ -267,6 +269,50 @@ def _apex_headroom(gap: int) -> int:
 # ---------------------------------------------------------------------------
 # Flowed Anosov torus.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FlatTorus:
+    """Marked flat torus; basis = (v1, v2), the lattice generators as (x, y)."""
+
+    basis: tuple[tuple[float, float], tuple[float, float]]
+
+    def __post_init__(self):
+        d = self.det
+        if abs(d) < 1e-12:
+            raise ValueError("degenerate lattice basis")
+        if d < 0:
+            (v1, (x, y)) = self.basis
+            object.__setattr__(self, "basis", (v1, (-x, -y)))
+
+    @property
+    def det(self) -> float:
+        (a, c), (b, d) = self.basis
+        return a * d - c * b
+
+    @property
+    def area(self) -> float:
+        return abs(self.det)
+
+
+def anosov_torus() -> FlatTorus:
+    """Unit-area torus whose marking diagonalizes [[2,1],[1,1]].
+
+    The expanding eigendirection (eigenvalue (3+sqrt 5)/2) maps to the
+    vertical axis, so remarking by the matrix equals flowing by -log lambda.
+    """
+    gamma = (1 + math.sqrt(5)) / 2
+    quarter = 5 ** -0.25
+    v1 = (quarter / gamma, quarter * gamma)
+    v2 = (-quarter, quarter)
+    return FlatTorus((v1, v2))
+
+
+def flowed_anosov(t: float) -> FlatTorus:
+    """The Anosov torus flowed by diag(e^t, e^-t), in double precision."""
+    return FlatTorus(
+        tuple((x * math.exp(t), y * math.exp(-t)) for x, y in anosov_torus().basis)
+    )
 
 
 def shortest_slope_longdouble(basis) -> tuple[Slope, float]:

@@ -277,6 +277,22 @@ def test_nonqc_sweep_fits_rate(tmp_path, capsys):
     assert [p["d"] for p in out["per_d"]] == [10.0, 15.0, 20.0]
 
 
+def test_nonqc_sweep_reads_the_config_delta(tmp_path, capsys):
+    # a config delta reaches every d of the sweep, as it reaches plain nonqc
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"delta": 0}))
+    code, rep, _ = run(capsys, "--config", str(cfg), "nonqc", "--sweep")
+    assert code == 6 and rep["error"] == "regime"
+    cfg.write_text(json.dumps({"delta": 1e-20}))
+    code, fixed, _ = run(capsys, "--config", str(cfg), "nonqc", "--sweep")
+    assert code == 0
+    # the fixed-delta midpoint growth; delta = rho/100 at each d gives 3.1321
+    assert fixed["outputs"]["slope"] == 2.1321
+    code, default, _ = run(capsys, "nonqc", "--sweep")
+    assert code == 0 and default["outputs"]["slope"] == 3.1321
+    assert fixed["inputs_digest"] != default["inputs_digest"]
+
+
 def test_nonqc_short_d_grid_exits_2(tmp_path, capsys, monkeypatch):
     # an empty grid is no config; a sweep's fit needs two distinct d values,
     # checked before the sweep runs, while plain nonqc reads grid[0] alone

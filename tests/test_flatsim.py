@@ -12,12 +12,9 @@ from coarse_teich.flatsim import (
     FAREY_RATE,
     LAMBDA,
     Construction,
-    FlatTorus,
     FlowedSlots,
     ParameterRegimeError,
     TrajectoryFamily,
-    _flowed_anosov,
-    anosov_torus,
     build_construction,
     distance_to_fixed,
     farey_lookup,
@@ -30,7 +27,8 @@ from coarse_teich.flatsim import (
     slit_length,
     systole_index,
 )
-from coarse_teich.flatsim import _swap_distance
+from coarse_teich.flatsim import _area, _flowed_basis, _swap_distance
+from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.metrics import (
     GlueSnap,
     Snapshot,
@@ -41,7 +39,10 @@ from coarse_teich.metrics import (
 )
 from coarse_teich.slots import Slope, farey_distance
 from tests.oracles import (
+    FlatTorus,
+    anosov_torus,
     distance_to_fixed_per_candidate,
+    flowed_anosov,
     flowed_anosov_slope,
     flowed_anosov_systole,
     rafi_formula_one_pass,
@@ -76,6 +77,15 @@ def test_flat_torus_validation():
     t = FlatTorus(((1.0, 0.0), (0.0, -1.0)))
     assert t.det == 1.0
     assert t.basis[1] == (-0.0, 1.0)
+
+
+def test_runtime_flowed_basis_is_the_flat_torus_basis():
+    # the runtime flows a plain tuple; the reference torus must agree bit for bit
+    for t in (-82.0, -10.0, 0.0, 3.7, 82.0):
+        torus = flowed_anosov(t)
+        basis = _flowed_basis(t)
+        assert basis == torus.basis, t
+        assert _area(basis) == torus.area, t
 
 
 def test_family_area_is_two_big_tori_plus_two_scaled_small_ones():
@@ -196,7 +206,7 @@ def test_construction_surfaces_glue_in_both_modes():
             assert len(s.slots) == 2
             assert s.scale == 1e-6
             for i, (slope, length, slit) in enumerate(s.slots):
-                torus = _flowed_anosov(f.slot_time(i, t))
+                torus = flowed_anosov(f.slot_time(i, t))
                 assert torus.area == pytest.approx(1.0, rel=1e-9)
                 assert (slope, length) == shortest_slope(torus.basis)
                 assert slit == f.slit_len(i, t)
@@ -213,7 +223,7 @@ def test_shadow_of_the_start_surface_is_swap_symmetric():
     assert snap.glue[0].twist == snap.glue[1].twist == 0.0
     assert rafi_formula(snap, rotate_snapshot(1, snap), TH) == 0.0
     # slot shortness is log(area / scaled systole^2), far past every threshold
-    _, syst = shortest_slope(_flowed_anosov(cons.main.slot_time(0, 0.0)).basis)
+    _, syst = shortest_slope(flowed_anosov(cons.main.slot_time(0, 0.0)).basis)
     expect = math.log(s.area / (1e-6 * syst) ** 2)
     assert snap.slots[0].neg_log_ext == pytest.approx(expect, rel=1e-9)
     assert snap.slots[0].neg_log_ext > 20.0
@@ -307,6 +317,40 @@ def _random_snapshot(rng: random.Random, k: int, g: int, slopes: list[Slope]) ->
     return Snapshot(slots, glue)
 
 
+def _candidate_cases(snap: Snapshot, cand: Snapshot, th: Thresholds) -> set[str]:
+    """Where a candidate's terms come from: log_order when it adds two or
+    more gluing log terms whose sum, added to the slot term at once, would
+    round differently; horo_<side> or one_sided_<side> when the largest
+    positive horoball or one-sided term is on that side alone."""
+    logs = []
+    horo = {"glue": [0], "slot": [0]}
+    one_sided = {"glue": [0.0], "slot": [0.0]}
+    sides = {"glue": zip(snap.glue, cand.glue), "slot": zip(snap.slots, cand.slots)}
+    for side, pairs in sides.items():
+        for a, b in pairs:
+            sa, sb = a.neg_log_ext > 1, b.neg_log_ext > 1
+            if sa and sb and (side == "glue" or a.slope == b.slope):
+                pa, pb = (
+                    HoroPoint(round(e.twist) if side == "glue" else 0, math.floor(e.neg_log_ext))
+                    for e in (a, b)
+                )
+                horo[side].append(horo_distance(pa, pb))
+            elif side == "glue" and not (sa or sb):
+                gap = abs(a.twist - b.twist)
+                logs += [math.log(gap)] if gap > th.K else []
+            else:
+                one_sided[side] += [e.neg_log_ext for e in (a, b) if e.neg_log_ext > 1]
+    in_order = at_once = 0.0 + rafi_slot_term(snap, cand, th, farey_distance)
+    for term in logs:
+        in_order += term
+    cases = {"log_order"} if in_order != at_once + sum(logs) else set()
+    for name, terms in (("horo", horo), ("one_sided", one_sided)):
+        glue_max, slot_max = max(terms["glue"]), max(terms["slot"])
+        if glue_max != slot_max:
+            cases.add(f"{name}_{'glue' if glue_max > slot_max else 'slot'}")
+    return cases
+
+
 def test_shared_farey_lookup_matches_the_per_candidate_reference(monkeypatch):
     # the orbit diameter and the distance to the fixed locus, read from one
     # farey_lookup per snapshot, against full one-pass evaluations
@@ -321,11 +365,23 @@ def test_shared_farey_lookup_matches_the_per_candidate_reference(monkeypatch):
     pool = [fibonacci_slope(n) for n in (-12, -3, -1, 0, 2, 9)] + [Slope(3, 7)]
     thresholds = (TH, Thresholds(K=1, K_hat=1), Thresholds(K=5, K_hat=6))
     seen = {"equal": 0, "far": 0, "twist": 0, "fixed_positive": 0}
-    for case in range(1500):
+    # the cases that combining per-entry partials must get right, counted
+    # where they hold at a candidate of least value
+    seen.update(dict.fromkeys(
+        ("log_order", "horo_glue", "horo_slot", "one_sided_glue", "one_sided_slot"), 0
+    ))
+    for case in range(2400):
         k, g = rng.randint(2, 4), rng.randint(1, 4)
         # small pools make equal slopes common
         slopes = rng.sample(pool, rng.randint(1, 3)) if case % 2 else pool
         snap = _random_snapshot(rng, k, g, slopes)
+        if case % 2 == 0:
+            # far slopes and four or more long gluing curves with spread
+            # twists: a candidate adds several log terms to a nonzero slot term
+            g = rng.randint(4, 6)
+            snap = Snapshot(snap.slots, tuple(
+                GlueSnap(rng.uniform(-40.0, 40.0), rng.uniform(-1.0, 1.0)) for _ in range(g)
+            ))
         th = rng.choice(thresholds)
         walks.clear()
         farey = farey_lookup(snap)
@@ -348,6 +404,14 @@ def test_shared_farey_lookup_matches_the_per_candidate_reference(monkeypatch):
             a.neg_log_ext <= 1 and b.neg_log_ext <= 1 and abs(a.twist - b.twist) > th.K
             for a, b in zip(snap.glue, swapped.glue)
         )
+        at_best = set()
+        for y in snap.slots:
+            for x in snap.glue:
+                cand = Snapshot((y,) * k, (x,) * g)
+                if rafi_formula_one_pass(snap, cand, th) == fixed:
+                    at_best |= _candidate_cases(snap, cand, th)
+        for name in at_best:
+            seen[name] += 1
     assert min(seen.values()) >= 100, seen
 
 
@@ -356,7 +420,7 @@ def test_double_reduction_matches_the_longdouble_reference():
     # precision of the arithmetic differs
     rng = random.Random(90)
     for u in [rng.uniform(-90, 90) for _ in range(2000)] + [-90.0, 0.0, 90.0]:
-        basis = _flowed_anosov(u).basis
+        basis = flowed_anosov(u).basis
         slope, length = shortest_slope(basis)
         ref_slope, ref_length = shortest_slope_longdouble(basis)
         assert slope == ref_slope, u
