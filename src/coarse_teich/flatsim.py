@@ -18,8 +18,8 @@ Within one nonqc_experiment call each distinct slot time's lattice is
 reduced once (a slot's time is constant outside its window, and both slots
 sweep the same times), and each grid row walks the Farey graph once per pair
 of distinct slot slopes, for the orbit diameter and every candidate of
-distance_to_fixed alike.  Those candidates are combined from one partial
-per slot and one per gluing curve of the row.  Nothing is kept between
+distance_to_fixed alike.  Those candidates are combined from one formula
+side per slot and one per gluing curve of the row.  Nothing is kept between
 calls.
 """
 
@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from statistics import linear_regression
 from typing import Callable, Optional
 
-from .horoball import HoroPoint, horo_distance
-from .metrics import _SHORT_CUT, GlueSnap, Snapshot, SlotSnap, Thresholds
-from .metrics import rafi_formula, rafi_remaining_terms, rafi_slot_term
+from .metrics import GlueSnap, Snapshot, SlotSnap, Thresholds, rafi_formula
+from .metrics import rafi_glue_side, rafi_slot_side, rafi_total
 from .slots import Slope, farey_distance
 
 __all__ = [
@@ -321,7 +320,7 @@ def rotate_snapshot(r: int, snap: Snapshot) -> Snapshot:
     )
 
 
-# the Farey distance of two distinct slopes, as rafi_slot_term reads it
+# the Farey distance of two distinct slopes, as rafi_slot_side reads it
 FareyLookup = Callable[[Slope, Slope], int]
 
 
@@ -346,100 +345,28 @@ def _swap_distance(
     """rafi_formula(snap, rotate_snapshot(1, snap), th) and its slot term,
     read from farey, the snapshot's farey_lookup."""
     swapped = rotate_snapshot(1, snap)
-    slot_term = rafi_slot_term(snap, swapped, th, farey)
-    return rafi_remaining_terms(snap, swapped, th, slot_term), slot_term
-
-
-# A partial holds one side of a candidate's terms: what is added one term at
-# a time (the log twist gaps, or the thresholded Farey sum), then the largest
-# horoball term and the largest one-sided shortness term, each as a tuple of
-# zero or one value, so that a candidate takes the max of two concatenated
-# tuples where rafi_remaining_terms takes the max of one list.
-def _largest(terms: list) -> tuple:
-    return (max(terms),) if terms else ()
-
-
-def _glue_partial(
-    glue: tuple[GlueSnap, ...], x: GlueSnap, th: Thresholds
-) -> tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...]]:
-    """The gluing curves against x repeated, as rafi_remaining_terms reads
-    them: the log twist gaps in gluing order, then the largest horoball and
-    one-sided terms."""
-    logs: list[float] = []
-    horo: list[int] = []
-    one_sided: list[float] = []
-    sx = x.neg_log_ext > _SHORT_CUT
-    px = HoroPoint(round(x.twist), max(0, math.floor(x.neg_log_ext))) if sx else None
-    for a in glue:
-        sa = a.neg_log_ext > _SHORT_CUT
-        if sa and sx:
-            pa = HoroPoint(round(a.twist), max(0, math.floor(a.neg_log_ext)))
-            horo.append(horo_distance(pa, px))
-        elif sa or sx:
-            one_sided.append(a.neg_log_ext if sa else x.neg_log_ext)
-        else:
-            gap = abs(a.twist - x.twist)
-            if gap > th.K:
-                logs.append(math.log(gap))
-    return tuple(logs), _largest(horo), _largest(one_sided)
-
-
-def _slot_partial(
-    slots: tuple[SlotSnap, ...], y: SlotSnap, th: Thresholds, farey: FareyLookup
-) -> tuple[int, tuple[int, ...], tuple[float, ...]]:
-    """The slots against y repeated, as rafi_slot_term and
-    rafi_remaining_terms read them: the thresholded Farey sum, then the
-    largest horoball and one-sided terms."""
-    slot_term = 0
-    horo: list[int] = []
-    one_sided: list[float] = []
-    sy = y.neg_log_ext > _SHORT_CUT
-    py = HoroPoint(0, max(0, math.floor(y.neg_log_ext))) if sy else None
-    for a in slots:
-        sa = a.neg_log_ext > _SHORT_CUT
-        if a.slope != y.slope:
-            dist = farey(a.slope, y.slope)
-            if dist > th.K:
-                slot_term += dist
-        if sa and sy and a.slope == y.slope:
-            pa = HoroPoint(0, max(0, math.floor(a.neg_log_ext)))
-            horo.append(horo_distance(pa, py))
-        else:
-            if sa:
-                one_sided.append(a.neg_log_ext)
-            if sy:
-                one_sided.append(y.neg_log_ext)
-    return slot_term, _largest(horo), _largest(one_sided)
+    slot = rafi_slot_side(zip(snap.slots, swapped.slots), th, farey)
+    return rafi_total(slot, rafi_glue_side(zip(snap.glue, swapped.glue), th)), slot[0]
 
 
 def distance_to_fixed(snap: Snapshot, th: Thresholds, farey: FareyLookup) -> float:
     """Distance to the swap-fixed locus: best symmetrized snapshot wins.
 
     A candidate repeats one slot and one gluing curve of snap, and its
-    value equals rafi_formula(snap, candidate, th).  Its terms split into a
-    slot half that depends only on the repeated slot and a gluing half that
-    depends only on the repeated gluing curve, so the row computes one
-    partial per slot (its slot term reads farey, the snapshot's
-    farey_lookup, so no candidate walks the Farey graph) and one per gluing
-    curve, k^2 + g^2 entry pairs in all, and combines each of the k * g
-    candidates from two partials in rafi_remaining_terms' float order.
+    value equals rafi_formula(snap, candidate, th).  Its slot side depends
+    only on the repeated slot and its gluing side only on the repeated
+    gluing curve, so the row builds one slot side per slot (reading farey,
+    the snapshot's farey_lookup, so no candidate walks the Farey graph) and
+    one gluing side per gluing curve, k^2 + g^2 entry pairs in all, and
+    takes rafi_total of each of the k * g pairs of sides.
     """
-    glue_parts = [_glue_partial(snap.glue, x, th) for x in snap.glue]
-    best = math.inf
-    for y in snap.slots:
-        slot_term, slot_horo, slot_one = _slot_partial(snap.slots, y, th, farey)
-        for logs, glue_horo, glue_one in glue_parts:
-            total = 0.0 + slot_term
-            for term in logs:
-                total += term
-            horo = glue_horo + slot_horo
-            if horo:
-                total += max(horo)
-            one_sided = glue_one + slot_one
-            if one_sided:
-                total += max(one_sided)
-            best = min(best, total)
-    return best
+    k, g = snap.k, len(snap.glue)
+    slot_sides = [rafi_slot_side(zip(snap.slots, (y,) * k), th, farey) for y in snap.slots]
+    glue_sides = [rafi_glue_side(zip(snap.glue, (x,) * g), th) for x in snap.glue]
+    return min(
+        (rafi_total(slot, glue) for slot in slot_sides for glue in glue_sides),
+        default=math.inf,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .horoball import HoroPoint, horo_distance, horo_normal_path
 from .marking import (
@@ -67,8 +67,9 @@ __all__ = [
     "formula_distance_T",
     "formula_distance_WP",
     "rafi_formula",
-    "rafi_slot_term",
-    "rafi_remaining_terms",
+    "rafi_slot_side",
+    "rafi_glue_side",
+    "rafi_total",
     "large_links",
     "group_symmetric_families",
     "canonical_path",
@@ -175,7 +176,8 @@ def formula_distance_WP(m1: AugMarking, m2: AugMarking, th: Thresholds) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Numerical snapshots and the four-term formula used by the flat simulation.
+# Numerical snapshots and the four-term formula used by the flat simulation,
+# built from a slot side and a gluing side.
 # ---------------------------------------------------------------------------
 
 
@@ -211,79 +213,95 @@ class Snapshot:
         return len(self.slots)
 
 
+# A side holds the terms of one half of the formula: what is added one term
+# at a time (the thresholded Farey sum, or the log twist gaps in gluing
+# order), then the largest horoball term and the largest one-sided term, 0
+# where there is none.  Every term is >= 0, and adding 0 leaves the total
+# unchanged, so a total taken from two sides equals one pass over all pairs.
+SlotSide = tuple[int, int, float]
+GlueSide = tuple[tuple[float, ...], int, float]
+
+
 def rafi_formula(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
     """Four-term coarse distance between numerical snapshots.
 
     Terms: thresholded slot curve-graph distances; log of annular twist
     differences for curves short in neither snapshot; horoball distances for
     curves short in both; and max log-reciprocal-length over curves short in
-    exactly one.  A curve is short when neg_log_ext > 1.  The first term is
-    rafi_slot_term and rafi_remaining_terms adds the other three, so a caller
-    that knows the slot Farey distances can skip the walks.
+    exactly one.  A curve is short when neg_log_ext > 1.  It is rafi_total
+    of the slot side and the gluing side, so a caller that knows the slot
+    Farey distances, or that shares a side between pairs, skips the work.
     """
-    return rafi_remaining_terms(s1, s2, th, rafi_slot_term(s1, s2, th, farey_distance))
-
-
-def _check_shapes(s1: Snapshot, s2: Snapshot) -> None:
     if s1.k != s2.k or len(s1.glue) != len(s2.glue):
         raise ValueError("snapshot shapes differ")
-
-
-def rafi_slot_term(
-    s1: Snapshot, s2: Snapshot, th: Thresholds, farey: Callable[[Slope, Slope], int]
-) -> int:
-    """The thresholded slot curve-graph sum of rafi_formula, an exact int.
-
-    farey(a, b) is the Farey distance of two distinct slopes: farey_distance
-    itself, or a lookup of distances walked once.  Equal slopes are at
-    distance 0 and are not asked for.
-    """
-    _check_shapes(s1, s2)
-    return sum(
-        _cut(farey(a.slope, b.slope), th.K)
-        for a, b in zip(s1.slots, s2.slots)
-        if a.slope != b.slope
+    return rafi_total(
+        rafi_slot_side(zip(s1.slots, s2.slots), th, farey_distance),
+        rafi_glue_side(zip(s1.glue, s2.glue), th),
     )
 
 
-def rafi_remaining_terms(
-    s1: Snapshot, s2: Snapshot, th: Thresholds, slot_term: int
-) -> float:
-    """rafi_formula from its slot term: adds the twist, horoball and
-    one-sided shortness terms to 0.0 + slot_term, in rafi_formula's order."""
-    _check_shapes(s1, s2)
-    total = 0.0 + slot_term
-    horo_terms: list[float] = []
-    one_sided: list[float] = []
-    for a, b in zip(s1.glue, s2.glue):
+def rafi_slot_side(
+    pairs: Iterable[tuple[SlotSnap, SlotSnap]],
+    th: Thresholds,
+    farey: Callable[[Slope, Slope], int],
+) -> SlotSide:
+    """The slot pairs' terms: the thresholded Farey sum, an exact int, then
+    the largest horoball and one-sided terms.
+
+    farey(a, b) is the Farey distance of two distinct slopes: farey_distance
+    itself, or a lookup of distances walked once.  Equal slopes are at
+    distance 0 and are not asked for.  Two slots short on one slope sit at
+    twist 0 on one vertical of the horoball, so their horoball distance is
+    the gap between their levels; short means neg_log_ext > 1, so both
+    levels are positive.
+    """
+    slot_term = horo = 0
+    one_sided = 0.0
+    for a, b in pairs:
+        sa, sb = a.neg_log_ext > _SHORT_CUT, b.neg_log_ext > _SHORT_CUT
+        if a.slope != b.slope:
+            slot_term += _cut(farey(a.slope, b.slope), th.K)
+        elif sa and sb:
+            gap = abs(math.floor(a.neg_log_ext) - math.floor(b.neg_log_ext))
+            horo = max(horo, gap)
+            continue
+        if sa:
+            one_sided = max(one_sided, a.neg_log_ext)
+        if sb:
+            one_sided = max(one_sided, b.neg_log_ext)
+    return slot_term, horo, one_sided
+
+
+def rafi_glue_side(pairs: Iterable[tuple[GlueSnap, GlueSnap]], th: Thresholds) -> GlueSide:
+    """The gluing pairs' terms: the log twist gaps of curves short in
+    neither snapshot, in gluing order, then the largest horoball and
+    one-sided terms."""
+    logs: list[float] = []
+    horo = 0
+    one_sided = 0.0
+    for a, b in pairs:
         sa, sb = a.neg_log_ext > _SHORT_CUT, b.neg_log_ext > _SHORT_CUT
         if sa and sb:
             pa = HoroPoint(round(a.twist), max(0, math.floor(a.neg_log_ext)))
             pb = HoroPoint(round(b.twist), max(0, math.floor(b.neg_log_ext)))
-            horo_terms.append(horo_distance(pa, pb))
+            horo = max(horo, horo_distance(pa, pb))
         elif sa or sb:
-            one_sided.append(a.neg_log_ext if sa else b.neg_log_ext)
+            one_sided = max(one_sided, a.neg_log_ext if sa else b.neg_log_ext)
         else:
             gap = abs(a.twist - b.twist)
             if gap > th.K:
-                total += math.log(gap)
-    # slot slopes short in exactly one snapshot contribute their log length
-    for a, b in zip(s1.slots, s2.slots):
-        sa, sb = a.neg_log_ext > _SHORT_CUT, b.neg_log_ext > _SHORT_CUT
-        if sa and sb and a.slope == b.slope:
-            pa = HoroPoint(0, max(0, math.floor(a.neg_log_ext)))
-            pb = HoroPoint(0, max(0, math.floor(b.neg_log_ext)))
-            horo_terms.append(horo_distance(pa, pb))
-        else:
-            if sa:
-                one_sided.append(a.neg_log_ext)
-            if sb:
-                one_sided.append(b.neg_log_ext)
-    if horo_terms:
-        total += max(horo_terms)
-    if one_sided:
-        total += max(one_sided)
-    return total
+                logs.append(math.log(gap))
+    return tuple(logs), horo, one_sided
+
+
+def rafi_total(slot: SlotSide, glue: GlueSide) -> float:
+    """rafi_formula from its two sides, in one float order: 0.0 + the slot
+    term, then each log gap, then the largest horoball term, then the
+    largest one-sided term."""
+    total = 0.0 + slot[0]
+    for gap in glue[0]:
+        total += gap
+    return total + max(slot[1], glue[1]) + max(slot[2], glue[2])
 
 
 # ---------------------------------------------------------------------------

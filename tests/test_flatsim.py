@@ -35,7 +35,7 @@ from coarse_teich.metrics import (
     SlotSnap,
     Thresholds,
     rafi_formula,
-    rafi_slot_term,
+    rafi_slot_side,
 )
 from coarse_teich.slots import Slope, farey_distance
 from tests.oracles import (
@@ -340,7 +340,7 @@ def _candidate_cases(snap: Snapshot, cand: Snapshot, th: Thresholds) -> set[str]
                 logs += [math.log(gap)] if gap > th.K else []
             else:
                 one_sided[side] += [e.neg_log_ext for e in (a, b) if e.neg_log_ext > 1]
-    in_order = at_once = 0.0 + rafi_slot_term(snap, cand, th, farey_distance)
+    in_order = at_once = 0.0 + rafi_slot_side(zip(snap.slots, cand.slots), th, farey_distance)[0]
     for term in logs:
         in_order += term
     cases = {"log_order"} if in_order != at_once + sum(logs) else set()
@@ -388,7 +388,7 @@ def test_shared_farey_lookup_matches_the_per_candidate_reference(monkeypatch):
         distinct = set(s.slope for s in snap.slots)
         swapped = rotate_snapshot(1, snap)
         want = rafi_formula_one_pass(snap, swapped, th)
-        slot_term = rafi_slot_term(snap, swapped, th, farey_distance)
+        slot_term = rafi_slot_side(zip(snap.slots, swapped.slots), th, farey_distance)[0]
         assert _swap_distance(snap, th, farey) == (want, slot_term)
         fixed = distance_to_fixed(snap, th, farey)
         assert fixed == distance_to_fixed_per_candidate(snap, th), (snap, th)

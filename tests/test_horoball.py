@@ -51,6 +51,11 @@ def test_horo_distance_basics():
     assert horo_distance(HoroPoint(0, 0), HoroPoint(0, 5)) == 5
     assert horo_distance(HoroPoint(0, 3), HoroPoint(1, 3)) == 1
     assert horo_distance(HoroPoint(0, 0), HoroPoint(1, 0)) == 1
+    # on one vertical the distance is the level gap
+    for x in (-7, 0, 3, 10**6):
+        for l1 in range(81):
+            for l2 in range(81):
+                assert horo_distance(HoroPoint(x, l1), HoroPoint(x, l2)) == abs(l1 - l2)
     # symmetry
     rng = random.Random(3)
     for _ in range(200):

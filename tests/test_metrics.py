@@ -201,6 +201,17 @@ def test_rafi_term_shapes():
     assert rafi_formula(s1, s5, Thresholds(K=1, K_hat=1, R=1)) == pytest.approx(far)
 
 
+def test_rafi_rejects_snapshots_of_different_shapes():
+    slot = SlotSnap(Slope(0, 1), 0.0)
+    glue = GlueSnap(0.0, 0.0)
+    s = Snapshot((slot, slot), (glue, glue))
+    fewer_slots = Snapshot((slot,), (glue, glue))
+    fewer_glue = Snapshot((slot, slot), (glue,))
+    for a, b in ((s, fewer_slots), (fewer_slots, s), (s, fewer_glue), (fewer_glue, s)):
+        with pytest.raises(ValueError, match="shapes differ"):
+            rafi_formula(a, b, TH)
+
+
 def test_large_links_empty_and_planted():
     m1 = flat_marking(2)
     assert large_links(m1, m1, 4) == []
