@@ -14,23 +14,12 @@ The move distance is the sum of exact block distances (bfs_distance).
 
 from __future__ import annotations
 
-import heapq
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .horoball import HoroPoint, horo_distance, width
-from .slots import (
-    Slope,
-    _twist_coordinate,
-    complement,
-    farey_distance,
-    intersection,
-    pivot_region,
-    transversal_at,
-    twist_coordinate,
-)
+from .slots import Slope, TwistWord, _fans, _normalized, intersection, twist
 
 __all__ = [
     "GlueBlock",
@@ -183,15 +172,18 @@ def act_curve(r: int, c: CurveRef, k: int) -> CurveRef:
 # one horoball per gluing curve, on (tau, D), and one slot graph per slot.
 # A slot graph is one horoball per base slope, on (twist coordinate of the
 # transversal, D), with flips at level 0 joining the horoballs of Farey
-# neighbours.  Product distances are sums of block distances.
+# neighbours.  Two transversals of one base have twist coordinates that
+# differ by their intersection number, so no block distance reads a twist
+# coordinate.  Product distances are sums of block distances.
 # ---------------------------------------------------------------------------
 
 
-def _horo_point(blk: Union[GlueBlock, SlotBlock]) -> HoroPoint:
-    """A block's point in its horoball (for a slot, the base slope's)."""
-    if isinstance(blk, GlueBlock):
-        return HoroPoint(blk.tau, blk.D)
-    return HoroPoint(twist_coordinate(blk.base, blk.trans), blk.D)
+def _block_distance(x: Union[GlueBlock, SlotBlock], y: Union[GlueBlock, SlotBlock]) -> int:
+    """Horoball distance of two gluing blocks, or of two slot blocks on one
+    base (in the base slope's horoball)."""
+    if isinstance(x, GlueBlock):
+        return horo_distance(HoroPoint(x.tau, x.D), HoroPoint(y.tau, y.D))
+    return horo_distance(HoroPoint(0, x.D), HoroPoint(intersection(x.trans, y.trans), y.D))
 
 
 def _block_move_count(blk: Union[GlueBlock, SlotBlock]) -> int:
@@ -215,8 +207,7 @@ def _block_move(blk: Union[GlueBlock, SlotBlock], i: int) -> Union[GlueBlock, Sl
         step = i // 2 + 1 if i % 2 == 0 else -(i // 2 + 1)
         if isinstance(blk, GlueBlock):
             return GlueBlock(blk.tau + step, d)
-        n = twist_coordinate(blk.base, blk.trans)
-        return SlotBlock(blk.base, transversal_at(blk.base, n + step), d)
+        return SlotBlock(blk.base, twist(TwistWord(blk.base, step), blk.trans), d)
     d += -1 if i == w2 and d > 0 else 1
     if isinstance(blk, GlueBlock):
         return GlueBlock(blk.tau, d)
@@ -269,79 +260,86 @@ def is_elementary_move(a: AugMarking, b: AugMarking) -> bool:
     x, y = changed[0]
     if isinstance(x, SlotBlock) and x.base != y.base:
         return x.D == y.D == 0 and (x.base, x.trans) == (y.trans, y.base)
-    return horo_distance(_horo_point(x), _horo_point(y)) == 1
+    return _block_distance(x, y) == 1
 
 
 def bfs_distance(a: AugMarking, b: AugMarking, cap: int = 10) -> Optional[int]:
     """Exact elementary-move distance if <= cap, else None.
 
-    The sum of the block distances: horo_distance in closed form per gluing
-    curve, and the exact slot distance per slot.  A slot path from one base
-    to another goes down to level 0 at both ends and takes one flip per
-    Farey edge, so s.D + t.D + farey_distance(s.base, t.base) is a lower
-    bound; a slot whose bound passes what is left of the cap returns None
-    without a walk, which keeps long continued fractions cheap.
+    The sum of the block distances: _block_distance per gluing curve and
+    _slot_distance per slot, each exact and uncapped, the slot walk linear
+    in the continued-fraction length of the bases.
     """
     check_same_surface(a, b)
-    total = sum(horo_distance(_horo_point(g), _horo_point(h)) for g, h in zip(a.glue, b.glue))
-    for s, t in zip(a.slots, b.slots):
-        if total > cap:
-            return None
-        if s.base != t.base and s.D + t.D + farey_distance(s.base, t.base) > cap - total:
-            return None
-        total += _slot_distance(s, t)
+    total = sum(_block_distance(g, h) for g, h in zip(a.glue, b.glue))
+    total += sum(_slot_distance(s, t) for s, t in zip(a.slots, b.slots))
     return total if total <= cap else None
 
 
 def _slot_distance(s: SlotBlock, t: SlotBlock) -> int:
     """Exact slot-graph distance, with no cap.
 
-    A slot path is a Farey path s.base = g_0, ..., g_m = t.base: m flips,
-    the flip between g and h joining the level-0 points twist_coordinate(g,
-    h) of H_g and twist_coordinate(h, g) of H_h, plus one closed-form
-    horo_distance leg inside each H_g from where the path enters it to
-    where it leaves.  The end legs start and finish at the blocks' own
-    points.
+    A slot path is a Farey path s.base = g_0, ..., g_n = t.base: n flips
+    between level-0 points, and in each H_g one leg from where the path
+    enters to where it leaves.  Twist coordinates of transversals of g
+    differ by their intersection number, so a leg entering H_g from e and
+    leaving to w costs L(i(e, w)), L(x) = horo_distance((0, 0), (x, 0)),
+    and the end legs read s.trans, t.trans and the levels the same way.  A
+    leg between distinct points costs >= 1, and L(x) <= x.  Three facts
+    make the walk below exact:
 
-    On a shared base that horoball distance is the answer: a detour leaving
-    H_base towards the neighbour with twist coordinate i and returning from
-    the one with j visits every neighbour between them, since the Farey
-    edge from the base to each separates the base's link, so it costs at
-    least |i - j| + 2 flips against |i - j| level-0 twists.  Otherwise a
-    shortest path over states (slope, previous slope), with the slopes of
-    pivot_region(s.base, t.base) as vertices: the convergents and fan rims
-    that every Farey path between the bases passes near.  That leaving out
-    all other slopes loses nothing is checked, not proved: on seeded pairs
-    the search equals one over every slope of a box around the region.
+    1. Loops never help.  A sub-walk leaving H_g to a neighbour w and
+       coming back from w' visits every neighbour of g between them, since
+       the Farey edge from g to each separates w from w': >= i(w, w') + 2
+       flips, against the leg L(i(w, w')) <= i(w, w') that replaces it.
+       So on a shared base the answer is that base's horoball distance.
+    2. Paths stay in the strip of triangles that the geodesic from s.base
+       to t.base crosses.  The rest of the graph meets it along boundary
+       edges p-q, so an excursion leaves at p and returns at q.  If its
+       first slope is the j-th neighbour of p past q and its last the k-th
+       of q past p, it visits >= j + k - 1 slopes, a flip and a leg >= 1
+       each, then flips into q: >= 2(j + k) - 1.  The flip p -> q costs 1,
+       and the legs at p and q grow by at most L(j) + L(k) <= j + k.
+    3. Rims matter only for m <= 2.  In the frame of slots._normalized the
+       strip is the fans (prev, pivot, m, nxt) of slots._fans, with rims
+       prev + j*pivot, j = 0..m, each adjacent to the pivot and the rims
+       j +- 1.  A run of j rims before or after the pivot costs 3j - 1 more
+       than the flip it replaces and saves at most j + 1 in the legs at its
+       ends.  The rim walk from prev to nxt costs 3m - 2 (m flips, m - 1
+       legs of L(2) = 2); prev -> pivot -> nxt costs at most L(m) + 4 with
+       its end legs, no more once m >= 3.
+
+    So per fan boundary {c_(k-1), c_k} the walk keeps the cheapest cost of
+    each (slope, entry), the entry being the slope it came from or the
+    start point.  Fan k reaches nxt from the pivot, and from prev directly
+    when m = 1 or past the rim prev + pivot when m = 2 (prev -> pivot is
+    the previous fan's pivot -> nxt).  The intersection number is invariant
+    under the unimodular frame, so the walk runs on integer vectors.
     """
-    start, goal = _horo_point(s), _horo_point(t)
     if s.base == t.base:
-        return horo_distance(start, goal)
-    region = pivot_region(s.base, t.base)
-    # coords[i][j]: twist coordinate of region[j] in H_region[i], over the
-    # Farey neighbours j of i in the region
-    coords = []
-    for g in region:
-        t0 = complement(g)
-        coords.append(
-            {j: _twist_coordinate(g, t0, h) for j, h in enumerate(region) if intersection(g, h) == 1}
-        )
-    src, dst = region.index(s.base), region.index(t.base)
-    heap = [(horo_distance(start, HoroPoint(x, 0)) + 1, j, src) for j, x in coords[src].items()]
-    heapq.heapify(heap)
-    done = set()
-    best = math.inf
-    while heap:
-        d, i, prev = heapq.heappop(heap)
-        if d >= best:
-            break
-        if (i, prev) in done:
-            continue
-        done.add((i, prev))
-        entry = HoroPoint(coords[i][prev], 0)
-        if i == dst:
-            best = min(best, d + horo_distance(entry, goal))
-        for j, x in coords[i].items():
-            if j != prev:
-                heapq.heappush(heap, (d + 1 + horo_distance(entry, HoroPoint(x, 0)), j, i))
-    return best
+        return _block_distance(s, t)
+    (r0, r1, r2, r3), u, v = _normalized(s.base, t.base)
+    start, goal = ((r0 * w.p + r1 * w.q, r2 * w.p + r3 * w.q) for w in (s.trans, t.trans))
+    # cheapest cost into c_(k-1) and into c_k, per (entry vector, entry level)
+    at_prev = {(start, s.D): 0}
+    at_cur = {((1, 0), 0): 1 + _leave(at_prev, (u // v, 1), 0)}
+    for prev, pivot, m, nxt in _fans(u, v):
+        at_nxt = {(pivot, 0): 1 + _leave(at_cur, nxt, 0)}
+        if m == 1:
+            at_nxt[prev, 0] = 1 + _leave(at_prev, nxt, 0)
+        elif m == 2:
+            rim = (prev[0] + pivot[0], prev[1] + pivot[1])
+            at_rim = {(prev, 0): 1 + _leave(at_prev, rim, 0)}
+            at_nxt[rim, 0] = 1 + _leave(at_rim, nxt, 0)
+        at_prev, at_cur = at_cur, at_nxt
+    return _leave(at_cur, goal, t.D)
+
+
+def _leave(states: dict, w: tuple[int, int], level: int) -> int:
+    """The cheapest cost over states {(entry, entry level): cost} of one
+    slope, plus the leg from the entry to the point of its horoball that
+    faces w at the given level."""
+    return min(
+        cost + horo_distance(HoroPoint(0, lvl), HoroPoint(abs(e[0] * w[1] - e[1] * w[0]), level))
+        for (e, lvl), cost in states.items()
+    )

@@ -38,10 +38,12 @@ from .marking import (
 )
 from .projection import (
     Annulus,
+    Simplex,
     Slot,
     SubsurfaceRef,
     Whole,
     _check_index,
+    phi,
     proj_distance,
 )
 from .slots import (
@@ -66,6 +68,7 @@ __all__ = [
     "formula_terms",
     "formula_distance_T",
     "formula_distance_WP",
+    "distance_to_q",
     "rafi_formula",
     "rafi_slot_side",
     "rafi_glue_side",
@@ -173,6 +176,19 @@ def formula_distance_WP(m1: AugMarking, m2: AugMarking, th: Thresholds) -> int:
         for y, _, contrib in formula_terms(m1, m2, th)
         if not isinstance(y, Annulus)
     )
+
+
+def distance_to_q(delta: Simplex, m: AugMarking, threshold: int) -> int:
+    """Thresholded estimate of the move distance from m to Q(delta).
+
+    The formula rows between m and phi(delta, m), cut at K = threshold,
+    without the whole surface's row.  Only the slots where delta names a
+    non-base slope differ, so what is left is their slot rows and the
+    annuli over their pivot regions.
+    """
+    th = Thresholds(K=threshold, K_hat=threshold)
+    rows = formula_terms(m, phi(delta, m), th)
+    return sum(contrib for y, _, contrib in rows if not isinstance(y, Whole))
 
 
 # ---------------------------------------------------------------------------

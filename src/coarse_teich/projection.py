@@ -34,7 +34,6 @@ from .slots import (
     _twist_coordinate,
     complement,
     farey_distance,
-    pivot_region,
     relative_twisting,
     transversal_at,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "marked_projection",
     "q_membership",
     "phi",
-    "distance_to_q",
     "annulus_point",
     "act_simplex",
 ]
@@ -254,32 +252,3 @@ def phi(delta: Simplex, m: AugMarking) -> AugMarking:
         _, trans, _ = marked_projection(InSlot(i, s), m)
         slots[i] = SlotBlock(s, trans, 0)
     return AugMarking(m.glue, tuple(slots))
-
-
-def distance_to_q(delta: Simplex, m: AugMarking, threshold: int) -> int:
-    """Thresholded estimate of the move distance from m to Q(delta).
-
-    Sum over subsurfaces interlocking delta of the projection distance
-    between m and phi(delta, m), keeping only terms above the threshold.
-    Interlocking subsurfaces: the slots where delta names a non-base slope,
-    and annuli over slopes crossing the delta slope there; the only such
-    annuli able to carry more than a bounded value sit on the pivot region
-    of the fans of the continued fraction between the old and new base.
-    """
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    image = phi(delta, m)
-    total = 0
-    for i, s in delta.slot_slopes().items():
-        if m.slots[i].base == s:
-            continue
-        d = proj_distance(Slot(i), m, image)
-        if d > threshold:
-            total += d
-        for v in pivot_region(m.slots[i].base, s):
-            if v == s:
-                continue
-            dv = proj_distance(Annulus(InSlot(i, v)), m, image)
-            if dv > threshold:
-                total += dv
-    return total

@@ -40,7 +40,7 @@ from .metrics import (
     large_links,
 )
 from .projection import annulus_point, proj_distance
-from .slots import TwistWord, transversal_at, twist, twist_coordinate
+from .slots import TwistWord, transversal_at, twist
 
 __all__ = [
     "AlmostFixedCertificate",
@@ -254,27 +254,21 @@ class ReductionTrace:
 
 
 def _apply_symmetric_multitwist(x: AugMarking, core: CurveRef, d: int) -> AugMarking:
-    """One multitwist: the same twist power about every orbit member."""
+    """One multitwist: the same twist power about every orbit member.
+
+    A twist fixes its core, so a slot based on the core keeps its base and
+    its transversal's twist coordinate moves by d.
+    """
     if d == 0:
         return x
     if isinstance(core, Glue):
         return AugMarking(
             tuple(GlueBlock(g.tau + d, g.D) for g in x.glue), x.slots
         )
-    s = core.slope
-    slots = []
-    for blk in x.slots:
-        if blk.base == s:
-            psi = twist_coordinate(blk.base, blk.trans)
-            slots.append(
-                SlotBlock(blk.base, transversal_at(blk.base, psi + d), blk.D)
-            )
-        else:
-            word = TwistWord(s, d)
-            slots.append(
-                SlotBlock(twist(word, blk.base), twist(word, blk.trans), blk.D)
-            )
-    return AugMarking(x.glue, tuple(slots))
+    word = TwistWord(core.slope, d)
+    return AugMarking(x.glue, tuple(
+        SlotBlock(twist(word, blk.base), twist(word, blk.trans), blk.D) for blk in x.slots
+    ))
 
 
 # residual bound on a processed family, the induction's first claim
@@ -285,7 +279,6 @@ def fixed_point_search(
     mu: AugMarking,
     th: Thresholds,
     seed: Optional[AugMarking] = None,
-    process_order: str = "time",
 ) -> tuple[AugMarking, ReductionTrace]:
     """Turn an almost-fixed marking into an exactly fixed one nearby.
 
@@ -299,13 +292,7 @@ def fixed_point_search(
     constant; family values must be comparable within th.R + 2.  The
     result is exactly fixed with final distance bounded in terms of
     (k, th.R) only.
-
-    process_order="reversed" is a negative control for experiments; the
-    assertions are relaxed since reversed processing violates the time
-    order on purpose.
     """
-    if process_order not in ("time", "reversed"):
-        raise ValueError(f"unknown process order {process_order!r}")
     if seed is not None and not is_fixed(seed):
         raise ValueError("provided seed is not exactly fixed")
     if is_fixed(mu):
@@ -320,33 +307,28 @@ def fixed_point_search(
     seed_used = x
     links = large_links(mu, x, th.K_hat)
     families = group_symmetric_families(links, mu, x, th, th.R + 2)
-    ordered = list(families)
-    if process_order == "reversed":
-        ordered.reverse()
-    honest = process_order == "time"
     stages = []
-    for n, fam in enumerate(ordered):
+    for n, fam in enumerate(families):
         rep_curve = fam.representative.subsurface.curve
         d = annulus_point(rep_curve, mu).x - annulus_point(rep_curve, x).x
         before_unprocessed = [
-            proj_distance(f.representative.subsurface, mu, x) for f in ordered[n + 1:]
+            proj_distance(f.representative.subsurface, mu, x) for f in families[n + 1:]
         ]
         x = _apply_symmetric_multitwist(x, rep_curve, d)
         assert is_fixed(x), "stage output lost exact symmetry"
         residuals = tuple(
             proj_distance(m.subsurface, mu, x) for m in fam.members
         )
-        if honest:
-            # induction (1): the processed family is now resolved
-            assert max(residuals) <= _STAGE_BOUND, (
-                f"stage {n} residuals {residuals} exceed {_STAGE_BOUND}"
+        # induction (1): the processed family is now resolved
+        assert max(residuals) <= _STAGE_BOUND, (
+            f"stage {n} residuals {residuals} exceed {_STAGE_BOUND}"
+        )
+        # induction (2): later families barely move
+        for f, before in zip(families[n + 1:], before_unprocessed):
+            now = proj_distance(f.representative.subsurface, mu, x)
+            assert abs(now - before) <= 6, (
+                f"unprocessed family {f.time_index} moved {before} -> {now}"
             )
-            # induction (2): later families barely move
-            for f, before in zip(ordered[n + 1:], before_unprocessed):
-                now = proj_distance(f.representative.subsurface, mu, x)
-                assert abs(now - before) <= 6, (
-                    f"unprocessed family {f.time_index} moved {before} -> {now}"
-                )
         stages.append(
             SearchStage(
                 family=fam,

@@ -1,7 +1,9 @@
 """Brute-force references that the exact closed forms and walks in
 ``coarse_teich`` are checked against.  Breadth-first searches over the raw
-graphs: independent of the package's fan walks, horoball apex scan and slot
-Dijkstra, and exact only inside their caps or boxes.  Plus the whole list
+graphs: independent of the package's fan walks and horoball apex scan,
+and exact only inside their caps or boxes.  The slot distance as a
+Dijkstra search over the slopes of the bases' pivot region, the package's
+algorithm before the weighted fan walk replaced it.  Plus the whole list
 of elementary moves that ``nth_move`` indexes, the slope boxes the tests
 enumerate, and the lattice reduction in longdouble, the reference for the
 package's double-precision one and, on the Anosov torus flowed in
@@ -16,6 +18,7 @@ swap-fixed locus as the minimum of that formula over every candidate.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -28,8 +31,11 @@ from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock
 from coarse_teich.metrics import Snapshot, Thresholds
 from coarse_teich.slots import (
     Slope,
+    _twist_coordinate,
     complement,
     farey_distance,
+    intersection,
+    pivot_region,
     transversal_at,
     twist_coordinate,
 )
@@ -143,7 +149,7 @@ def listed_moves(m: AugMarking) -> list[AugMarking]:
 
 
 # ---------------------------------------------------------------------------
-# Slot graph within a cap.
+# Slot graph: breadth-first within a cap, and the pivot-region search.
 # ---------------------------------------------------------------------------
 
 
@@ -204,6 +210,46 @@ def slot_distance_bfs(s: SlotBlock, t: SlotBlock, cap: int) -> Optional[int]:
         else:
             rfront = new
     return None
+
+
+def slot_distance_pivot_dijkstra(s: SlotBlock, t: SlotBlock) -> int:
+    """Slot-graph distance by a shortest-path search over states (slope,
+    previous slope), with the slopes of pivot_region(s.base, t.base) as
+    vertices: one flip per Farey edge, one closed-form horoball leg per
+    horoball from the point facing the previous slope to the one facing the
+    next.  On a shared base, that base's horoball distance."""
+    start = HoroPoint(twist_coordinate(s.base, s.trans), s.D)
+    goal = HoroPoint(twist_coordinate(t.base, t.trans), t.D)
+    if s.base == t.base:
+        return horo_distance(start, goal)
+    region = pivot_region(s.base, t.base)
+    # coords[i][j]: twist coordinate of region[j] in H_region[i], over the
+    # Farey neighbours j of i in the region
+    coords = []
+    for g in region:
+        t0 = complement(g)
+        coords.append(
+            {j: _twist_coordinate(g, t0, h) for j, h in enumerate(region) if intersection(g, h) == 1}
+        )
+    src, dst = region.index(s.base), region.index(t.base)
+    heap = [(horo_distance(start, HoroPoint(x, 0)) + 1, j, src) for j, x in coords[src].items()]
+    heapq.heapify(heap)
+    done = set()
+    best = math.inf
+    while heap:
+        d, i, prev = heapq.heappop(heap)
+        if d >= best:
+            break
+        if (i, prev) in done:
+            continue
+        done.add((i, prev))
+        entry = HoroPoint(coords[i][prev], 0)
+        if i == dst:
+            best = min(best, d + horo_distance(entry, goal))
+        for j, x in coords[i].items():
+            if j != prev:
+                heapq.heappush(heap, (d + 1 + horo_distance(entry, HoroPoint(x, 0)), j, i))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -402,7 +402,8 @@ def test_dist_oracle_deep_gluing_level_is_past_the_cap(tmp_path, capsys):
 
 def test_dist_oracle_on_long_continued_fractions_is_past_the_cap(tmp_path, capsys):
     # Fibonacci slopes with about 2,000 continued-fraction terms: the slot's
-    # Farey distance alone passes the cap, so the oracle runs no walk
+    # Farey distance alone passes the cap, and the slot walk is linear in
+    # the number of terms
     p, q = 1, 1
     for _ in range(2000):
         p, q = p + q, p

@@ -1,10 +1,12 @@
 import heapq
 import itertools
+import math
 import random
 
 import pytest
 
 from coarse_teich.calibration import sample_marking
+from coarse_teich.flatsim import fibonacci_slope
 from coarse_teich.horoball import width
 from coarse_teich.marking import (
     AugMarking,
@@ -40,6 +42,7 @@ from tests.oracles import (
     listed_moves,
     slopes_in_box,
     slot_distance_bfs,
+    slot_distance_pivot_dijkstra,
 )
 
 
@@ -344,6 +347,70 @@ def test_slot_distance_pivot_region_matches_box_dijkstra():
         checked += 1
         longest = max(longest, got)
     assert longest > 12
+
+
+def _in_box(g: Slope, bound: int) -> bool:
+    return abs(g.p) <= bound and g.q <= bound
+
+
+def test_slot_distance_matches_box_dijkstra_with_far_side_transversals():
+    # both transversals and the pivot region inside box 16: the box holds
+    # the slopes around each transversal, on the far side of the base from
+    # the other block, so a path that leaves a base towards its own
+    # transversal is in the search; the fan walk never looks there
+    rng = random.Random(7005)
+    slopes = slopes_in_box(4)
+    legs: dict = {}
+    checked = 0
+    while checked < 200:
+        s = _random_slot_block(rng, slopes, 5, 3)
+        t = _random_slot_block(rng, slopes, 5, 3)
+        if s.base == t.base or not all(
+            _in_box(g, 12) for g in (s.trans, t.trans, *pivot_region(s.base, t.base))
+        ):
+            continue
+        assert _slot_distance(s, t) == _box_slot_distance(s, t, 16, legs), (s, t)
+        checked += 1
+
+
+def _deep_slope(rng: random.Random, kind: int) -> Slope:
+    """A Fibonacci slope F_n/F_(n+1) with 30 <= |n| <= 59, a slope of height
+    up to 10^6, or a small slope."""
+    if kind == 0:
+        return fibonacci_slope(rng.choice((1, -1)) * rng.randint(30, 59))
+    big = 10 ** rng.randint(1, 6) if kind == 1 else 6
+    while True:
+        p, q = rng.randint(-big, big), rng.randint(1, big)
+        if math.gcd(p, q) == 1:
+            return Slope(p, q)
+
+
+def test_slot_distance_matches_the_pivot_region_dijkstra_on_deep_pairs():
+    # long continued fractions, twists and levels far past any BFS cap:
+    # the fan walk against the pivot-region search it replaced, on pairs of
+    # two kinds of slope each, on a shared base and on Farey neighbours
+    rng = random.Random(7006)
+    deep = 0
+    for n in range(300):
+        kinds = (n % 3, n // 3 % 3)
+        blocks = []
+        for kind in kinds:
+            base = _deep_slope(rng, kind)
+            twist_max = 10 ** rng.randint(0, 6)
+            trans = transversal_at(base, rng.randint(-twist_max, twist_max))
+            blocks.append(SlotBlock(base, trans, rng.randint(0, 6)))
+        s, t = blocks
+        if n % 10 == 0:
+            # a shared base
+            t = SlotBlock(s.base, transversal_at(s.base, n), t.D)
+        elif n % 10 == 1:
+            # Farey neighbours, half of them s flipped
+            t = SlotBlock(s.trans, s.base if n % 20 == 1 else transversal_at(s.trans, n), t.D)
+        got = _slot_distance(s, t)
+        assert got == slot_distance_pivot_dijkstra(s, t), (s, t)
+        assert got == _slot_distance(t, s)
+        deep += farey_distance(s.base, t.base) >= 15
+    assert deep >= 60, deep
 
 
 def test_slot_distance_is_a_metric():

@@ -14,7 +14,7 @@ from coarse_teich.marking import (
     act_curve,
     elementary_moves,
 )
-from coarse_teich.metrics import active_segment
+from coarse_teich.metrics import active_segment, distance_to_q
 from coarse_teich.projection import (
     Annulus,
     Simplex,
@@ -22,7 +22,6 @@ from coarse_teich.projection import (
     Whole,
     act_simplex,
     annulus_point,
-    distance_to_q,
     marked_projection,
     phi,
     proj_distance,

@@ -255,27 +255,26 @@ def test_search_two_families_follow_the_geodesic():
     assert trace.final_distance == 0
 
 
-def test_search_reversed_order_is_strictly_worse():
-    # negative control: the same two families processed out of time order
-    # land on the right base slope but miss the twist by the first pivot's
-    # full offset, which the later stage can no longer see
+def test_search_reversed_order_is_strictly_worse(monkeypatch):
+    # negative control: the same two families handed to the stages out of
+    # time order; the first stage's multitwist about the later pivot moves
+    # the earlier family's offset, so the induction assertions stop the run
+    import coarse_teich.search as search
+
     target = Slope(40, 1201)
     slots = (
         SlotBlock(target, transversal_at(target, 0), 0),
         SlotBlock(target, transversal_at(target, 1), 0),
     )
     mu = AugMarking((GlueBlock(0, 0),) * 2, slots)
-    x, trace = fixed_point_search(mu, TH, seed=flat_marking(2))
-    xr, trace_r = fixed_point_search(
-        mu, TH, seed=flat_marking(2), process_order="reversed"
+    _, trace = fixed_point_search(mu, TH, seed=flat_marking(2))
+    assert [s.family.time_index for s in trace.stages] == [0, 1]
+    grouped = search.group_symmetric_families
+    monkeypatch.setattr(
+        search, "group_symmetric_families", lambda *args: grouped(*args)[::-1]
     )
-    assert is_fixed(xr)
-    assert [s.family.time_index for s in trace_r.stages] == [1, 0]
-    assert trace_r.final_distance > trace.final_distance
-    assert trace_r.final_distance == 16
-    for s in xr.slots:
-        assert s.base == target
-        assert twist_coordinate(s.base, s.trans) == 30
+    with pytest.raises(AssertionError, match="unprocessed family 0 moved"):
+        fixed_point_search(mu, TH, seed=flat_marking(2))
 
 
 def test_search_precondition_failure_carries_certificate():
@@ -295,8 +294,6 @@ def test_search_precondition_failure_carries_certificate():
 
 def test_search_rejects_bad_arguments():
     mu = flat_marking(2)
-    with pytest.raises(ValueError):
-        fixed_point_search(mu, TH, process_order="sideways")
     unfixed = AugMarking((GlueBlock(1, 0), GlueBlock(0, 0)), mu.slots)
     bumped = AugMarking((GlueBlock(7, 0), GlueBlock(7, 0)), mu.slots)
     assert not is_fixed(unfixed)
