@@ -264,13 +264,11 @@ def fit_quasi_isometry(samples: Sequence[tuple[int, int]]) -> tuple[float, int]:
     return lo, math.ceil(c_needed) + 2
 
 
-def family_comparability_sweep(
-    th: Thresholds, seed: int, instances: int = 60
-) -> float:
-    """Max within-family max/min projection ratio over planted orbits."""
+def family_comparability_sweep(th: Thresholds, seed: int) -> float:
+    """Max within-family max/min projection ratio over 60 planted orbits."""
     rng = random.Random(seed)
     worst = 1.0
-    for _ in range(instances):
+    for _ in range(60):
         k = rng.choice((2, 3, 4))
         base = Slope.of(*rng.choice(((0, 1), (1, 1), (1, 2), (2, 1))))
         x = AugMarking(
@@ -291,20 +289,19 @@ def family_comparability_sweep(
             ),
         )
         links = large_links(mu, x, th.K_hat)
-        fams = group_symmetric_families(links, mu, x, th, comparability=th.R + 2)
+        fams = group_symmetric_families(links, mu, x, th)
         for fam in fams:
             values = [l.value for l in fam.members]
             worst = max(worst, max(values) / min(values))
     return worst
 
 
-def presegment_projection_sweep(
-    th: Thresholds, seed: int, instances: int = 60
-) -> int:
-    """Max projection from the path start to an active-segment start."""
+def presegment_projection_sweep(th: Thresholds, seed: int) -> int:
+    """Max projection from the path start to an active-segment start, over
+    60 sampled marking pairs."""
     rng = random.Random(seed)
     worst = 0
-    for _ in range(instances):
+    for _ in range(60):
         k = rng.choice((2, 3))
         m1 = sample_marking(rng, k, twist_max=6, level_max=2)
         m2 = sample_marking(rng, k, twist_max=6, level_max=2)
@@ -320,7 +317,7 @@ def presegment_projection_sweep(
 
 
 def barycenter_samples(
-    k: int, th: Thresholds, seed: int, instances: int = 300
+    k: int, th: Thresholds, seed: int, instances: int
 ) -> list[tuple[int, int]]:
     """(displacement, output distance) pairs for the coarse barycenter."""
     rng = random.Random(seed)
@@ -370,7 +367,7 @@ def calibrate(seed: int = 0, th: Optional[Thresholds] = None) -> CalibrationCons
 
     bary = []
     for i, k in enumerate((2, 3, 4)):
-        bary += barycenter_samples(k, th, seed + 4 + i)
+        bary += barycenter_samples(k, th, seed + 4 + i, 300)
     slope, intercept = linear_regression(
         [x for x, _ in bary], [y for _, y in bary]
     )

@@ -283,7 +283,7 @@ def cmd_barycenter(args, cfg: Config) -> int:
     th = cfg.thresholds()
     if args.sweep:
         xs, ys = [], []
-        for x, y in barycenter_samples(cfg.k, th, cfg.seed):
+        for x, y in barycenter_samples(cfg.k, th, cfg.seed, 300):
             xs.append(x)
             ys.append(y)
         slope, intercept = linear_regression(xs, ys)

@@ -9,7 +9,7 @@ total area, so the family computes those and builds no slit geometry.  A
 lattice is a plain tuple of its basis vectors ((x1, y1), (x2, y2)), flowed
 and reduced in double precision, so the module needs nothing past the
 standard library.
-Snapshots feed the four-term numerical distance; the orbit-diameter curve
+Snapshots feed the numerical Rafi formula; the orbit-diameter curve
 of a snapshot against its slot swap is flat near the endpoints and grows
 linearly to a peak at the midpoint, which is the whole point of the
 construction.
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from statistics import linear_regression
 from typing import Callable, Optional
 
-from .metrics import GlueSnap, Snapshot, SlotSnap, Thresholds, rafi_formula
-from .metrics import rafi_glue_side, rafi_slot_side, rafi_total
+from .metrics import CurveSnap, Snapshot, Thresholds, rafi_formula, rafi_side, rafi_total
 from .slots import Slope, farey_distance
 
 __all__ = [
@@ -185,7 +184,7 @@ def _reduced_small_torus(u: float) -> tuple[float, Slope, float]:
 
 @dataclass(frozen=True)
 class TrajectoryFamily:
-    """One-parameter family of slit surfaces on [0, horizon].
+    """One-parameter family of slit surfaces on [0, 2d].
 
     The surface at time t is the 4-cycle (big, small 0, big, small 1): the
     big tori are the Anosov torus flowed by t, small torus i is the Anosov
@@ -206,16 +205,9 @@ class TrajectoryFamily:
     def rho(self) -> float:
         return self.c * math.exp(-self.d / 2)
 
-    @property
-    def horizon(self) -> float:
-        return 2 * self.d
-
     def slot_time(self, i: int, t: float) -> float:
         lo, hi = self.windows[i]
         return min(max(t, lo), hi) + self.phases[i]
-
-    def slit_len(self, i: int, t: float) -> float:
-        return slit_length(self.rho, self.slot_time(i, t))
 
     def at(self, t: float, reduced: Reductions) -> FlowedSlots:
         """The snapshot record at time t.
@@ -299,16 +291,16 @@ def _glue_neg_log_ext(ell: float, area: float) -> float:
 
 def shadow(flowed: FlowedSlots) -> Snapshot:
     """Combinatorial snapshot: systole slope and shortness per slot, slit
-    shortness per gluing curve.  Gluings carry no twist, so every gluing
-    twist is 0.  It reads the systoles that TrajectoryFamily.at reduced
-    and reduces no lattice itself."""
+    shortness per gluing curve.  A gluing curve has no slope and carries no
+    twist.  It reads the systoles that TrajectoryFamily.at reduced and
+    reduces no lattice itself."""
     area = flowed.area
     slots = []
     glue = []
     for slope, length, slit in flowed.slots:
         phys = flowed.scale * length
-        slots.append(SlotSnap(slope, math.log(area / (phys * phys))))
-        glue.append(GlueSnap(0.0, _glue_neg_log_ext(slit, area)))
+        slots.append(CurveSnap(slope, math.log(area / (phys * phys))))
+        glue.append(CurveSnap(None, _glue_neg_log_ext(slit, area)))
     return Snapshot(tuple(slots), tuple(glue))
 
 
@@ -320,7 +312,7 @@ def rotate_snapshot(r: int, snap: Snapshot) -> Snapshot:
     )
 
 
-# the Farey distance of two distinct slopes, as rafi_slot_side reads it
+# the Farey distance of two distinct slopes, as rafi_side reads it
 FareyLookup = Callable[[Slope, Slope], int]
 
 
@@ -345,8 +337,8 @@ def _swap_distance(
     """rafi_formula(snap, rotate_snapshot(1, snap), th) and its slot term,
     read from farey, the snapshot's farey_lookup."""
     swapped = rotate_snapshot(1, snap)
-    slot = rafi_slot_side(zip(snap.slots, swapped.slots), th, farey)
-    return rafi_total(slot, rafi_glue_side(zip(snap.glue, swapped.glue), th)), slot[0]
+    slot = rafi_side(zip(snap.slots, swapped.slots), th, farey)
+    return rafi_total(slot, rafi_side(zip(snap.glue, swapped.glue), th, farey)), slot[0]
 
 
 def distance_to_fixed(snap: Snapshot, th: Thresholds, farey: FareyLookup) -> float:
@@ -355,14 +347,15 @@ def distance_to_fixed(snap: Snapshot, th: Thresholds, farey: FareyLookup) -> flo
     A candidate repeats one slot and one gluing curve of snap, and its
     value equals rafi_formula(snap, candidate, th).  Its slot side depends
     only on the repeated slot and its gluing side only on the repeated
-    gluing curve, so the row builds one slot side per slot (reading farey,
-    the snapshot's farey_lookup, so no candidate walks the Farey graph) and
-    one gluing side per gluing curve, k^2 + g^2 entry pairs in all, and
-    takes rafi_total of each of the k * g pairs of sides.
+    gluing curve, so the row builds one side per slot and one per gluing
+    curve (reading farey, the snapshot's farey_lookup, so no candidate walks
+    the Farey graph), k^2 + g^2 entry pairs in all, and takes rafi_total of
+    each of the k * g pairs of sides.
     """
-    k, g = snap.k, len(snap.glue)
-    slot_sides = [rafi_slot_side(zip(snap.slots, (y,) * k), th, farey) for y in snap.slots]
-    glue_sides = [rafi_glue_side(zip(snap.glue, (x,) * g), th) for x in snap.glue]
+    slot_sides, glue_sides = (
+        [rafi_side(zip(curves, (y,) * len(curves)), th, farey) for y in curves]
+        for curves in (snap.slots, snap.glue)
+    )
     return min(
         (rafi_total(slot, glue) for slot in slot_sides for glue in glue_sides),
         default=math.inf,

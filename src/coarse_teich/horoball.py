@@ -65,7 +65,15 @@ def width(level: int) -> int:
 def _apex_scan(u: HoroPoint, v: HoroPoint) -> tuple[int, int]:
     """(distance, apex): scan apex levels for up-across-down paths.
 
-    Ties go to the lowest apex level.
+    Ties go to the lowest apex level.  The scan skips levels that provably
+    lose.  Widths at least double per level, as floor(e*y) >= 2*floor(y)
+    for y >= 1.  So with a = gap / width(L), apex L + 1 takes at most
+    ceil(a / 2) < a / 2 + 1 horizontal steps, and apex L costs at least
+    ceil(a) - 2 - ceil(a / 2) > a / 2 - 3 more than apex L + 1: strictly
+    more once 6 * width(L) <= gap.  That holds whenever L <= ln(gap) - 2,
+    as width(L) <= e^L.  n = (nbits - 1) * 693 // 1000 is at most
+    (nbits - 1) * ln 2 <= ln(gap), so every level below n - 3 costs more
+    than the next, and the scan starts at max(lo, n - 3).
     """
     gap = abs(u.x - v.x)
     lo = max(u.level, v.level)
@@ -74,7 +82,8 @@ def _apex_scan(u: HoroPoint, v: HoroPoint) -> tuple[int, int]:
     # floor(e^level) >= 2^level > gap once level reaches gap's bit length
     nbits = gap.bit_length()
     best = apex = None
-    level = lo
+    # below 2^16 the skipped window is a few levels, not worth the arithmetic
+    level = lo if nbits <= 16 else max(lo, (nbits - 1) * 693 // 1000 - 3)
     while True:
         w = width(level) if level < nbits else gap
         cost = (level - u.level) + (level - v.level) + -(-gap // w)  # ceil

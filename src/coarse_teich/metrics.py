@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .horoball import HoroPoint, horo_distance, horo_normal_path
+from .horoball import HoroPoint, horo_normal_path
 from .marking import (
     AugMarking,
     CurveRef,
@@ -62,16 +62,14 @@ __all__ = [
     "SymmetricFamily",
     "SymmetryViolationError",
     "Snapshot",
-    "SlotSnap",
-    "GlueSnap",
+    "CurveSnap",
     "annular_candidates",
     "formula_terms",
     "formula_distance_T",
     "formula_distance_WP",
     "distance_to_q",
     "rafi_formula",
-    "rafi_slot_side",
-    "rafi_glue_side",
+    "rafi_side",
     "rafi_total",
     "large_links",
     "group_symmetric_families",
@@ -192,8 +190,7 @@ def distance_to_q(delta: Simplex, m: AugMarking, threshold: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Numerical snapshots and the four-term formula used by the flat simulation,
-# built from a slot side and a gluing side.
+# Numerical snapshots and Rafi's formula on them, for the flat simulation.
 # ---------------------------------------------------------------------------
 
 
@@ -202,18 +199,14 @@ _SHORT_CUT = 1.0
 
 
 @dataclass(frozen=True)
-class SlotSnap:
-    """Shortest slope in a slot with log(1/extremal length) of that slope."""
+class CurveSnap:
+    """A snapshot curve and its log(1/extremal length).
 
-    slope: Slope
-    neg_log_ext: float
+    slope is a slot's shortest slope, or None for a gluing curve, which is
+    the same curve in every snapshot and carries no twist.
+    """
 
-
-@dataclass(frozen=True)
-class GlueSnap:
-    """Twist coordinate and log(1/extremal length) of a gluing curve."""
-
-    twist: float
+    slope: Optional[Slope]
     neg_log_ext: float
 
 
@@ -221,55 +214,53 @@ class GlueSnap:
 class Snapshot:
     """Coarse numerical state of a flowed surface at one time."""
 
-    slots: tuple[SlotSnap, ...]
-    glue: tuple[GlueSnap, ...]
+    slots: tuple[CurveSnap, ...]
+    glue: tuple[CurveSnap, ...]
 
     @property
     def k(self) -> int:
         return len(self.slots)
 
 
-# A side holds the terms of one half of the formula: what is added one term
-# at a time (the thresholded Farey sum, or the log twist gaps in gluing
-# order), then the largest horoball term and the largest one-sided term, 0
-# where there is none.  Every term is >= 0, and adding 0 leaves the total
-# unchanged, so a total taken from two sides equals one pass over all pairs.
-SlotSide = tuple[int, int, float]
-GlueSide = tuple[tuple[float, ...], int, float]
+# The terms of a set of curve pairs: the thresholded Farey sum, then the
+# largest horoball term and the largest one-sided term, 0 where there is
+# none.  Every term is >= 0, so a total taken from two sides equals one
+# pass over all pairs.
+Side = tuple[int, int, float]
 
 
 def rafi_formula(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
-    """Four-term coarse distance between numerical snapshots.
+    """Rafi's coarse distance between numerical snapshots.
 
-    Terms: thresholded slot curve-graph distances; log of annular twist
-    differences for curves short in neither snapshot; horoball distances for
+    Terms: thresholded slot curve-graph distances; horoball distances for
     curves short in both; and max log-reciprocal-length over curves short in
-    exactly one.  A curve is short when neg_log_ext > 1.  It is rafi_total
+    exactly one.  A curve is short when neg_log_ext > 1.  No snapshot curve
+    carries a twist, so the formula's log-twist term is 0.  It is rafi_total
     of the slot side and the gluing side, so a caller that knows the slot
     Farey distances, or that shares a side between pairs, skips the work.
     """
     if s1.k != s2.k or len(s1.glue) != len(s2.glue):
         raise ValueError("snapshot shapes differ")
     return rafi_total(
-        rafi_slot_side(zip(s1.slots, s2.slots), th, farey_distance),
-        rafi_glue_side(zip(s1.glue, s2.glue), th),
+        rafi_side(zip(s1.slots, s2.slots), th, farey_distance),
+        rafi_side(zip(s1.glue, s2.glue), th, farey_distance),
     )
 
 
-def rafi_slot_side(
-    pairs: Iterable[tuple[SlotSnap, SlotSnap]],
+def rafi_side(
+    pairs: Iterable[tuple[CurveSnap, CurveSnap]],
     th: Thresholds,
     farey: Callable[[Slope, Slope], int],
-) -> SlotSide:
-    """The slot pairs' terms: the thresholded Farey sum, an exact int, then
-    the largest horoball and one-sided terms.
+) -> Side:
+    """The pairs' terms: the thresholded Farey sum, an exact int, then the
+    largest horoball and one-sided terms.
 
     farey(a, b) is the Farey distance of two distinct slopes: farey_distance
-    itself, or a lookup of distances walked once.  Equal slopes are at
-    distance 0 and are not asked for.  Two slots short on one slope sit at
-    twist 0 on one vertical of the horoball, so their horoball distance is
-    the gap between their levels; short means neg_log_ext > 1, so both
-    levels are positive.
+    itself, or a lookup of distances walked once.  Equal slopes, and the
+    None slope of a gluing pair, are not asked for.  Two curves short on one
+    slope sit at twist 0 on one vertical of the horoball, so their horoball
+    distance is the gap between their levels; short means neg_log_ext > 1,
+    so both levels are positive.
     """
     slot_term = horo = 0
     one_sided = 0.0
@@ -288,36 +279,10 @@ def rafi_slot_side(
     return slot_term, horo, one_sided
 
 
-def rafi_glue_side(pairs: Iterable[tuple[GlueSnap, GlueSnap]], th: Thresholds) -> GlueSide:
-    """The gluing pairs' terms: the log twist gaps of curves short in
-    neither snapshot, in gluing order, then the largest horoball and
-    one-sided terms."""
-    logs: list[float] = []
-    horo = 0
-    one_sided = 0.0
-    for a, b in pairs:
-        sa, sb = a.neg_log_ext > _SHORT_CUT, b.neg_log_ext > _SHORT_CUT
-        if sa and sb:
-            pa = HoroPoint(round(a.twist), max(0, math.floor(a.neg_log_ext)))
-            pb = HoroPoint(round(b.twist), max(0, math.floor(b.neg_log_ext)))
-            horo = max(horo, horo_distance(pa, pb))
-        elif sa or sb:
-            one_sided = max(one_sided, a.neg_log_ext if sa else b.neg_log_ext)
-        else:
-            gap = abs(a.twist - b.twist)
-            if gap > th.K:
-                logs.append(math.log(gap))
-    return tuple(logs), horo, one_sided
-
-
-def rafi_total(slot: SlotSide, glue: GlueSide) -> float:
-    """rafi_formula from its two sides, in one float order: 0.0 + the slot
-    term, then each log gap, then the largest horoball term, then the
-    largest one-sided term."""
-    total = 0.0 + slot[0]
-    for gap in glue[0]:
-        total += gap
-    return total + max(slot[1], glue[1]) + max(slot[2], glue[2])
+def rafi_total(a: Side, b: Side) -> float:
+    """rafi_formula from two sides, in one float order: 0.0 + the Farey
+    sum, then the largest horoball term, then the largest one-sided term."""
+    return 0.0 + (a[0] + b[0]) + max(a[1], b[1]) + max(a[2], b[2])
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +327,16 @@ def group_symmetric_families(
     mu: AugMarking,
     target: AugMarking,
     th: Thresholds,
-    comparability: int,
 ) -> list[SymmetricFamily]:
     """Partition annular large links into symmetric families, time-ordered.
 
     For an input that really is almost fixed against an exactly fixed
     target, every large link's orbit carries comparable values: member
-    values pairwise within ``comparability`` and no member collapsing below
-    max(1, orbit max - comparability).  Violations raise
+    values pairwise within the comparability th.R + 2 and no member
+    collapsing below max(1, orbit max - th.R - 2).  Violations raise
     SymmetryViolationError instead of returning a wrong grouping.  Slot
     (non-annular) links are legal only up to the almost-fixed scale and are
-    not grouped; a slot value beyond th.R + comparability also violates.
+    not grouped; a slot value beyond 2 * th.R + 2 also violates.
 
     Orbits are under the rotation group Z/k, k = mu.k.  Families are
     ordered: the gluing orbit first, then slot-slope orbits by position
@@ -380,6 +344,7 @@ def group_symmetric_families(
     """
     check_same_surface(mu, target)
     k = mu.k
+    comparability = th.R + 2
     classes: dict[tuple, list[LargeLink]] = {}
     for link in links:
         y = link.subsurface

@@ -20,7 +20,6 @@ import json
 import math
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Optional
 
 from .marking import (
     AugMarking,
@@ -276,15 +275,13 @@ _STAGE_BOUND = 14
 
 
 def fixed_point_search(
-    mu: AugMarking,
-    th: Thresholds,
-    seed: Optional[AugMarking] = None,
+    mu: AugMarking, th: Thresholds
 ) -> tuple[AugMarking, ReductionTrace]:
     """Turn an almost-fixed marking into an exactly fixed one nearby.
 
     Precondition: orbit diameter <= th.R (PreconditionError with the
-    certificate otherwise).  The seed (default: reduced symmetrization of
-    mu) must be exactly fixed.  Large links against the seed are grouped
+    certificate otherwise).  The seed is the reduced symmetrization of mu,
+    which is exactly fixed.  Large links against the seed are grouped
     into symmetric families; each stage applies one symmetric multitwist
     whose exponent is the representative's annular offset, in time order.
     Stage assertions check the induction: processed families keep residual
@@ -293,8 +290,6 @@ def fixed_point_search(
     result is exactly fixed with final distance bounded in terms of
     (k, th.R) only.
     """
-    if seed is not None and not is_fixed(seed):
-        raise ValueError("provided seed is not exactly fixed")
     if is_fixed(mu):
         # orbit diameter 0; nothing to search for
         return mu, ReductionTrace(seed=mu, stages=(), final=mu, final_distance=0)
@@ -303,10 +298,9 @@ def fixed_point_search(
         raise PreconditionError(
             f"orbit diameter {cert.diameter} exceeds R={th.R}", cert
         )
-    x = reduce_short_curves(mu, seed_marking(mu), th) if seed is None else seed
-    seed_used = x
+    x = seed = reduce_short_curves(mu, seed_marking(mu), th)
     links = large_links(mu, x, th.K_hat)
-    families = group_symmetric_families(links, mu, x, th, th.R + 2)
+    families = group_symmetric_families(links, mu, x, th)
     stages = []
     for n, fam in enumerate(families):
         rep_curve = fam.representative.subsurface.curve
@@ -344,7 +338,7 @@ def fixed_point_search(
     # x is unchanged since the last stage, which already measured it
     final_distance = stages[-1].distance_after if stages else formula_distance_T(mu, x, th)
     trace = ReductionTrace(
-        seed=seed_used,
+        seed=seed,
         stages=tuple(stages),
         final=x,
         final_distance=final_distance,

@@ -1,7 +1,8 @@
 """Brute-force references that the exact closed forms and walks in
 ``coarse_teich`` are checked against.  Breadth-first searches over the raw
 graphs: independent of the package's fan walks and horoball apex scan,
-and exact only inside their caps or boxes.  The slot distance as a
+and exact only inside their caps or boxes.  The apex scan over every
+level, before the package's scan skipped the levels that provably lose.  The slot distance as a
 Dijkstra search over the slopes of the bases' pivot region, the package's
 algorithm before the weighted fan walk replaced it.  Plus the whole list
 of elementary moves that ``nth_move`` indexes, the slope boxes the tests
@@ -10,8 +11,8 @@ package's double-precision one and, on the Anosov torus flowed in
 longdouble, for its Fibonacci systole family.  The marked flat torus, the
 Anosov torus and its flow, the geometric reference for the plain basis
 tuples that the package flows and reduces.  And the flat rows' formula
-terms evaluated one candidate at a time: the four-term formula in one pass,
-before its split into a slot term and the rest, and the distance to the
+terms evaluated one candidate at a time: the snapshot formula in one pass,
+before its split into formula sides, and the distance to the
 swap-fixed locus as the minimum of that formula over every candidate.
 """
 
@@ -312,6 +313,27 @@ def _apex_headroom(gap: int) -> int:
     return max(2, int(math.log(gap + 1)) + 2)
 
 
+def apex_scan_every_level(u: HoroPoint, v: HoroPoint) -> tuple[int, int]:
+    """(distance, apex) of the best up-across-down path, scanning every apex
+    level from the higher endpoint's up: the package's scan before it
+    skipped the levels that provably lose.  Ties go to the lowest level."""
+    gap = abs(u.x - v.x)
+    lo = max(u.level, v.level)
+    if gap == 0:
+        return abs(u.level - v.level), lo
+    nbits = gap.bit_length()
+    best = apex = None
+    level = lo
+    while True:
+        w = width(level) if level < nbits else gap
+        cost = (level - u.level) + (level - v.level) + -(-gap // w)  # ceil
+        if best is None or cost < best:
+            best, apex = cost, level
+        if w >= gap:
+            return best, apex
+        level += 1
+
+
 # ---------------------------------------------------------------------------
 # Flowed Anosov torus.
 # ---------------------------------------------------------------------------
@@ -401,7 +423,9 @@ def flowed_anosov_slope(u: float) -> Slope:
 
 
 def rafi_formula_one_pass(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
-    """The four-term snapshot distance in one pass, a Farey walk per slot."""
+    """The snapshot distance in one pass, a Farey walk per slot.  Gluing
+    curves are points at twist 0 of their horoballs; with no twist, their
+    log-twist term is 0 and is left out."""
     if s1.k != s2.k or len(s1.glue) != len(s2.glue):
         raise ValueError("snapshot shapes differ")
     total = 0.0
@@ -413,15 +437,11 @@ def rafi_formula_one_pass(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
     for a, b in zip(s1.glue, s2.glue):
         sa, sb = a.neg_log_ext > 1.0, b.neg_log_ext > 1.0
         if sa and sb:
-            pa = HoroPoint(round(a.twist), max(0, math.floor(a.neg_log_ext)))
-            pb = HoroPoint(round(b.twist), max(0, math.floor(b.neg_log_ext)))
+            pa = HoroPoint(0, max(0, math.floor(a.neg_log_ext)))
+            pb = HoroPoint(0, max(0, math.floor(b.neg_log_ext)))
             horo_terms.append(horo_distance(pa, pb))
         elif sa or sb:
             one_sided.append(a.neg_log_ext if sa else b.neg_log_ext)
-        else:
-            gap = abs(a.twist - b.twist)
-            if gap > th.K:
-                total += math.log(gap)
     for a, b in zip(s1.slots, s2.slots):
         sa, sb = a.neg_log_ext > 1.0, b.neg_log_ext > 1.0
         if sa and sb and a.slope == b.slope:

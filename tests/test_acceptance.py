@@ -257,7 +257,7 @@ def test_criterion_07_asymmetric_large_links_always_flagged():
             mu = AugMarking(x.glue, tuple(sl))
         links = large_links(mu, x, TH.K_hat)
         try:
-            group_symmetric_families(links, mu, x, TH, comparability=TH.R + 2)
+            group_symmetric_families(links, mu, x, TH)
         except SymmetryViolationError:
             hits += 1
     _verdict(

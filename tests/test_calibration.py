@@ -134,9 +134,9 @@ def test_quasi_isometry_samples_within_cap():
 
 
 def test_component_sweeps_smoke():
-    ratio = family_comparability_sweep(TH, seed=1, instances=8)
+    ratio = family_comparability_sweep(TH, seed=1)
     assert 1.0 <= ratio <= 2.0
-    m2 = presegment_projection_sweep(TH, seed=2, instances=8)
+    m2 = presegment_projection_sweep(TH, seed=2)
     assert 0 <= m2 <= 8
     pts = barycenter_samples(2, TH, seed=3, instances=25)
     assert len(pts) == 25

@@ -30,12 +30,11 @@ from coarse_teich.flatsim import (
 from coarse_teich.flatsim import _area, _flowed_basis, _swap_distance
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.metrics import (
-    GlueSnap,
+    CurveSnap,
     Snapshot,
-    SlotSnap,
     Thresholds,
     rafi_formula,
-    rafi_slot_side,
+    rafi_side,
 )
 from coarse_teich.slots import Slope, farey_distance
 from tests.oracles import (
@@ -94,7 +93,7 @@ def test_family_area_is_two_big_tori_plus_two_scaled_small_ones():
     cons = build_construction(4.0, 0.1, delta)
     for fam in (cons.main, cons.ref_start, cons.ref_end):
         for i in range(41):
-            t = fam.horizon * i / 40
+            t = 2 * fam.d * i / 40
             for f in (fam, unclamped(fam)):
                 assert f.at(t, {}).area == pytest.approx(2 + 2 * delta**2, rel=1e-12)
 
@@ -112,8 +111,12 @@ def test_flowed_slit_length_matches_closed_form():
 def test_family_slit_lengths_pinch_at_the_phase_centers():
     fam = build_construction(10.0, 0.1, 1e-6).main
     grid = [0.5 * i for i in range(41)]
-    raw0 = [unclamped(fam).slit_len(0, t) for t in grid]
-    raw1 = [unclamped(fam).slit_len(1, t) for t in grid]
+
+    def slit(f, i, t):
+        return slit_length(f.rho, f.slot_time(i, t))
+
+    raw0 = [slit(unclamped(fam), 0, t) for t in grid]
+    raw1 = [slit(unclamped(fam), 1, t) for t in grid]
     assert grid[min(range(41), key=raw0.__getitem__)] == 5.0
     assert grid[min(range(41), key=raw1.__getitem__)] == 15.0
     # cosh profile is strictly convex
@@ -121,10 +124,10 @@ def test_family_slit_lengths_pinch_at_the_phase_centers():
         for i in range(1, 40):
             assert seq[i - 1] + seq[i + 1] > 2 * seq[i]
     # clamping freezes each pair outside its active window
-    assert fam.slit_len(0, 12.0) == fam.slit_len(0, 10.0)
-    assert fam.slit_len(0, 20.0) == fam.slit_len(0, 10.0)
-    assert fam.slit_len(1, 3.0) == fam.slit_len(1, 10.0)
-    assert fam.slit_len(1, 0.0) == fam.slit_len(1, 10.0)
+    assert slit(fam, 0, 12.0) == slit(fam, 0, 10.0)
+    assert slit(fam, 0, 20.0) == slit(fam, 0, 10.0)
+    assert slit(fam, 1, 3.0) == slit(fam, 1, 10.0)
+    assert slit(fam, 1, 0.0) == slit(fam, 1, 10.0)
 
 
 def test_shortest_slope_square_torus_tie():
@@ -179,7 +182,6 @@ def test_build_construction_shape_and_regime():
     assert cons.main.windows == ((0.0, 10.0), (10.0, 20.0))
     assert cons.ref_start.phases == (-5.0, -5.0)
     assert cons.ref_end.phases == (-15.0, -15.0)
-    assert cons.main.horizon == 20.0
     for bad in (
         dict(d=10.0, c=1.5, delta=1e-6),
         dict(d=10.0, c=0.0, delta=1e-6),
@@ -209,7 +211,7 @@ def test_construction_surfaces_glue_in_both_modes():
                 torus = flowed_anosov(f.slot_time(i, t))
                 assert torus.area == pytest.approx(1.0, rel=1e-9)
                 assert (slope, length) == shortest_slope(torus.basis)
-                assert slit == f.slit_len(i, t)
+                assert slit == slit_length(f.rho, f.slot_time(i, t))
 
 
 def test_shadow_of_the_start_surface_is_swap_symmetric():
@@ -220,7 +222,7 @@ def test_shadow_of_the_start_surface_is_swap_symmetric():
     # both phased tori sit at flow time -d/2 once clamping is applied
     assert snap.slots[0].slope == snap.slots[1].slope == flowed_anosov_slope(-5.0)
     assert snap.slots[0].neg_log_ext == pytest.approx(snap.slots[1].neg_log_ext, rel=1e-12)
-    assert snap.glue[0].twist == snap.glue[1].twist == 0.0
+    assert snap.glue[0].slope is snap.glue[1].slope is None
     assert rafi_formula(snap, rotate_snapshot(1, snap), TH) == 0.0
     # slot shortness is log(area / scaled systole^2), far past every threshold
     _, syst = shortest_slope(flowed_anosov(cons.main.slot_time(0, 0.0)).basis)
@@ -231,8 +233,8 @@ def test_shadow_of_the_start_surface_is_swap_symmetric():
 
 def test_rotate_snapshot_cycles_slots_and_glue():
     snap = Snapshot(
-        (SlotSnap(Slope(1, 2), 3.0), SlotSnap(Slope(5, 1), 7.0)),
-        (GlueSnap(1.0, 2.0), GlueSnap(-2.0, 0.5)),
+        (CurveSnap(Slope(1, 2), 3.0), CurveSnap(Slope(5, 1), 7.0)),
+        (CurveSnap(None, 2.0), CurveSnap(None, 0.5)),
     )
     r = rotate_snapshot(1, snap)
     assert r.slots == (snap.slots[1], snap.slots[0])
@@ -261,6 +263,31 @@ def test_experiment_curve_is_flat_at_the_ends_and_large_in_the_middle():
             assert row.orbit_diam >= 10.0
         assert row.dist_to_fixed <= row.orbit_diam + 1e-9
         assert row.orbit_diam <= 60.0
+
+
+def test_gluing_level_gap_decides_a_row(monkeypatch):
+    # at c = 1e-6 the gluing curves' horoball term beats the slots' at
+    # t = d/2, so both values carry it; recorded before the gluing side
+    # shared the slot side's case analysis
+    row = nonqc_experiment(20.0, c=1e-6).rows[10]
+    assert row.t == 10.0
+    assert row.orbit_diam == 80.64608044412178
+    assert row.dist_to_fixed == 69.64608044412178
+    # negative control: without the gluing level gap both values fall by 1
+    import coarse_teich.flatsim as flatsim
+
+    side = flatsim.rafi_side
+
+    def no_glue_horo(pairs, th, farey):
+        pairs = list(pairs)
+        terms = side(pairs, th, farey)
+        glue = bool(pairs) and pairs[0][0].slope is None
+        return (terms[0], 0, terms[2]) if glue else terms
+
+    monkeypatch.setattr(flatsim, "rafi_side", no_glue_horo)
+    row = nonqc_experiment(20.0, c=1e-6).rows[10]
+    assert row.orbit_diam == 79.64608044412178
+    assert row.dist_to_fixed == 68.64608044412178
 
 
 def test_off_grid_rows_match_their_recorded_digest():
@@ -292,58 +319,41 @@ def test_sweep_midpoint_growth_is_linear_at_the_farey_rate():
 
 def test_distance_to_fixed_vanishes_on_symmetric_snapshots():
     snap = Snapshot(
-        (SlotSnap(Slope(2, 1), 9.0),) * 2,
-        (GlueSnap(4.0, 3.0),) * 2,
+        (CurveSnap(Slope(2, 1), 9.0),) * 2,
+        (CurveSnap(None, 3.0),) * 2,
     )
     assert distance_to_fixed(snap, TH, farey_lookup(snap)) == 0.0
 
 
 def _random_snapshot(rng: random.Random, k: int, g: int, slopes: list[Slope]) -> Snapshot:
-    """Slots and gluing curves short or long (the cut is neg_log_ext > 1),
-    with twists whose gaps fall above and below K."""
+    """Slots and gluing curves short or long (the cut is neg_log_ext > 1)."""
 
     def neg_log_ext() -> float:
         return rng.choice(
             (rng.uniform(-1.0, 1.0), 1.0, rng.uniform(1.0, 4.0), rng.uniform(20.0, 60.0))
         )
 
-    def twist() -> float:
-        return rng.choice(
-            (0.0, rng.uniform(-2.0, 2.0), rng.uniform(-40.0, 40.0), float(rng.randint(-9, 9)))
-        )
-
-    slots = tuple(SlotSnap(rng.choice(slopes), neg_log_ext()) for _ in range(k))
-    glue = tuple(GlueSnap(twist(), neg_log_ext()) for _ in range(g))
+    slots = tuple(CurveSnap(rng.choice(slopes), neg_log_ext()) for _ in range(k))
+    glue = tuple(CurveSnap(None, neg_log_ext()) for _ in range(g))
     return Snapshot(slots, glue)
 
 
-def _candidate_cases(snap: Snapshot, cand: Snapshot, th: Thresholds) -> set[str]:
-    """Where a candidate's terms come from: log_order when it adds two or
-    more gluing log terms whose sum, added to the slot term at once, would
-    round differently; horo_<side> or one_sided_<side> when the largest
-    positive horoball or one-sided term is on that side alone."""
-    logs = []
+def _candidate_cases(snap: Snapshot, cand: Snapshot) -> set[str]:
+    """Where a candidate's terms come from: horo_<side> or one_sided_<side>
+    when the largest positive horoball or one-sided term is on that side
+    alone."""
     horo = {"glue": [0], "slot": [0]}
     one_sided = {"glue": [0.0], "slot": [0.0]}
     sides = {"glue": zip(snap.glue, cand.glue), "slot": zip(snap.slots, cand.slots)}
     for side, pairs in sides.items():
         for a, b in pairs:
             sa, sb = a.neg_log_ext > 1, b.neg_log_ext > 1
-            if sa and sb and (side == "glue" or a.slope == b.slope):
-                pa, pb = (
-                    HoroPoint(round(e.twist) if side == "glue" else 0, math.floor(e.neg_log_ext))
-                    for e in (a, b)
-                )
+            if sa and sb and a.slope == b.slope:
+                pa, pb = (HoroPoint(0, math.floor(e.neg_log_ext)) for e in (a, b))
                 horo[side].append(horo_distance(pa, pb))
-            elif side == "glue" and not (sa or sb):
-                gap = abs(a.twist - b.twist)
-                logs += [math.log(gap)] if gap > th.K else []
             else:
                 one_sided[side] += [e.neg_log_ext for e in (a, b) if e.neg_log_ext > 1]
-    in_order = at_once = 0.0 + rafi_slot_side(zip(snap.slots, cand.slots), th, farey_distance)[0]
-    for term in logs:
-        in_order += term
-    cases = {"log_order"} if in_order != at_once + sum(logs) else set()
+    cases = set()
     for name, terms in (("horo", horo), ("one_sided", one_sided)):
         glue_max, slot_max = max(terms["glue"]), max(terms["slot"])
         if glue_max != slot_max:
@@ -364,31 +374,28 @@ def test_shared_farey_lookup_matches_the_per_candidate_reference(monkeypatch):
     rng = random.Random(1313)
     pool = [fibonacci_slope(n) for n in (-12, -3, -1, 0, 2, 9)] + [Slope(3, 7)]
     thresholds = (TH, Thresholds(K=1, K_hat=1), Thresholds(K=5, K_hat=6))
-    seen = {"equal": 0, "far": 0, "twist": 0, "fixed_positive": 0}
+    seen = {"equal": 0, "far": 0, "fixed_positive": 0}
     # the cases that combining per-entry partials must get right, counted
     # where they hold at a candidate of least value
     seen.update(dict.fromkeys(
-        ("log_order", "horo_glue", "horo_slot", "one_sided_glue", "one_sided_slot"), 0
+        ("horo_glue", "horo_slot", "one_sided_glue", "one_sided_slot"), 0
     ))
     for case in range(2400):
-        k, g = rng.randint(2, 4), rng.randint(1, 4)
-        # small pools make equal slopes common
-        slopes = rng.sample(pool, rng.randint(1, 3)) if case % 2 else pool
+        k = rng.randint(2, 4)
+        # small pools make equal slopes common; the other half has far
+        # slopes and four or more gluing curves
+        if case % 2:
+            slopes, g = rng.sample(pool, rng.randint(1, 3)), rng.randint(1, 4)
+        else:
+            slopes, g = pool, rng.randint(4, 6)
         snap = _random_snapshot(rng, k, g, slopes)
-        if case % 2 == 0:
-            # far slopes and four or more long gluing curves with spread
-            # twists: a candidate adds several log terms to a nonzero slot term
-            g = rng.randint(4, 6)
-            snap = Snapshot(snap.slots, tuple(
-                GlueSnap(rng.uniform(-40.0, 40.0), rng.uniform(-1.0, 1.0)) for _ in range(g)
-            ))
         th = rng.choice(thresholds)
         walks.clear()
         farey = farey_lookup(snap)
         distinct = set(s.slope for s in snap.slots)
         swapped = rotate_snapshot(1, snap)
         want = rafi_formula_one_pass(snap, swapped, th)
-        slot_term = rafi_slot_side(zip(snap.slots, swapped.slots), th, farey_distance)[0]
+        slot_term = rafi_side(zip(snap.slots, swapped.slots), th, farey_distance)[0]
         assert _swap_distance(snap, th, farey) == (want, slot_term)
         fixed = distance_to_fixed(snap, th, farey)
         assert fixed == distance_to_fixed_per_candidate(snap, th), (snap, th)
@@ -400,16 +407,12 @@ def test_shared_farey_lookup_matches_the_per_candidate_reference(monkeypatch):
         seen["equal"] += len(distinct) < k
         seen["far"] += slot_term > 0
         seen["fixed_positive"] += fixed > 0
-        seen["twist"] += any(
-            a.neg_log_ext <= 1 and b.neg_log_ext <= 1 and abs(a.twist - b.twist) > th.K
-            for a, b in zip(snap.glue, swapped.glue)
-        )
         at_best = set()
         for y in snap.slots:
             for x in snap.glue:
                 cand = Snapshot((y,) * k, (x,) * g)
                 if rafi_formula_one_pass(snap, cand, th) == fixed:
-                    at_best |= _candidate_cases(snap, cand, th)
+                    at_best |= _candidate_cases(snap, cand)
         for name in at_best:
             seen[name] += 1
     assert min(seen.values()) >= 100, seen

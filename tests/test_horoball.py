@@ -8,12 +8,13 @@ import pytest
 
 from coarse_teich.horoball import (
     HoroPoint,
+    _apex_scan,
     compare_to_horodisk,
     horo_distance,
     horo_normal_path,
     width,
 )
-from tests.oracles import horo_distance_bfs, horo_distances_from
+from tests.oracles import apex_scan_every_level, horo_distance_bfs, horo_distances_from
 
 
 def test_width_values():
@@ -39,6 +40,40 @@ def test_deep_apex_scan_needs_no_width():
     for gap, lo, hi in ((1, 1, 1), (5, 3, 7), (10**6, 20, 25), (10**30, 10**6, 10**6 + 4)):
         assert horo_distance(HoroPoint(0, lo), HoroPoint(gap, hi)) == hi - lo + 1
         assert horo_distance(HoroPoint(gap, hi), HoroPoint(0, lo)) == hi - lo + 1
+
+
+def test_apex_scan_matches_the_scan_over_every_level():
+    # distance and apex, ties included, on gaps across the skipped window's
+    # edge (2^16) and far past it, at levels below and above ln(gap)
+    rng = random.Random(17)
+    gaps = [1, 2, 7, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 10**6]
+    for _ in range(3000):
+        u = HoroPoint(rng.randint(-50, 50), rng.randint(0, 12))
+        gap = rng.choice(gaps + [rng.randint(1, 10 ** rng.randint(1, 200))])
+        v = HoroPoint(u.x + rng.choice((-1, 1)) * gap, rng.randint(0, 12))
+        if rng.random() < 0.2:
+            # near the best apex, so the scan starts at lo
+            lvl = max(0, int(math.log(gap)) + rng.randint(-3, 3))
+            u, v = HoroPoint(u.x, lvl), HoroPoint(v.x, rng.randint(0, lvl))
+        assert _apex_scan(u, v) == apex_scan_every_level(u, v), (u, v)
+        assert _apex_scan(v, u) == apex_scan_every_level(v, u), (u, v)
+
+
+def test_huge_twist_gap_computes_few_widths(monkeypatch):
+    # cold: each width computed afresh and counted; the scan starts within
+    # a few levels of ln(gap), so a 1000-digit gap costs 6 widths, not 2,300
+    calls = []
+
+    def counted(level):
+        calls.append(level)
+        return width.__wrapped__(level)
+
+    monkeypatch.setattr("coarse_teich.horoball.width", counted)
+    got = _apex_scan(HoroPoint(0, 0), HoroPoint(10**1000, 0))
+    assert len(calls) <= 6, calls
+    # e^2302 is about 0.56 * 10^1000: up 2302, two steps across, down 2302;
+    # apex 2301 takes 5 steps across and apex 2303 one
+    assert got == (2 * 2302 + 2, 2302)
 
 
 def test_horo_distance_example():

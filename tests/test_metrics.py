@@ -17,9 +17,8 @@ from coarse_teich.marking import (
     is_elementary_move,
 )
 from coarse_teich.metrics import (
-    GlueSnap,
+    CurveSnap,
     LargeLink,
-    SlotSnap,
     Snapshot,
     SymmetryViolationError,
     Thresholds,
@@ -164,8 +163,8 @@ def test_formula_envelope_against_bfs():
 
 def test_rafi_equal_snapshots():
     s = Snapshot(
-        (SlotSnap(Slope(1, 2), 0.3), SlotSnap(Slope(0, 1), 2.5)),
-        (GlueSnap(1.0, 0.2), GlueSnap(-3.0, 4.0)),
+        (CurveSnap(Slope(1, 2), 0.3), CurveSnap(Slope(0, 1), 2.5)),
+        (CurveSnap(None, 0.2), CurveSnap(None, 4.0)),
     )
     assert rafi_formula(s, s, TH) == 0.0
 
@@ -174,36 +173,34 @@ def test_rafi_one_sided_short_curve():
     # a curve of length e^-d short in one snapshot only contributes d
     d = 17.0
     s1 = Snapshot(
-        (SlotSnap(Slope(0, 1), 0.0),),
-        (GlueSnap(0.0, d),),
+        (CurveSnap(Slope(0, 1), 0.0),),
+        (CurveSnap(None, d),),
     )
     s2 = Snapshot(
-        (SlotSnap(Slope(0, 1), 0.0),),
-        (GlueSnap(0.0, 0.0),),
+        (CurveSnap(Slope(0, 1), 0.0),),
+        (CurveSnap(None, 0.0),),
     )
     assert rafi_formula(s1, s2, TH) == pytest.approx(d)
 
 
 def test_rafi_term_shapes():
-    # twist gap on a curve short in neither enters logarithmically
-    s1 = Snapshot((SlotSnap(Slope(0, 1), 0.0),), (GlueSnap(0.0, 0.0),))
-    s2 = Snapshot((SlotSnap(Slope(0, 1), 0.0),), (GlueSnap(100.0, 0.0),))
-    assert rafi_formula(s1, s2, TH) == pytest.approx(math.log(100.0))
-    # short in both: horoball term
-    s3 = Snapshot((SlotSnap(Slope(0, 1), 0.0),), (GlueSnap(0.0, 3.2),))
-    s4 = Snapshot((SlotSnap(Slope(0, 1), 0.0),), (GlueSnap(100.0, 3.2),))
-    want = horo_distance(HoroPoint(0, 3), HoroPoint(100, 3))
-    assert rafi_formula(s3, s4, TH) == pytest.approx(want)
+    s1 = Snapshot((CurveSnap(Slope(0, 1), 0.0),), (CurveSnap(None, 0.0),))
+    # short in both: horoball term, the level gap at twist 0
+    s3 = Snapshot((CurveSnap(Slope(0, 1), 0.0),), (CurveSnap(None, 3.2),))
+    s4 = Snapshot((CurveSnap(Slope(0, 1), 0.0),), (CurveSnap(None, 6.5),))
+    want = horo_distance(HoroPoint(0, 3), HoroPoint(0, 6))
+    assert want == 3
+    assert rafi_formula(s3, s4, TH) == want
     # slot slope change enters through the Farey term
-    s5 = Snapshot((SlotSnap(Slope(5, 2), 0.0),), (GlueSnap(0.0, 0.0),))
+    s5 = Snapshot((CurveSnap(Slope(5, 2), 0.0),), (CurveSnap(None, 0.0),))
     far = farey_distance(Slope(0, 1), Slope(5, 2))
     assert far == 3
     assert rafi_formula(s1, s5, Thresholds(K=1, K_hat=1, R=1)) == pytest.approx(far)
 
 
 def test_rafi_rejects_snapshots_of_different_shapes():
-    slot = SlotSnap(Slope(0, 1), 0.0)
-    glue = GlueSnap(0.0, 0.0)
+    slot = CurveSnap(Slope(0, 1), 0.0)
+    glue = CurveSnap(None, 0.0)
     s = Snapshot((slot, slot), (glue, glue))
     fewer_slots = Snapshot((slot,), (glue, glue))
     fewer_glue = Snapshot((slot, slot), (glue,))
@@ -272,9 +269,7 @@ def test_group_symmetric_families_planted_orbit():
     target = symmetric_twisted(k, 0)
     mu = symmetric_twisted(k, 50)
     links = large_links(mu, target, TH.K_hat)
-    fams = group_symmetric_families(
-        links, mu, target, TH, comparability=10
-    )
+    fams = group_symmetric_families(links, mu, target, TH)
     assert len(fams) == 1
     fam = fams[0]
     assert len(fam.members) == k
@@ -292,9 +287,7 @@ def test_group_symmetric_families_tolerates_honest_slack():
     mu = AugMarking((GlueBlock(0, 0),) * 3, blocks)
     target = symmetric_twisted(3, 0)
     links = large_links(mu, target, TH.K_hat)
-    fams = group_symmetric_families(
-        links, mu, target, TH, comparability=10
-    )
+    fams = group_symmetric_families(links, mu, target, TH)
     assert len(fams) == 1 and len(fams[0].members) == 3
 
 
@@ -311,18 +304,14 @@ def test_group_symmetric_families_rejects_asymmetric_link():
     links = large_links(mu, target, TH.K_hat)
     assert links
     with pytest.raises(SymmetryViolationError):
-        group_symmetric_families(
-            links, mu, target, TH, comparability=10
-        )
+        group_symmetric_families(links, mu, target, TH)
 
 
 def test_group_symmetric_families_rejects_oversized_slot_link():
     mu = flat_marking(2)
     fake = [LargeLink(Slot(0), value=40)]
     with pytest.raises(SymmetryViolationError):
-        group_symmetric_families(
-            fake, mu, mu, TH, comparability=10
-        )
+        group_symmetric_families(fake, mu, mu, TH)
 
 
 def test_group_symmetric_families_time_order():
@@ -332,9 +321,7 @@ def test_group_symmetric_families_time_order():
     mu = AugMarking((GlueBlock(0, 0),) * 2, (blk,) * 2)
     tgt = flat_marking(2)
     links = large_links(mu, tgt, TH.K_hat)
-    fams = group_symmetric_families(
-        links, mu, tgt, TH, comparability=10
-    )
+    fams = group_symmetric_families(links, mu, tgt, TH)
     slopes = [f.representative.subsurface.curve.slope for f in fams]
     assert slopes == [Slope(0, 1), Slope(1, 30)]
     assert [f.time_index for f in fams] == [0, 1]
