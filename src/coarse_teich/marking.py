@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .horoball import HoroPoint, horo_distance, width
-from .slots import Slope, TwistWord, _fans, _normalized, intersection, twist
+from .slots import Slope, TwistWord, _fans, _framed, _normalized, intersection, twist
 
 __all__ = [
     "GlueBlock",
@@ -318,8 +318,8 @@ def _slot_distance(s: SlotBlock, t: SlotBlock) -> int:
     """
     if s.base == t.base:
         return _block_distance(s, t)
-    (r0, r1, r2, r3), u, v = _normalized(s.base, t.base)
-    start, goal = ((r0 * w.p + r1 * w.q, r2 * w.p + r3 * w.q) for w in (s.trans, t.trans))
+    rows, u, v = _normalized(s.base, t.base)
+    start, goal = _framed(rows, s.trans), _framed(rows, t.trans)
     # cheapest cost into c_(k-1) and into c_k, per (entry vector, entry level)
     at_prev = {(start, s.D): 0}
     at_cur = {((1, 0), 0): 1 + _leave(at_prev, (u // v, 1), 0)}

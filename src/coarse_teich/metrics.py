@@ -12,7 +12,8 @@ gluing curve j reads the two gluing blocks j, and slot i and the annuli
 over its pivot region read the two slot blocks i.  The model is a product
 of these blocks, so an equal block pair contributes only zero rows (its
 pivot region is its one base slope), and those rows are emitted without
-projecting anything.
+projecting anything.  The annulus rows of a slot pair come from one walk
+over the fans between its bases, and complement is read only at ties.
 
 On top of the formulas sit large-link enumeration, the grouping of links
 into orbits of the cyclic symmetry (with the symmetry assertions whose
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .horoball import HoroPoint, horo_normal_path
+from .horoball import HoroPoint, horo_distance, horo_normal_path
 from .marking import (
     AugMarking,
     CurveRef,
@@ -34,6 +35,7 @@ from .marking import (
     GlueBlock,
     InSlot,
     SlotBlock,
+    _block_distance,
     check_same_surface,
 )
 from .projection import (
@@ -48,6 +50,12 @@ from .projection import (
 )
 from .slots import (
     Slope,
+    _denormalized,
+    _framed,
+    _nearest,
+    _normalized,
+    _region,
+    complement,
     farey_distance,
     farey_geodesic,
     intersection,
@@ -139,17 +147,59 @@ def annular_candidates(m1: AugMarking, m2: AugMarking) -> list[CurveRef]:
 
 def _raw_rows(m1: AugMarking, m2: AugMarking):
     """(subsurface, projection distance): the whole surface, the slots, then
-    every annular candidate.  Rows of an equal block pair are 0 unprojected."""
+    every annular candidate in order; a slot pair's annulus rows come from
+    one fan walk, with complement read only at ties."""
     check_same_surface(m1, m2)
-    same_glue = [a == b for a, b in zip(m1.glue, m2.glue)]
-    same_slot = [a == b for a, b in zip(m1.slots, m2.slots)]
     yield Whole(), proj_distance(Whole(), m1, m2)
-    for i in range(m1.k):
-        yield Slot(i), 0 if same_slot[i] else proj_distance(Slot(i), m1, m2)
-    for c in annular_candidates(m1, m2):
-        y = Annulus(c)
-        same = same_glue[c.j] if isinstance(c, Glue) else same_slot[c.slot]
-        yield y, 0 if same else proj_distance(y, m1, m2)
+    for i, (s, t) in enumerate(zip(m1.slots, m2.slots)):
+        yield Slot(i), farey_distance(s.base, t.base)
+    for j, (g, h) in enumerate(zip(m1.glue, m2.glue)):
+        yield Annulus(Glue(j)), 0 if g == h else _block_distance(g, h)
+    for i, (s, t) in enumerate(zip(m1.slots, m2.slots)):
+        yield from _slot_pair_rows(i, s, t)
+
+
+def _slot_pair_rows(i: int, s: SlotBlock, t: SlotBlock):
+    """Slot i's rows over pivot_region(s.base, t.base), in its order, with
+    proj_distance's values, from one walk over the fans.
+
+    In the frame of slots._normalized each region slope w comes with a
+    transversal x, and a block's point over w is read from x.  Moving x by
+    j*w shifts both blocks' points by the same integer, so their distance
+    is the one read from complement(w), except where a relative twisting
+    rounds a tie.  Whether it ties does not depend on x, and only there is
+    complement(w) mapped into the frame.
+    """
+    a, b = s.base, t.base
+    if a == b:
+        return [(Annulus(InSlot(i, a)), 0 if s == t else _block_distance(s, t))]
+    if b < a:
+        s, t, a, b = t, s, b, a
+    rows, u, v = _normalized(a, b)
+    e1 = (1, 0), _framed(rows, s.trans), s.D
+    e2 = (u, v), _framed(rows, t.trans), t.D
+    out = []
+    for w, x in _region(u, v):
+        n1, d1, tie1 = _frame_point(w, x, *e1)
+        n2, d2, tie2 = _frame_point(w, x, *e2)
+        p, q = _denormalized(rows, w)
+        if tie1 or tie2:
+            x = _framed(rows, complement(Slope(p, q)))
+            n1, d1, _ = _frame_point(w, x, *e1)
+            n2, d2, _ = _frame_point(w, x, *e2)
+        out.append((p, q, horo_distance(HoroPoint(n1, d1), HoroPoint(n2, d2))))
+    out.sort()
+    return [(Annulus(InSlot(i, Slope(p, q))), d) for p, q, d in out]
+
+
+def _frame_point(w, x, base, trans, level) -> tuple[int, int, bool]:
+    """(position, level, tie) of a block's point over w, all in one frame:
+    relative_twisting(w, x, base) at level 0, and at w == base that of
+    trans (its twist coordinate, never a tie) at the block's level."""
+    c, level = (trans, level) if w == base else (base, 0)
+    xc, wc = x[0] * c[1] - x[1] * c[0], w[0] * c[1] - w[1] * c[0]
+    n, tie = _nearest(xc, (w[0] * x[1] - w[1] * x[0]) * wc)
+    return n, level, tie
 
 
 def formula_terms(

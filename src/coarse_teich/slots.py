@@ -109,14 +109,19 @@ def relative_twisting(core: Slope, a: Slope, b: Slope) -> int:
         raise UndefinedProjectionError(
             f"relative twisting about {core} undefined for disjoint curve"
         )
-    aa, bb = det(a, b), da * db
+    return _nearest(det(a, b), da * db)[0]
+
+
+def _nearest(aa: int, bb: int) -> tuple[int, bool]:
+    """The n minimizing |aa + n*bb|, bb != 0, and whether two n tie; a tie
+    breaks toward smaller |n|."""
     if bb < 0:
         aa, bb = -aa, -bb
     # -aa/bb = n + r/bb: the minimum of |aa + n*bb| is r at n, bb - r at n + 1
     n, r = divmod(-aa, bb)
     if 2 * r > bb or (2 * r == bb and n < 0):
         n += 1
-    return n
+    return n, 2 * r == bb
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +217,18 @@ def _normalized(a: Slope, b: Slope) -> tuple[tuple[int, int, int, int], int, int
     return (x, y, -a.q, a.p), u, v
 
 
-def _denormalized(rows: tuple[int, int, int, int], vec: tuple[int, int]) -> Slope:
-    """The slope whose image under the unimodular map ``rows`` is ±vec."""
+def _framed(rows: tuple[int, int, int, int], s: Slope) -> tuple[int, int]:
+    """The image of s under the unimodular map ``rows``."""
+    r0, r1, r2, r3 = rows
+    return r0 * s.p + r1 * s.q, r2 * s.p + r3 * s.q
+
+
+def _denormalized(rows: tuple[int, int, int, int], vec: tuple[int, int]) -> tuple[int, int]:
+    """The canonical (p, q) of the slope whose image under the unimodular
+    map ``rows`` is ±vec, vec primitive."""
     r0, r1, r2, r3 = rows
     x, y = vec
-    return Slope.of(r3 * x - r1 * y, -r2 * x + r0 * y)
+    return _canon_vec((r3 * x - r1 * y, -r2 * x + r0 * y))
 
 
 def farey_distance(a: Slope, b: Slope) -> int:
@@ -255,7 +267,7 @@ def farey_geodesic(a: Slope, b: Slope) -> list[Slope]:
     if flipped:
         a, b = b, a
     rows, u, v = _normalized(a, b)
-    out = [_denormalized(rows, vec) for vec in _walk(u, v)[1]]
+    out = [Slope(*_denormalized(rows, vec)) for vec in _walk(u, v)[1]]
     if flipped:
         out.reverse()
     return out
@@ -271,15 +283,26 @@ def pivot_region(a: Slope, b: Slope) -> list[Slope]:
     """
     if b < a:
         a, b = b, a
-    if a == b or intersection(a, b) == 1:
-        return sorted({a, b})
+    if a == b:
+        return [a]
     rows, u, v = _normalized(a, b)
-    seen = {(1, 0)}
-    for prev, pivot, m, nxt in _fans(u, v):
+    return sorted(Slope(*_denormalized(rows, vec)) for vec, _ in _region(u, v))
+
+
+def _region(u: int, v: int):
+    """The slopes of pivot_region(1/0, u/v), v >= 1, as vectors, each once
+    and with a transversal: 1/0, then per fan its counted rims and its
+    pivot, then u/v.  A rim's transversal is the pivot, a pivot's the
+    convergent before it; 1/0 takes c_0 and u/v the convergent before it."""
+    yield (1, 0), (u // v, 1)
+    before = (1, 0)
+    for prev, pivot, m, _ in _fans(u, v):
         js = range(1, m) if m <= 5 else (1, 2, m - 2, m - 1)
-        seen.update((prev[0] + j * pivot[0], prev[1] + j * pivot[1]) for j in js)
-        seen.update((pivot, nxt))
-    return sorted({_denormalized(rows, vec) for vec in seen})
+        for j in js:
+            yield (prev[0] + j * pivot[0], prev[1] + j * pivot[1]), pivot
+        yield pivot, prev
+        before = pivot
+    yield (u, v), before
 
 
 # ---------------------------------------------------------------------------

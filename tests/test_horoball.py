@@ -57,11 +57,23 @@ def test_apex_scan_matches_the_scan_over_every_level():
             u, v = HoroPoint(u.x, lvl), HoroPoint(v.x, rng.randint(0, lvl))
         assert _apex_scan(u, v) == apex_scan_every_level(u, v), (u, v)
         assert _apex_scan(v, u) == apex_scan_every_level(v, u), (u, v)
+    # past level 500 a 40-digit bracket of e^L stands in for width(L) where
+    # its ends agree on ceil(gap / width) and width >= gap; at n * width(L)
+    # and one either side, where those turn over, they cannot, and width is
+    # read.  Endpoints sit just below L, so the reference scans a few levels
+    for level in (40, 499, 500, 501, 502, 700):
+        w = width(level)
+        edges = [n * w + e for n in (1, 2, 3, 6, 7, 20) for e in (-1, 0, 1)]
+        for gap in edges + [rng.randint(w // 3, 30 * w) for _ in range(30)]:
+            u = HoroPoint(0, level - rng.randint(2, 4))
+            v = HoroPoint(gap, rng.randint(0, u.level))
+            assert _apex_scan(u, v) == apex_scan_every_level(u, v), (level, gap)
 
 
 def test_huge_twist_gap_computes_few_widths(monkeypatch):
     # cold: each width computed afresh and counted; the scan starts within
-    # a few levels of ln(gap), so a 1000-digit gap costs 6 widths, not 2,300
+    # a few levels of ln(gap), and a 40-digit bracket of e^L settles each
+    # of those levels, so a 1000- or 4000-digit gap computes no width
     calls = []
 
     def counted(level):
@@ -69,11 +81,13 @@ def test_huge_twist_gap_computes_few_widths(monkeypatch):
         return width.__wrapped__(level)
 
     monkeypatch.setattr("coarse_teich.horoball.width", counted)
-    got = _apex_scan(HoroPoint(0, 0), HoroPoint(10**1000, 0))
-    assert len(calls) <= 6, calls
     # e^2302 is about 0.56 * 10^1000: up 2302, two steps across, down 2302;
-    # apex 2301 takes 5 steps across and apex 2303 one
-    assert got == (2 * 2302 + 2, 2302)
+    # apex 2301 takes 5 steps across and apex 2303 one.  e^9209 is about
+    # 0.26 * 10^4000 and e^9210 about 0.71 * 10^4000: four steps across at
+    # apex 9209 tie two at 9210, and the lower apex wins
+    for gap, want in ((10**1000, (2 * 2302 + 2, 2302)), (10**4000, (2 * 9209 + 4, 9209))):
+        assert _apex_scan(HoroPoint(0, 0), HoroPoint(gap, 0)) == want
+    assert calls == []
 
 
 def test_horo_distance_example():

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from coarse_teich import metrics
 from coarse_teich.calibration import sample_marking
+from coarse_teich.flatsim import fibonacci_slope
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.marking import (
     AugMarking,
@@ -34,7 +36,7 @@ from coarse_teich.metrics import (
 )
 from coarse_teich.projection import Annulus, Slot, Whole, proj_distance
 from coarse_teich.search import almost_fixed_certificate, orbit_diameter
-from coarse_teich.slots import Slope, farey_distance, transversal_at
+from coarse_teich.slots import Slope, _nearest, farey_distance, transversal_at
 from tests.test_marking import flat_marking, random_marking
 
 TH = Thresholds()
@@ -144,6 +146,73 @@ def test_formula_terms_on_block_sharing_pairs_match_the_generic_rows():
         equal_slot += sum(a == b for a, b in zip(m1.slots, m2.slots))
         assert formula_terms(m1, m2, TH) == _generic_rows(m1, m2, TH)
     assert equal_glue > 0 and equal_slot > 0
+
+
+def _walk_test_block(rng: random.Random, base: Slope | None = None) -> SlotBlock:
+    """A slot block with a Fibonacci base F_{+-5}..F_{+-59}, a base of
+    height up to 10^6, or a small base; a twist up to 10^6; level 0..4."""
+    if base is None:
+        kind = rng.randrange(3)
+        if kind == 0:
+            base = fibonacci_slope(rng.choice((-1, 1)) * rng.randint(5, 59))
+        elif kind == 1:
+            base = Slope.of(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        else:
+            base = Slope.of(rng.randint(-5, 5), rng.randint(1, 5))
+    n = rng.choice((rng.randint(-3, 3), rng.randint(-10**6, 10**6)))
+    return SlotBlock(base, transversal_at(base, n), rng.randint(0, 4))
+
+
+def _walk_cross_check(seed: int, pairs: int) -> tuple[int, int]:
+    """(pairs whose formula rows differ from the generic rows, walk rows
+    that rounded a tie and read complement).  Every other pair's second
+    bases have the parity class of the first, so their intersection
+    numbers are even, where ties happen."""
+    rng = random.Random(seed)
+    ties = []
+    real = metrics.complement
+    metrics.complement = lambda s: ties.append(s) or real(s)
+    try:
+        bad = 0
+        for n in range(pairs):
+            k = rng.randint(2, 3)
+            first = [_walk_test_block(rng) for _ in range(k)]
+            second = []
+            for blk in first:
+                base = None
+                if n % 2:
+                    a = blk.base
+                    x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+                    if (a.p + 2 * x, a.q + 2 * y) != (0, 0):
+                        base = Slope.of(a.p + 2 * x, a.q + 2 * y)
+                second.append(_walk_test_block(rng, base))
+            glue = [GlueBlock(rng.randint(-9, 9), rng.randint(0, 4)) for _ in range(2 * k)]
+            m1 = AugMarking(tuple(glue[:k]), tuple(first))
+            m2 = AugMarking(tuple(glue[k:]), tuple(second))
+            bad += formula_terms(m1, m2, TH) != _generic_rows(m1, m2, TH)
+    finally:
+        metrics.complement = real
+    return bad, len(ties)
+
+
+def test_slot_pair_walk_matches_the_generic_rows():
+    # the fan walk reads every region slope from a transversal it already
+    # has and reads complement only where a relative twisting rounds a tie
+    bad, ties = _walk_cross_check(31, 400)
+    assert bad == 0
+    assert ties >= 100
+
+
+def test_slot_pair_walk_needs_its_tie_correction(monkeypatch):
+    # negative control: rounded from the fan transversal alone, with no tie
+    # reported, the rows differ from the generic rows
+    def no_tie(aa, bb):
+        return _nearest(aa, bb)[0], False
+
+    monkeypatch.setattr(metrics, "_nearest", no_tie)
+    bad, ties = _walk_cross_check(31, 400)
+    assert ties == 0
+    assert bad > 0
 
 
 def test_formula_envelope_against_bfs():
