@@ -40,7 +40,6 @@ from .metrics import (
     canonical_path,
     formula_distance_T,
     group_symmetric_families,
-    large_links,
 )
 from .projection import Annulus, proj_distance
 from .search import coarse_barycenter
@@ -288,9 +287,7 @@ def family_comparability_sweep(th: Thresholds, seed: int) -> float:
                 for s in x.slots
             ),
         )
-        links = large_links(mu, x, th.K_hat)
-        fams = group_symmetric_families(links, mu, x, th)
-        for fam in fams:
+        for fam in group_symmetric_families(mu, x, th):
             values = [l.value for l in fam.members]
             worst = max(worst, max(values) / min(values))
     return worst

@@ -86,8 +86,7 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.K >= 1 and self.K_hat >= self.K and self.R >= 1):
-            raise ValueError("thresholds need K_hat >= K >= 1 and R >= 1")
+        self.thresholds()  # Thresholds validates K, K_hat and R
         if not 2 <= self.k <= MAX_K:
             raise ValueError(f"the model needs 2 <= k <= {MAX_K}")
         if not self.d_grid:

@@ -104,16 +104,22 @@ def _reach(gap: int, level: int) -> int:
     """width(level), or a stand-in with the same ceil(gap / w) and w >= gap.
 
     Past level 500 that is the low end of a 40-digit bracket of e^level
-    whose ends agree on both.  A cached width costs about 0.1 us and a
-    bracket 30-60 us, but a first width costs about ten brackets at level
-    500 and grows as level^2 (7 ms at 1,000, 0.24 s at 4,000; 2-vCPU Xeon,
-    Python 3.11.7), so only deep levels read the bracket first.
+    whose ends agree on both.  A first bracket costs 30-60 us, but a first
+    width costs about ten brackets at level 500 and grows as level^2 (7 ms
+    at 1,000, 0.24 s at 4,000; 2-vCPU Xeon, Python 3.11.7), so only deep
+    levels read the bracket first.  Both are cached per level.
     """
     if level > 500:
-        lo, hi = _exp_bracket(level, 40)
+        lo, hi = _short_bracket(level)
         if -(-gap // lo) == -(-gap // hi) and (lo >= gap) == (hi >= gap):
             return lo
     return width(level)
+
+
+@lru_cache(maxsize=None)
+def _short_bracket(level: int) -> tuple[int, int]:
+    """_exp_bracket(level, 40)."""
+    return _exp_bracket(level, 40)
 
 
 def horo_distance(u: HoroPoint, v: HoroPoint) -> int:

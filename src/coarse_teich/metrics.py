@@ -45,6 +45,7 @@ from .projection import (
     SubsurfaceRef,
     Whole,
     _check_index,
+    orbit_points,
     phi,
     proj_distance,
 )
@@ -373,12 +374,10 @@ def _geodesic_position(geo: Sequence[Slope], s: Slope) -> int:
 
 
 def group_symmetric_families(
-    links: Sequence[LargeLink],
-    mu: AugMarking,
-    target: AugMarking,
-    th: Thresholds,
+    mu: AugMarking, target: AugMarking, th: Thresholds
 ) -> list[SymmetricFamily]:
-    """Partition annular large links into symmetric families, time-ordered.
+    """Partition the large links between mu and target, those of
+    large_links(mu, target, th.K_hat), into symmetric families, time-ordered.
 
     For an input that really is almost fixed against an exactly fixed
     target, every large link's orbit carries comparable values: member
@@ -388,15 +387,15 @@ def group_symmetric_families(
     (non-annular) links are legal only up to the almost-fixed scale and are
     not grouped; a slot value beyond 2 * th.R + 2 also violates.
 
-    Orbits are under the rotation group Z/k, k = mu.k.  Families are
-    ordered: the gluing orbit first, then slot-slope orbits by position
-    along the slot-0 Farey geodesic from target to mu.
+    Orbits are under the rotation group Z/k, k = mu.k, and each orbit's
+    values are read from its points in one orbit_points per marking.
+    Families are ordered: the gluing orbit first, then slot-slope orbits by
+    position along the slot-0 Farey geodesic from target to mu.
     """
-    check_same_surface(mu, target)
     k = mu.k
     comparability = th.R + 2
-    classes: dict[tuple, list[LargeLink]] = {}
-    for link in links:
+    firsts: dict[tuple, CurveRef] = {}
+    for link in large_links(mu, target, th.K_hat):
         y = link.subsurface
         if isinstance(y, Slot):
             if link.value > th.R + comparability:
@@ -405,33 +404,27 @@ def group_symmetric_families(
                     f"almost-fixed scale {th.R} + {comparability}"
                 )
             continue
-        if isinstance(y, Whole):
-            continue
         c = y.curve
         key = ("glue",) if isinstance(c, Glue) else ("slot", c.slope.p, c.slope.q)
-        classes.setdefault(key, []).append(link)
+        firsts.setdefault(key, c)
     geo = farey_geodesic(target.slots[0].base, mu.slots[0].base)
     families = []
-    for key, found in sorted(classes.items()):
-        rep_ref = found[0].subsurface.curve
+    for key, rep_ref in sorted(firsts.items()):
         orbit = _orbit_refs(rep_ref, k)
-        values = {c: proj_distance(Annulus(c), mu, target) for c in orbit}
-        vmax = max(values.values())
+        values = list(map(
+            horo_distance, orbit_points(rep_ref, mu), orbit_points(rep_ref, target)
+        ))
+        vmax = max(values)
         floor_val = max(1, vmax - comparability)
-        for c, v in values.items():
+        for c, v in zip(orbit, values):
             if v < floor_val:
                 raise SymmetryViolationError(
                     f"orbit of {rep_ref} has value {v} at {c} against max "
                     f"{vmax}; not a symmetric family"
                 )
-        members = tuple(
-            LargeLink(Annulus(c), values[c]) for c in orbit
-        )
+        members = tuple(LargeLink(Annulus(c), v) for c, v in zip(orbit, values))
         rep = members[0]  # smallest slot index by construction of _orbit_refs
-        if key[0] == "glue":
-            pos = -1
-        else:
-            pos = _geodesic_position(geo, rep_ref.slope)
+        pos = -1 if key[0] == "glue" else _geodesic_position(geo, rep_ref.slope)
         families.append((pos, key, members, rep))
     families.sort(key=lambda f: (f[0], f[1]))
     return [

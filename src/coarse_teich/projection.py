@@ -50,6 +50,7 @@ __all__ = [
     "q_membership",
     "phi",
     "annulus_point",
+    "orbit_points",
     "act_simplex",
 ]
 
@@ -143,6 +144,20 @@ def annulus_point(c: CurveRef, m: AugMarking) -> HoroPoint:
         return HoroPoint(g.tau, g.D)
     _check_index(c.slot, m)
     return _slot_point(c.slope, complement(c.slope), m.slots[c.slot])
+
+
+def orbit_points(c: CurveRef, m: AugMarking) -> list[HoroPoint]:
+    """annulus_point over every rotate of c, listed by gluing or slot index.
+
+    The rotates of a gluing curve are the k gluing curves, and those of a
+    slot slope are that slope in each slot, so one complement serves all.
+    """
+    if isinstance(c, Glue):
+        _check_index(c.j, m)
+        return [HoroPoint(g.tau, g.D) for g in m.glue]
+    _check_index(c.slot, m)
+    t0 = complement(c.slope)
+    return [_slot_point(c.slope, t0, blk) for blk in m.slots]
 
 
 def _slot_point(s: Slope, t0: Slope, blk: SlotBlock) -> HoroPoint:

@@ -6,7 +6,9 @@ at a distance bounded by a constant depending only on the slot count and
 the orbit bound, never on the size of the twist data.  The engine is the
 staged symmetric multitwist: large annular links between the input and an
 exactly fixed seed come in symmetric families, and one multitwist per
-family, applied in time order, cancels the family's twist offset.
+family, applied in time order, cancels the family's twist offset.  That one
+step, _cancel_offset, also serves the short-curve reduction, and every
+orbit is read in one projection.orbit_points.
 
 Also here: the orbit-diameter certificate, symmetric short-curve analysis,
 the short-curve reduction that matches length data before the staged run,
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 from statistics import fmean
 
+from .horoball import HoroPoint, horo_distance
 from .marking import (
     AugMarking,
     CurveRef,
@@ -36,9 +39,8 @@ from .metrics import (
     Thresholds,
     formula_distance_T,
     group_symmetric_families,
-    large_links,
 )
-from .projection import annulus_point, proj_distance
+from .projection import annulus_point, orbit_points, proj_distance
 from .slots import TwistWord, transversal_at, twist
 
 __all__ = [
@@ -180,23 +182,14 @@ def reduce_short_curves(
     One symmetric multitwist per short orbit, exponent read off the
     smallest-index representative.  Keeps the seed exactly fixed and brings
     the horoball distance over every short curve down to the orbit slack.
+    A short slot slope is the base of every slot of mu, and so of a seed
+    of mu (seed_marking), which the twist about it keeps.
     """
     if not is_fixed(seed):
         raise ValueError("seed is not exactly fixed")
-    k = mu.k
     out = seed
     for orbit in symmetric_short_curves(mu, th):
-        rep = orbit[0]
-        if isinstance(rep, Glue):
-            tau = mu.glue[0].tau
-            out = AugMarking(
-                tuple(GlueBlock(tau, g.D) for g in out.glue), out.slots
-            )
-        else:
-            blk = out.slots[0]
-            psi = annulus_point(InSlot(0, blk.base), mu).x
-            new = SlotBlock(blk.base, transversal_at(blk.base, psi), blk.D)
-            out = AugMarking(out.glue, (new,) * k)
+        out, _ = _cancel_offset(out, orbit[0], mu)
     return out
 
 
@@ -252,22 +245,24 @@ class ReductionTrace:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _apply_symmetric_multitwist(x: AugMarking, core: CurveRef, d: int) -> AugMarking:
-    """One multitwist: the same twist power about every orbit member.
+def _cancel_offset(
+    x: AugMarking, core: CurveRef, mu: AugMarking
+) -> tuple[AugMarking, int]:
+    """(x', d): x after one multitwist, the same power d about every rotate
+    of core, where d is mu's annular coordinate over core minus x's.
 
     A twist fixes its core, so a slot based on the core keeps its base and
     its transversal's twist coordinate moves by d.
     """
+    d = annulus_point(core, mu).x - annulus_point(core, x).x
     if d == 0:
-        return x
+        return x, d
     if isinstance(core, Glue):
-        return AugMarking(
-            tuple(GlueBlock(g.tau + d, g.D) for g in x.glue), x.slots
-        )
+        return AugMarking(tuple(GlueBlock(g.tau + d, g.D) for g in x.glue), x.slots), d
     word = TwistWord(core.slope, d)
     return AugMarking(x.glue, tuple(
         SlotBlock(twist(word, blk.base), twist(word, blk.trans), blk.D) for blk in x.slots
-    ))
+    )), d
 
 
 # residual bound on a processed family, the induction's first claim
@@ -299,51 +294,32 @@ def fixed_point_search(
             f"orbit diameter {cert.diameter} exceeds R={th.R}", cert
         )
     x = seed = reduce_short_curves(mu, seed_marking(mu), th)
-    links = large_links(mu, x, th.K_hat)
-    families = group_symmetric_families(links, mu, x, th)
+    families = group_symmetric_families(mu, x, th)
+    # the unprocessed representatives' values against the current x
+    pending = [f.representative.value for f in families[1:]]
     stages = []
     for n, fam in enumerate(families):
-        rep_curve = fam.representative.subsurface.curve
-        d = annulus_point(rep_curve, mu).x - annulus_point(rep_curve, x).x
-        before_unprocessed = [
-            proj_distance(f.representative.subsurface, mu, x) for f in families[n + 1:]
-        ]
-        x = _apply_symmetric_multitwist(x, rep_curve, d)
+        core = fam.representative.subsurface.curve
+        x, d = _cancel_offset(x, core, mu)
         assert is_fixed(x), "stage output lost exact symmetry"
-        residuals = tuple(
-            proj_distance(m.subsurface, mu, x) for m in fam.members
-        )
+        residuals = tuple(map(horo_distance, orbit_points(core, mu), orbit_points(core, x)))
         # induction (1): the processed family is now resolved
         assert max(residuals) <= _STAGE_BOUND, (
             f"stage {n} residuals {residuals} exceed {_STAGE_BOUND}"
         )
         # induction (2): later families barely move
-        for f, before in zip(families[n + 1:], before_unprocessed):
-            now = proj_distance(f.representative.subsurface, mu, x)
+        later = families[n + 1:]
+        moved = [proj_distance(f.representative.subsurface, mu, x) for f in later]
+        for f, before, now in zip(later, pending, moved):
             assert abs(now - before) <= 6, (
                 f"unprocessed family {f.time_index} moved {before} -> {now}"
             )
-        stages.append(
-            SearchStage(
-                family=fam,
-                exponent=d,
-                marking_after=x,
-                distance_after=formula_distance_T(mu, x, th),
-                residuals=residuals,
-            )
-        )
-    # one pass is complete by construction: each family got its multitwist
-    assert len(stages) == len(families), "stage count drifted from family count"
+        pending = moved[1:]
+        stages.append(SearchStage(fam, d, x, formula_distance_T(mu, x, th), residuals))
     assert is_fixed(x)
     # x is unchanged since the last stage, which already measured it
     final_distance = stages[-1].distance_after if stages else formula_distance_T(mu, x, th)
-    trace = ReductionTrace(
-        seed=seed,
-        stages=tuple(stages),
-        final=x,
-        final_distance=final_distance,
-    )
-    return x, trace
+    return x, ReductionTrace(seed, tuple(stages), x, final_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +342,12 @@ def coarse_barycenter(
     k = sigma.k
     if math.gcd(f, k) != 1:
         raise ValueError(f"rotation by {f} does not generate Z/{k}")
-    tau = _iround(fmean(g.tau for g in sigma.glue))
-    lvl = _iround(fmean(g.D for g in sigma.glue))
     b0 = sigma.slots[0].base
-    points = [annulus_point(InSlot(i, b0), sigma) for i in range(k)]
-    psi = _iround(fmean(p.x for p in points))
-    slot_lvl = _iround(fmean(p.level for p in points))
-    block = SlotBlock(b0, transversal_at(b0, psi), slot_lvl)
-    bary = AugMarking((GlueBlock(tau, lvl),) * k, (block,) * k)
+    g, s = (
+        HoroPoint(_iround(fmean(p.x for p in pts)), _iround(fmean(p.level for p in pts)))
+        for pts in (orbit_points(Glue(0), sigma), orbit_points(InSlot(0, b0), sigma))
+    )
+    block = SlotBlock(b0, transversal_at(b0, s.x), s.level)
+    bary = AugMarking((GlueBlock(g.x, g.level),) * k, (block,) * k)
     assert is_fixed(bary), "the orbit average is not fixed"
     return bary

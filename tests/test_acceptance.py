@@ -39,7 +39,6 @@ from coarse_teich.metrics import (
     farey_geodesic,
     formula_distance_T,
     group_symmetric_families,
-    large_links,
 )
 from coarse_teich.projection import Simplex, annulus_point, phi, proj_distance, q_membership
 from coarse_teich.search import fixed_point_search, is_fixed
@@ -255,9 +254,8 @@ def test_criterion_07_asymmetric_large_links_always_flagged():
             sl = list(x.slots)
             sl[rng.randrange(k)] = SlotBlock(base, transversal_at(base, mag), 0)
             mu = AugMarking(x.glue, tuple(sl))
-        links = large_links(mu, x, TH.K_hat)
         try:
-            group_symmetric_families(links, mu, x, TH)
+            group_symmetric_families(mu, x, TH)
         except SymmetryViolationError:
             hits += 1
     _verdict(

@@ -427,6 +427,16 @@ def test_removed_config_fields_are_rejected(tmp_path, capsys):
     assert "unknown config fields" in rep["message"]
 
 
+def test_bad_thresholds_in_config_exit_2(tmp_path, capsys):
+    # Config checks K, K_hat and R by the rule of Thresholds itself
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"K": 0}, {"K": 5, "K_hat": 4}, {"R": 0}):
+        cfg.write_text(json.dumps(bad))
+        code, rep, _ = run(capsys, "--config", str(cfg), "dist", "x.json", "y.json")
+        assert code == 2 and rep["error"] == "parse", bad
+        assert rep["message"].startswith("need "), bad
+
+
 def calibration_config(tmp_path, monkeypatch, **overrides) -> str:
     """A config whose calibration record is the packaged one with overrides.
 

@@ -90,6 +90,27 @@ def test_huge_twist_gap_computes_few_widths(monkeypatch):
     assert calls == []
 
 
+def test_deep_brackets_are_cached(monkeypatch):
+    # the scan past level 500 reads 40-digit brackets of e^L; a cold run
+    # computes them, and a warm repeat of the same distance computes none
+    import coarse_teich.horoball as horoball
+
+    u, v = HoroPoint(0, 0), HoroPoint(3**1000, 1)
+    original, calls = horoball._exp_bracket, []
+
+    def counted(level, prec):
+        calls.append(level)
+        return original(level, prec)
+
+    monkeypatch.setattr(horoball, "_exp_bracket", counted)
+    horoball._short_bracket.cache_clear()
+    want = horo_distance(u, v)
+    cold = len(calls)
+    assert cold > 0
+    assert horo_distance(u, v) == want
+    assert len(calls) == cold
+
+
 def test_horo_distance_example():
     # apex level 2: up 2, across ceil(10/7) = 2, down 2
     assert horo_distance(HoroPoint(0, 0), HoroPoint(10, 0)) == 6

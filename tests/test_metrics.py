@@ -337,8 +337,7 @@ def test_group_symmetric_families_planted_orbit():
     k = 3
     target = symmetric_twisted(k, 0)
     mu = symmetric_twisted(k, 50)
-    links = large_links(mu, target, TH.K_hat)
-    fams = group_symmetric_families(links, mu, target, TH)
+    fams = group_symmetric_families(mu, target, TH)
     assert len(fams) == 1
     fam = fams[0]
     assert len(fam.members) == k
@@ -355,8 +354,7 @@ def test_group_symmetric_families_tolerates_honest_slack():
     )
     mu = AugMarking((GlueBlock(0, 0),) * 3, blocks)
     target = symmetric_twisted(3, 0)
-    links = large_links(mu, target, TH.K_hat)
-    fams = group_symmetric_families(links, mu, target, TH)
+    fams = group_symmetric_families(mu, target, TH)
     assert len(fams) == 1 and len(fams[0].members) == 3
 
 
@@ -370,17 +368,21 @@ def test_group_symmetric_families_rejects_asymmetric_link():
     )
     mu = AugMarking((GlueBlock(0, 0),) * 3, blocks)
     target = symmetric_twisted(3, 0)
-    links = large_links(mu, target, TH.K_hat)
-    assert links
+    assert large_links(mu, target, TH.K_hat)
     with pytest.raises(SymmetryViolationError):
-        group_symmetric_families(links, mu, target, TH)
+        group_symmetric_families(mu, target, TH)
 
 
 def test_group_symmetric_families_rejects_oversized_slot_link():
-    mu = flat_marking(2)
-    fake = [LargeLink(Slot(0), value=40)]
-    with pytest.raises(SymmetryViolationError):
-        group_symmetric_families(fake, mu, mu, TH)
+    # slot 0 sits 31 Farey steps from 0/1, past 2 * R + 2 = 22
+    # (fibonacci_slope(40), 21 steps away, would not trip the check)
+    target = flat_marking(2)
+    base = fibonacci_slope(60)
+    slot = SlotBlock(base, transversal_at(base, 0), 0)
+    mu = AugMarking(target.glue, (slot, target.slots[1]))
+    assert farey_distance(base, Slope(0, 1)) == 31
+    with pytest.raises(SymmetryViolationError, match="slot link Slot"):
+        group_symmetric_families(mu, target, TH)
 
 
 def test_group_symmetric_families_time_order():
@@ -389,8 +391,7 @@ def test_group_symmetric_families_time_order():
     blk = SlotBlock(target_slope, transversal_at(target_slope, 0), 0)
     mu = AugMarking((GlueBlock(0, 0),) * 2, (blk,) * 2)
     tgt = flat_marking(2)
-    links = large_links(mu, tgt, TH.K_hat)
-    fams = group_symmetric_families(links, mu, tgt, TH)
+    fams = group_symmetric_families(mu, tgt, TH)
     slopes = [f.representative.subsurface.curve.slope for f in fams]
     assert slopes == [Slope(0, 1), Slope(1, 30)]
     assert [f.time_index for f in fams] == [0, 1]

@@ -23,6 +23,7 @@ from coarse_teich.projection import (
     act_simplex,
     annulus_point,
     marked_projection,
+    orbit_points,
     phi,
     proj_distance,
     project,
@@ -109,6 +110,35 @@ def test_project_nonbase_annulus_is_relative_twisting():
             key=lambda n: (intersection(twist(TwistWord(c, n), t0), blk.base), abs(n), n),
         )
         assert got.x == best
+
+
+def test_orbit_points_reads_every_rotate():
+    # entry i is annulus_point of the rotate in gluing or slot index i, for
+    # cores on and off each slot's base, levels 0..4, twists up to 10^6
+    rng = random.Random(19)
+    slopes = [Slope(0, 1), Slope(1, 0), Slope(1, 1), Slope(2, 3), Slope(-5, 7)]
+    for _ in range(60):
+        k = rng.randint(2, 5)
+        glue = tuple(
+            GlueBlock(rng.randint(-10**6, 10**6), rng.randint(0, 4)) for _ in range(k)
+        )
+        shared = rng.choice(slopes)
+        slots = []
+        for _ in range(k):
+            base = shared if rng.random() < 0.5 else rng.choice(slopes)
+            trans = transversal_at(base, rng.randint(-10**6, 10**6))
+            slots.append(SlotBlock(base, trans, rng.randint(0, 4)))
+        m = AugMarking(glue, tuple(slots))
+        on_and_off = dict.fromkeys(slopes + [b.base for b in m.slots])
+        cores = [Glue(rng.randrange(k))] + [InSlot(rng.randrange(k), s) for s in on_and_off]
+        for c in cores:
+            want = [None] * k
+            for r in range(k):
+                rc = act_curve(r, c, k)
+                want[rc.j if isinstance(rc, Glue) else rc.slot] = annulus_point(rc, m)
+            assert orbit_points(c, m) == want
+    with pytest.raises(SurfaceMismatchError):
+        orbit_points(Glue(2), flat_marking(2))
 
 
 def test_flip_fixes_annulus_projections():
