@@ -88,10 +88,13 @@ __all__ = [
 
 
 class SymmetryViolationError(ValueError):
-    """A large link's orbit fails the symmetry checks.
+    """group_symmetric_families found a large link whose orbit is not a
+    symmetric family: a member below the orbit max by more than the
+    comparability th.R + 2, or a slot link past the almost-fixed scale.
 
-    By the contrapositive of the symmetric-link lemma this certifies that
-    the marking claimed to be almost fixed was not.
+    Against an exactly fixed target the symmetric-link lemma rules this out
+    for an almost-fixed input, given a comparability large enough for the
+    thresholds; th.R + 2 does not grow with th.K.
     """
 
 
@@ -380,10 +383,11 @@ def group_symmetric_families(
     large_links(mu, target, th.K_hat), into symmetric families, time-ordered.
 
     For an input that really is almost fixed against an exactly fixed
-    target, every large link's orbit carries comparable values: member
-    values pairwise within the comparability th.R + 2 and no member
-    collapsing below max(1, orbit max - th.R - 2).  Violations raise
-    SymmetryViolationError instead of returning a wrong grouping.  Slot
+    target, every large link's orbit carries comparable values: no member
+    below the orbit max by more than the comparability th.R + 2.  A member
+    may read 0, as the seed's slot 0 does over a short slot orbit, where
+    the seed copies mu's block 0.  Violations raise SymmetryViolationError
+    instead of returning a wrong grouping.  Slot
     (non-annular) links are legal only up to the almost-fixed scale and are
     not grouped; a slot value beyond 2 * th.R + 2 also violates.
 
@@ -415,9 +419,8 @@ def group_symmetric_families(
             horo_distance, orbit_points(rep_ref, mu), orbit_points(rep_ref, target)
         ))
         vmax = max(values)
-        floor_val = max(1, vmax - comparability)
         for c, v in zip(orbit, values):
-            if v < floor_val:
+            if v < vmax - comparability:
                 raise SymmetryViolationError(
                     f"orbit of {rep_ref} has value {v} at {c} against max "
                     f"{vmax}; not a symmetric family"

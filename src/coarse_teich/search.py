@@ -6,14 +6,15 @@ at a distance bounded by a constant depending only on the slot count and
 the orbit bound, never on the size of the twist data.  The engine is the
 staged symmetric multitwist: large annular links between the input and an
 exactly fixed seed come in symmetric families, and one multitwist per
-family, applied in time order, cancels the family's twist offset.  That one
-step, _cancel_offset, also serves the short-curve reduction, and every
-orbit is read in one projection.orbit_points.
+family, applied in time order, cancels the family's twist offset
+(_cancel_offset).  Every orbit is read in one projection.orbit_points.
+The seed is built in closed form and already carries mu's twist data over
+the short orbits, so the orbit-diameter certificate is the search's only
+precondition check.
 
-Also here: the orbit-diameter certificate, symmetric short-curve analysis,
-the short-curve reduction that matches length data before the staged run,
-and the coarse barycenter for arbitrary (not almost-fixed) inputs: the
-orbit average, exactly fixed by construction, so it needs no search.
+Also here: the orbit-diameter certificate, and the coarse barycenter for
+arbitrary (not almost-fixed) inputs: the orbit average, exactly fixed by
+construction, so it needs no search.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .marking import (
 )
 from .metrics import (
     SymmetricFamily,
-    SymmetryViolationError,
     Thresholds,
     formula_distance_T,
     group_symmetric_families,
@@ -53,8 +53,6 @@ __all__ = [
     "is_fixed",
     "seed_marking",
     "short_cut",
-    "symmetric_short_curves",
-    "reduce_short_curves",
     "fixed_point_search",
     "coarse_barycenter",
 ]
@@ -116,81 +114,35 @@ def _iround(v: float) -> int:
     return int(math.floor(v + 0.5))
 
 
-def seed_marking(mu: AugMarking) -> AugMarking:
-    """Exactly fixed seed: length data kept, twist data zeroed.
-
-    Slot blocks copy the slot-0 base and length; gluing levels are averaged.
-    Twist data is deliberately dropped: the staged multitwists recover it,
-    and keeping it would make every stage a no-op by construction.
-    """
-    k = mu.k
-    glue_level = _iround(fmean(g.D for g in mu.glue))
-    base = mu.slots[0].base
-    slot = SlotBlock(base, transversal_at(base, 0), mu.slots[0].D)
-    return AugMarking((GlueBlock(0, glue_level),) * k, (slot,) * k)
-
-
-# ---------------------------------------------------------------------------
-# Short curves.
-# ---------------------------------------------------------------------------
-
-
 def short_cut(th: Thresholds) -> int:
     """Length level above which a curve counts as short."""
     return th.R + th.K + 2
 
 
-def symmetric_short_curves(mu: AugMarking, th: Thresholds) -> list[list[CurveRef]]:
-    """Full rotation orbits of curves with length level above the cut.
+def seed_marking(mu: AugMarking, th: Thresholds) -> AugMarking:
+    """Exactly fixed seed: slot 0's base and level, the rounded mean gluing
+    level, and block 0's twist data over an orbit with a level above
+    short_cut(th), twist 0 elsewhere.
 
-    For an almost-fixed marking every short curve's orbit is again short up
-    to the orbit slack; a collapse (different base slope in a rotated slot,
-    or length falling past the slack) certifies the precondition failed.
+    Twist data off the short orbits is dropped: the staged multitwists
+    recover it, and keeping it would make every stage a no-op by
+    construction.  Over a short orbit the seed is what a multitwist about
+    block 0's curve, cancelling mu's offset there (_cancel_offset), makes
+    of a seed with twist 0: block 0's twist data.  Over a short slot orbit
+    the seed's slot block is therefore mu.slots[0] itself, which needs
+    slot 0's base to be the base of every slot.  Once the orbit diameter
+    is at most th.R it is: a slope short in one slot and missing from
+    another has, against the rotate that carries the one slot to the
+    other, an annulus row past both th.K and th.R, so the certificate
+    already fails.
     """
-    cut = short_cut(th)
-    k = mu.k
-    orbits: list[list[CurveRef]] = []
-    glue_levels = [g.D for g in mu.glue]
-    if max(glue_levels) > cut:
-        if min(glue_levels) < max(glue_levels) - th.R - 2:
-            raise SymmetryViolationError(
-                f"gluing levels {glue_levels} are short on one index only"
-            )
-        orbits.append([Glue(j) for j in range(k)])
-    slot_levels = [s.D for s in mu.slots]
-    if max(slot_levels) > cut:
-        i_max = max(range(k), key=lambda i: slot_levels[i])
-        base = mu.slots[i_max].base
-        for i in range(k):
-            if mu.slots[i].base != base:
-                raise SymmetryViolationError(
-                    f"short base {base} of slot {i_max} is not the base of slot {i}"
-                )
-            if slot_levels[i] < slot_levels[i_max] - th.R - 2:
-                raise SymmetryViolationError(
-                    f"slot levels {slot_levels} are short on one index only"
-                )
-        orbits.append([InSlot(i, base) for i in range(k)])
-    return orbits
-
-
-def reduce_short_curves(
-    mu: AugMarking, seed: AugMarking, th: Thresholds
-) -> AugMarking:
-    """Match the seed's twist data to mu over the short-curve orbits.
-
-    One symmetric multitwist per short orbit, exponent read off the
-    smallest-index representative.  Keeps the seed exactly fixed and brings
-    the horoball distance over every short curve down to the orbit slack.
-    A short slot slope is the base of every slot of mu, and so of a seed
-    of mu (seed_marking), which the twist about it keeps.
-    """
-    if not is_fixed(seed):
-        raise ValueError("seed is not exactly fixed")
-    out = seed
-    for orbit in symmetric_short_curves(mu, th):
-        out, _ = _cancel_offset(out, orbit[0], mu)
-    return out
+    k, cut = mu.k, short_cut(th)
+    tau = mu.glue[0].tau if max(g.D for g in mu.glue) > cut else 0
+    glue = GlueBlock(tau, _iround(fmean(g.D for g in mu.glue)))
+    s0 = mu.slots[0]
+    if max(s.D for s in mu.slots) <= cut:
+        s0 = SlotBlock(s0.base, transversal_at(s0.base, 0), s0.D)
+    return AugMarking((glue,) * k, (s0,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +227,8 @@ def fixed_point_search(
     """Turn an almost-fixed marking into an exactly fixed one nearby.
 
     Precondition: orbit diameter <= th.R (PreconditionError with the
-    certificate otherwise).  The seed is the reduced symmetrization of mu,
-    which is exactly fixed.  Large links against the seed are grouped
+    certificate otherwise).  The seed is seed_marking(mu, th), which is
+    exactly fixed.  Large links against the seed are grouped
     into symmetric families; each stage applies one symmetric multitwist
     whose exponent is the representative's annular offset, in time order.
     Stage assertions check the induction: processed families keep residual
@@ -293,7 +245,7 @@ def fixed_point_search(
         raise PreconditionError(
             f"orbit diameter {cert.diameter} exceeds R={th.R}", cert
         )
-    x = seed = reduce_short_curves(mu, seed_marking(mu), th)
+    x = seed = seed_marking(mu, th)
     families = group_symmetric_families(mu, x, th)
     # the unprocessed representatives' values against the current x
     pending = [f.representative.value for f in families[1:]]
@@ -316,7 +268,6 @@ def fixed_point_search(
             )
         pending = moved[1:]
         stages.append(SearchStage(fam, d, x, formula_distance_T(mu, x, th), residuals))
-    assert is_fixed(x)
     # x is unchanged since the last stage, which already measured it
     final_distance = stages[-1].distance_after if stages else formula_distance_T(mu, x, th)
     return x, ReductionTrace(seed, tuple(stages), x, final_distance)

@@ -14,6 +14,8 @@ tuples that the package flows and reduces.  And the flat rows' formula
 terms evaluated one candidate at a time: the snapshot formula in one pass,
 before its split into formula sides, and the distance to the
 swap-fixed locus as the minimum of that formula over every candidate.
+And the search seed as the short-curve reduction built it, before its
+closed form.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from statistics import fmean
 from typing import Iterator, Optional
 
 import numpy as np
 
 from coarse_teich.horoball import HoroPoint, horo_distance, width
-from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock
+from coarse_teich.marking import AugMarking, Glue, GlueBlock, InSlot, SlotBlock
 from coarse_teich.metrics import Snapshot, Thresholds
+from coarse_teich.search import _cancel_offset, short_cut
 from coarse_teich.slots import (
     Slope,
     _twist_coordinate,
@@ -470,3 +474,39 @@ def distance_to_fixed_per_candidate(snap: Snapshot, th: Thresholds) -> float:
             cand = Snapshot((snap.slots[i],) * k, (snap.glue[j],) * len(snap.glue))
             best = min(best, rafi_formula_one_pass(snap, cand, th))
     return best
+
+
+# ---------------------------------------------------------------------------
+# The search seed by the short-curve reduction.
+# ---------------------------------------------------------------------------
+
+
+def short_curve_reduced_seed(mu: AugMarking, th: Thresholds) -> AugMarking:
+    """The seed at twist 0 (slot 0's base and level, the rounded mean gluing
+    level), then one symmetric multitwist per short orbit, one with a level
+    above short_cut(th), cancelling mu's offset at block 0.  A short orbit
+    that collapses, to another base in some slot or to a level more than
+    th.R + 2 below the orbit's max, raises ValueError."""
+    k, cut = mu.k, short_cut(th)
+    s0 = mu.slots[0]
+    level = math.floor(fmean(g.D for g in mu.glue) + 0.5)
+    x = AugMarking(
+        (GlueBlock(0, level),) * k, (SlotBlock(s0.base, transversal_at(s0.base, 0), s0.D),) * k
+    )
+    cores = []
+    glue_levels = [g.D for g in mu.glue]
+    if max(glue_levels) > cut:
+        if min(glue_levels) < max(glue_levels) - th.R - 2:
+            raise ValueError(f"gluing levels {glue_levels} are short on one index only")
+        cores.append(Glue(0))
+    slot_levels = [s.D for s in mu.slots]
+    if max(slot_levels) > cut:
+        base = mu.slots[slot_levels.index(max(slot_levels))].base
+        if any(s.base != base for s in mu.slots):
+            raise ValueError(f"short base {base} is not the base of every slot")
+        if min(slot_levels) < max(slot_levels) - th.R - 2:
+            raise ValueError(f"slot levels {slot_levels} are short on one index only")
+        cores.append(InSlot(0, base))
+    for core in cores:
+        x, _ = _cancel_offset(x, core, mu)
+    return x

@@ -199,6 +199,39 @@ def test_fix_search_precondition_certificate(tmp_path, capsys):
     assert rep["certificate"]["diameter"] > TH.R
 
 
+def test_fix_search_short_slot_orbit_exits_zero(tmp_path, capsys):
+    # orbit diameter 10: a short slot orbit on one base, levels 38 and 42;
+    # the seed copies slot 0, so that family member reads 0
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({
+        "glue": [{"tau": 109, "D": 38}, {"tau": 82, "D": 39}],
+        "slots": [{"base": "2/1", "trans": "151/75", "D": 38},
+                  {"base": "2/1", "trans": "125/62", "D": 42}],
+    }))
+    code, rep, _ = run(capsys, "fix-search", str(f))
+    assert code == 0
+    out = AugMarking.from_json(rep["outputs"]["fixed_point"])
+    assert out == act(1, out)
+    assert rep["outputs"]["final_distance"] <= 2 * TH.R
+
+
+def test_fix_search_with_K_past_R_plus_2_exits_zero(tmp_path, capsys):
+    # orbit diameter 0 at K = 20: the gluing levels 40 and 25 differ by more
+    # than R + 2, but their row is below K, so the input is certified
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({
+        "glue": [{"tau": 0, "D": 40}, {"tau": 0, "D": 25}],
+        "slots": [{"base": "1/2", "trans": "1/1", "D": 0}] * 2,
+    }))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 20, "K_hat": 20, "R": 10}))
+    code, rep, _ = run(capsys, "--config", str(cfg), "fix-search", str(f))
+    assert code == 0
+    out = AugMarking.from_json(rep["outputs"]["fixed_point"])
+    assert out == act(1, out)
+    assert rep["outputs"]["final_distance"] == 0
+
+
 def test_fix_search_sweep_is_flat(tmp_path, capsys):
     csv_file = tmp_path / "sweep.csv"
     code, rep, _ = run(capsys, "fix-search", "--sweep", "--out", str(csv_file))

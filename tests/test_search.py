@@ -15,11 +15,7 @@ from coarse_teich.marking import (
     SlotBlock,
     act,
 )
-from coarse_teich.metrics import (
-    SymmetryViolationError,
-    Thresholds,
-    formula_distance_T,
-)
+from coarse_teich.metrics import Thresholds, formula_distance_T
 from coarse_teich.projection import annulus_point
 from coarse_teich.search import (
     PreconditionError,
@@ -28,12 +24,11 @@ from coarse_teich.search import (
     fixed_point_search,
     is_fixed,
     orbit_diameter,
-    reduce_short_curves,
     seed_marking,
     short_cut,
-    symmetric_short_curves,
 )
 from coarse_teich.slots import Slope, transversal_at, twist_coordinate
+from tests.oracles import short_curve_reduced_seed
 from tests.test_marking import flat_marking, random_marking
 
 TH = Thresholds()
@@ -118,7 +113,7 @@ def test_seed_marking_keeps_lengths_drops_twists():
     glue = tuple(GlueBlock(9, d) for d in (2, 3, 4))
     slot = SlotBlock(base, transversal_at(base, 7), 5)
     mu = AugMarking(glue, (slot,) * 3)
-    seed = seed_marking(mu)
+    seed = seed_marking(mu, TH)
     assert is_fixed(seed)
     assert all(g == GlueBlock(0, 3) for g in seed.glue)  # mean level, zero twist
     for s in seed.slots:
@@ -126,69 +121,60 @@ def test_seed_marking_keeps_lengths_drops_twists():
         assert twist_coordinate(s.base, s.trans) == 0
 
 
+# The short-curve reduction is part of seed_marking: over an orbit with a
+# level above short_cut(TH) the seed carries block 0's twist data.
+
+
 def test_symmetric_short_curves_empty_when_all_levels_low():
-    assert symmetric_short_curves(flat_marking(3), TH) == []
+    # no level above the cut: no short orbit, so the seed keeps no twist
     assert short_cut(TH) == TH.R + TH.K + 2
+    assert seed_marking(flat_marking(3), TH) == flat_marking(3)
+    mu = symmetric_marking(2, tau=70, glue_lvl=15, base=Slope(2, 1), psi=-55, slot_lvl=15)
+    assert seed_marking(mu, TH) == symmetric_marking(2, glue_lvl=15, base=Slope(2, 1), slot_lvl=15)
 
 
 def test_symmetric_short_curves_returns_full_orbits():
-    m = symmetric_marking(2, glue_lvl=25, base=Slope(2, 1), slot_lvl=20)
-    orbits = symmetric_short_curves(m, TH)
-    assert orbits == [
-        [Glue(0), Glue(1)],
-        [InSlot(0, Slope(2, 1)), InSlot(1, Slope(2, 1))],
-    ]
-
-
-def test_symmetric_short_curves_violations():
+    # both orbits short: the seed carries block 0's data over each full
+    # orbit, whatever the other blocks hold
     base = Slope(2, 1)
-    trans = transversal_at(base, 0)
-    # slot short on one index only
-    m = AugMarking(
-        (GlueBlock(0, 0),) * 2,
-        (SlotBlock(base, trans, 25), SlotBlock(base, trans, 0)),
+    m = symmetric_marking(2, tau=70, glue_lvl=25, base=base, psi=-55, slot_lvl=20)
+    assert seed_marking(m, TH) == m
+    mu = AugMarking(
+        (GlueBlock(70, 25), GlueBlock(90, 12)),
+        (SlotBlock(base, transversal_at(base, -55), 16), m.slots[1]),
     )
-    with pytest.raises(SymmetryViolationError):
-        symmetric_short_curves(m, TH)
-    # gluing level short on one index only
-    m = AugMarking(
-        (GlueBlock(0, 25), GlueBlock(0, 3)),
-        (SlotBlock(base, trans, 0),) * 2,
-    )
-    with pytest.raises(SymmetryViolationError):
-        symmetric_short_curves(m, TH)
-    # short base slope differs between slots
-    other = Slope(1, 1)
-    m = AugMarking(
-        (GlueBlock(0, 0),) * 2,
-        (SlotBlock(base, trans, 25), SlotBlock(other, transversal_at(other, 0), 25)),
-    )
-    with pytest.raises(SymmetryViolationError):
-        symmetric_short_curves(m, TH)
+    seed = seed_marking(mu, TH)
+    assert seed.glue == (GlueBlock(70, 19),) * 2
+    assert seed.slots == (mu.slots[0],) * 2
 
 
 def test_reduce_short_curves_matches_short_twist_data():
     base = Slope(3, 2)
     mu = symmetric_marking(2, tau=70, glue_lvl=20, base=base, psi=-55, slot_lvl=18)
-    red = reduce_short_curves(mu, seed_marking(mu), TH)
+    red = seed_marking(mu, TH)
     assert is_fixed(red)
+    assert red == short_curve_reduced_seed(mu, TH)
     for j in range(2):
         assert annulus_point(Glue(j), red) == HoroPoint(70, 20)
     for i in range(2):
         assert annulus_point(InSlot(i, base), red) == HoroPoint(-55, 18)
 
 
-def test_reduce_short_curves_no_twist_when_twists_are_zero():
-    mu = symmetric_marking(2, glue_lvl=20, base=Slope(3, 2), slot_lvl=18)
-    seed = seed_marking(mu)
-    assert reduce_short_curves(mu, seed, TH) == seed
-
-
-def test_reduce_short_curves_rejects_unfixed_seed():
-    mu = symmetric_marking(2, glue_lvl=20)
-    bad = AugMarking((GlueBlock(1, 20), GlueBlock(0, 20)), mu.slots)
-    with pytest.raises(ValueError):
-        reduce_short_curves(mu, bad, TH)
+def test_short_orbit_collapses_fail_the_certificate():
+    # a short orbit that is short on one index only, or whose short slope
+    # is not the base of every slot, has orbit diameter past R
+    base, other = Slope(2, 1), Slope(1, 1)
+    trans = transversal_at(base, 0)
+    flat_glue, flat_slots = (GlueBlock(0, 0),) * 2, (SlotBlock(base, trans, 0),) * 2
+    for mu in (
+        AugMarking(flat_glue, (SlotBlock(base, trans, 25), SlotBlock(base, trans, 0))),
+        AugMarking((GlueBlock(0, 25), GlueBlock(0, 3)), flat_slots),
+        AugMarking(flat_glue, (
+            SlotBlock(base, trans, 25), SlotBlock(other, transversal_at(other, 0), 25)
+        )),
+    ):
+        with pytest.raises(PreconditionError):
+            fixed_point_search(mu, TH)
 
 
 def test_search_fixed_input_returns_input_with_empty_trace():
@@ -238,7 +224,7 @@ def test_search_two_families_follow_the_geodesic(monkeypatch):
     # base walk 0/1 -> 1/30 -> 40/1201: stage one twists -30 about 0/1,
     # stage two twists +40 about 1/30 and carries the base to the target;
     # the seed is the flat marking, not mu's symmetrization
-    monkeypatch.setattr("coarse_teich.search.seed_marking", lambda mu: flat_marking(2))
+    monkeypatch.setattr("coarse_teich.search.seed_marking", lambda mu, th: flat_marking(2))
     target = Slope(40, 1201)
     slots = (
         SlotBlock(target, transversal_at(target, 0), 0),
@@ -264,7 +250,7 @@ def test_search_reversed_order_is_strictly_worse(monkeypatch):
     # the earlier family's offset, so the induction assertions stop the run
     import coarse_teich.search as search
 
-    monkeypatch.setattr(search, "seed_marking", lambda mu: flat_marking(2))
+    monkeypatch.setattr(search, "seed_marking", lambda mu, th: flat_marking(2))
     target = Slope(40, 1201)
     slots = (
         SlotBlock(target, transversal_at(target, 0), 0),
@@ -459,3 +445,57 @@ def test_search_outputs_match_their_digest():
         bary = _outcome(lambda: json.dumps(coarse_barycenter(mu, 1, TH).to_json()))
         h.update(f"{trace}\n{bary}\n".encode())
     assert h.hexdigest()[:16] == "c43bd2ea6ebc0967"
+
+
+def test_seed_marking_matches_the_short_curve_reduction():
+    # the closed-form seed against the reduction it replaced, on every
+    # certified digest input; the reduction's collapse checks never fire there
+    short = {"glue": 0, "slot": 0}
+    for mu in _digest_inputs(1000):
+        if almost_fixed_certificate(mu, TH).diameter > TH.R:
+            continue
+        assert seed_marking(mu, TH) == short_curve_reduced_seed(mu, TH), mu
+        short["glue"] += max(g.D for g in mu.glue) > short_cut(TH)
+        short["slot"] += max(s.D for s in mu.slots) > short_cut(TH)
+    assert min(short.values()) >= 50, short
+
+
+def _short_orbit_inputs(n: int):
+    """Seeded inputs with a short slot orbit, its levels spread by up to 10,
+    past K_hat, and its twists by up to 3 or 30; half also have a short
+    gluing orbit spread the same way."""
+    rng = random.Random(2020)
+    cut = short_cut(TH)
+    bases = [Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(2, 1), Slope(3, 2)]
+    for _ in range(n):
+        k = rng.randint(2, 4)
+        base = rng.choice(bases)
+        mag = rng.randint(0, 10 ** rng.randint(1, 6))
+        slot_lvl = rng.randint(cut + 1, cut + 30)
+        glue_lvl = rng.choice((0, rng.randint(cut + 1, cut + 30)))
+        jit = rng.choice((3, 30))
+        glue = tuple(
+            GlueBlock(mag + rng.randint(0, jit), glue_lvl and glue_lvl + rng.randint(0, 10))
+            for _ in range(k)
+        )
+        slots = tuple(
+            SlotBlock(base, transversal_at(base, -mag + rng.randint(0, jit)),
+                      slot_lvl + rng.randint(0, 10))
+            for _ in range(k)
+        )
+        yield AugMarking(glue, slots)
+
+
+def test_every_certified_input_ends_fixed_nearby():
+    # the certificate is the search's only precondition: every input it
+    # passes ends exactly fixed within 2R, whatever its short orbits hold
+    certified = spread = 0
+    for mu in _short_orbit_inputs(2000):
+        if almost_fixed_certificate(mu, TH).diameter > TH.R:
+            continue
+        certified += 1
+        levels = [s.D for s in mu.slots]
+        spread += max(levels) - min(levels) > TH.K_hat
+        x, trace = fixed_point_search(mu, TH)
+        assert is_fixed(x) and trace.final_distance <= 2 * TH.R, mu
+    assert certified >= 400 and spread >= 30, (certified, spread)
