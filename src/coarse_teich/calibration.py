@@ -163,6 +163,9 @@ def compare_constants(old: CalibrationConstants, new: CalibrationConstants) -> l
 # constants cover exactly the distributions that get regression-tested.
 # ---------------------------------------------------------------------------
 
+# move distance up to which quasi_isometry_samples keeps a pair
+_QI_WINDOW = 10
+
 
 def sample_marking(
     rng: random.Random, k: int, twist_max: int = 3, level_max: int = 1
@@ -186,7 +189,7 @@ def sample_marking(
 def _planted_partners(
     rng: random.Random, m: AugMarking
 ) -> list[AugMarking]:
-    """Partners of a basepoint that stay within bfs_distance's default cap
+    """Partners of a basepoint that stay within _QI_WINDOW moves of it
     but spread the formula value: twist offsets, level raises, and short
     base walks."""
     partners = []
@@ -229,7 +232,7 @@ def quasi_isometry_samples(
     basepoints: int = 25,
 ) -> list[tuple[int, int]]:
     """(move distance, formula) pairs from random basepoints, for the
-    partners whose bfs_distance is within its default cap."""
+    partners at most _QI_WINDOW moves away."""
     rng = random.Random(seed)
     out = []
     for _ in range(basepoints):
@@ -242,7 +245,7 @@ def quasi_isometry_samples(
         partners.append(cur)
         for n in partners:
             b = bfs_distance(m, n)
-            if b is None:
+            if b > _QI_WINDOW:
                 continue
             out.append((b, formula_distance_T(m, n, th)))
     return out

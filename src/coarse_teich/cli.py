@@ -5,7 +5,8 @@ Every command reads an optional JSON config, prints one report JSON
 document on stdout, and maps failures to stable exit codes: 2 parse,
 3 model mismatch, 4 precondition violation (with certificate), 5 internal
 assertion, 6 parameter regime.  ``calibrate --check`` exits 1 when a
-refitted constant drifts from the record.
+refitted constant drifts from the record, and every command exits 1, with
+nothing on stderr, when stdout is closed before the report is written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -50,6 +52,7 @@ from .metrics import (
     SymmetryViolationError,
     Thresholds,
     formula_distance_T,
+    formula_distance_WP,
     formula_terms,
 )
 from .projection import Annulus, Slot, Whole, project
@@ -184,18 +187,13 @@ def cmd_dist(args, cfg: Config) -> int:
     consts = load_constants(cfg.calibration)
     th = cfg.thresholds()
     m1, m2 = _read_marking(args.first), _read_marking(args.second)
-    rows = formula_terms(m1, m2, th)
-    terms = [
-        {"subsurface": _ref_label(ref), "value": v, "contribution": c}
-        for ref, v, c in rows
-    ]
-    # T sums every row, WP the non-annular ones, as in metrics
     outputs = {
-        "formula_distance_T": sum(c for _, _, c in rows),
-        "formula_distance_WP": sum(
-            c for ref, _, c in rows if not isinstance(ref, Annulus)
-        ),
-        "terms": terms,
+        "formula_distance_T": formula_distance_T(m1, m2, th),
+        "formula_distance_WP": formula_distance_WP(m1, m2, th),
+        "terms": [
+            {"subsurface": _ref_label(ref), "value": v, "contribution": c}
+            for ref, v, c in formula_terms(m1, m2, th)
+        ],
     }
     if args.oracle:
         outputs["bfs_distance"] = bfs_distance(m1, m2)
@@ -497,11 +495,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        code = _run(parser, args)
+        # a closed stdout shows here, not in the interpreter's final flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # as the Python docs advise: the final flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(parser: argparse.ArgumentParser, args) -> int:
+    """Run the subcommand, mapping each failure to its exit code."""
+    try:
         cfg = _load_config(args)
         if args.command in ("fix-search", "barycenter") and not args.sweep:
             if args.marking is None:
                 parser.error(f"{args.command} needs a marking file or --sweep")
         return args.func(args, cfg)
+    except BrokenPipeError:
+        # an OSError, but of stdout, not of an input: main handles it
+        raise
     except PreconditionError as err:
         print(
             json.dumps(

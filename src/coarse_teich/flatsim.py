@@ -40,8 +40,6 @@ __all__ = [
     "ParameterRegimeError",
     "slit_length",
     "shortest_slope",
-    "fibonacci_slope",
-    "systole_index",
     "FlowedSlots",
     "TrajectoryFamily",
     "Construction",
@@ -127,23 +125,6 @@ def shortest_slope(basis: Basis) -> tuple[Slope, float]:
     else:
         raise ArithmeticError("lattice reduction did not terminate")
     return Slope.of(*c1), math.sqrt(n1)
-
-
-def fibonacci_slope(n: int) -> Slope:
-    """Closed-form systole family: class (F_{n+1}, F_n), n ranging over Z."""
-    a, b = 1, 0  # (F_1, F_0)
-    if n >= 0:
-        for _ in range(n):
-            a, b = a + b, a
-    else:
-        for _ in range(-n):
-            a, b = b, a - b
-    return Slope.of(a, b)
-
-
-def systole_index(u: float) -> int:
-    """Index n of the systole class (F_{n+1}, F_n) at flow time u."""
-    return round(u / math.log(_GAMMA)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .horoball import HoroPoint, horo_distance, width
 from .slots import Slope, TwistWord, _fans, _framed, _normalized, intersection, twist
@@ -34,7 +34,6 @@ __all__ = [
     "elementary_moves",
     "move_count",
     "nth_move",
-    "is_elementary_move",
     "bfs_distance",
 ]
 
@@ -245,35 +244,25 @@ def elementary_moves(m: AugMarking) -> list[AugMarking]:
     signs; vertical moves change one level by one.  The order is fixed
     (gluing curves, then slots; per block the order of _block_move), since
     samplers draw from it through nth_move.
+
+    No runtime code calls it: samplers draw through nth_move, and
+    bfs_distance sums block distances.  It stays as the definition of the
+    move graph that the tests' breadth-first oracles walk, and because the
+    layer tracer of perfbench/tracer.py times it by name.
     """
     return [nth_move(m, i) for i in range(move_count(m))]
 
 
-def is_elementary_move(a: AugMarking, b: AugMarking) -> bool:
-    """True iff exactly one block differs, by a flip at level 0 or by one
-    edge of the block's horoball.  O(k); enumerates no neighbours."""
-    if a.k != b.k:
-        return False
-    changed = [(x, y) for x, y in zip(a.glue + a.slots, b.glue + b.slots) if x != y]
-    if len(changed) != 1:
-        return False
-    x, y = changed[0]
-    if isinstance(x, SlotBlock) and x.base != y.base:
-        return x.D == y.D == 0 and (x.base, x.trans) == (y.trans, y.base)
-    return _block_distance(x, y) == 1
-
-
-def bfs_distance(a: AugMarking, b: AugMarking, cap: int = 10) -> Optional[int]:
-    """Exact elementary-move distance if <= cap, else None.
+def bfs_distance(a: AugMarking, b: AugMarking) -> int:
+    """Exact elementary-move distance.
 
     The sum of the block distances: _block_distance per gluing curve and
-    _slot_distance per slot, each exact and uncapped, the slot walk linear
-    in the continued-fraction length of the bases.
+    _slot_distance per slot, each exact, the slot walk linear in the
+    continued-fraction length of the bases.
     """
     check_same_surface(a, b)
     total = sum(_block_distance(g, h) for g, h in zip(a.glue, b.glue))
-    total += sum(_slot_distance(s, t) for s, t in zip(a.slots, b.slots))
-    return total if total <= cap else None
+    return total + sum(_slot_distance(s, t) for s, t in zip(a.slots, b.slots))
 
 
 def _slot_distance(s: SlotBlock, t: SlotBlock) -> int:

@@ -40,13 +40,11 @@ from .marking import (
 )
 from .projection import (
     Annulus,
-    Simplex,
     Slot,
     SubsurfaceRef,
     Whole,
     _check_index,
     orbit_points,
-    phi,
     proj_distance,
 )
 from .slots import (
@@ -76,7 +74,6 @@ __all__ = [
     "formula_terms",
     "formula_distance_T",
     "formula_distance_WP",
-    "distance_to_q",
     "rafi_formula",
     "rafi_side",
     "rafi_total",
@@ -140,7 +137,12 @@ def _cut(value: int | float, threshold: int | float) -> int | float:
 
 
 def annular_candidates(m1: AugMarking, m2: AugMarking) -> list[CurveRef]:
-    """The finite annulus list able to carry a formula term for this pair."""
+    """The finite annulus list able to carry a formula term for this pair.
+
+    No runtime code calls it: _raw_rows walks slots._region instead.  It
+    stays as the tests' statement of which annuli the formula reads, and
+    because the layer tracer of perfbench/tracer.py times it by name.
+    """
     out: list[CurveRef] = [Glue(j) for j in range(m1.k)]
     for i in range(m1.k):
         # pivot_region lists each slope once
@@ -228,19 +230,6 @@ def formula_distance_WP(m1: AugMarking, m2: AugMarking, th: Thresholds) -> int:
         for y, _, contrib in formula_terms(m1, m2, th)
         if not isinstance(y, Annulus)
     )
-
-
-def distance_to_q(delta: Simplex, m: AugMarking, threshold: int) -> int:
-    """Thresholded estimate of the move distance from m to Q(delta).
-
-    The formula rows between m and phi(delta, m), cut at K = threshold,
-    without the whole surface's row.  Only the slots where delta names a
-    non-base slope differ, so what is left is their slot rows and the
-    annuli over their pivot regions.
-    """
-    th = Thresholds(K=threshold, K_hat=threshold)
-    rows = formula_terms(m, phi(delta, m), th)
-    return sum(contrib for y, _, contrib in rows if not isinstance(y, Whole))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +382,14 @@ def group_symmetric_families(
 
     Orbits are under the rotation group Z/k, k = mu.k, and each orbit's
     values are read from its points in one orbit_points per marking.
-    Families are ordered: the gluing orbit first, then slot-slope orbits by
-    position along the slot-0 Farey geodesic from target to mu.
+    Families are ordered: the gluing orbit first, then the slot-slope orbits
+    by position along the Farey geodesic from target's slot-0 base to mu's,
+    ties by (p, q).  A slope on the geodesic takes its index there, any
+    other slope the index of the first geodesic slope it meets once, or
+    else the geodesic's length.  Under fixed_point_search the target is
+    seed_marking(mu, th), which has mu's slot-0 base, so the geodesic is
+    that one slope: the base and its Farey neighbours come first, then the
+    other slopes, each group by (p, q).
     """
     k = mu.k
     comparability = th.R + 2

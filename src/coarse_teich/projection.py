@@ -26,7 +26,6 @@ from .marking import (
     InSlot,
     SlotBlock,
     SurfaceMismatchError,
-    act_curve,
     check_same_surface,
 )
 from .slots import (
@@ -51,7 +50,6 @@ __all__ = [
     "phi",
     "annulus_point",
     "orbit_points",
-    "act_simplex",
 ]
 
 
@@ -117,10 +115,6 @@ def _curve_sort_key(c: CurveRef) -> tuple:
     if isinstance(c, Glue):
         return (0, c.j, 0, 0)
     return (1, c.slot, c.slope.q, c.slope.p)
-
-
-def act_simplex(r: int, delta: Simplex) -> Simplex:
-    return Simplex(delta.k, tuple(act_curve(r, c, delta.k) for c in delta.curves))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ __all__ = [
     "PreconditionError",
     "SearchStage",
     "ReductionTrace",
-    "orbit_diameter",
     "almost_fixed_certificate",
     "is_fixed",
     "seed_marking",
@@ -80,11 +79,6 @@ class PreconditionError(ValueError):
     def __init__(self, message: str, certificate: AlmostFixedCertificate):
         super().__init__(message)
         self.certificate = certificate
-
-
-def orbit_diameter(mu: AugMarking, th: Thresholds) -> int:
-    """Max pairwise formula distance over the rotation orbit."""
-    return almost_fixed_certificate(mu, th).diameter
 
 
 def almost_fixed_certificate(mu: AugMarking, th: Thresholds) -> AlmostFixedCertificate:

@@ -280,6 +280,11 @@ def pivot_region(a: Slope, b: Slope) -> list[Slope]:
     nearest each boundary in fans of more than five, mapped back to the
     original coordinates, endpoints included.  Deterministic and symmetric
     in (a, b).
+
+    Only annular_candidates calls it, and no runtime code calls either: the
+    formula walks _region in the normalized frame.  It stays as the tests'
+    list of the region, and because the layer tracer of perfbench/tracer.py
+    times it by name.
     """
     if b < a:
         a, b = b, a

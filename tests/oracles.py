@@ -5,12 +5,13 @@ and exact only inside their caps or boxes.  The apex scan over every
 level, before the package's scan skipped the levels that provably lose.  The slot distance as a
 Dijkstra search over the slopes of the bases' pivot region, the package's
 algorithm before the weighted fan walk replaced it.  Plus the whole list
-of elementary moves that ``nth_move`` indexes, the slope boxes the tests
-enumerate, and the lattice reduction in longdouble, the reference for the
-package's double-precision one and, on the Anosov torus flowed in
-longdouble, for its Fibonacci systole family.  The marked flat torus, the
-Anosov torus and its flow, the geometric reference for the plain basis
-tuples that the package flows and reduces.  And the flat rows' formula
+of elementary moves that ``nth_move`` indexes, the move relation decided
+block by block, the slope boxes the tests enumerate, and the lattice
+reduction in longdouble, the reference for the package's double-precision
+one and, on the Anosov torus flowed in longdouble, for its Fibonacci
+systole family, with that family in closed form.  The marked flat torus,
+the Anosov torus and its flow, the geometric reference for the plain
+basis tuples that the package flows and reduces.  And the flat rows' formula
 terms evaluated one candidate at a time: the snapshot formula in one pass,
 before its split into formula sides, and the distance to the
 swap-fixed locus as the minimum of that formula over every candidate.
@@ -31,7 +32,14 @@ from typing import Iterator, Optional
 import numpy as np
 
 from coarse_teich.horoball import HoroPoint, horo_distance, width
-from coarse_teich.marking import AugMarking, Glue, GlueBlock, InSlot, SlotBlock
+from coarse_teich.marking import (
+    AugMarking,
+    Glue,
+    GlueBlock,
+    InSlot,
+    SlotBlock,
+    _block_distance,
+)
 from coarse_teich.metrics import Snapshot, Thresholds
 from coarse_teich.search import _cancel_offset, short_cut
 from coarse_teich.slots import (
@@ -151,6 +159,20 @@ def listed_moves(m: AugMarking) -> list[AugMarking]:
             blocks.append(SlotBlock(s.base, trans, d))
         out.extend(AugMarking(glue, slots[:i] + (b,) + slots[i + 1:]) for b in blocks)
     return out
+
+
+def is_elementary_move(a: AugMarking, b: AugMarking) -> bool:
+    """True iff exactly one block differs, by a flip at level 0 or by one
+    edge of the block's horoball.  O(k); enumerates no neighbours."""
+    if a.k != b.k:
+        return False
+    changed = [(x, y) for x, y in zip(a.glue + a.slots, b.glue + b.slots) if x != y]
+    if len(changed) != 1:
+        return False
+    x, y = changed[0]
+    if isinstance(x, SlotBlock) and x.base != y.base:
+        return x.D == y.D == 0 and (x.base, x.trans) == (y.trans, y.base)
+    return _block_distance(x, y) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +441,18 @@ def flowed_anosov_systole(u: float) -> tuple[Slope, float]:
 
 def flowed_anosov_slope(u: float) -> Slope:
     return flowed_anosov_systole(u)[0]
+
+
+def fibonacci_slope(n: int) -> Slope:
+    """Closed-form systole family: class (F_{n+1}, F_n), n ranging over Z."""
+    a, b = 1, 0  # (F_1, F_0)
+    if n >= 0:
+        for _ in range(n):
+            a, b = a + b, a
+    else:
+        for _ in range(-n):
+            a, b = b, a - b
+    return Slope.of(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ import pytest
 import coarse_teich
 from coarse_teich.calibration import ENV_VAR, load_constants, sample_marking, save_constants
 from coarse_teich.cli import MAX_K, Config, main
+from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock, act, bfs_distance
 from coarse_teich.metrics import Thresholds, formula_distance_T, formula_distance_WP
 from coarse_teich.search import coarse_barycenter, fixed_point_search
-from coarse_teich.slots import Slope, transversal_at
+from coarse_teich.slots import Slope, farey_distance, transversal_at
 
 TH = Thresholds()
 
@@ -81,7 +82,7 @@ def test_dist_matches_library_exactly(tmp_path, capsys):
     out = rep["outputs"]
     assert out["formula_distance_T"] == formula_distance_T(m1, m2, TH)
     assert out["formula_distance_WP"] == formula_distance_WP(m1, m2, TH)
-    assert out["bfs_distance"] == bfs_distance(m1, m2, cap=10)
+    assert out["bfs_distance"] == bfs_distance(m1, m2)
     assert sum(t["contribution"] for t in out["terms"]) == out["formula_distance_T"]
     assert rep["calibration_digest"] == load_constants().digest()
     assert rep["command"] == "dist" and rep["wall_time"] >= 0
@@ -380,6 +381,28 @@ def test_nonqc_runs_with_numpy_blocked(capsys):
     assert json.loads(out.stdout)["outputs"] == rep["outputs"]
 
 
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the pipe's read end is closed before the child writes, as in
+    # `... | true`; a report and an error report alike exit 1, silently
+    src = str(Path(coarse_teich.__file__).resolve().parent.parent)
+    m1, m2 = offset_pair()
+    f1 = write_marking(tmp_path / "a.json", m1)
+    f2 = write_marking(tmp_path / "b.json", m2)
+    f3 = write_marking(tmp_path / "c.json", flat(3))
+    for second in (f2, f3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "coarse_teich.cli", "dist", f1, second, "--oracle"],
+                env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+                stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (1, "")
+
+
 def test_config_changes_thresholds(tmp_path, capsys):
     m1, m2 = offset_pair()
     f1 = write_marking(tmp_path / "a.json", m1)
@@ -419,18 +442,32 @@ def test_dist_gluing_levels_past_the_int_string_digit_limit(tmp_path, capsys):
 
 def test_dist_oracle_deep_gluing_level_is_past_the_cap(tmp_path, capsys):
     # the gluing block's distance is closed form, so the oracle enumerates
-    # none of the width(800) twist moves to find it past the cap
+    # none of the width(800) twist moves to find it, far past the 10 moves
+    # that quasi_isometry_samples keeps
     m1 = flat()
     f1 = write_marking(tmp_path / "a.json", m1)
     deep_slot = SlotBlock(Slope(0, 1), Slope(1, 0), 800)
-    for m2 in (
-        AugMarking((GlueBlock(5, 800), GlueBlock(0, 0)), m1.slots),
-        AugMarking(m1.glue, (deep_slot, m1.slots[1])),
+    for m2, want in (
+        (AugMarking((GlueBlock(5, 800), GlueBlock(0, 0)), m1.slots),
+         horo_distance(HoroPoint(0, 0), HoroPoint(5, 800))),
+        (AugMarking(m1.glue, (deep_slot, m1.slots[1])), 800),
     ):
         f2 = write_marking(tmp_path / "b.json", m2)
         code, rep, _ = run(capsys, "dist", f1, f2, "--oracle")
         assert code == 0
-        assert rep["outputs"]["bfs_distance"] is None
+        assert rep["outputs"]["bfs_distance"] == want > 10
+
+
+def test_dist_oracle_prints_the_exact_distance_of_far_twists(tmp_path, capsys):
+    # gluing twists 0 and 10^6 are 29 moves apart: the horoball distance
+    m1 = flat()
+    m2 = AugMarking((GlueBlock(10**6, 0), GlueBlock(0, 0)), m1.slots)
+    f1 = write_marking(tmp_path / "a.json", m1)
+    f2 = write_marking(tmp_path / "b.json", m2)
+    code, rep, _ = run(capsys, "dist", f1, f2, "--oracle")
+    assert code == 0
+    assert rep["outputs"]["bfs_distance"] == 29
+    assert horo_distance(HoroPoint(0, 0), HoroPoint(10**6, 0)) == 29
 
 
 def test_dist_oracle_on_long_continued_fractions_is_past_the_cap(tmp_path, capsys):
@@ -448,7 +485,9 @@ def test_dist_oracle_on_long_continued_fractions_is_past_the_cap(tmp_path, capsy
     t0 = time.perf_counter()
     code, rep, _ = run(capsys, "dist", f1, f2, "--oracle")
     assert code == 0
-    assert rep["outputs"]["bfs_distance"] is None
+    d = rep["outputs"]["bfs_distance"]
+    # every Farey step is a flip
+    assert d == bfs_distance(m1, m2) >= farey_distance(Slope(0, 1), deep) > 10
     assert time.perf_counter() - t0 < 30.0
 
 

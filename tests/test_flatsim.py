@@ -18,14 +18,12 @@ from coarse_teich.flatsim import (
     build_construction,
     distance_to_fixed,
     farey_lookup,
-    fibonacci_slope,
     nonqc_experiment,
     nonqc_sweep,
     rotate_snapshot,
     shadow,
     shortest_slope,
     slit_length,
-    systole_index,
 )
 from coarse_teich.flatsim import _area, _flowed_basis, _swap_distance
 from coarse_teich.horoball import HoroPoint, horo_distance
@@ -41,6 +39,7 @@ from tests.oracles import (
     FlatTorus,
     anosov_torus,
     distance_to_fixed_per_candidate,
+    fibonacci_slope,
     flowed_anosov,
     flowed_anosov_slope,
     flowed_anosov_systole,
@@ -51,6 +50,11 @@ from tests.oracles import (
 TH = Thresholds()
 
 LOG_GAMMA = math.log((1 + math.sqrt(5)) / 2)
+
+
+def systole_index(u: float) -> int:
+    """Index n of the systole class (F_{n+1}, F_n) at flow time u."""
+    return round(u / LOG_GAMMA) - 1
 
 
 def unclamped(fam: TrajectoryFamily) -> TrajectoryFamily:

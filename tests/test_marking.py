@@ -6,7 +6,6 @@ import random
 import pytest
 
 from coarse_teich.calibration import sample_marking
-from coarse_teich.flatsim import fibonacci_slope
 from coarse_teich.horoball import width
 from coarse_teich.marking import (
     AugMarking,
@@ -20,7 +19,6 @@ from coarse_teich.marking import (
     act_curve,
     bfs_distance,
     elementary_moves,
-    is_elementary_move,
     move_count,
     nth_move,
 )
@@ -39,6 +37,8 @@ from coarse_teich.slots import (
 from tests.oracles import (
     _bfs_neighbors,
     _slot_neighbors,
+    fibonacci_slope,
+    is_elementary_move,
     listed_moves,
     slopes_in_box,
     slot_distance_bfs,
@@ -148,13 +148,13 @@ def test_twist_reach_widens_with_level():
         (SlotBlock(Slope(0, 1), Slope(1, 0), 0),) * 2,
     )
     assert is_elementary_move(base, target)
-    assert bfs_distance(base, target, cap=3) == 1
+    assert bfs_distance(base, target) == 1
     far = AugMarking(
         (GlueBlock(8, 2), GlueBlock(0, 0)),
         (SlotBlock(Slope(0, 1), Slope(1, 0), 0),) * 2,
     )
     assert not is_elementary_move(base, far)
-    assert bfs_distance(base, far, cap=4) == 2
+    assert bfs_distance(base, far) == 2
     assert width(2) == 7
 
 
@@ -207,14 +207,14 @@ def test_bfs_distance_symmetry_and_action_invariance():
         b = a
         for _ in range(rng.randint(1, 3)):
             b = rng.choice(elementary_moves(b))
-        d = bfs_distance(a, b, cap=4)
-        assert d is not None and d <= 3
-        assert bfs_distance(b, a, cap=4) == d
+        d = bfs_distance(a, b)
+        assert d <= 3
+        assert bfs_distance(b, a) == d
         r = rng.randint(0, k - 1)
-        assert bfs_distance(act(r, a), act(r, b), cap=4) == d
+        assert bfs_distance(act(r, a), act(r, b)) == d
 
 
-def test_bfs_distance_cap():
+def test_bfs_distance_raises_the_level_to_twist():
     a = flat_marking(2)
     b = AugMarking(
         (GlueBlock(12, 0), GlueBlock(0, 0)),
@@ -223,14 +223,13 @@ def test_bfs_distance_cap():
     # twelve unit twists direct, but raising the level first is shorter:
     # up 2 (reach 7), two twists, down 2 is 6 moves; up 1 (reach 2) is
     # 1 + 6 + 1 = 8; the apex scan of the glue horoball gives the same 6
-    assert bfs_distance(a, b, cap=3) is None
-    d = bfs_distance(a, b, cap=7)
-    assert d == 6
+    assert bfs_distance(a, b) == 6
 
 
 def test_bfs_distance_deep_slot_levels():
-    # a flip needs level 0 at both ends, so past the cap only the base's
-    # horoball counts, in closed form, and no width(15) twists are listed
+    # a flip needs level 0 at both ends, so near the deep point only the
+    # base's horoball counts, in closed form, and no width(15) twists are
+    # listed
     base, trans = Slope(0, 1), transversal_at(Slope(0, 1), 3)
     flat = flat_marking(2)
 
@@ -241,8 +240,8 @@ def test_bfs_distance_deep_slot_levels():
     assert bfs_distance(deep, at(base, trans, 16)) == 1
     assert bfs_distance(deep, at(base, transversal_at(base, 3 + width(15)), 15)) == 1
     assert bfs_distance(deep, at(base, transversal_at(base, 3 + width(15) + 1), 15)) == 2
-    # a different base is a flip away: 15 levels down and the flip pass the cap
-    assert bfs_distance(deep, at(trans, base, 0)) is None
+    # a different base is a flip away: 15 levels down, then the flip
+    assert bfs_distance(deep, at(trans, base, 0)) == 16
 
 
 def test_bfs_distance_found_pair_at_levels_4_and_5():
@@ -254,7 +253,6 @@ def test_bfs_distance_found_pair_at_levels_4_and_5():
     a = AugMarking(flat.glue, (s, flat.slots[1]))
     b = AugMarking(flat.glue, (t, flat.slots[1]))
     assert bfs_distance(a, b) == 10
-    assert bfs_distance(a, b, cap=9) is None
 
 
 def _random_slot_block(rng: random.Random, slopes, twist_max: int, level_max: int) -> SlotBlock:
@@ -424,9 +422,8 @@ def test_slot_distance_is_a_metric():
         assert _slot_distance(s, u) <= dst + _slot_distance(t, u)
 
 
-def test_bfs_distance_cap_and_action_on_random_pairs():
-    # the early exits never change the answer: every cap sees the uncapped
-    # block sum or None, for every rotate of the pair
+def test_bfs_distance_is_the_block_sum_on_random_pairs():
+    # the block sum, for the pair and for a rotate of it
     rng = random.Random(7004)
     for _ in range(150):
         k = rng.randint(2, 4)
@@ -437,10 +434,8 @@ def test_bfs_distance_cap_and_action_on_random_pairs():
             for g, h in zip(a.glue, b.glue)
         ) + sum(_slot_distance(s, t) for s, t in zip(a.slots, b.slots))
         r = rng.randrange(1, k)
-        for cap in (0, total - 1, total, 10, 40):
-            want = total if total <= cap else None
-            assert bfs_distance(a, b, cap) == want
-            assert bfs_distance(act(r, a), act(r, b), cap) == want
+        assert bfs_distance(a, b) == total
+        assert bfs_distance(act(r, a), act(r, b)) == total
 
 
 def whole_graph_distance(a: AugMarking, b: AugMarking, cap: int):
@@ -475,7 +470,8 @@ def test_product_distance_matches_whole_graph_bfs():
         for _ in range(rng.randint(1, 5)):
             b = rng.choice(elementary_moves(b))
         want = whole_graph_distance(a, b, cap=3)
-        assert bfs_distance(a, b, cap=3) == want, (a, b)
+        d = bfs_distance(a, b)
+        assert (d == want) if want is not None else (d > 3), (a, b)
         past_cap += want is None
         flipped += any(s.base != t.base for s, t in zip(a.slots, b.slots))
     # the sample reaches past the cap and crosses flip edges

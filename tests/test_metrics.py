@@ -5,7 +5,6 @@ import pytest
 
 from coarse_teich import metrics
 from coarse_teich.calibration import sample_marking
-from coarse_teich.flatsim import fibonacci_slope
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.marking import (
     AugMarking,
@@ -16,7 +15,6 @@ from coarse_teich.marking import (
     act,
     bfs_distance,
     elementary_moves,
-    is_elementary_move,
 )
 from coarse_teich.metrics import (
     CurveSnap,
@@ -35,8 +33,9 @@ from coarse_teich.metrics import (
     rafi_formula,
 )
 from coarse_teich.projection import Annulus, Slot, Whole, proj_distance
-from coarse_teich.search import almost_fixed_certificate, orbit_diameter
+from coarse_teich.search import almost_fixed_certificate
 from coarse_teich.slots import Slope, _nearest, farey_distance, transversal_at
+from tests.oracles import fibonacci_slope, is_elementary_move
 from tests.test_marking import flat_marking, random_marking
 
 TH = Thresholds()
@@ -223,8 +222,8 @@ def test_formula_envelope_against_bfs():
         b = a
         for _ in range(rng.randint(1, 4)):
             b = rng.choice(elementary_moves(b))
-        d = bfs_distance(a, b, cap=5)
-        assert d is not None
+        d = bfs_distance(a, b)
+        assert d <= 4
         t = formula_distance_T(a, b, TH)
         assert t <= 4 * d + 12
         assert d <= 4 * t + 12
@@ -292,8 +291,8 @@ def test_large_links_empty_and_planted():
 
 
 def test_large_links_and_orbit_diameter_agree_with_their_sources():
-    # large links are the non-whole formula rows above the cut; the orbit
-    # diameter is the almost-fixed certificate's diameter
+    # large links are the non-whole formula rows above the cut; the
+    # certificate's diameter is the max over every pair of the orbit
     rng = random.Random(2024)
     for _ in range(40):
         k = rng.randint(2, 4)
@@ -306,7 +305,10 @@ def test_large_links_and_orbit_diameter_agree_with_their_sources():
                 if d > cut and not isinstance(y, Whole)
             ]
             assert large_links(m1, m2, cut) == want
-        assert orbit_diameter(m1, TH) == almost_fixed_certificate(m1, TH).diameter
+        orbit = [act(r, m1) for r in range(k)]
+        assert almost_fixed_certificate(m1, TH).diameter == max(
+            formula_distance_T(x, y, TH) for x in orbit for y in orbit
+        )
 
 
 def test_large_links_planted_geodesic_pivots():

@@ -12,15 +12,15 @@ from coarse_teich.marking import (
     SurfaceMismatchError,
     act,
     act_curve,
+    bfs_distance,
     elementary_moves,
 )
-from coarse_teich.metrics import active_segment, distance_to_q
+from coarse_teich.metrics import Thresholds, active_segment, formula_terms
 from coarse_teich.projection import (
     Annulus,
     Simplex,
     Slot,
     Whole,
-    act_simplex,
     annulus_point,
     marked_projection,
     orbit_points,
@@ -40,6 +40,23 @@ from coarse_teich.slots import (
     twist_coordinate,
 )
 from tests.test_marking import flat_marking, random_marking
+
+
+def act_simplex(r: int, delta: Simplex) -> Simplex:
+    return Simplex(delta.k, tuple(act_curve(r, c, delta.k) for c in delta.curves))
+
+
+def distance_to_q(delta: Simplex, m: AugMarking, threshold: int) -> int:
+    """Thresholded estimate of the move distance from m to Q(delta).
+
+    The formula rows between m and phi(delta, m), cut at K = threshold,
+    without the whole surface's row.  Only the slots where delta names a
+    non-base slope differ, so what is left is their slot rows and the
+    annuli over their pivot regions.
+    """
+    th = Thresholds(K=threshold, K_hat=threshold)
+    rows = formula_terms(m, phi(delta, m), th)
+    return sum(contrib for y, _, contrib in rows if not isinstance(y, Whole))
 
 
 def test_project_glue_annulus():
@@ -293,14 +310,12 @@ def test_distance_to_q_zero_cases():
 def test_distance_to_q_tracks_move_distance():
     # small planted base change: compare against the exact move distance
     # between m and its projection
-    from coarse_teich.marking import bfs_distance
-
     m = flat_marking(2)
     delta = Simplex(2, (InSlot(0, Slope(2, 1)),))
     image = phi(delta, m)
     d2q = distance_to_q(delta, m, 1)
-    dbfs = bfs_distance(m, image, cap=6)
-    assert dbfs is not None
+    dbfs = bfs_distance(m, image)
+    assert dbfs <= 6
     assert abs(d2q - dbfs) <= 3
 
 

@@ -23,7 +23,6 @@ from coarse_teich.search import (
     coarse_barycenter,
     fixed_point_search,
     is_fixed,
-    orbit_diameter,
     seed_marking,
     short_cut,
 )
@@ -50,7 +49,6 @@ def symmetric_marking(
 def test_orbit_diameter_fixed_is_zero():
     m = symmetric_marking(3, tau=9, base=Slope(2, 1), psi=4)
     assert is_fixed(m)
-    assert orbit_diameter(m, TH) == 0
     cert = almost_fixed_certificate(m, TH)
     assert cert.diameter == 0
     assert cert.per_element == (0, 0)
@@ -60,11 +58,11 @@ def test_orbit_diameter_positive_for_one_sided_twist():
     m = flat_marking(2)
     m = AugMarking((GlueBlock(50, 0), m.glue[1]), m.slots)
     assert not is_fixed(m)
-    d = orbit_diameter(m, TH)
+    cert = almost_fixed_certificate(m, TH)
+    d = cert.diameter
     assert d == formula_distance_T(m, act(1, m), TH)
     assert d > 0
-    cert = almost_fixed_certificate(m, TH)
-    assert cert.diameter == d and len(cert.per_element) == 1
+    assert len(cert.per_element) == 1
     blob = cert.to_json()
     assert set(blob) == {"marking", "diameter", "per_element"}
     assert AugMarking.from_json(blob["marking"]) == m
@@ -231,7 +229,7 @@ def test_search_two_families_follow_the_geodesic(monkeypatch):
         SlotBlock(target, transversal_at(target, 1), 0),
     )
     mu = AugMarking((GlueBlock(0, 0),) * 2, slots)
-    assert not is_fixed(mu) and orbit_diameter(mu, TH) <= TH.R
+    assert not is_fixed(mu) and almost_fixed_certificate(mu, TH).diameter <= TH.R
     x, trace = fixed_point_search(mu, TH)
     assert is_fixed(x)
     assert len(trace.stages) == 2
