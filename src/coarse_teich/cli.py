@@ -252,11 +252,9 @@ def cmd_fix_search(args, cfg: Config) -> int:
         }
         return _report("fix-search", {"sweep": cfg.k}, outputs, t0, consts)
     mu = _read_marking(args.marking)
+    # the search asserts this bound itself
     x, trace = fixed_point_search(mu, th)
-    bound = 2 * th.R
-    assert trace.final_distance <= bound, (
-        f"final distance {trace.final_distance} exceeds {bound}"
-    )
+    bound = th.final_bound(mu.k)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(trace.to_json_str())

@@ -86,12 +86,12 @@ __all__ = [
 
 class SymmetryViolationError(ValueError):
     """group_symmetric_families found a large link whose orbit is not a
-    symmetric family: a member below the orbit max by more than the
-    comparability th.R + 2, or a slot link past the almost-fixed scale.
+    symmetric family: a member below the orbit max by more than
+    th.comparability, or a slot link past th.slot_link_scale.
 
-    Against an exactly fixed target the symmetric-link lemma rules this out
-    for an almost-fixed input, given a comparability large enough for the
-    thresholds; th.R + 2 does not grow with th.K.
+    Against an exactly fixed target with mu's slot-0 base, as the search's
+    seed, neither can happen for an input with orbit diameter at most th.R:
+    both bounds are derived from the thresholds, K included.
     """
 
 
@@ -108,6 +108,90 @@ class Thresholds:
             raise ValueError("need K_hat >= K >= 1")
         if self.R < 1:
             raise ValueError("need R >= 1")
+
+    # The search's bounds, each derived from the cutoffs.  "mu" is a marking
+    # whose orbit diameter is at most R, and a "row" of mu is a raw formula
+    # row of a pair (mu, act(r, mu)).  At block j it compares mu's block j
+    # with mu's block j - r, since act moves block i to index i + r.
+
+    @property
+    def row_bound(self) -> int:
+        """max(K, R): no row of mu exceeds it.
+
+        The certificate sums the rows above K, each >= 0, so such a row is
+        at most R, and any other row is at most K.  A slot annulus whose
+        slope is off the pivot region of the two bases carries no row, and
+        its projection distance is at most 1 <= R, the module docstring's
+        small constant (tests/test_search.py checks it on a box of slopes).
+        """
+        return max(self.K, self.R)
+
+    @property
+    def comparability(self) -> int:
+        """row_bound + 2: how far below its orbit's max a family member of
+        group_symmetric_families may read.
+
+        Against an exactly fixed target every member compares mu's point
+        over its curve with one and the same target point.  By the triangle
+        inequality two members then differ by at most the distance between
+        mu's points over the two curves, a projection distance of a pair
+        (mu, act(r, mu)), so at most row_bound.  The 2 on top is slack that
+        keeps the comparability at R + 2 whenever K <= R.
+        """
+        return self.row_bound + 2
+
+    @property
+    def slot_link_scale(self) -> int:
+        """row_bound + comparability: the largest slot link that
+        group_symmetric_families accepts.
+
+        Against a fixed target with mu's slot-0 base, as seed_marking is,
+        slot i's link is the Farey distance from mu's slot-i base to its
+        slot-0 base, a row of mu, so at most row_bound.  The comparability
+        on top admits a fixed target whose base is that far off mu's slot-0
+        base.  Whenever K <= R the scale is 2R + 2.
+        """
+        return self.row_bound + self.comparability
+
+    def stage_bound(self, level_shift: int) -> int:
+        """row_bound + level_shift: the largest residual of a stage of
+        fixed_point_search whose representative's level differs by
+        level_shift between mu and the stage's output x.
+
+        Member j's residual compares mu's point over the curve c_j with x's,
+        which is x's point over c_0, as x is fixed.  Through mu's point over
+        c_0 it is at most the distance between mu's points over c_j and c_0,
+        a projection distance of (mu, act(j, mu)) and so at most row_bound,
+        plus the representative's residual.  Once the stage has cancelled
+        the twist offset, that residual is the level shift alone: 0 over a
+        slot slope (the seed keeps slot 0's level, and a slope other than
+        the base reads level 0), and |D_0 - D| over the gluing curve, where
+        the seed's level D is the rounded mean of mu's gluing levels.
+        """
+        return self.row_bound + level_shift
+
+    def final_bound(self, k: int) -> int:
+        """D(k, th) = (k - 1) * R + k * (max(K + row_bound, K_hat) + K_hat):
+        the largest final distance of fixed_point_search on k slots.
+
+        The output x is fixed and has mu's slot-0 base, so most rows of
+        (mu, x) at block j are those of (mu, act(j, mu)), which compare
+        block j with block 0, and its whole-surface row is that of
+        (mu, act(1, mu)).  Together these sum to at most (k - 1) * R.  Two
+        kinds of rows may differ, one of each per block:
+        - The gluing row.  After the gluing stage, or over a short gluing
+          orbit, x's block is mu's block 0 at the seed's level D, and
+          s = |D_0 - D| <= row_bound: each |D_j - D_0| is at most a row,
+          and rounding the mean keeps it between the same integer bounds.
+          So the row is at most its act row plus s, and its thresholded
+          value exceeds the act row's by at most K + s.  With no gluing
+          family the row is at most K_hat.  Together: k * max(K + row_bound,
+          K_hat).
+        - The row over the slot-0 base.  After the base stage, or over a
+          short slot orbit, x's slot block is mu's slot 0, so it is the act
+          row; with no base family it is at most K_hat.  Together: k * K_hat.
+        """
+        return (k - 1) * self.R + k * (max(self.K + self.row_bound, self.K_hat) + self.K_hat)
 
 
 @dataclass(frozen=True)
@@ -373,12 +457,12 @@ def group_symmetric_families(
 
     For an input that really is almost fixed against an exactly fixed
     target, every large link's orbit carries comparable values: no member
-    below the orbit max by more than the comparability th.R + 2.  A member
-    may read 0, as the seed's slot 0 does over a short slot orbit, where
-    the seed copies mu's block 0.  Violations raise SymmetryViolationError
-    instead of returning a wrong grouping.  Slot
-    (non-annular) links are legal only up to the almost-fixed scale and are
-    not grouped; a slot value beyond 2 * th.R + 2 also violates.
+    below the orbit max by more than th.comparability.  A member may read
+    0, as the seed's slot 0 does over a short slot orbit, where the seed
+    copies mu's block 0.  Violations raise SymmetryViolationError instead
+    of returning a wrong grouping.  Slot (non-annular) links are legal only
+    up to the almost-fixed scale and are not grouped; a slot value beyond
+    th.slot_link_scale also violates.
 
     Orbits are under the rotation group Z/k, k = mu.k, and each orbit's
     values are read from its points in one orbit_points per marking.
@@ -389,18 +473,18 @@ def group_symmetric_families(
     else the geodesic's length.  Under fixed_point_search the target is
     seed_marking(mu, th), which has mu's slot-0 base, so the geodesic is
     that one slope: the base and its Farey neighbours come first, then the
-    other slopes, each group by (p, q).
+    other slopes, each group by (p, q).  There no stage moves another
+    family (fixed_point_search), so the order only orders the trace.
     """
     k = mu.k
-    comparability = th.R + 2
     firsts: dict[tuple, CurveRef] = {}
     for link in large_links(mu, target, th.K_hat):
         y = link.subsurface
         if isinstance(y, Slot):
-            if link.value > th.R + comparability:
+            if link.value > th.slot_link_scale:
                 raise SymmetryViolationError(
                     f"slot link {y} at value {link.value} exceeds the "
-                    f"almost-fixed scale {th.R} + {comparability}"
+                    f"almost-fixed scale {th.row_bound} + {th.comparability}"
                 )
             continue
         c = y.curve
@@ -415,7 +499,7 @@ def group_symmetric_families(
         ))
         vmax = max(values)
         for c, v in zip(orbit, values):
-            if v < vmax - comparability:
+            if v < vmax - th.comparability:
                 raise SymmetryViolationError(
                     f"orbit of {rep_ref} has value {v} at {c} against max "
                     f"{vmax}; not a symmetric family"

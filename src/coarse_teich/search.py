@@ -3,10 +3,10 @@
 Given a marking whose orbit under the cyclic slot rotation has small
 diameter, the search produces a marking fixed by the rotation on the nose,
 at a distance bounded by a constant depending only on the slot count and
-the orbit bound, never on the size of the twist data.  The engine is the
-staged symmetric multitwist: large annular links between the input and an
-exactly fixed seed come in symmetric families, and one multitwist per
-family, applied in time order, cancels the family's twist offset
+the thresholds (Thresholds.final_bound), never on the size of the twist
+data.  The engine is the staged symmetric multitwist: large annular links
+between the input and an exactly fixed seed come in symmetric families,
+and one multitwist per family cancels the family's twist offset
 (_cancel_offset).  Every orbit is read in one projection.orbit_points.
 The seed is built in closed form and already carries mu's twist data over
 the short orbits, so the orbit-diameter certificate is the search's only
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from statistics import fmean
 
 from .horoball import HoroPoint, horo_distance
 from .marking import (
@@ -40,7 +39,7 @@ from .metrics import (
     formula_distance_T,
     group_symmetric_families,
 )
-from .projection import annulus_point, orbit_points, proj_distance
+from .projection import annulus_point, orbit_points
 from .slots import TwistWord, transversal_at, twist
 
 __all__ = [
@@ -104,8 +103,9 @@ def is_fixed(m: AugMarking) -> bool:
     return m.glue.count(m.glue[0]) == m.k and m.slots.count(m.slots[0]) == m.k
 
 
-def _iround(v: float) -> int:
-    return int(math.floor(v + 0.5))
+def _rounded_mean(values: list[int]) -> int:
+    """The mean rounded half up, floor(mean + 1/2), in exact integers."""
+    return (2 * sum(values) + len(values)) // (2 * len(values))
 
 
 def short_cut(th: Thresholds) -> int:
@@ -132,7 +132,7 @@ def seed_marking(mu: AugMarking, th: Thresholds) -> AugMarking:
     """
     k, cut = mu.k, short_cut(th)
     tau = mu.glue[0].tau if max(g.D for g in mu.glue) > cut else 0
-    glue = GlueBlock(tau, _iround(fmean(g.D for g in mu.glue)))
+    glue = GlueBlock(tau, _rounded_mean([g.D for g in mu.glue]))
     s0 = mu.slots[0]
     if max(s.D for s in mu.slots) <= cut:
         s0 = SlotBlock(s0.base, transversal_at(s0.base, 0), s0.D)
@@ -211,10 +211,6 @@ def _cancel_offset(
     )), d
 
 
-# residual bound on a processed family, the induction's first claim
-_STAGE_BOUND = 14
-
-
 def fixed_point_search(
     mu: AugMarking, th: Thresholds
 ) -> tuple[AugMarking, ReductionTrace]:
@@ -225,11 +221,20 @@ def fixed_point_search(
     exactly fixed.  Large links against the seed are grouped
     into symmetric families; each stage applies one symmetric multitwist
     whose exponent is the representative's annular offset, in time order.
-    Stage assertions check the induction: processed families keep residual
-    distance <= _STAGE_BOUND, unprocessed families move by at most a
-    constant; family values must be comparable within th.R + 2.  The
-    result is exactly fixed with final distance bounded in terms of
-    (k, th.R) only.
+    Each stage asserts that its residuals are within th.stage_bound of the
+    representative's level shift, and the search asserts that its final
+    distance is within th.final_bound(k); Thresholds derives both, with
+    their proofs, from the thresholds alone.
+
+    No stage moves a later family, so the family order only orders the
+    trace.  The seed has mu's slot-0 base b0, and a family's representative
+    is its index-0 member.  A stage about a slot slope other than b0 reads
+    two equal points, since mu and x both have base b0 in slot 0 and the
+    point over such a slope reads only the base: its exponent is 0.  The
+    stage about b0 changes only transversals, which the point over no other
+    slope reads, and the gluing stage changes only gluing blocks.  Nor does
+    a stage lose exact symmetry: _cancel_offset applies one map to every
+    block of a fixed marking.
     """
     if is_fixed(mu):
         # orbit diameter 0; nothing to search for
@@ -240,30 +245,19 @@ def fixed_point_search(
             f"orbit diameter {cert.diameter} exceeds R={th.R}", cert
         )
     x = seed = seed_marking(mu, th)
-    families = group_symmetric_families(mu, x, th)
-    # the unprocessed representatives' values against the current x
-    pending = [f.representative.value for f in families[1:]]
     stages = []
-    for n, fam in enumerate(families):
+    for fam in group_symmetric_families(mu, x, th):
         core = fam.representative.subsurface.curve
         x, d = _cancel_offset(x, core, mu)
-        assert is_fixed(x), "stage output lost exact symmetry"
-        residuals = tuple(map(horo_distance, orbit_points(core, mu), orbit_points(core, x)))
-        # induction (1): the processed family is now resolved
-        assert max(residuals) <= _STAGE_BOUND, (
-            f"stage {n} residuals {residuals} exceed {_STAGE_BOUND}"
-        )
-        # induction (2): later families barely move
-        later = families[n + 1:]
-        moved = [proj_distance(f.representative.subsurface, mu, x) for f in later]
-        for f, before, now in zip(later, pending, moved):
-            assert abs(now - before) <= 6, (
-                f"unprocessed family {f.time_index} moved {before} -> {now}"
-            )
-        pending = moved[1:]
+        ours, theirs = orbit_points(core, mu), orbit_points(core, x)
+        residuals = tuple(map(horo_distance, ours, theirs))
+        bound = th.stage_bound(abs(ours[0].level - theirs[0].level))
+        assert max(residuals) <= bound, f"stage {len(stages)} residuals {residuals} exceed {bound}"
         stages.append(SearchStage(fam, d, x, formula_distance_T(mu, x, th), residuals))
     # x is unchanged since the last stage, which already measured it
     final_distance = stages[-1].distance_after if stages else formula_distance_T(mu, x, th)
+    bound = th.final_bound(mu.k)
+    assert final_distance <= bound, f"final distance {final_distance} exceeds {bound}"
     return x, ReductionTrace(seed, tuple(stages), x, final_distance)
 
 
@@ -289,7 +283,7 @@ def coarse_barycenter(
         raise ValueError(f"rotation by {f} does not generate Z/{k}")
     b0 = sigma.slots[0].base
     g, s = (
-        HoroPoint(_iround(fmean(p.x for p in pts)), _iround(fmean(p.level for p in pts)))
+        HoroPoint(_rounded_mean([p.x for p in pts]), _rounded_mean([p.level for p in pts]))
         for pts in (orbit_points(Glue(0), sigma), orbit_points(InSlot(0, b0), sigma))
     )
     block = SlotBlock(b0, transversal_at(b0, s.x), s.level)

@@ -18,7 +18,7 @@ from coarse_teich.cli import MAX_K, Config, main
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock, act, bfs_distance
 from coarse_teich.metrics import Thresholds, formula_distance_T, formula_distance_WP
-from coarse_teich.search import coarse_barycenter, fixed_point_search
+from coarse_teich.search import coarse_barycenter, fixed_point_search, is_fixed
 from coarse_teich.slots import Slope, farey_distance, transversal_at
 
 TH = Thresholds()
@@ -243,6 +243,99 @@ def test_fix_search_sweep_is_flat(tmp_path, capsys):
     lines = csv_file.read_text().splitlines()
     assert lines[0] == "magnitude,final_distance"
     assert len(lines) == 7
+
+
+def _slots(base: str, *cells: tuple[str, int]) -> list[dict]:
+    return [{"base": base, "trans": trans, "D": d} for trans, d in cells]
+
+
+# Certified inputs that the search refused while its bounds were fixed
+# numbers: a stage residual of 19 at R = 40 and of 15 at K = 20, both past
+# a bound of 14, and a final distance of 12 at R = 5, past 2R.
+SEARCH_REPRODUCERS = {
+    "R40": ({"R": 40}, {
+        "glue": [{"tau": 1, "D": 0}, {"tau": 0, "D": 0}, {"tau": 1, "D": 0}],
+        "slots": _slots("0/1", ("1/0", 85), ("-1/3", 84), ("-1/1", 67)),
+    }),
+    "R5": ({"R": 5}, {
+        "glue": [{"tau": 4, "D": 0}] * 3,
+        "slots": _slots("0/1", ("1/2", 24), ("1/3", 24), ("1/3", 24)),
+    }),
+    "K20": ({"K": 20, "K_hat": 20, "R": 10}, {
+        "glue": [{"tau": 19126, "D": 17}, {"tau": 19244, "D": 21},
+                 {"tau": 19309, "D": 19}, {"tau": 19233, "D": 24}],
+        "slots": _slots("2/1", ("37713/18856", 0), ("37285/18642", 0),
+                        ("37001/18500", 0), ("36087/18043", 0)),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_REPRODUCERS))
+def test_fix_search_certified_input_at_other_thresholds_exits_zero(tmp_path, capsys, name):
+    config, marking = SEARCH_REPRODUCERS[name]
+    cfg, f = tmp_path / "cfg.json", tmp_path / "m.json"
+    cfg.write_text(json.dumps(config))
+    f.write_text(json.dumps(marking))
+    code, rep, _ = run(capsys, "--config", str(cfg), "fix-search", str(f))
+    assert code == 0, rep
+    out = rep["outputs"]
+    assert is_fixed(AugMarking.from_json(out["fixed_point"]))
+    th = Config.from_json(config).thresholds()
+    assert out["bound"] == th.final_bound(len(marking["glue"]))
+    assert out["final_distance"] <= out["bound"]
+
+
+def test_fix_search_reports_the_derived_bound(tmp_path, capsys):
+    # (k - 1) R + k (max(K + max(K, R), K_hat) + K_hat) = 10 + 2 * 17 at k = 2
+    f = write_marking(tmp_path / "m.json", planted_symmetric())
+    code, rep, err = run(capsys, "fix-search", f)
+    assert code == 0
+    assert rep["outputs"]["bound"] == TH.final_bound(2) == 44
+    assert err.strip() == f"final_distance {rep['outputs']['final_distance']} <= 44"
+
+
+def test_fix_search_on_a_401_digit_gluing_level_exits_zero(tmp_path, capsys):
+    # the seed's level is an exact rounded mean: a float mean cannot hold it
+    level = 10**400
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({
+        "glue": [{"tau": 0, "D": level}] * 2,
+        "slots": _slots("0/1", ("1/0", 0), ("1/1", 0)),
+    }))
+    code, rep, _ = run(capsys, "fix-search", str(f))
+    assert code == 0, rep
+    out = AugMarking.from_json(rep["outputs"]["fixed_point"])
+    assert is_fixed(out) and out.glue[0] == GlueBlock(0, level)
+
+
+def test_fix_search_seed_level_is_the_exact_rounded_mean(tmp_path, capsys):
+    # levels 10^20 and 10^20 + 3 round half up to 10^20 + 2; a float mean
+    # lands on 10^20
+    level = 10**20
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({
+        "glue": [{"tau": 0, "D": level}, {"tau": 0, "D": level + 3}],
+        "slots": _slots("0/1", ("1/0", 0), ("1/0", 0)),
+    }))
+    code, rep, _ = run(capsys, "fix-search", str(f))
+    assert code == 0, rep
+    out = AugMarking.from_json(rep["outputs"]["fixed_point"])
+    assert out.glue == (GlueBlock(0, level + 2),) * 2
+
+
+@pytest.mark.parametrize("field", ["D", "tau"])
+def test_barycenter_of_a_401_digit_gluing_block_exits_zero(tmp_path, capsys, field):
+    # the orbit mean of 10^400 and 10^400 + 1 rounds half up, in exact integers
+    big = 10**400
+    glue = [{"tau": 0, "D": 0}, {"tau": 0, "D": 0}]
+    glue[0][field], glue[1][field] = big, big + 1
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"glue": glue, "slots": _slots("0/1", ("1/0", 0), ("1/0", 0))}))
+    code, rep, _ = run(capsys, "barycenter", str(f))
+    assert code == 0, rep
+    bary = AugMarking.from_json(rep["outputs"]["barycenter"])
+    g = bary.glue[0]
+    assert is_fixed(bary) and {"tau": g.tau, "D": g.D} == {"tau": 0, "D": 0, field: big + 1}
 
 
 def test_barycenter_matches_library(tmp_path, capsys):

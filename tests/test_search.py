@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from coarse_teich.marking import (
     act,
 )
 from coarse_teich.metrics import Thresholds, formula_distance_T
-from coarse_teich.projection import annulus_point
+from coarse_teich.projection import Annulus, annulus_point, proj_distance
 from coarse_teich.search import (
     PreconditionError,
     almost_fixed_certificate,
@@ -26,7 +27,14 @@ from coarse_teich.search import (
     seed_marking,
     short_cut,
 )
-from coarse_teich.slots import Slope, transversal_at, twist_coordinate
+from coarse_teich.slots import (
+    Slope,
+    TwistWord,
+    pivot_region,
+    transversal_at,
+    twist,
+    twist_coordinate,
+)
 from tests.oracles import short_curve_reduced_seed
 from tests.test_marking import flat_marking, random_marking
 
@@ -242,27 +250,33 @@ def test_search_two_families_follow_the_geodesic(monkeypatch):
     assert trace.final_distance == 0
 
 
-def test_search_reversed_order_is_strictly_worse(monkeypatch):
-    # negative control: the same two families handed to the stages out of
-    # time order; the first stage's multitwist about the later pivot moves
-    # the earlier family's offset, so the induction assertions stop the run
+def test_search_family_order_is_immaterial_under_the_seed(monkeypatch):
+    # every stage about a slot slope other than the seed's base, mu's
+    # slot-0 base, has exponent 0, and the families reversed give the same
+    # output: no stage moves a later family
     import coarse_teich.search as search
 
-    monkeypatch.setattr(search, "seed_marking", lambda mu, th: flat_marking(2))
-    target = Slope(40, 1201)
-    slots = (
-        SlotBlock(target, transversal_at(target, 0), 0),
-        SlotBlock(target, transversal_at(target, 1), 0),
-    )
-    mu = AugMarking((GlueBlock(0, 0),) * 2, slots)
-    _, trace = fixed_point_search(mu, TH)
-    assert [s.family.time_index for s in trace.stages] == [0, 1]
+    runs = []
+    for th in (Thresholds(3, 4, 40), Thresholds(3, 4, 100)):
+        for mu in _grid_inputs(th, 400):
+            if almost_fixed_certificate(mu, th).diameter > th.R:
+                continue
+            x, trace = fixed_point_search(mu, th)
+            if len(_slot_stages(trace)) >= 2:
+                runs.append((mu, th, x, trace))
+    assert len(runs) >= 50, len(runs)
+    for mu, _, _, trace in runs:
+        for stage in _slot_stages(trace):
+            if stage.family.representative.subsurface.curve.slope != mu.slots[0].base:
+                assert stage.exponent == 0, mu
     grouped = search.group_symmetric_families
-    monkeypatch.setattr(
-        search, "group_symmetric_families", lambda *args: grouped(*args)[::-1]
-    )
-    with pytest.raises(AssertionError, match="unprocessed family 0 moved"):
-        fixed_point_search(mu, TH)
+    monkeypatch.setattr(search, "group_symmetric_families", lambda *args: grouped(*args)[::-1])
+    for mu, th, x, trace in runs:
+        x_rev, trace_rev = fixed_point_search(mu, th)
+        assert x_rev == x and trace_rev.final_distance == trace.final_distance, mu
+        assert [s.family.time_index for s in trace_rev.stages] == [
+            s.family.time_index for s in trace.stages[::-1]
+        ]
 
 
 def test_search_precondition_failure_carries_certificate():
@@ -497,3 +511,93 @@ def test_every_certified_input_ends_fixed_nearby():
         x, trace = fixed_point_search(mu, TH)
         assert is_fixed(x) and trace.final_distance <= 2 * TH.R, mu
     assert certified >= 400 and spread >= 30, (certified, spread)
+
+
+def _grid_inputs(th: Thresholds, n: int):
+    """Seeded search inputs for thresholds th: k = 2..4, twists up to 10^6
+    with jitter up to 1,000, and levels 0 or up to short_cut(th) + 30,
+    spread by up to 0, 5 or 30.  Each slot holds a block on a common base
+    b0 at a small twist, carried by a twist of power up to 300 about one of
+    two Farey neighbours of b0.  So slot bases differ, and the fans between
+    them give families over slopes other than b0."""
+    rng = random.Random(f"grid:{th.K}:{th.K_hat}:{th.R}")
+    cut = short_cut(th)
+    bases = [Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(2, 1), Slope(3, 2)]
+    for _ in range(n):
+        k = rng.randint(2, 4)
+        b0 = rng.choice(bases)
+        mag = rng.randint(0, 10 ** rng.randint(1, 6))
+        jit = rng.choice((1, 3, 30, 1000))
+        spread = rng.choice((0, 5, 30))
+        glue_lvl = rng.choice((0, rng.randint(0, cut + 30)))
+        glue = tuple(
+            GlueBlock(mag + rng.randint(0, jit), glue_lvl and glue_lvl + rng.randint(0, spread))
+            for _ in range(k)
+        )
+        pivots = [transversal_at(b0, j) for j in rng.sample(range(-3, 4), 2)]
+        slot_lvl = rng.choice((0, 0, rng.randint(0, cut + 30)))
+        e_max = rng.choice((0, 3, 30, 300))
+        slots = []
+        for _ in range(k):
+            word = TwistWord(rng.choice(pivots), rng.randint(-e_max, e_max))
+            slots.append(SlotBlock(
+                twist(word, b0),
+                twist(word, transversal_at(b0, rng.randint(-jit, jit))),
+                slot_lvl and slot_lvl + rng.randint(0, spread),
+            ))
+        yield AugMarking(glue, tuple(slots))
+
+
+def _slot_stages(trace):
+    return [s for s in trace.stages
+            if not isinstance(s.family.representative.subsurface.curve, Glue)]
+
+
+# (K, K_hat, R) and the inputs drawn there: the default, R >> K, K >> R and
+# K = K_hat = 1.  A family over a slope other than b0 needs a row of mu in
+# (K_hat, R], so two or more slot families come from R >> K.
+THRESHOLD_GRID = {
+    (3, 4, 10): 300, (3, 4, 40): 500, (3, 4, 100): 500,
+    (20, 20, 10): 200, (30, 30, 5): 200, (1, 1, 5): 300,
+}
+
+
+def test_every_certified_input_ends_fixed_within_the_derived_bounds():
+    # at every grid point each certified input ends exactly fixed within
+    # final_bound(k), and each stage's residuals are within stage_bound of
+    # its level shift: the seed's over the gluing curve, none over a slot
+    certified, multi = {}, 0
+    for (K, K_hat, R), n in THRESHOLD_GRID.items():
+        th = Thresholds(K, K_hat, R)
+        certified[th] = 0
+        for mu in _grid_inputs(th, n):
+            if almost_fixed_certificate(mu, th).diameter > R:
+                continue
+            certified[th] += 1
+            x, trace = fixed_point_search(mu, th)
+            assert is_fixed(x) and trace.final_distance <= th.final_bound(mu.k), mu
+            for stage in trace.stages:
+                glued = isinstance(stage.family.representative.subsurface.curve, Glue)
+                shift = abs(mu.glue[0].D - trace.seed.glue[0].D) if glued else 0
+                assert max(stage.residuals) <= th.stage_bound(shift), mu
+            multi += len(_slot_stages(trace)) >= 2
+    assert min(certified.values()) >= 10 and multi >= 100, (certified, multi)
+
+
+def test_an_annulus_off_the_pivot_region_reads_at_most_1():
+    # Thresholds.row_bound covers such an annulus with R >= 1; fans of more
+    # than five rims drop their inner rims from the region, hence n/1 and 1/n
+    box = [Slope(p, q) for q in range(5) for p in range(-5, 6)
+           if math.gcd(p, q) == 1 and (q or p == 1)]
+    box += [Slope(n, 1) for n in range(6, 13)] + [Slope(1, n) for n in range(6, 13)]
+    worst = {}
+    for a in box:
+        m_a = symmetric_marking(2, base=a)
+        for b in box:
+            m_b = symmetric_marking(2, base=b)
+            region = set(pivot_region(a, b))
+            for s in box:
+                if s not in region:
+                    d = proj_distance(Annulus(InSlot(0, s)), m_a, m_b)
+                    worst[d] = worst.get(d, 0) + 1
+    assert max(worst) == 1 and worst[1] > 100, worst
