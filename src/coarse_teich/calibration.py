@@ -135,7 +135,8 @@ def load_constants(path: Optional[str] = None) -> CalibrationConstants:
 
 
 def save_constants(consts: CalibrationConstants, path: Optional[str] = None) -> Path:
-    p = Path(path) if path else resolve_path(None)
+    """Write the record that load_constants(path) reads, by resolve_path's order."""
+    p = resolve_path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w", encoding="utf-8") as fh:
         json.dump(consts.to_json(), fh, indent=2, sort_keys=True)

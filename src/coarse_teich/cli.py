@@ -178,14 +178,12 @@ def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> None
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands.  Each returns (inputs, outputs), which _run reports; only
+# cmd_calibrate writes its own report.
 # ---------------------------------------------------------------------------
 
 
-def cmd_dist(args, cfg: Config) -> int:
-    t0 = time.perf_counter()
-    consts = load_constants(cfg.calibration)
-    th = cfg.thresholds()
+def cmd_dist(args, cfg: Config, th: Thresholds, consts: CalibrationConstants):
     m1, m2 = _read_marking(args.first), _read_marking(args.second)
     outputs = {
         "formula_distance_T": formula_distance_T(m1, m2, th),
@@ -197,12 +195,10 @@ def cmd_dist(args, cfg: Config) -> int:
     }
     if args.oracle:
         outputs["bfs_distance"] = bfs_distance(m1, m2)
-    return _report("dist", [m1.to_json(), m2.to_json()], outputs, t0, consts)
+    return [m1.to_json(), m2.to_json()], outputs
 
 
-def cmd_project(args, cfg: Config) -> int:
-    t0 = time.perf_counter()
-    consts = load_constants(cfg.calibration)
+def cmd_project(args, cfg: Config, th: Thresholds, consts: CalibrationConstants):
     m = _read_marking(args.marking)
     if args.slot is not None:
         ref = Slot(args.slot)
@@ -216,12 +212,12 @@ def cmd_project(args, cfg: Config) -> int:
     image = project(ref, m)
     if isinstance(image, SlotBlock):
         out = {"base": str(image.base), "trans": str(image.trans), "D": image.D}
-    elif isinstance(image, (list, tuple, set, frozenset)):
+    elif isinstance(image, list):
         out = {"base_curves": sorted(_ref_label(c) for c in image)}
     else:
         out = {"x": image.x, "level": image.level}
     outputs = {"subsurface": _ref_label(ref), "projection": out}
-    return _report("project", [m.to_json(), _ref_label(ref)], outputs, t0, consts)
+    return [m.to_json(), _ref_label(ref)], outputs
 
 
 def _planted_search_instance(k: int, magnitude: int) -> AugMarking:
@@ -234,23 +230,19 @@ def _planted_search_instance(k: int, magnitude: int) -> AugMarking:
     return AugMarking(glue, slots)
 
 
-def cmd_fix_search(args, cfg: Config) -> int:
-    t0 = time.perf_counter()
-    consts = load_constants(cfg.calibration)
-    th = cfg.thresholds()
+def cmd_fix_search(args, cfg: Config, th: Thresholds, consts: CalibrationConstants):
     if args.sweep:
         rows = []
         for exp in range(1, 7):
             mu = _planted_search_instance(cfg.k, 10**exp)
-            x, trace = fixed_point_search(mu, th)
-            rows.append([10**exp, trace.final_distance])
+            rows.append([10**exp, fixed_point_search(mu, th)[1].final_distance])
         _write_csv(args.out, ["magnitude", "final_distance"], rows)
         finals = [max(1, r[1]) for r in rows]
         outputs = {
             "rows": rows,
             "flatness": max(finals) / min(finals),
         }
-        return _report("fix-search", {"sweep": cfg.k}, outputs, t0, consts)
+        return {"sweep": cfg.k}, outputs
     mu = _read_marking(args.marking)
     # the search asserts this bound itself
     x, trace = fixed_point_search(mu, th)
@@ -269,18 +261,12 @@ def cmd_fix_search(args, cfg: Config) -> int:
         "stages": len(trace.stages),
         "trace": trace.to_json(),
     }
-    return _report("fix-search", mu.to_json(), outputs, t0, consts)
+    return mu.to_json(), outputs
 
 
-def cmd_barycenter(args, cfg: Config) -> int:
-    t0 = time.perf_counter()
-    consts = load_constants(cfg.calibration)
-    th = cfg.thresholds()
+def cmd_barycenter(args, cfg: Config, th: Thresholds, consts: CalibrationConstants):
     if args.sweep:
-        xs, ys = [], []
-        for x, y in barycenter_samples(cfg.k, th, cfg.seed, 300):
-            xs.append(x)
-            ys.append(y)
+        xs, ys = zip(*barycenter_samples(cfg.k, th, cfg.seed, 300))
         slope, intercept = linear_regression(xs, ys)
         outputs = {
             "instances": len(xs),
@@ -292,7 +278,7 @@ def cmd_barycenter(args, cfg: Config) -> int:
                 slope <= consts.K_tilde and intercept <= consts.C_tilde
             ),
         }
-        return _report("barycenter", {"sweep": cfg.k}, outputs, t0, consts)
+        return {"sweep": cfg.k}, outputs
     sigma = _read_marking(args.marking)
     try:
         bary = coarse_barycenter(sigma, args.generator, th)
@@ -307,9 +293,7 @@ def cmd_barycenter(args, cfg: Config) -> int:
         "displacement": displacement,
         "ratio": round(distance / max(1, displacement), 4),
     }
-    return _report(
-        "barycenter", [sigma.to_json(), args.generator], outputs, t0, consts
-    )
+    return [sigma.to_json(), args.generator], outputs
 
 
 _NONQC_HEADER = [
@@ -337,36 +321,33 @@ def _nonqc_rows(res) -> list[list]:
 
 
 def _nonqc_checks(res, consts: CalibrationConstants) -> dict:
-    return {
+    """The experiment's three claims at res.d; asserts that all of them hold."""
+    checks = {
         "endpoints_flat": bool(
             max(res.endpoint_max, res.ref_start_gap, res.ref_end_gap) <= consts.E0
         ),
         "midpoint_large": bool(res.midpoint >= consts.c1 * res.d - consts.c2),
         "peak_near_midpoint": bool(0.8 * res.d <= res.peak_t <= 1.2 * res.d),
     }
+    assert all(checks.values()), f"claims failed at d={res.d}: {checks}"
+    return checks
 
 
-def cmd_nonqc(args, cfg: Config) -> int:
-    t0 = time.perf_counter()
-    consts = load_constants(cfg.calibration)
-    th = cfg.thresholds()
+def cmd_nonqc(args, cfg: Config, th: Thresholds, consts: CalibrationConstants):
     if args.sweep:
         if len(set(cfg.d_grid)) < 2:
             raise ValueError("nonqc --sweep fits a line: d_grid needs two distinct values")
         results, slope, intercept = nonqc_sweep(cfg.d_grid, c=cfg.c, delta=cfg.delta, th=th)
-        per_d = []
-        for res in results:
-            checks = _nonqc_checks(res, consts)
-            assert all(checks.values()), f"claims failed at d={res.d}: {checks}"
-            per_d.append(
-                {
-                    "d": res.d,
-                    "midpoint": round(res.midpoint, 4),
-                    "peak_t": res.peak_t,
-                    "endpoint_max": round(res.endpoint_max, 4),
-                    "checks": checks,
-                }
-            )
+        per_d = [
+            {
+                "d": res.d,
+                "midpoint": round(res.midpoint, 4),
+                "peak_t": res.peak_t,
+                "endpoint_max": round(res.endpoint_max, 4),
+                "checks": _nonqc_checks(res, consts),
+            }
+            for res in results
+        ]
         rate_ok = 0.5 * FAREY_RATE <= slope <= 2.0 * FAREY_RATE
         assert rate_ok, f"midpoint slope {slope} outside the Farey-rate window"
         outputs = {
@@ -381,16 +362,14 @@ def cmd_nonqc(args, cfg: Config) -> int:
             ["d", "midpoint", "peak_t", "endpoint_max"],
             [[p["d"], p["midpoint"], p["peak_t"], p["endpoint_max"]] for p in per_d],
         )
-        inputs = {"sweep": list(cfg.d_grid), "c": cfg.c, "delta": cfg.delta}
-        return _report("nonqc", inputs, outputs, t0, consts)
+        return {"sweep": list(cfg.d_grid), "c": cfg.c, "delta": cfg.delta}, outputs
     d = args.d if args.d is not None else cfg.d_grid[0]
     res = nonqc_experiment(d, c=cfg.c, delta=cfg.delta, th=th)
     checks = _nonqc_checks(res, consts)
-    assert all(checks.values()), f"claims failed at d={d}: {checks}"
     rows = _nonqc_rows(res)
     _write_csv(args.out, _NONQC_HEADER, rows)
-    for name, ok in checks.items():
-        print(f"{name}: {'pass' if ok else 'FAIL'}", file=sys.stderr)
+    for name in checks:
+        print(f"{name}: pass", file=sys.stderr)
     outputs = {
         "d": res.d,
         "c": res.c,
@@ -402,11 +381,12 @@ def cmd_nonqc(args, cfg: Config) -> int:
         "endpoint_max": round(res.endpoint_max, 6),
         "checks": checks,
     }
-    return _report("nonqc", {"d": d, "c": cfg.c, "delta": cfg.delta}, outputs, t0, consts)
+    return {"d": d, "c": cfg.c, "delta": cfg.delta}, outputs
 
 
-def cmd_calibrate(args, cfg: Config) -> int:
-    t0 = time.perf_counter()
+def cmd_calibrate(args, cfg: Config, t0: float) -> int:
+    """Fit the constants and report them as the report's record.  Only
+    --check reads the recorded ones; it exits 1 when one has drifted."""
     fresh = calibrate(seed=cfg.seed, th=cfg.thresholds())
     if args.check:
         old = load_constants(cfg.calibration)
@@ -455,26 +435,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("fix-search", help="staged symmetric multitwist search")
-    p.add_argument("marking", nargs="?")
-    p.add_argument("--sweep", action="store_true", help="magnitude sweep CSV")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("marking", nargs="?")
+    mode.add_argument("--sweep", action="store_true", help="magnitude sweep CSV")
     p.add_argument("--out", metavar="PATH", help="trace or CSV output file")
     p.set_defaults(func=cmd_fix_search)
 
     p = sub.add_parser("barycenter", help="coarse barycenter of a finite orbit")
-    p.add_argument("marking", nargs="?")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("marking", nargs="?")
+    mode.add_argument("--sweep", action="store_true", help="linearity regression")
     p.add_argument("--generator", type=int, default=1)
-    p.add_argument("--sweep", action="store_true", help="linearity regression")
     p.set_defaults(func=cmd_barycenter)
 
     p = sub.add_parser("nonqc", help="flat slit-torus orbit-diameter experiment")
-    p.add_argument("--d", type=float, help="single flow scale (default: grid[0])")
-    p.add_argument("--sweep", action="store_true", help="full d grid with fit")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--d", type=float, help="single flow scale (default: grid[0])")
+    mode.add_argument("--sweep", action="store_true", help="full d grid with fit")
     p.add_argument("--out", metavar="PATH", help="CSV output file")
     p.set_defaults(func=cmd_nonqc)
 
     p = sub.add_parser("calibrate", help="fit and write pinned constants")
     p.add_argument("--check", action="store_true", help="compare, do not write")
-    p.set_defaults(func=cmd_calibrate)
     return parser
 
 
@@ -490,10 +472,9 @@ def _load_config(args) -> Config:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = _run(parser, args)
+        code = _run(args)
         # a closed stdout shows here, not in the interpreter's final flush
         sys.stdout.flush()
         return code
@@ -503,14 +484,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
 
-def _run(parser: argparse.ArgumentParser, args) -> int:
-    """Run the subcommand, mapping each failure to its exit code."""
+def _run(args) -> int:
+    """Run the subcommand and write its report, mapping each failure to its
+    exit code.  The calibration record loads before the command runs, so a
+    broken record exits 2 before any work."""
     try:
         cfg = _load_config(args)
-        if args.command in ("fix-search", "barycenter") and not args.sweep:
-            if args.marking is None:
-                parser.error(f"{args.command} needs a marking file or --sweep")
-        return args.func(args, cfg)
+        t0 = time.perf_counter()
+        if args.command == "calibrate":
+            return cmd_calibrate(args, cfg, t0)
+        consts = load_constants(cfg.calibration)
+        inputs, outputs = args.func(args, cfg, cfg.thresholds(), consts)
+        return _report(args.command, inputs, outputs, t0, consts)
     except BrokenPipeError:
         # an OSError, but of stdout, not of an input: main handles it
         raise

@@ -594,16 +594,13 @@ def active_segment(
         start = None
         for t, m in enumerate(path):
             _check_index(i, m)
-            if m.slots[i].base == s:
-                if start is None:
-                    start = t
-            elif start is not None:
-                if best is None or (t - 1 - start) > (best[1] - best[0]):
-                    best = (start, t - 1)
+            if m.slots[i].base != s:
                 start = None
-        if start is not None:
-            t = len(path)
-            if best is None or (t - 1 - start) > (best[1] - best[0]):
-                best = (start, t - 1)
+                continue
+            if start is None:
+                start = t
+            # the run in progress replaces the best only once strictly longer
+            if best is None or t - start > best[1] - best[0]:
+                best = (start, t)
         return best
     return (0, len(path) - 1)

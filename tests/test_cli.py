@@ -367,6 +367,39 @@ def test_barycenter_sweep_within_calibration(capsys):
     assert out["slope"] <= out["K_tilde"]
 
 
+def _not_run(*args, **kwargs):
+    raise AssertionError("a sweep ran")
+
+
+def exits_2(capsys, *argv) -> str:
+    """The stderr of an invocation that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_fix_search_takes_a_marking_file_or_sweep(tmp_path, capsys, monkeypatch):
+    # with both, the sweep ran and the marking file was never read
+    monkeypatch.setattr("coarse_teich.cli._planted_search_instance", _not_run)
+    f = write_marking(tmp_path / "m.json", planted_symmetric())
+    assert "not allowed with" in exits_2(capsys, "fix-search", f, "--sweep")
+    assert "is required" in exits_2(capsys, "fix-search", "--out", str(tmp_path / "t.json"))
+
+
+def test_barycenter_takes_a_marking_file_or_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("coarse_teich.cli.barycenter_samples", _not_run)
+    f = write_marking(tmp_path / "m.json", planted_symmetric())
+    assert "not allowed with" in exits_2(capsys, "barycenter", "--sweep", f)
+    assert "is required" in exits_2(capsys, "barycenter", "--generator", "1")
+
+
+def test_nonqc_takes_d_or_sweep(capsys, monkeypatch):
+    # neither runs at the grid's first d, as test_nonqc_short_d_grid_exits_2 checks
+    monkeypatch.setattr("coarse_teich.cli.nonqc_sweep", _not_run)
+    assert "not allowed with" in exits_2(capsys, "nonqc", "--d", "10", "--sweep")
+
+
 def test_nonqc_single_passes_claims(tmp_path, capsys):
     csv_file = tmp_path / "rows.csv"
     code, rep, err = run(capsys, "nonqc", "--d", "10", "--out", str(csv_file))
@@ -638,6 +671,22 @@ def test_calibrate_check_reports_relative_drift(tmp_path, capsys, monkeypatch):
     assert {k: v for k, v in out["drift"].items() if k != "E0"} == dict.fromkeys(
         set(packaged.to_json()) - {"E0"}, 0.0
     )
+
+
+def test_calibrate_writes_the_record_that_check_reads(tmp_path, capsys, monkeypatch):
+    # with the variable and a config path both set, calibrate wrote the config's
+    # file while every read, --check included, took the variable's
+    fitted = replace(load_constants(), E0=7.5)
+    monkeypatch.setattr("coarse_teich.cli.calibrate", lambda seed, th: fitted)
+    env, named = tmp_path / "env.json", tmp_path / "named.json"
+    monkeypatch.setenv(ENV_VAR, str(env))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"calibration": str(named)}))
+    code, rep, _ = run(capsys, "--config", str(cfg), "calibrate")
+    assert code == 0 and rep["outputs"]["path"] == str(env)
+    assert load_constants(str(env)) == fitted and not named.exists()
+    code, rep, _ = run(capsys, "--config", str(cfg), "calibrate", "--check")
+    assert code == 0 and rep["outputs"]["recorded_digest"] == fitted.digest()
 
 
 _FUZZ_VALUES = (

@@ -451,6 +451,24 @@ def test_active_segment_cases():
     assert segs[0][1] < segs[1][0]  # disjoint and ordered
 
 
+def test_active_segment_ties_go_to_the_earliest_run():
+    # a run closes either at a marking off the base or at the path's end;
+    # of two equally long runs the earlier wins, a strictly longer later one wins
+    off = flat_marking(2)
+    s = Slope(5, 2)
+    on = AugMarking(off.glue, (SlotBlock(s, transversal_at(s, 0), 0), off.slots[1]))
+    for pattern, want in (
+        ("11011", (0, 1)),
+        ("1010", (0, 0)),
+        ("01011", (3, 4)),
+        ("011010", (1, 2)),
+        ("0110111", (4, 6)),
+        ("000", None),
+    ):
+        path = [on if bit == "1" else off for bit in pattern]
+        assert active_segment(path, Annulus(InSlot(0, s))) == want, pattern
+
+
 def test_active_segment_pre_window_projection_small():
     # before a pivot's window opens, no twisting about it has happened
     m1 = flat_marking(2)
