@@ -39,6 +39,7 @@ from .metrics import (
     active_segment,
     canonical_path,
     formula_distance_T,
+    formula_terms,
     group_symmetric_families,
 )
 from .projection import Annulus, proj_distance
@@ -291,7 +292,7 @@ def family_comparability_sweep(th: Thresholds, seed: int) -> float:
                 for s in x.slots
             ),
         )
-        for fam in group_symmetric_families(mu, x, th):
+        for fam in group_symmetric_families(mu, x, formula_terms(mu, x, th), th):
             values = [l.value for l in fam.members]
             worst = max(worst, max(values) / min(values))
     return worst

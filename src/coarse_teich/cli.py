@@ -244,7 +244,7 @@ def cmd_fix_search(args, cfg: Config, th: Thresholds, consts: CalibrationConstan
         }
         return {"sweep": cfg.k}, outputs
     mu = _read_marking(args.marking)
-    # the search asserts this bound itself
+    # the search checks this bound itself, also under python -O
     x, trace = fixed_point_search(mu, th)
     bound = th.final_bound(mu.k)
     if args.out:
@@ -321,7 +321,7 @@ def _nonqc_rows(res) -> list[list]:
 
 
 def _nonqc_checks(res, consts: CalibrationConstants) -> dict:
-    """The experiment's three claims at res.d; asserts that all of them hold."""
+    """The experiment's three claims at res.d; AssertionError unless all hold."""
     checks = {
         "endpoints_flat": bool(
             max(res.endpoint_max, res.ref_start_gap, res.ref_end_gap) <= consts.E0
@@ -329,7 +329,8 @@ def _nonqc_checks(res, consts: CalibrationConstants) -> dict:
         "midpoint_large": bool(res.midpoint >= consts.c1 * res.d - consts.c2),
         "peak_near_midpoint": bool(0.8 * res.d <= res.peak_t <= 1.2 * res.d),
     }
-    assert all(checks.values()), f"claims failed at d={res.d}: {checks}"
+    if not all(checks.values()):
+        raise AssertionError(f"claims failed at d={res.d}: {checks}")
     return checks
 
 
@@ -349,7 +350,8 @@ def cmd_nonqc(args, cfg: Config, th: Thresholds, consts: CalibrationConstants):
             for res in results
         ]
         rate_ok = 0.5 * FAREY_RATE <= slope <= 2.0 * FAREY_RATE
-        assert rate_ok, f"midpoint slope {slope} outside the Farey-rate window"
+        if not rate_ok:
+            raise AssertionError(f"midpoint slope {slope} outside the Farey-rate window")
         outputs = {
             "per_d": per_d,
             "slope": round(slope, 4),

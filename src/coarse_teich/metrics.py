@@ -420,16 +420,21 @@ def rafi_total(a: Side, b: Side) -> float:
 def large_links(m1: AugMarking, m2: AugMarking, cut: int) -> list[LargeLink]:
     """All candidate subsurfaces whose projection distance exceeds the cut.
 
-    The whole surface is not a link and is left out; its value 2 would
-    exceed the smallest cut.
+    No runtime code calls it: group_symmetric_families reads the same links
+    off the rows of formula_terms that its caller already holds.  It stays
+    for the tests, and because the layer tracer of perfbench/tracer.py
+    times it by name.
     """
     if cut < 1:
         raise ValueError("cut must be >= 1")
-    return [
-        LargeLink(y, d)
-        for y, d in _raw_rows(m1, m2)
-        if d > cut and not isinstance(y, Whole)
-    ]
+    return _links(_raw_rows(m1, m2), cut)
+
+
+def _links(rows: Iterable[tuple], cut: int) -> list[LargeLink]:
+    """The rows (subsurface, raw value, ...) above the cut, as links.  The
+    whole surface is not a link and is left out; its value 2 would exceed
+    the smallest cut."""
+    return [LargeLink(y, d) for y, d, *_ in rows if d > cut and not isinstance(y, Whole)]
 
 
 def _orbit_refs(c: CurveRef, k: int) -> list[CurveRef]:
@@ -450,10 +455,19 @@ def _geodesic_position(geo: Sequence[Slope], s: Slope) -> int:
 
 
 def group_symmetric_families(
-    mu: AugMarking, target: AugMarking, th: Thresholds
+    mu: AugMarking,
+    target: AugMarking,
+    rows: Sequence[tuple[SubsurfaceRef, int, int]],
+    th: Thresholds,
 ) -> list[SymmetricFamily]:
-    """Partition the large links between mu and target, those of
-    large_links(mu, target, th.K_hat), into symmetric families, time-ordered.
+    """Partition the large links between mu and target into symmetric
+    families, time-ordered.
+
+    rows is formula_terms(mu, target, th), which fixed_point_search already
+    holds for the seed's distance.  The links are the rows whose raw value
+    exceeds th.K_hat, the whole surface's left out: those of
+    large_links(mu, target, th.K_hat), read without a second pass over the
+    pair.
 
     For an input that really is almost fixed against an exactly fixed
     target, every large link's orbit carries comparable values: no member
@@ -478,7 +492,7 @@ def group_symmetric_families(
     """
     k = mu.k
     firsts: dict[tuple, CurveRef] = {}
-    for link in large_links(mu, target, th.K_hat):
+    for link in _links(rows, th.K_hat):
         y = link.subsurface
         if isinstance(y, Slot):
             if link.value > th.slot_link_scale:

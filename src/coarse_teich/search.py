@@ -37,6 +37,7 @@ from .metrics import (
     SymmetricFamily,
     Thresholds,
     formula_distance_T,
+    formula_terms,
     group_symmetric_families,
 )
 from .projection import annulus_point, orbit_points
@@ -221,10 +222,11 @@ def fixed_point_search(
     exactly fixed.  Large links against the seed are grouped
     into symmetric families; each stage applies one symmetric multitwist
     whose exponent is the representative's annular offset, in time order.
-    Each stage asserts that its residuals are within th.stage_bound of the
-    representative's level shift, and the search asserts that its final
+    Each stage checks that its residuals are within th.stage_bound of the
+    representative's level shift, and the search checks that its final
     distance is within th.final_bound(k); Thresholds derives both, with
-    their proofs, from the thresholds alone.
+    their proofs, from the thresholds alone.  A failed check raises
+    AssertionError, also under python -O.
 
     No stage moves a later family, so the family order only orders the
     trace.  The seed has mu's slot-0 base b0, and a family's representative
@@ -235,6 +237,32 @@ def fixed_point_search(
     slope reads, and the gluing stage changes only gluing blocks.  Nor does
     a stage lose exact symmetry: _cancel_offset applies one map to every
     block of a fixed marking.
+
+    The formula rows of (mu, seed) are read once.  They give the seed's
+    distance and the links that group_symmetric_families groups.  Each
+    stage's distance_after is then the previous distance, minus the
+    family's member values and plus its residuals, each cut at th.K as the
+    formula cuts its rows; final_distance is the last of them, or the
+    seed's distance with no stage.  The update is exact, that is, it is
+    formula_distance_T(mu, x, th), because a stage changes no row but its
+    family's, and those rows read the member values before the stage and
+    the residuals after it.  No stage changes a base (a twist about b0
+    fixes every slot's base b0), so the slot rows, the whole surface's
+    and the set of annulus rows stay as they are.  Then, by stage:
+    - The gluing stage changes only gluing blocks, which only the gluing
+      rows read, one per member.  No slot stage changes them, so before the
+      stage they read the seed's blocks, as the member values do.
+    - The stage about b0 changes only slot transversals, and a slot block's
+      point over a slope reads its transversal only over its base.  So of
+      the rows of slot i only the one over b0 changes, and every slot has
+      that row, since b0 is x's base there and a pivot region holds both
+      bases.  The stages before it have exponent 0 or touch only gluing
+      blocks, so before it the rows read the seed's transversals.
+    - Every other stage has exponent 0 and changes nothing.  Its residuals
+      are its member values, as x has the seed's bases, so the update adds
+      0.  A member whose slope is off its slot's pivot region has no formula
+      row, and it reads at most 1 <= K (Thresholds.row_bound), so the cut
+      zeroes it on both sides.
     """
     if is_fixed(mu):
         # orbit diameter 0; nothing to search for
@@ -245,20 +273,24 @@ def fixed_point_search(
             f"orbit diameter {cert.diameter} exceeds R={th.R}", cert
         )
     x = seed = seed_marking(mu, th)
+    rows = formula_terms(mu, seed, th)
+    distance = sum(contrib for _, _, contrib in rows)
     stages = []
-    for fam in group_symmetric_families(mu, x, th):
+    for fam in group_symmetric_families(mu, seed, rows, th):
         core = fam.representative.subsurface.curve
         x, d = _cancel_offset(x, core, mu)
         ours, theirs = orbit_points(core, mu), orbit_points(core, x)
         residuals = tuple(map(horo_distance, ours, theirs))
         bound = th.stage_bound(abs(ours[0].level - theirs[0].level))
-        assert max(residuals) <= bound, f"stage {len(stages)} residuals {residuals} exceed {bound}"
-        stages.append(SearchStage(fam, d, x, formula_distance_T(mu, x, th), residuals))
-    # x is unchanged since the last stage, which already measured it
-    final_distance = stages[-1].distance_after if stages else formula_distance_T(mu, x, th)
+        if max(residuals) > bound:
+            raise AssertionError(f"stage {len(stages)} residuals {residuals} exceed {bound}")
+        distance += sum(r for r in residuals if r > th.K)
+        distance -= sum(m.value for m in fam.members if m.value > th.K)
+        stages.append(SearchStage(fam, d, x, distance, residuals))
     bound = th.final_bound(mu.k)
-    assert final_distance <= bound, f"final distance {final_distance} exceeds {bound}"
-    return x, ReductionTrace(seed, tuple(stages), x, final_distance)
+    if distance > bound:
+        raise AssertionError(f"final distance {distance} exceeds {bound}")
+    return x, ReductionTrace(seed, tuple(stages), x, distance)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +308,7 @@ def coarse_barycenter(
     block becomes the mean twist and level, every slot block becomes the
     slot-0 base with the mean of the orbit's annular coordinates and levels.
     The average of a full orbit is the same seen from every slot, so the
-    result is exactly fixed, which is asserted.
+    result is exactly fixed, which is checked (AssertionError otherwise).
     """
     k = sigma.k
     if math.gcd(f, k) != 1:
@@ -288,5 +320,6 @@ def coarse_barycenter(
     )
     block = SlotBlock(b0, transversal_at(b0, s.x), s.level)
     bary = AugMarking((GlueBlock(g.x, g.level),) * k, (block,) * k)
-    assert is_fixed(bary), "the orbit average is not fixed"
+    if not is_fixed(bary):
+        raise AssertionError("the orbit average is not fixed")
     return bary

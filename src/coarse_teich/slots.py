@@ -333,7 +333,8 @@ def complement(a: Slope) -> Slope:
     if 2 * r > norm2 or (2 * r == norm2 and a.p < 0):
         j += 1
     best = (u + j * a.p, v + j * a.q)
-    assert a.p * best[1] - a.q * best[0] == 1
+    if a.p * best[1] - a.q * best[0] != 1:
+        raise AssertionError(f"complement {best} of {a} is not dual to it")
     return Slope(*_canon_vec(best))
 
 

@@ -38,6 +38,7 @@ from coarse_teich.metrics import (
     canonical_path,
     farey_geodesic,
     formula_distance_T,
+    formula_terms,
     group_symmetric_families,
 )
 from coarse_teich.projection import Simplex, annulus_point, phi, proj_distance, q_membership
@@ -255,7 +256,7 @@ def test_criterion_07_asymmetric_large_links_always_flagged():
             sl[rng.randrange(k)] = SlotBlock(base, transversal_at(base, mag), 0)
             mu = AugMarking(x.glue, tuple(sl))
         try:
-            group_symmetric_families(mu, x, TH)
+            group_symmetric_families(mu, x, formula_terms(mu, x, TH), TH)
         except SymmetryViolationError:
             hits += 1
     _verdict(

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: plumbing identities and exit codes."""
 
+import ast
 import copy
 import json
 import os
@@ -658,6 +659,32 @@ def test_nonqc_gate_fails_on_wrong_bounds(tmp_path, capsys, monkeypatch):
     code, rep, _ = run(capsys, "--config", cfg, "nonqc", "--sweep")
     assert code == 5 and rep["error"] == "assertion"
     assert rep["message"].startswith("claims failed at d=10.0")
+
+
+def test_nonqc_gate_fails_on_wrong_bounds_under_python_O(tmp_path, monkeypatch):
+    # python -O strips assert statements; while the claims were gated by
+    # one, this run exited 0 and printed "endpoints_flat: pass"
+    src = str(Path(coarse_teich.__file__).resolve().parent.parent)
+    cfg = calibration_config(tmp_path, monkeypatch, E0=-1.0)
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "coarse_teich.cli", "--config", cfg, "nonqc", "--d", "10"],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert out.returncode == 5, out.stderr
+    rep = json.loads(out.stdout)
+    assert rep["error"] == "assertion"
+    assert rep["message"].startswith("claims failed at d=10.0")
+
+
+def test_src_has_no_assert_statements():
+    # python -O drops them, so a check in src/ raises AssertionError itself
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(Path(coarse_teich.__file__).resolve().parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_calibrate_check_reports_relative_drift(tmp_path, capsys, monkeypatch):

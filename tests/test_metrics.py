@@ -339,7 +339,7 @@ def test_group_symmetric_families_planted_orbit():
     k = 3
     target = symmetric_twisted(k, 0)
     mu = symmetric_twisted(k, 50)
-    fams = group_symmetric_families(mu, target, TH)
+    fams = group_symmetric_families(mu, target, formula_terms(mu, target, TH), TH)
     assert len(fams) == 1
     fam = fams[0]
     assert len(fam.members) == k
@@ -356,7 +356,7 @@ def test_group_symmetric_families_tolerates_honest_slack():
     )
     mu = AugMarking((GlueBlock(0, 0),) * 3, blocks)
     target = symmetric_twisted(3, 0)
-    fams = group_symmetric_families(mu, target, TH)
+    fams = group_symmetric_families(mu, target, formula_terms(mu, target, TH), TH)
     assert len(fams) == 1 and len(fams[0].members) == 3
 
 
@@ -372,7 +372,7 @@ def test_group_symmetric_families_rejects_asymmetric_link():
     target = symmetric_twisted(3, 0)
     assert large_links(mu, target, TH.K_hat)
     with pytest.raises(SymmetryViolationError):
-        group_symmetric_families(mu, target, TH)
+        group_symmetric_families(mu, target, formula_terms(mu, target, TH), TH)
 
 
 def test_group_symmetric_families_rejects_oversized_slot_link():
@@ -384,7 +384,7 @@ def test_group_symmetric_families_rejects_oversized_slot_link():
     mu = AugMarking(target.glue, (slot, target.slots[1]))
     assert farey_distance(base, Slope(0, 1)) == 31
     with pytest.raises(SymmetryViolationError, match="slot link Slot"):
-        group_symmetric_families(mu, target, TH)
+        group_symmetric_families(mu, target, formula_terms(mu, target, TH), TH)
 
 
 def test_group_symmetric_families_time_order():
@@ -393,7 +393,7 @@ def test_group_symmetric_families_time_order():
     blk = SlotBlock(target_slope, transversal_at(target_slope, 0), 0)
     mu = AugMarking((GlueBlock(0, 0),) * 2, (blk,) * 2)
     tgt = flat_marking(2)
-    fams = group_symmetric_families(mu, tgt, TH)
+    fams = group_symmetric_families(mu, tgt, formula_terms(mu, tgt, TH), TH)
     slopes = [f.representative.subsurface.curve.slope for f in fams]
     assert slopes == [Slope(0, 1), Slope(1, 30)]
     assert [f.time_index for f in fams] == [0, 1]

@@ -318,30 +318,6 @@ def test_search_magnitude_sweep_resolves_exactly():
             assert trace.final_distance == 0
 
 
-def test_final_distance_is_the_formula_distance_of_the_output():
-    # criterion 06's planted inputs: the trace's final distance, read off the
-    # last stage, is the formula distance from the input to the output
-    rng = random.Random(6001)
-    bases = [Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(2, 1)]
-    staged = 0
-    for k in (2, 3, 4):
-        for e in range(1, 7):
-            for _ in range(3):
-                mag = 10**e
-                base = rng.choice(bases)
-                glue = tuple(GlueBlock(mag + rng.randint(0, 1), 0) for _ in range(k))
-                slots = tuple(
-                    SlotBlock(base, transversal_at(base, -mag + rng.randint(0, 1)), 0)
-                    for _ in range(k)
-                )
-                mu = AugMarking(glue, slots)
-                x, trace = fixed_point_search(mu, TH)
-                assert trace.final == x
-                assert trace.final_distance == formula_distance_T(mu, x, TH)
-                staged += bool(trace.stages)
-    assert staged
-
-
 def test_trace_json_schema_and_roundtrip():
     n = 10**6
     glue = (GlueBlock(n, 0), GlueBlock(n + 1, 0), GlueBlock(n - 1, 0))
@@ -582,6 +558,47 @@ def test_every_certified_input_ends_fixed_within_the_derived_bounds():
                 assert max(stage.residuals) <= th.stage_bound(shift), mu
             multi += len(_slot_stages(trace)) >= 2
     assert min(certified.values()) >= 10 and multi >= 100, (certified, multi)
+
+
+def _criterion_06_inputs():
+    """Criterion 06's planted inputs, in its draw order: k = 2..4, twists
+    10^1..10^6 with jitter 1 on one base, 28 per k and magnitude."""
+    rng = random.Random(6001)
+    bases = [Slope(0, 1), Slope(1, 1), Slope(1, 2), Slope(2, 1)]
+    for k in (2, 3, 4):
+        for e in range(1, 7):
+            for _ in range(28):
+                mag = 10**e
+                base = rng.choice(bases)
+                glue = tuple(GlueBlock(mag + rng.randint(0, 1), 0) for _ in range(k))
+                slots = tuple(
+                    SlotBlock(base, transversal_at(base, -mag + rng.randint(0, 1)), 0)
+                    for _ in range(k)
+                )
+                yield AugMarking(glue, slots)
+
+
+def test_every_stage_distance_is_the_formula_distance():
+    # the search reads the formula rows of (mu, seed) once and updates the
+    # distance per stage from its family's values alone; each stage's
+    # distance_after, and the final distance, must be the formula distance
+    # from mu to the marking it ends at
+    cases = [(TH, mu) for mu in _criterion_06_inputs()]
+    cases += [(TH, mu) for mu in _digest_inputs(1000)]
+    for (K, K_hat, R), n in THRESHOLD_GRID.items():
+        th = Thresholds(K, K_hat, R)
+        cases += [(th, mu) for mu in _grid_inputs(th, n)]
+    runs = multi = 0
+    for th, mu in cases:
+        if almost_fixed_certificate(mu, th).diameter > th.R:
+            continue
+        x, trace = fixed_point_search(mu, th)
+        for stage in trace.stages:
+            assert stage.distance_after == formula_distance_T(mu, stage.marking_after, th), mu
+        assert trace.final == x and trace.final_distance == formula_distance_T(mu, x, th), mu
+        runs += 1
+        multi += len(trace.stages) >= 2
+    assert runs >= 2000 and multi >= 50, (runs, multi)
 
 
 def test_an_annulus_off_the_pivot_region_reads_at_most_1():
