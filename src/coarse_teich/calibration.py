@@ -293,8 +293,7 @@ def family_comparability_sweep(th: Thresholds, seed: int) -> float:
             ),
         )
         for fam in group_symmetric_families(mu, x, formula_terms(mu, x, th), th):
-            values = [l.value for l in fam.members]
-            worst = max(worst, max(values) / min(values))
+            worst = max(worst, max(fam.values) / min(fam.values))
     return worst
 
 

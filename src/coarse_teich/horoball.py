@@ -88,8 +88,7 @@ def _apex_scan(u: HoroPoint, v: HoroPoint) -> tuple[int, int]:
     # floor(e^level) >= 2^level > gap once level reaches gap's bit length
     nbits = gap.bit_length()
     best = apex = None
-    # below 2^16 the skipped window is a few levels, not worth the arithmetic
-    level = lo if nbits <= 16 else max(lo, (nbits - 1) * 693 // 1000 - 3)
+    level = max(lo, (nbits - 1) * 693 // 1000 - 3)
     while True:
         w = _reach(gap, level) if level < nbits else gap
         cost = (level - u.level) + (level - v.level) + -(-gap // w)  # ceil

@@ -133,9 +133,12 @@ class AugMarking:
 
 
 def _json_int(value, name: str) -> int:
-    """An integer field of marking JSON; fractions, non-finite numbers and
-    booleans are rejected rather than truncated or overflowed."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer field of marking JSON: an int or an integral float.
+    Booleans, strings, fractions and non-finite numbers are rejected rather
+    than parsed, truncated or overflowed."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -36,6 +36,7 @@ from .marking import (
     InSlot,
     SlotBlock,
     _block_distance,
+    act_curve,
     check_same_surface,
 )
 from .projection import (
@@ -86,7 +87,7 @@ __all__ = [
 
 class SymmetryViolationError(ValueError):
     """group_symmetric_families found a large link whose orbit is not a
-    symmetric family: a member below the orbit max by more than
+    symmetric family: a value below the orbit max by more than
     th.comparability, or a slot link past th.slot_link_scale.
 
     Against an exactly fixed target with mu's slot-0 base, as the search's
@@ -128,12 +129,12 @@ class Thresholds:
 
     @property
     def comparability(self) -> int:
-        """row_bound + 2: how far below its orbit's max a family member of
+        """row_bound + 2: how far below its orbit's max a family value of
         group_symmetric_families may read.
 
-        Against an exactly fixed target every member compares mu's point
+        Against an exactly fixed target every value compares mu's point
         over its curve with one and the same target point.  By the triangle
-        inequality two members then differ by at most the distance between
+        inequality two values then differ by at most the distance between
         mu's points over the two curves, a projection distance of a pair
         (mu, act(r, mu)), so at most row_bound.  The 2 on top is slack that
         keeps the comparability at R + 2 whenever K <= R.
@@ -155,14 +156,14 @@ class Thresholds:
 
     def stage_bound(self, level_shift: int) -> int:
         """row_bound + level_shift: the largest residual of a stage of
-        fixed_point_search whose representative's level differs by
-        level_shift between mu and the stage's output x.
+        fixed_point_search whose core's level differs by level_shift
+        between mu and the stage's output x.
 
-        Member j's residual compares mu's point over the curve c_j with x's,
+        Residual j compares mu's point over the curve c_j with x's,
         which is x's point over c_0, as x is fixed.  Through mu's point over
         c_0 it is at most the distance between mu's points over c_j and c_0,
         a projection distance of (mu, act(j, mu)) and so at most row_bound,
-        plus the representative's residual.  Once the stage has cancelled
+        plus the core's residual.  Once the stage has cancelled
         the twist offset, that residual is the level shift alone: 0 over a
         slot slope (the seed keeps slot 0's level, and a slope other than
         the base reads level 0), and |D_0 - D| over the gluing curve, where
@@ -204,10 +205,12 @@ class LargeLink:
 
 @dataclass(frozen=True)
 class SymmetricFamily:
-    """An orbit of annular large links under the cyclic symmetry."""
+    """An orbit of annular large links under the cyclic symmetry: its core,
+    the block-0 curve Glue(0) or InSlot(0, slope), and the projection
+    distance over each rotate of the core, listed by block index."""
 
-    members: tuple[LargeLink, ...]
-    representative: LargeLink
+    core: CurveRef
+    values: tuple[int, ...]
     time_index: int
 
 
@@ -437,23 +440,6 @@ def _links(rows: Iterable[tuple], cut: int) -> list[LargeLink]:
     return [LargeLink(y, d) for y, d, *_ in rows if d > cut and not isinstance(y, Whole)]
 
 
-def _orbit_refs(c: CurveRef, k: int) -> list[CurveRef]:
-    if isinstance(c, Glue):
-        return [Glue(j) for j in range(k)]
-    return [InSlot(i, c.slope) for i in range(k)]
-
-
-def _geodesic_position(geo: Sequence[Slope], s: Slope) -> int:
-    """Index of s along a Farey geodesic, or of the fan it pivots."""
-    for idx, v in enumerate(geo):
-        if v == s:
-            return idx
-    for idx, v in enumerate(geo):
-        if intersection(v, s) == 1:
-            return idx
-    return len(geo)
-
-
 def group_symmetric_families(
     mu: AugMarking,
     target: AugMarking,
@@ -470,28 +456,27 @@ def group_symmetric_families(
     pair.
 
     For an input that really is almost fixed against an exactly fixed
-    target, every large link's orbit carries comparable values: no member
-    below the orbit max by more than th.comparability.  A member may read
+    target, every large link's orbit carries comparable values: none
+    below the orbit max by more than th.comparability.  A value may read
     0, as the seed's slot 0 does over a short slot orbit, where the seed
     copies mu's block 0.  Violations raise SymmetryViolationError instead
     of returning a wrong grouping.  Slot (non-annular) links are legal only
     up to the almost-fixed scale and are not grouped; a slot value beyond
     th.slot_link_scale also violates.
 
-    Orbits are under the rotation group Z/k, k = mu.k, and each orbit's
-    values are read from its points in one orbit_points per marking.
-    Families are ordered: the gluing orbit first, then the slot-slope orbits
-    by position along the Farey geodesic from target's slot-0 base to mu's,
-    ties by (p, q).  A slope on the geodesic takes its index there, any
-    other slope the index of the first geodesic slope it meets once, or
-    else the geodesic's length.  Under fixed_point_search the target is
-    seed_marking(mu, th), which has mu's slot-0 base, so the geodesic is
-    that one slope: the base and its Farey neighbours come first, then the
-    other slopes, each group by (p, q).  There no stage moves another
+    Orbits are under the rotation group Z/k, k = mu.k.  A family is its
+    core, the block-0 curve Glue(0) or InSlot(0, slope), and its values,
+    read from the orbit's points in one orbit_points per marking.
+    Families are ordered: the gluing orbit first, then the slot-slope
+    orbits, first those that meet target's slot-0 base b0 at most once (b0
+    and its Farey neighbours), then the others, each group by (p, q).
+    The rule reads b0 as mu's slot-0 base too, and every caller passes such
+    a target: fixed_point_search its seed_marking, calibration's sweep and
+    criterion 07 a target built on mu's base.  There no stage moves another
     family (fixed_point_search), so the order only orders the trace.
     """
-    k = mu.k
-    firsts: dict[tuple, CurveRef] = {}
+    b0 = target.slots[0].base
+    cores: dict[tuple, CurveRef] = {}
     for link in _links(rows, th.K_hat):
         y = link.subsurface
         if isinstance(y, Slot):
@@ -500,33 +485,23 @@ def group_symmetric_families(
                     f"slot link {y} at value {link.value} exceeds the "
                     f"almost-fixed scale {th.row_bound} + {th.comparability}"
                 )
-            continue
-        c = y.curve
-        key = ("glue",) if isinstance(c, Glue) else ("slot", c.slope.p, c.slope.q)
-        firsts.setdefault(key, c)
-    geo = farey_geodesic(target.slots[0].base, mu.slots[0].base)
+        elif isinstance(y.curve, Glue):
+            cores[(-1,)] = Glue(0)
+        else:
+            s = y.curve.slope
+            cores[(int(intersection(b0, s) > 1), s.p, s.q)] = InSlot(0, s)
     families = []
-    for key, rep_ref in sorted(firsts.items()):
-        orbit = _orbit_refs(rep_ref, k)
-        values = list(map(
-            horo_distance, orbit_points(rep_ref, mu), orbit_points(rep_ref, target)
-        ))
+    for n, (_, core) in enumerate(sorted(cores.items())):
+        values = tuple(map(horo_distance, orbit_points(core, mu), orbit_points(core, target)))
         vmax = max(values)
-        for c, v in zip(orbit, values):
+        for r, v in enumerate(values):
             if v < vmax - th.comparability:
                 raise SymmetryViolationError(
-                    f"orbit of {rep_ref} has value {v} at {c} against max "
-                    f"{vmax}; not a symmetric family"
+                    f"orbit of {core} has value {v} at {act_curve(r, core, mu.k)} "
+                    f"against max {vmax}; not a symmetric family"
                 )
-        members = tuple(LargeLink(Annulus(c), v) for c, v in zip(orbit, values))
-        rep = members[0]  # smallest slot index by construction of _orbit_refs
-        pos = -1 if key[0] == "glue" else _geodesic_position(geo, rep_ref.slope)
-        families.append((pos, key, members, rep))
-    families.sort(key=lambda f: (f[0], f[1]))
-    return [
-        SymmetricFamily(members, rep, time_index=n)
-        for n, (_pos, _key, members, rep) in enumerate(families)
-    ]
+        families.append(SymmetricFamily(core, values, n))
+    return families
 
 
 # ---------------------------------------------------------------------------

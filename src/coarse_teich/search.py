@@ -154,7 +154,7 @@ class SearchStage:
     residuals: tuple[int, ...]
 
     def to_json(self) -> dict:
-        core = self.family.representative.subsurface.curve
+        core = self.family.core
         core_json = (
             {"kind": "glue"}
             if isinstance(core, Glue)
@@ -163,7 +163,7 @@ class SearchStage:
         return {
             "core": core_json,
             "time_index": self.family.time_index,
-            "values": [m.value for m in self.family.members],
+            "values": list(self.family.values),
             "exponent": abs(self.exponent),
             "sign": 1 if self.exponent >= 0 else -1,
             "marking_after": self.marking_after.to_json(),
@@ -219,19 +219,21 @@ def fixed_point_search(
 
     Precondition: orbit diameter <= th.R (PreconditionError with the
     certificate otherwise).  The seed is seed_marking(mu, th), which is
-    exactly fixed.  Large links against the seed are grouped
-    into symmetric families; each stage applies one symmetric multitwist
-    whose exponent is the representative's annular offset, in time order.
-    Each stage checks that its residuals are within th.stage_bound of the
-    representative's level shift, and the search checks that its final
-    distance is within th.final_bound(k); Thresholds derives both, with
-    their proofs, from the thresholds alone.  A failed check raises
-    AssertionError, also under python -O.
+    exactly fixed.  Large links against the seed are grouped into
+    symmetric families; each stage applies one symmetric multitwist whose
+    exponent is the core's annular offset, in time order.  Each stage
+    checks that its residuals are within th.stage_bound of the core's level
+    shift, and the search checks that its final distance is within
+    th.final_bound(k); Thresholds derives both, with their proofs, from the
+    thresholds alone.  A failed check raises AssertionError, also under
+    python -O.
 
-    No stage moves a later family, so the family order only orders the
-    trace.  The seed has mu's slot-0 base b0, and a family's representative
-    is its index-0 member.  A stage about a slot slope other than b0 reads
-    two equal points, since mu and x both have base b0 in slot 0 and the
+    The seed has mu's slot-0 base b0, and group_symmetric_families orders
+    the families by it: the gluing family, then the slopes that meet b0 at
+    most once, then the others, each group by (p, q).  No stage moves a
+    later family, so the order only orders the trace.  A family's core is
+    its block-0 curve.  A stage about a slot slope other than b0 reads two
+    equal points, since mu and x both have base b0 in slot 0 and the
     point over such a slope reads only the base: its exponent is 0.  The
     stage about b0 changes only transversals, which the point over no other
     slope reads, and the gluing stage changes only gluing blocks.  Nor does
@@ -241,17 +243,17 @@ def fixed_point_search(
     The formula rows of (mu, seed) are read once.  They give the seed's
     distance and the links that group_symmetric_families groups.  Each
     stage's distance_after is then the previous distance, minus the
-    family's member values and plus its residuals, each cut at th.K as the
+    family's values and plus its residuals, each cut at th.K as the
     formula cuts its rows; final_distance is the last of them, or the
     seed's distance with no stage.  The update is exact, that is, it is
     formula_distance_T(mu, x, th), because a stage changes no row but its
-    family's, and those rows read the member values before the stage and
+    family's, and those rows read the family's values before the stage and
     the residuals after it.  No stage changes a base (a twist about b0
     fixes every slot's base b0), so the slot rows, the whole surface's
     and the set of annulus rows stay as they are.  Then, by stage:
     - The gluing stage changes only gluing blocks, which only the gluing
-      rows read, one per member.  No slot stage changes them, so before the
-      stage they read the seed's blocks, as the member values do.
+      rows read, one per value.  No slot stage changes them, so before the
+      stage they read the seed's blocks, as the values do.
     - The stage about b0 changes only slot transversals, and a slot block's
       point over a slope reads its transversal only over its base.  So of
       the rows of slot i only the one over b0 changes, and every slot has
@@ -259,10 +261,10 @@ def fixed_point_search(
       bases.  The stages before it have exponent 0 or touch only gluing
       blocks, so before it the rows read the seed's transversals.
     - Every other stage has exponent 0 and changes nothing.  Its residuals
-      are its member values, as x has the seed's bases, so the update adds
-      0.  A member whose slope is off its slot's pivot region has no formula
-      row, and it reads at most 1 <= K (Thresholds.row_bound), so the cut
-      zeroes it on both sides.
+      are its values, as x has the seed's bases, so the update adds 0.  A
+      slot whose pivot region misses the core's slope has no formula row
+      over it, and its value there is at most 1 <= K (Thresholds.row_bound),
+      so the cut zeroes it on both sides.
     """
     if is_fixed(mu):
         # orbit diameter 0; nothing to search for
@@ -277,15 +279,14 @@ def fixed_point_search(
     distance = sum(contrib for _, _, contrib in rows)
     stages = []
     for fam in group_symmetric_families(mu, seed, rows, th):
-        core = fam.representative.subsurface.curve
-        x, d = _cancel_offset(x, core, mu)
-        ours, theirs = orbit_points(core, mu), orbit_points(core, x)
+        x, d = _cancel_offset(x, fam.core, mu)
+        ours, theirs = orbit_points(fam.core, mu), orbit_points(fam.core, x)
         residuals = tuple(map(horo_distance, ours, theirs))
         bound = th.stage_bound(abs(ours[0].level - theirs[0].level))
         if max(residuals) > bound:
             raise AssertionError(f"stage {len(stages)} residuals {residuals} exceed {bound}")
         distance += sum(r for r in residuals if r > th.K)
-        distance -= sum(m.value for m in fam.members if m.value > th.K)
+        distance -= sum(v for v in fam.values if v > th.K)
         stages.append(SearchStage(fam, d, x, distance, residuals))
     bound = th.final_bound(mu.k)
     if distance > bound:

@@ -134,8 +134,10 @@ def test_dist_error_exit_codes(tmp_path, capsys):
     assert code == 2 and rep["error"] == "parse"
     code, rep, _ = run(capsys, "dist", str(tmp_path / "missing.json"), f2)
     assert code == 2
-    # an overflowing twist, a fractional level and a boolean level
-    for i, (field, text) in enumerate((("tau", "1e400"), ("D", "2.5"), ("D", "true"))):
+    # an overflowing twist, a fractional level, a boolean level and two
+    # strings that int() would parse
+    cases = (("tau", "1e400"), ("D", "2.5"), ("D", "true"), ("tau", '"5"'), ("D", '" 1_0 "'))
+    for i, (field, text) in enumerate(cases):
         f = tmp_path / f"field{i}.json"
         f.write_text(flat(2).to_json_str().replace(f'"{field}": 0', f'"{field}": {text}', 1))
         code, rep, _ = run(capsys, "dist", str(f), f2)

@@ -43,10 +43,10 @@ def test_deep_apex_scan_needs_no_width():
 
 
 def test_apex_scan_matches_the_scan_over_every_level():
-    # distance and apex, ties included, on gaps across the skipped window's
-    # edge (2^16) and far past it, at levels below and above ln(gap)
+    # distance and apex, ties included, on gaps at every bit length up to 17
+    # and far past it, at levels below and above ln(gap)
     rng = random.Random(17)
-    gaps = [1, 2, 7, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 10**6]
+    gaps = [1, 2, 7, 10**6] + [2**b + e for b in range(1, 18) for e in (-1, 0, 1)]
     for _ in range(3000):
         u = HoroPoint(rng.randint(-50, 50), rng.randint(0, 12))
         gap = rng.choice(gaps + [rng.randint(1, 10 ** rng.randint(1, 200))])

@@ -342,10 +342,9 @@ def test_group_symmetric_families_planted_orbit():
     fams = group_symmetric_families(mu, target, formula_terms(mu, target, TH), TH)
     assert len(fams) == 1
     fam = fams[0]
-    assert len(fam.members) == k
-    assert fam.representative.subsurface == Annulus(InSlot(0, Slope(0, 1)))
-    vals = [m.value for m in fam.members]
-    assert max(vals) - min(vals) == 0
+    assert fam.core == InSlot(0, Slope(0, 1))
+    assert len(fam.values) == k
+    assert max(fam.values) - min(fam.values) == 0
 
 
 def test_group_symmetric_families_tolerates_honest_slack():
@@ -357,7 +356,7 @@ def test_group_symmetric_families_tolerates_honest_slack():
     mu = AugMarking((GlueBlock(0, 0),) * 3, blocks)
     target = symmetric_twisted(3, 0)
     fams = group_symmetric_families(mu, target, formula_terms(mu, target, TH), TH)
-    assert len(fams) == 1 and len(fams[0].members) == 3
+    assert len(fams) == 1 and len(fams[0].values) == 3
 
 
 def test_group_symmetric_families_rejects_asymmetric_link():
@@ -394,7 +393,7 @@ def test_group_symmetric_families_time_order():
     mu = AugMarking((GlueBlock(0, 0),) * 2, (blk,) * 2)
     tgt = flat_marking(2)
     fams = group_symmetric_families(mu, tgt, formula_terms(mu, tgt, TH), TH)
-    slopes = [f.representative.subsurface.curve.slope for f in fams]
+    slopes = [f.core.slope for f in fams]
     assert slopes == [Slope(0, 1), Slope(1, 30)]
     assert [f.time_index for f in fams] == [0, 1]
 
