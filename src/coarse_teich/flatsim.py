@@ -362,6 +362,15 @@ class NonqcRow:
 
 @dataclass(frozen=True)
 class NonqcResult:
+    """nonqc_experiment's rows and their summary.
+
+    ref_start_gap and ref_end_gap are 0 by construction: at t = 0 every
+    piece of the main family and of both reference families sits at slot
+    time -d/2, and at t = 2d at d/2, so the three shadows are equal there
+    (tests/test_flatsim.py checks it for d = 10..40 and 55 and c in {1e-6,
+    0.1, 0.5, 0.9}).  Both fields stay, as the E0 gates read them.
+    """
+
     d: float
     c: float
     delta: float

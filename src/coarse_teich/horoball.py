@@ -68,11 +68,14 @@ def _exp_bracket(level: int, prec: int) -> tuple[int, int]:
     return (mant - 1) * scale, (mant + 1) * scale
 
 
-def _apex_scan(u: HoroPoint, v: HoroPoint) -> tuple[int, int]:
-    """(distance, apex): scan apex levels for up-across-down paths.
+def _apex_scan(gap: int, level1: int, level2: int) -> tuple[int, int]:
+    """(distance, apex) between points gap apart at levels level1 and
+    level2: scan apex levels for up-across-down paths.
 
-    Ties go to the lowest apex level.  The scan skips levels that provably
-    lose.  Widths at least double per level, as floor(e*y) >= 2*floor(y)
+    Only the gap |x1 - x2| and the two levels enter, so the kernel takes
+    ints; horo_distance and horo_normal_path are its HoroPoint API.  Ties
+    go to the lowest apex level.  The scan skips levels that provably lose.
+    Widths at least double per level, as floor(e*y) >= 2*floor(y)
     for y >= 1.  So with a = gap / width(L), apex L + 1 takes at most
     ceil(a / 2) < a / 2 + 1 horizontal steps, and apex L costs at least
     ceil(a) - 2 - ceil(a / 2) > a / 2 - 3 more than apex L + 1: strictly
@@ -81,17 +84,16 @@ def _apex_scan(u: HoroPoint, v: HoroPoint) -> tuple[int, int]:
     (nbits - 1) * ln 2 <= ln(gap), so every level below n - 3 costs more
     than the next, and the scan starts at max(lo, n - 3).
     """
-    gap = abs(u.x - v.x)
-    lo = max(u.level, v.level)
+    lo = max(level1, level2)
     if gap == 0:
-        return abs(u.level - v.level), lo
+        return abs(level1 - level2), lo
     # floor(e^level) >= 2^level > gap once level reaches gap's bit length
     nbits = gap.bit_length()
     best = apex = None
     level = max(lo, (nbits - 1) * 693 // 1000 - 3)
     while True:
         w = _reach(gap, level) if level < nbits else gap
-        cost = (level - u.level) + (level - v.level) + -(-gap // w)  # ceil
+        cost = 2 * level - level1 - level2 + -(-gap // w)  # ceil
         if best is None or cost < best:
             best, apex = cost, level
         if w >= gap:
@@ -123,12 +125,12 @@ def _short_bracket(level: int) -> tuple[int, int]:
 
 def horo_distance(u: HoroPoint, v: HoroPoint) -> int:
     """Exact graph distance: the cost of the best up-across-down path."""
-    return _apex_scan(u, v)[0]
+    return _apex_scan(abs(u.x - v.x), u.level, v.level)[0]
 
 
 def horo_normal_path(u: HoroPoint, v: HoroPoint) -> list[HoroPoint]:
     """An up-across-down geodesic witness; length == horo_distance(u, v)."""
-    apex = _apex_scan(u, v)[1]
+    apex = _apex_scan(abs(u.x - v.x), u.level, v.level)[1]
     path = [u]
     for lvl in range(u.level + 1, apex + 1):
         path.append(HoroPoint(u.x, lvl))

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .horoball import HoroPoint, horo_distance, horo_normal_path
+from .horoball import HoroPoint, _apex_scan, horo_distance, horo_normal_path
 from .marking import (
     AugMarking,
     CurveRef,
@@ -45,7 +45,7 @@ from .projection import (
     SubsurfaceRef,
     Whole,
     _check_index,
-    orbit_points,
+    _orbit_pairs,
     proj_distance,
 )
 from .slots import (
@@ -206,12 +206,15 @@ class LargeLink:
 @dataclass(frozen=True)
 class SymmetricFamily:
     """An orbit of annular large links under the cyclic symmetry: its core,
-    the block-0 curve Glue(0) or InSlot(0, slope), and the projection
-    distance over each rotate of the core, listed by block index."""
+    the block-0 curve Glue(0) or InSlot(0, slope), the projection distance
+    over each rotate of the core, and mu's point over each rotate as an
+    (x, level) int pair, both listed by block index.  fixed_point_search
+    reads its stage off mu_orbit; the trace's JSON leaves mu_orbit out."""
 
     core: CurveRef
     values: tuple[int, ...]
     time_index: int
+    mu_orbit: tuple[tuple[int, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +468,9 @@ def group_symmetric_families(
     th.slot_link_scale also violates.
 
     Orbits are under the rotation group Z/k, k = mu.k.  A family is its
-    core, the block-0 curve Glue(0) or InSlot(0, slope), and its values,
-    read from the orbit's points in one orbit_points per marking.
+    core, the block-0 curve Glue(0) or InSlot(0, slope), its values and
+    mu's orbit, read as int pairs from one complement for both markings
+    (projection._orbit_pairs) and compared by the horoball's int kernel.
     Families are ordered: the gluing orbit first, then the slot-slope
     orbits, first those that meet target's slot-0 base b0 at most once (b0
     and its Farey neighbours), then the others, each group by (p, q).
@@ -492,7 +496,10 @@ def group_symmetric_families(
             cores[(int(intersection(b0, s) > 1), s.p, s.q)] = InSlot(0, s)
     families = []
     for n, (_, core) in enumerate(sorted(cores.items())):
-        values = tuple(map(horo_distance, orbit_points(core, mu), orbit_points(core, target)))
+        glued = isinstance(core, Glue)
+        pairs = _orbit_pairs(core, mu.glue + target.glue if glued else mu.slots + target.slots)
+        ours, theirs = tuple(pairs[: mu.k]), pairs[mu.k :]
+        values = tuple(_apex_scan(abs(x - y), a, b)[0] for (x, a), (y, b) in zip(ours, theirs))
         vmax = max(values)
         for r, v in enumerate(values):
             if v < vmax - th.comparability:
@@ -500,7 +507,7 @@ def group_symmetric_families(
                     f"orbit of {core} has value {v} at {act_curve(r, core, mu.k)} "
                     f"against max {vmax}; not a symmetric family"
                 )
-        families.append(SymmetricFamily(core, values, n))
+        families.append(SymmetricFamily(core, values, n, ours))
     return families
 
 

@@ -132,12 +132,8 @@ def annulus_point(c: CurveRef, m: AugMarking) -> HoroPoint:
     branch on transversals, so flips do not move annulus projections.
     An index outside 0..k-1 raises SurfaceMismatchError.
     """
-    if isinstance(c, Glue):
-        _check_index(c.j, m)
-        g = m.glue[c.j]
-        return HoroPoint(g.tau, g.D)
-    _check_index(c.slot, m)
-    return _slot_point(c.slope, complement(c.slope), m.slots[c.slot])
+    i, blocks = _blocks(c, m)
+    return HoroPoint(*_orbit_pairs(c, blocks[i : i + 1])[0])
 
 
 def orbit_points(c: CurveRef, m: AugMarking) -> list[HoroPoint]:
@@ -145,20 +141,35 @@ def orbit_points(c: CurveRef, m: AugMarking) -> list[HoroPoint]:
 
     The rotates of a gluing curve are the k gluing curves, and those of a
     slot slope are that slope in each slot, so one complement serves all.
+    No runtime code calls it: the search and group_symmetric_families read
+    the same orbits as int pairs through _orbit_pairs.  It stays as the
+    public orbit reader, which the tests' references read.
     """
+    return [HoroPoint(x, level) for x, level in _orbit_pairs(c, _blocks(c, m)[1])]
+
+
+def _blocks(c: CurveRef, m: AugMarking) -> tuple[int, tuple]:
+    """(i, blocks): c's block index, checked, and m's blocks of c's kind."""
     if isinstance(c, Glue):
         _check_index(c.j, m)
-        return [HoroPoint(g.tau, g.D) for g in m.glue]
+        return c.j, m.glue
     _check_index(c.slot, m)
-    t0 = complement(c.slope)
-    return [_slot_point(c.slope, t0, blk) for blk in m.slots]
+    return c.slot, m.slots
 
 
-def _slot_point(s: Slope, t0: Slope, blk: SlotBlock) -> HoroPoint:
-    """annulus_point of the slot slope s, given t0 == complement(s)."""
-    if s == blk.base:
-        return HoroPoint(_twist_coordinate(s, t0, blk.trans), blk.D)
-    return HoroPoint(relative_twisting(s, t0, blk.base), 0)
+def _orbit_pairs(c: CurveRef, blocks) -> list[tuple[int, int]]:
+    """annulus_point's (x, level) over the rotate of c in each block, as int
+    pairs: blocks are gluing blocks for a gluing curve, slot blocks for a
+    slot slope, of one marking or of several.  One complement serves all."""
+    if isinstance(c, Glue):
+        return [(g.tau, g.D) for g in blocks]
+    s = c.slope
+    t0 = complement(s)
+    return [
+        (_twist_coordinate(s, t0, blk.trans), blk.D) if blk.base == s
+        else (relative_twisting(s, t0, blk.base), 0)
+        for blk in blocks
+    ]
 
 
 def _check_index(i: int, m: AugMarking) -> None:
@@ -198,14 +209,10 @@ def proj_distance(y: SubsurfaceRef, m1: AugMarking, m2: AugMarking) -> int:
         _check_index(y.i, m1)
         return farey_distance(m1.slots[y.i].base, m2.slots[y.i].base)
     if isinstance(y, Annulus):
-        c = y.curve
-        if isinstance(c, Glue):
-            return horo_distance(annulus_point(c, m1), annulus_point(c, m2))
+        (i, b1), (_, b2) = _blocks(y.curve, m1), _blocks(y.curve, m2)
         # one complement serves both markings
-        _check_index(c.slot, m1)
-        t0 = complement(c.slope)
-        return horo_distance(_slot_point(c.slope, t0, m1.slots[c.slot]),
-                             _slot_point(c.slope, t0, m2.slots[c.slot]))
+        p1, p2 = _orbit_pairs(y.curve, (b1[i], b2[i]))
+        return horo_distance(HoroPoint(*p1), HoroPoint(*p2))
     if isinstance(y, Whole):
         same = all(a.base == b.base for a, b in zip(m1.slots, m2.slots))
         return 0 if same else 2

@@ -7,9 +7,11 @@ the thresholds (Thresholds.final_bound), never on the size of the twist
 data.  The engine is the staged symmetric multitwist: large annular links
 between the input and an exactly fixed seed come in symmetric families,
 and one multitwist per family cancels the family's twist offset
-(_cancel_offset).  Every orbit is read in one projection.orbit_points.
-The seed is built in closed form and already carries mu's twist data over
-the short orbits, so the orbit-diameter certificate is the search's only
+(_cancel_offset).  group_symmetric_families reads each family's orbits
+once, as int pairs, and a stage reads its exponent and residuals off mu's
+pairs and x's block 0, building a marking only where it twists.  The seed
+is built in closed form and already carries mu's twist data over the short
+orbits, so the orbit-diameter certificate is the search's only
 precondition check.
 
 Also here: the orbit-diameter certificate, and the coarse barycenter for
@@ -21,9 +23,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .horoball import HoroPoint, horo_distance
+from .horoball import _apex_scan
 from .marking import (
     AugMarking,
     CurveRef,
@@ -40,7 +43,7 @@ from .metrics import (
     formula_terms,
     group_symmetric_families,
 )
-from .projection import annulus_point, orbit_points
+from .projection import _orbit_pairs
 from .slots import TwistWord, transversal_at, twist
 
 __all__ = [
@@ -104,7 +107,7 @@ def is_fixed(m: AugMarking) -> bool:
     return m.glue.count(m.glue[0]) == m.k and m.slots.count(m.slots[0]) == m.k
 
 
-def _rounded_mean(values: list[int]) -> int:
+def _rounded_mean(values: Sequence[int]) -> int:
     """The mean rounded half up, floor(mean + 1/2), in exact integers."""
     return (2 * sum(values) + len(values)) // (2 * len(values))
 
@@ -192,24 +195,19 @@ class ReductionTrace:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _cancel_offset(
-    x: AugMarking, core: CurveRef, mu: AugMarking
-) -> tuple[AugMarking, int]:
-    """(x', d): x after one multitwist, the same power d about every rotate
-    of core, where d is mu's annular coordinate over core minus x's.
+def _cancel_offset(x: AugMarking, core: CurveRef, d: int) -> AugMarking:
+    """x after one multitwist, the same power d about every rotate of core,
+    where d is mu's annular coordinate over core minus x's.
 
     A twist fixes its core, so a slot based on the core keeps its base and
     its transversal's twist coordinate moves by d.
     """
-    d = annulus_point(core, mu).x - annulus_point(core, x).x
-    if d == 0:
-        return x, d
     if isinstance(core, Glue):
-        return AugMarking(tuple(GlueBlock(g.tau + d, g.D) for g in x.glue), x.slots), d
+        return AugMarking(tuple(GlueBlock(g.tau + d, g.D) for g in x.glue), x.slots)
     word = TwistWord(core.slope, d)
     return AugMarking(x.glue, tuple(
         SlotBlock(twist(word, blk.base), twist(word, blk.trans), blk.D) for blk in x.slots
-    )), d
+    ))
 
 
 def fixed_point_search(
@@ -239,6 +237,19 @@ def fixed_point_search(
     slope reads, and the gluing stage changes only gluing blocks.  Nor does
     a stage lose exact symmetry: _cancel_offset applies one map to every
     block of a fixed marking.
+
+    So a stage reads no orbit.  group_symmetric_families has read mu's
+    orbit over the core once, as the family's mu_orbit of (x, level) int
+    pairs.  x is fixed, so its point over every rotate of the core is the
+    point (x0, level) that its block 0 gives.  With mu_orbit[0] = (m0, _),
+    the exponent is d = m0 - x0, mu's annular coordinate over the core
+    minus x's.  Only the gluing stage and the stage about b0 can have
+    d != 0, and only they rebuild x.  There _cancel_offset adds d to every
+    gluing twist, or to the twist coordinate of every slot's transversal
+    about its base b0, and keeps every level.  So after any stage x's point
+    over each rotate is (m0, level), and residual j is the horoball
+    distance from mu_orbit[j] to it, which the int kernel
+    horoball._apex_scan gives.
 
     The formula rows of (mu, seed) are read once.  They give the seed's
     distance and the links that group_symmetric_families groups.  Each
@@ -279,10 +290,14 @@ def fixed_point_search(
     distance = sum(contrib for _, _, contrib in rows)
     stages = []
     for fam in group_symmetric_families(mu, seed, rows, th):
-        x, d = _cancel_offset(x, fam.core, mu)
-        ours, theirs = orbit_points(fam.core, mu), orbit_points(fam.core, x)
-        residuals = tuple(map(horo_distance, ours, theirs))
-        bound = th.stage_bound(abs(ours[0].level - theirs[0].level))
+        block = x.glue[0] if isinstance(fam.core, Glue) else x.slots[0]
+        (x0, level), = _orbit_pairs(fam.core, (block,))
+        m0, mu_level = fam.mu_orbit[0]
+        d = m0 - x0
+        if d:
+            x = _cancel_offset(x, fam.core, d)
+        residuals = tuple(_apex_scan(abs(m - m0), lv, level)[0] for m, lv in fam.mu_orbit)
+        bound = th.stage_bound(abs(mu_level - level))
         if max(residuals) > bound:
             raise AssertionError(f"stage {len(stages)} residuals {residuals} exceed {bound}")
         distance += sum(r for r in residuals if r > th.K)
@@ -315,12 +330,12 @@ def coarse_barycenter(
     if math.gcd(f, k) != 1:
         raise ValueError(f"rotation by {f} does not generate Z/{k}")
     b0 = sigma.slots[0].base
-    g, s = (
-        HoroPoint(_rounded_mean([p.x for p in pts]), _rounded_mean([p.level for p in pts]))
-        for pts in (orbit_points(Glue(0), sigma), orbit_points(InSlot(0, b0), sigma))
+    (tau, glue_level), (at, slot_level) = (
+        map(_rounded_mean, zip(*pts))
+        for pts in (_orbit_pairs(Glue(0), sigma.glue), _orbit_pairs(InSlot(0, b0), sigma.slots))
     )
-    block = SlotBlock(b0, transversal_at(b0, s.x), s.level)
-    bary = AugMarking((GlueBlock(g.x, g.level),) * k, (block,) * k)
+    block = SlotBlock(b0, transversal_at(b0, at), slot_level)
+    bary = AugMarking((GlueBlock(tau, glue_level),) * k, (block,) * k)
     if not is_fixed(bary):
         raise AssertionError("the orbit average is not fixed")
     return bary

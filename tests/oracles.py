@@ -16,7 +16,8 @@ terms evaluated one candidate at a time: the snapshot formula in one pass,
 before its split into formula sides, and the distance to the
 swap-fixed locus as the minimum of that formula over every candidate.
 And the search seed as the short-curve reduction built it, before its
-closed form.
+closed form, and the search's stages as they were computed when each
+stage read its exponent and residuals off the orbits' points.
 """
 
 from __future__ import annotations
@@ -34,14 +35,21 @@ import numpy as np
 from coarse_teich.horoball import HoroPoint, horo_distance, width
 from coarse_teich.marking import (
     AugMarking,
+    CurveRef,
     Glue,
     GlueBlock,
     InSlot,
     SlotBlock,
     _block_distance,
 )
-from coarse_teich.metrics import Snapshot, Thresholds
-from coarse_teich.search import _cancel_offset, short_cut
+from coarse_teich.metrics import (
+    Snapshot,
+    Thresholds,
+    formula_terms,
+    group_symmetric_families,
+)
+from coarse_teich.projection import annulus_point, orbit_points
+from coarse_teich.search import _cancel_offset, seed_marking, short_cut
 from coarse_teich.slots import (
     Slope,
     _twist_coordinate,
@@ -542,5 +550,30 @@ def short_curve_reduced_seed(mu: AugMarking, th: Thresholds) -> AugMarking:
             raise ValueError(f"slot levels {slot_levels} are short on one index only")
         cores.append(InSlot(0, base))
     for core in cores:
-        x, _ = _cancel_offset(x, core, mu)
+        x, _ = cancel_offset_by_points(x, core, mu)
     return x
+
+
+def cancel_offset_by_points(
+    x: AugMarking, core: CurveRef, mu: AugMarking
+) -> tuple[AugMarking, int]:
+    """(x', d): the stage multitwist with its exponent d read as mu's
+    annulus_point over core minus x's; x itself when d == 0."""
+    d = annulus_point(core, mu).x - annulus_point(core, x).x
+    return (_cancel_offset(x, core, d) if d else x), d
+
+
+def search_stages_by_points(
+    mu: AugMarking, th: Thresholds
+) -> list[tuple[int, tuple[int, ...], AugMarking]]:
+    """(exponent, residuals, marking_after) of each stage of
+    fixed_point_search on a certified, unfixed mu, each stage computed from
+    the points of the orbits: cancel_offset_by_points, then the horoball
+    distances between mu's orbit_points over the core and the new x's."""
+    x = seed = seed_marking(mu, th)
+    stages = []
+    for fam in group_symmetric_families(mu, seed, formula_terms(mu, seed, th), th):
+        x, d = cancel_offset_by_points(x, fam.core, mu)
+        residuals = tuple(map(horo_distance, orbit_points(fam.core, mu), orbit_points(fam.core, x)))
+        stages.append((d, residuals, x))
+    return stages

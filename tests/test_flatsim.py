@@ -269,6 +269,17 @@ def test_experiment_curve_is_flat_at_the_ends_and_large_in_the_middle():
         assert row.orbit_diam <= 60.0
 
 
+def test_reference_families_shadow_the_main_family_at_the_ends():
+    # ref_start_gap and ref_end_gap read 0 by construction: at t = 0 the
+    # main family's shadow is ref_start's, and at t = 2d it is ref_end's,
+    # with nonqc_experiment's default delta at each d and c
+    for d in list(range(10, 41)) + [55]:
+        for c in (1e-6, 0.1, 0.5, 0.9):
+            cons = build_construction(d, c, c * math.exp(-d / 2) / 100)
+            for ref, t in ((cons.ref_start, 0.0), (cons.ref_end, 2.0 * d)):
+                assert shadow(cons.main.at(t, {})) == shadow(ref.at(t, {})), (d, c, t)
+
+
 def test_gluing_level_gap_decides_a_row(monkeypatch):
     # at c = 1e-6 the gluing curves' horoball term beats the slots' at
     # t = d/2, so both values carry it; recorded before the gluing side

@@ -42,6 +42,30 @@ def test_deep_apex_scan_needs_no_width():
         assert horo_distance(HoroPoint(gap, hi), HoroPoint(0, lo)) == hi - lo + 1
 
 
+def _scan(u: HoroPoint, v: HoroPoint) -> tuple[int, int]:
+    return _apex_scan(abs(u.x - v.x), u.level, v.level)
+
+
+def test_int_kernel_is_horo_distance_and_the_scan_over_every_level():
+    # the kernel on (gap, level1, level2) against horo_distance on points
+    # either side and at either sign, and against the reference scan: on a
+    # box, then past level 500, where a 40-digit bracket of e^L can stand
+    # in for width(L)
+    cases = [(gap, m1, m2) for gap in range(60) for m1 in range(7) for m2 in range(7)]
+    rng = random.Random(26)
+    for level in (501, 502, 640):
+        w = width(level)
+        for gap in (w - 1, w, w + 1, 2 * w + 1, rng.randint(w // 3, 30 * w)):
+            cases.append((gap, level - 2, rng.randint(0, level - 2)))
+    for gap, m1, m2 in cases:
+        got = _apex_scan(gap, m1, m2)
+        for x in (-7, 0, 11):
+            u = HoroPoint(x, m1)
+            for v in (HoroPoint(x + gap, m2), HoroPoint(x - gap, m2)):
+                assert got[0] == horo_distance(u, v) == horo_distance(v, u), (gap, m1, m2)
+                assert got == apex_scan_every_level(u, v), (gap, m1, m2)
+
+
 def test_apex_scan_matches_the_scan_over_every_level():
     # distance and apex, ties included, on gaps at every bit length up to 17
     # and far past it, at levels below and above ln(gap)
@@ -55,8 +79,8 @@ def test_apex_scan_matches_the_scan_over_every_level():
             # near the best apex, so the scan starts at lo
             lvl = max(0, int(math.log(gap)) + rng.randint(-3, 3))
             u, v = HoroPoint(u.x, lvl), HoroPoint(v.x, rng.randint(0, lvl))
-        assert _apex_scan(u, v) == apex_scan_every_level(u, v), (u, v)
-        assert _apex_scan(v, u) == apex_scan_every_level(v, u), (u, v)
+        assert _scan(u, v) == apex_scan_every_level(u, v), (u, v)
+        assert _scan(v, u) == apex_scan_every_level(v, u), (u, v)
     # past level 500 a 40-digit bracket of e^L stands in for width(L) where
     # its ends agree on ceil(gap / width) and width >= gap; at n * width(L)
     # and one either side, where those turn over, they cannot, and width is
@@ -67,7 +91,7 @@ def test_apex_scan_matches_the_scan_over_every_level():
         for gap in edges + [rng.randint(w // 3, 30 * w) for _ in range(30)]:
             u = HoroPoint(0, level - rng.randint(2, 4))
             v = HoroPoint(gap, rng.randint(0, u.level))
-            assert _apex_scan(u, v) == apex_scan_every_level(u, v), (level, gap)
+            assert _scan(u, v) == apex_scan_every_level(u, v), (level, gap)
 
 
 def test_huge_twist_gap_computes_few_widths(monkeypatch):
@@ -86,7 +110,7 @@ def test_huge_twist_gap_computes_few_widths(monkeypatch):
     # 0.26 * 10^4000 and e^9210 about 0.71 * 10^4000: four steps across at
     # apex 9209 tie two at 9210, and the lower apex wins
     for gap, want in ((10**1000, (2 * 2302 + 2, 2302)), (10**4000, (2 * 9209 + 4, 9209))):
-        assert _apex_scan(HoroPoint(0, 0), HoroPoint(gap, 0)) == want
+        assert _apex_scan(gap, 0, 0) == want
     assert calls == []
 
 

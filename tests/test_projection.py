@@ -21,6 +21,7 @@ from coarse_teich.projection import (
     Simplex,
     Slot,
     Whole,
+    _orbit_pairs,
     annulus_point,
     marked_projection,
     orbit_points,
@@ -35,6 +36,7 @@ from coarse_teich.slots import (
     complement,
     farey_distance,
     intersection,
+    relative_twisting,
     transversal_at,
     twist,
     twist_coordinate,
@@ -156,6 +158,45 @@ def test_orbit_points_reads_every_rotate():
             assert orbit_points(c, m) == want
     with pytest.raises(SurfaceMismatchError):
         orbit_points(Glue(2), flat_marking(2))
+
+
+def test_orbit_pairs_are_orbit_points_as_ints():
+    # the private reader against orbit_points and against the definition
+    # (twist coordinate on the base, relative twisting off it), at k = 2..4
+    # for the gluing core and slot cores on and off each slot's base; one
+    # call over two markings' blocks reads each marking's orbit
+    rng = random.Random(26)
+    slopes = [Slope(0, 1), Slope(1, 0), Slope(1, 1), Slope(2, 3), Slope(-5, 7), Slope(7, 2)]
+    for _ in range(40):
+        k = rng.randint(2, 4)
+        pair = []
+        for _ in range(2):
+            glue = tuple(
+                GlueBlock(rng.randint(-10**6, 10**6), rng.randint(0, 4)) for _ in range(k)
+            )
+            shared = rng.choice(slopes)
+            slots = []
+            for _ in range(k):
+                base = shared if rng.random() < 0.5 else rng.choice(slopes)
+                trans = transversal_at(base, rng.randint(-10**6, 10**6))
+                slots.append(SlotBlock(base, trans, rng.randint(0, 4)))
+            pair.append(AugMarking(glue, tuple(slots)))
+        m, n = pair
+        want_glue = [(g.tau, g.D) for g in m.glue]
+        assert _orbit_pairs(Glue(0), m.glue) == want_glue
+        assert [(p.x, p.level) for p in orbit_points(Glue(1), m)] == want_glue
+        assert _orbit_pairs(Glue(0), m.glue + n.glue) == want_glue + _orbit_pairs(Glue(0), n.glue)
+        for s in dict.fromkeys(slopes + [b.base for b in m.slots]):
+            want = [
+                (twist_coordinate(s, b.trans), b.D) if b.base == s
+                else (relative_twisting(s, complement(s), b.base), 0)
+                for b in m.slots
+            ]
+            c = InSlot(rng.randrange(k), s)
+            assert _orbit_pairs(c, m.slots) == want, (m, s)
+            assert [(p.x, p.level) for p in orbit_points(c, m)] == want, (m, s)
+            both = _orbit_pairs(c, m.slots + n.slots)
+            assert both == want + _orbit_pairs(c, n.slots), (m, n, s)
 
 
 def test_flip_fixes_annulus_projections():

@@ -35,7 +35,7 @@ from coarse_teich.slots import (
     twist,
     twist_coordinate,
 )
-from tests.oracles import short_curve_reduced_seed
+from tests.oracles import search_stages_by_points, short_curve_reduced_seed
 from tests.test_marking import flat_marking, random_marking
 
 TH = Thresholds()
@@ -642,6 +642,28 @@ def test_every_stage_distance_is_the_formula_distance():
         runs += 1
         multi += len(trace.stages) >= 2
     assert runs >= 2000 and multi >= 50, (runs, multi)
+
+
+def test_every_stage_is_the_stage_read_off_the_points():
+    # a stage reads its exponent and residuals off the family's mu_orbit and
+    # x's point over the core, and builds a marking only where the exponent
+    # is nonzero; each stage must be the one computed from mu's and x's
+    # points (the exponent through annulus_point, the residuals through
+    # orbit_points after the multitwist)
+    cases = [(TH, mu) for mu in _digest_inputs(1000)]
+    for (K, K_hat, R), n in THRESHOLD_GRID.items():
+        th = Thresholds(K, K_hat, R)
+        cases += [(th, mu) for mu in _grid_inputs(th, n)]
+    stages = moved = 0
+    for th, mu in cases:
+        if is_fixed(mu) or almost_fixed_certificate(mu, th).diameter > th.R:
+            continue
+        _, trace = fixed_point_search(mu, th)
+        got = [(s.exponent, s.residuals, s.marking_after) for s in trace.stages]
+        assert got == search_stages_by_points(mu, th), mu
+        stages += len(got)
+        moved += sum(d != 0 for d, _, _ in got)
+    assert stages >= 1500 and moved >= 1000 and stages - moved >= 300, (stages, moved)
 
 
 def test_an_annulus_off_the_pivot_region_reads_at_most_1():
