@@ -73,7 +73,8 @@ def _apex_scan(gap: int, level1: int, level2: int) -> tuple[int, int]:
     level2: scan apex levels for up-across-down paths.
 
     Only the gap |x1 - x2| and the two levels enter, so the kernel takes
-    ints; horo_distance and horo_normal_path are its HoroPoint API.  Ties
+    ints; horo_distance and horo_normal_path are its HoroPoint API, and the
+    search and the move metric's block distances call it directly.  Ties
     go to the lowest apex level.  The scan skips levels that provably lose.
     Widths at least double per level, as floor(e*y) >= 2*floor(y)
     for y >= 1.  So with a = gap / width(L), apex L + 1 takes at most

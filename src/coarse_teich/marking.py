@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .horoball import HoroPoint, horo_distance, width
+from .horoball import _apex_scan, width
 from .slots import Slope, TwistWord, _fans, _framed, _normalized, intersection, twist
 
 __all__ = [
@@ -176,16 +176,19 @@ def act_curve(r: int, c: CurveRef, k: int) -> CurveRef:
 # transversal, D), with flips at level 0 joining the horoballs of Farey
 # neighbours.  Two transversals of one base have twist coordinates that
 # differ by their intersection number, so no block distance reads a twist
-# coordinate.  Product distances are sums of block distances.
+# coordinate.  A horoball distance depends only on the gap between the two
+# positions and their levels, so every block distance is one apex scan on
+# ints, horoball._apex_scan.  Product distances are sums of block distances.
 # ---------------------------------------------------------------------------
 
 
 def _block_distance(x: Union[GlueBlock, SlotBlock], y: Union[GlueBlock, SlotBlock]) -> int:
     """Horoball distance of two gluing blocks, or of two slot blocks on one
-    base (in the base slope's horoball)."""
-    if isinstance(x, GlueBlock):
-        return horo_distance(HoroPoint(x.tau, x.D), HoroPoint(y.tau, y.D))
-    return horo_distance(HoroPoint(0, x.D), HoroPoint(intersection(x.trans, y.trans), y.D))
+    base (in the base slope's horoball): the apex scan of the gap, the twist
+    difference or the transversals' intersection number, at the two levels.
+    The blocks have checked their levels, so no HoroPoint is built."""
+    gap = abs(x.tau - y.tau) if isinstance(x, GlueBlock) else intersection(x.trans, y.trans)
+    return _apex_scan(gap, x.D, y.D)[0]
 
 
 def _block_move_count(blk: Union[GlueBlock, SlotBlock]) -> int:
@@ -275,8 +278,9 @@ def _slot_distance(s: SlotBlock, t: SlotBlock) -> int:
     between level-0 points, and in each H_g one leg from where the path
     enters to where it leaves.  Twist coordinates of transversals of g
     differ by their intersection number, so a leg entering H_g from e and
-    leaving to w costs L(i(e, w)), L(x) = horo_distance((0, 0), (x, 0)),
-    and the end legs read s.trans, t.trans and the levels the same way.  A
+    leaving to w costs L(i(e, w)), L(x) the horoball distance of two
+    level-0 points x apart (horoball._apex_scan(x, 0, 0)), and the end legs
+    read s.trans, t.trans and the levels the same way.  A
     leg between distinct points costs >= 1, and L(x) <= x.  Three facts
     make the walk below exact:
 
@@ -330,8 +334,9 @@ def _slot_distance(s: SlotBlock, t: SlotBlock) -> int:
 def _leave(states: dict, w: tuple[int, int], level: int) -> int:
     """The cheapest cost over states {(entry, entry level): cost} of one
     slope, plus the leg from the entry to the point of its horoball that
-    faces w at the given level."""
+    faces w at the given level: the apex scan of |det(e, w)|, the
+    intersection number of e and w."""
     return min(
-        cost + horo_distance(HoroPoint(0, lvl), HoroPoint(abs(e[0] * w[1] - e[1] * w[0]), level))
+        cost + _apex_scan(abs(e[0] * w[1] - e[1] * w[0]), lvl, level)[0]
         for (e, lvl), cost in states.items()
     )

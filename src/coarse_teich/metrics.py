@@ -46,7 +46,7 @@ from .projection import (
     Whole,
     _check_index,
     _orbit_pairs,
-    proj_distance,
+    _whole_distance,
 )
 from .slots import (
     Slope,
@@ -246,7 +246,7 @@ def _raw_rows(m1: AugMarking, m2: AugMarking):
     every annular candidate in order; a slot pair's annulus rows come from
     one fan walk, with complement read only at ties."""
     check_same_surface(m1, m2)
-    yield Whole(), proj_distance(Whole(), m1, m2)
+    yield Whole(), _whole_distance(m1, m2)
     for i, (s, t) in enumerate(zip(m1.slots, m2.slots)):
         yield Slot(i), farey_distance(s.base, t.base)
     for j, (g, h) in enumerate(zip(m1.glue, m2.glue)):

@@ -214,9 +214,15 @@ def proj_distance(y: SubsurfaceRef, m1: AugMarking, m2: AugMarking) -> int:
         p1, p2 = _orbit_pairs(y.curve, (b1[i], b2[i]))
         return horo_distance(HoroPoint(*p1), HoroPoint(*p2))
     if isinstance(y, Whole):
-        same = all(a.base == b.base for a, b in zip(m1.slots, m2.slots))
-        return 0 if same else 2
+        return _whole_distance(m1, m2)
     raise TypeError(f"not a subsurface: {y!r}")
+
+
+def _whole_distance(m1: AugMarking, m2: AugMarking) -> int:
+    """proj_distance(Whole(), m1, m2) for markings on one surface: 0 if the
+    base systems agree, else 2."""
+    same = all(a.base == b.base for a, b in zip(m1.slots, m2.slots))
+    return 0 if same else 2
 
 
 def marked_projection(c: CurveRef, m: AugMarking):

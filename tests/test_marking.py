@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from coarse_teich.calibration import sample_marking
+import coarse_teich.calibration as calibration
+import coarse_teich.marking as marking
+from coarse_teich.calibration import quasi_isometry_samples, sample_marking
 from coarse_teich.horoball import width
 from coarse_teich.marking import (
     AugMarking,
@@ -23,6 +25,7 @@ from coarse_teich.marking import (
     nth_move,
 )
 from coarse_teich.horoball import HoroPoint, horo_distance
+from coarse_teich.metrics import Thresholds
 from coarse_teich.projection import annulus_point
 from coarse_teich.slots import (
     Slope,
@@ -436,6 +439,73 @@ def test_bfs_distance_is_the_block_sum_on_random_pairs():
         r = rng.randrange(1, k)
         assert bfs_distance(a, b) == total
         assert bfs_distance(act(r, a), act(r, b)) == total
+
+
+def _horopoint_leave(states: dict, w: tuple[int, int], level: int) -> int:
+    """marking._leave through its definition: a HoroPoint at each end."""
+    return min(
+        cost + horo_distance(HoroPoint(0, lvl), HoroPoint(abs(e[0] * w[1] - e[1] * w[0]), level))
+        for (e, lvl), cost in states.items()
+    )
+
+
+def test_deep_block_distances_match_their_horopoint_definition(monkeypatch):
+    # twist gaps and transversal indices of 10^300 and 10^3999 + 7, at
+    # shallow levels and past level 500, where the scan reads short brackets
+    # of e^L: both gluing blocks, slot 0 on a shared base, and slot 1 across
+    # bases, whose legs are _leave's; the reference builds a HoroPoint at
+    # every point it reads
+    levels = [*range(7), *range(501, 641, 23), 640]
+    base = Slope(0, 1)
+    pairs, want = [], []
+    for n in (10**300, 10**3999 + 7):
+        for d1, d2 in itertools.product(levels, repeat=2):
+            other = (Slope(1, 2), Slope(5, 8))[(d1 + d2) % 2]
+            a = AugMarking(
+                (GlueBlock(0, d1), GlueBlock(n, d2)),
+                (SlotBlock(base, transversal_at(base, 0), d1),
+                 SlotBlock(base, transversal_at(base, n), d2)),
+            )
+            b = AugMarking(
+                (GlueBlock(n, d2), GlueBlock(0, d1)),
+                (SlotBlock(base, transversal_at(base, n), d2),
+                 SlotBlock(other, transversal_at(other, -n), d1)),
+            )
+            pairs.append((a, b))
+            want.append(sum(
+                horo_distance(HoroPoint(g.tau, g.D), HoroPoint(h.tau, h.D))
+                for g, h in zip(a.glue, b.glue)
+            ) + horo_distance(
+                HoroPoint(twist_coordinate(base, a.slots[0].trans), d1),
+                HoroPoint(twist_coordinate(base, b.slots[0].trans), d2),
+            ))
+    got = [bfs_distance(a, b) for a, b in pairs]
+    monkeypatch.setattr(marking, "_leave", _horopoint_leave)
+    want = [w + _slot_distance(a.slots[1], b.slots[1]) for (a, b), w in zip(pairs, want)]
+    assert got == want
+
+
+def test_the_move_metric_builds_no_horopoint(monkeypatch):
+    # the oracle benchmark's deck, sampler seeds 0-5 with k alternating 2
+    # and 3: each basepoint and its six partners through bfs_distance, with
+    # every HoroPoint construction counted
+    pairs = []
+
+    def recorded(a, b):
+        pairs.append((a, b))
+        return bfs_distance(a, b)
+
+    monkeypatch.setattr(calibration, "bfs_distance", recorded)
+    for seed in range(6):
+        quasi_isometry_samples(2 + seed % 2, Thresholds(), seed, basepoints=1)
+    built = []
+    monkeypatch.setattr(HoroPoint, "__post_init__", lambda self: built.append(self))
+    for a, b in pairs:
+        bfs_distance(a, b)
+    assert len(pairs) == 36 and built == []
+    # the count sees a construction
+    HoroPoint(0, 0)
+    assert len(built) == 1
 
 
 def whole_graph_distance(a: AugMarking, b: AugMarking, cap: int):
