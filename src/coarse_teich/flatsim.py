@@ -16,11 +16,10 @@ construction.
 
 Within one nonqc_experiment call each distinct slot time's lattice is
 reduced once (a slot's time is constant outside its window, and both slots
-sweep the same times), and each grid row walks the Farey graph once per pair
-of distinct slot slopes, for the orbit diameter and every candidate of
-distance_to_fixed alike.  Those candidates are combined from one formula
-side per slot and one per gluing curve of the row.  Nothing is kept between
-calls.
+sweep the same times).  Each grid row reads its orbit diameter and its
+distance to the fixed locus from two formula sides, one for the slot pair
+and one for the gluing pair, and walks the Farey graph at most once.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import linear_regression
-from typing import Callable, Optional
+from typing import Optional
 
 from .metrics import CurveSnap, Snapshot, Thresholds, rafi_formula, rafi_side, rafi_total
 from .slots import Slope, farey_distance
@@ -45,8 +44,6 @@ __all__ = [
     "Construction",
     "build_construction",
     "shadow",
-    "rotate_snapshot",
-    "farey_lookup",
     "distance_to_fixed",
     "NonqcRow",
     "NonqcResult",
@@ -285,56 +282,20 @@ def shadow(flowed: FlowedSlots) -> Snapshot:
     return Snapshot(tuple(slots), tuple(glue))
 
 
-def rotate_snapshot(r: int, snap: Snapshot) -> Snapshot:
-    k = snap.k
-    return Snapshot(
-        tuple(snap.slots[(i - r) % k] for i in range(k)),
-        tuple(snap.glue[(j - r) % len(snap.glue)] for j in range(len(snap.glue))),
-    )
-
-
-# the Farey distance of two distinct slopes, as rafi_side reads it
-FareyLookup = Callable[[Slope, Slope], int]
-
-
-def farey_lookup(snap: Snapshot) -> FareyLookup:
-    """The Farey distance between any two distinct slot slopes of snap.
-
-    Each unordered pair is walked once, here.  Every slot pair that the
-    orbit diameter and distance_to_fixed compare is a pair of the
-    snapshot's own slopes, so the lookup serves them all.
-    """
-    slopes = list(dict.fromkeys(s.slope for s in snap.slots))
-    table = {}
-    for i, a in enumerate(slopes):
-        for b in slopes[i + 1 :]:
-            table[a, b] = table[b, a] = farey_distance(a, b)
-    return lambda a, b: table[a, b]
-
-
-def _swap_distance(
-    snap: Snapshot, th: Thresholds, farey: FareyLookup
-) -> tuple[float, int]:
-    """rafi_formula(snap, rotate_snapshot(1, snap), th) and its slot term,
-    read from farey, the snapshot's farey_lookup."""
-    swapped = rotate_snapshot(1, snap)
-    slot = rafi_side(zip(snap.slots, swapped.slots), th, farey)
-    return rafi_total(slot, rafi_side(zip(snap.glue, swapped.glue), th, farey)), slot[0]
-
-
-def distance_to_fixed(snap: Snapshot, th: Thresholds, farey: FareyLookup) -> float:
+def distance_to_fixed(snap: Snapshot, th: Thresholds) -> float:
     """Distance to the swap-fixed locus: best symmetrized snapshot wins.
 
     A candidate repeats one slot and one gluing curve of snap, and its
     value equals rafi_formula(snap, candidate, th).  Its slot side depends
     only on the repeated slot and its gluing side only on the repeated
-    gluing curve, so the row builds one side per slot and one per gluing
-    curve (reading farey, the snapshot's farey_lookup, so no candidate walks
-    the Farey graph), k^2 + g^2 entry pairs in all, and takes rafi_total of
-    each of the k * g pairs of sides.
+    gluing curve, so it builds one side per slot and one per gluing curve,
+    k^2 + g^2 entry pairs in all, and takes rafi_total of each of the k * g
+    pairs of sides.  No runtime code calls it: a nonqc_experiment row reads
+    the same value from its two sides.  It stays for the tests, and because
+    the layer tracer of perfbench/tracer.py times it by name.
     """
     slot_sides, glue_sides = (
-        [rafi_side(zip(curves, (y,) * len(curves)), th, farey) for y in curves]
+        [rafi_side(zip(curves, (y,) * len(curves)), th, farey_distance) for y in curves]
         for curves in (snap.slots, snap.glue)
     )
     return min(
@@ -395,11 +356,32 @@ def nonqc_experiment(
     Per grid time: snapshot, orbit diameter against the slot swap with its
     Farey term, distance to the fixed locus, and the slit shortness column.
     Each distinct slot time is reduced once for the whole call (the
-    reference families included), and each row walks the Farey graph once
-    per pair of distinct slot slopes, for its farey_lookup.  The endpoint
-    and midpoint claims are checked against the calibrated bounds by
-    cli._nonqc_checks, not here.
+    reference families included).  The endpoint and midpoint claims are
+    checked against the calibrated bounds by cli._nonqc_checks, not here.
+    n_steps must be an int >= 1.
+
+    Each row is read from two formula sides, slot = rafi_side of the slot
+    pair (A, B) and glue = rafi_side of the gluing pair (G0, G1), so it
+    walks the Farey graph once when A and B have distinct slopes and not at
+    all otherwise.  The snapshot has two slots and two gluing curves, and
+    rafi_side's terms are symmetric in a pair, so:
+
+    - orbit_diam is rafi_formula(snap, swapped, th), where the swap
+      rotates both the slots and the gluing curves.  Its slot pairs are
+      (A, B) and (B, A), with equal terms, so its slot side has twice
+      slot's Farey sum and slot's two maxima; its gluing pairs likewise
+      give glue.  Hence rafi_total((2 * slot[0], slot[1], slot[2]), glue).
+    - dist_to_fixed is the least value over the candidates that repeat a
+      slot y and a gluing curve x.  A self pair (y, y) adds 0 to every
+      term: its two entries share a slope and a shortness, so either both
+      are short, with horoball gap 0, or neither is.  Every candidate's slot
+      side is thus slot and its gluing side glue, all candidates are equal,
+      and the value is rafi_total(slot, glue), what distance_to_fixed
+      returns.
+    - farey_term, the slot Farey part of orbit_diam, is 2 * slot[0].
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
+        raise ParameterRegimeError(f"n_steps={n_steps!r} is not an int >= 1")
     th = th or Thresholds()
     delta = delta if delta is not None else c * math.exp(-d / 2) / 100
     cons = build_construction(d, c, delta)
@@ -410,16 +392,16 @@ def nonqc_experiment(
         t = 2 * d * i / n_steps
         flowed = fam.at(t, reduced)
         snap = shadow(flowed)
-        farey = farey_lookup(snap)
-        orbit_diam, farey_term = _swap_distance(snap, th, farey)
+        slot = rafi_side([snap.slots], th, farey_distance)
+        glue = rafi_side([snap.glue], th, farey_distance)
         rows.append(
             NonqcRow(
                 t=t,
-                orbit_diam=orbit_diam,
-                dist_to_fixed=distance_to_fixed(snap, th, farey),
+                orbit_diam=rafi_total((2 * slot[0], slot[1], slot[2]), glue),
+                dist_to_fixed=rafi_total(slot, glue),
                 slot_slopes=tuple(s.slope for s in snap.slots),
                 glue_loglen=max(math.log(1 / slit) for _, _, slit in flowed.slots),
-                farey_term=farey_term,
+                farey_term=2 * slot[0],
             )
         )
     peak = max(rows, key=lambda r: r.orbit_diam)

@@ -15,6 +15,10 @@ basis tuples that the package flows and reduces.  And the flat rows' formula
 terms evaluated one candidate at a time: the snapshot formula in one pass,
 before its split into formula sides, and the distance to the
 swap-fixed locus as the minimum of that formula over every candidate.
+The slot swap as a rotated snapshot, and the orbit diameter against it
+read from a table of the snapshot's Farey distances, as the flat rows
+computed it before each row was read from one slot pair and one gluing
+pair.
 And the search seed as the short-curve reduction built it, before its
 closed form, and the search's stages as they were computed when each
 stage read its exponent and residuals off the orbits' points.
@@ -28,7 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -47,6 +51,8 @@ from coarse_teich.metrics import (
     Thresholds,
     formula_terms,
     group_symmetric_families,
+    rafi_side,
+    rafi_total,
 )
 from coarse_teich.projection import annulus_point, orbit_points
 from coarse_teich.search import _cancel_offset, seed_marking, short_cut
@@ -516,6 +522,38 @@ def distance_to_fixed_per_candidate(snap: Snapshot, th: Thresholds) -> float:
             cand = Snapshot((snap.slots[i],) * k, (snap.glue[j],) * len(snap.glue))
             best = min(best, rafi_formula_one_pass(snap, cand, th))
     return best
+
+
+def rotate_snapshot(r: int, snap: Snapshot) -> Snapshot:
+    """snap with its slots and its gluing curves rotated r places."""
+    k = snap.k
+    return Snapshot(
+        tuple(snap.slots[(i - r) % k] for i in range(k)),
+        tuple(snap.glue[(j - r) % len(snap.glue)] for j in range(len(snap.glue))),
+    )
+
+
+# the Farey distance of two distinct slopes, as rafi_side reads it
+FareyLookup = Callable[[Slope, Slope], int]
+
+
+def farey_lookup(snap: Snapshot) -> FareyLookup:
+    """The Farey distance between any two distinct slot slopes of snap,
+    each unordered pair walked once, here."""
+    slopes = list(dict.fromkeys(s.slope for s in snap.slots))
+    table = {}
+    for i, a in enumerate(slopes):
+        for b in slopes[i + 1 :]:
+            table[a, b] = table[b, a] = farey_distance(a, b)
+    return lambda a, b: table[a, b]
+
+
+def swap_distance(snap: Snapshot, th: Thresholds, farey: FareyLookup) -> tuple[float, int]:
+    """rafi_formula(snap, rotate_snapshot(1, snap), th) and its slot term,
+    read from farey, the snapshot's farey_lookup."""
+    swapped = rotate_snapshot(1, snap)
+    slot = rafi_side(zip(snap.slots, swapped.slots), th, farey)
+    return rafi_total(slot, rafi_side(zip(snap.glue, swapped.glue), th, farey)), slot[0]
 
 
 # ---------------------------------------------------------------------------

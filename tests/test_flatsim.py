@@ -17,15 +17,13 @@ from coarse_teich.flatsim import (
     TrajectoryFamily,
     build_construction,
     distance_to_fixed,
-    farey_lookup,
     nonqc_experiment,
     nonqc_sweep,
-    rotate_snapshot,
     shadow,
     shortest_slope,
     slit_length,
 )
-from coarse_teich.flatsim import _area, _flowed_basis, _swap_distance
+from coarse_teich.flatsim import _area, _flowed_basis
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.metrics import (
     CurveSnap,
@@ -39,12 +37,15 @@ from tests.oracles import (
     FlatTorus,
     anosov_torus,
     distance_to_fixed_per_candidate,
+    farey_lookup,
     fibonacci_slope,
     flowed_anosov,
     flowed_anosov_slope,
     flowed_anosov_systole,
     rafi_formula_one_pass,
+    rotate_snapshot,
     shortest_slope_longdouble,
+    swap_distance,
 )
 
 TH = Thresholds()
@@ -323,6 +324,69 @@ def test_off_grid_rows_match_their_recorded_digest():
     assert h.hexdigest()[:16] == "1f7ad1f07c25c2b1"
 
 
+def test_sweeps_match_their_recorded_digest():
+    # every field of every row and summary of the default sweep and of the
+    # c = 1e-6 sweep, at full precision, with the fitted line; recorded
+    # before each row was read from one slot pair and one gluing pair
+    h = hashlib.sha256()
+    for params in ({}, {"c": 1e-6}):
+        results, slope, intercept = nonqc_sweep(**params)
+        h.update(repr((slope, intercept)).encode())
+        for res in results:
+            h.update(repr(res).encode())
+    assert h.hexdigest()[:16] == "3813ebd0a3185af7"
+
+
+@pytest.mark.parametrize("n_steps", [0, -1, 2.5, True])
+def test_nonqc_experiment_rejects_a_step_count_that_is_not_a_positive_int(n_steps):
+    with pytest.raises(ParameterRegimeError, match="n_steps"):
+        nonqc_experiment(10.0, n_steps=n_steps)
+
+
+def test_rows_match_the_generic_evaluation_bit_for_bit():
+    # each row's two-sided reading against the orbit diameter over the
+    # rotated snapshot, the minimum over every fixed-locus candidate and
+    # the swap's slot term, at thresholds, depths, slit scales and small
+    # tori scales across the regime
+    seen = {"farey_positive": 0, "equal_slopes": 0, "glue_horo_decides": 0}
+    for K, K_hat in ((1, 1), (3, 4), (8, 9)):
+        th = Thresholds(K=K, K_hat=K_hat)
+        for d in (3, 10, 25, 55):
+            for c in (1e-6, 0.1, 0.9):
+                for delta in (None, 1e-20):
+                    res = nonqc_experiment(d, c=c, delta=delta, th=th)
+                    fam = build_construction(d, c, res.delta).main
+                    for row in res.rows:
+                        snap = shadow(fam.at(row.t, {}))
+                        swapped = rotate_snapshot(1, snap)
+                        slot = rafi_side(zip(snap.slots, swapped.slots), th, farey_distance)
+                        glue = rafi_side(zip(snap.glue, swapped.glue), th, farey_distance)
+                        where = (K, d, c, delta, row.t)
+                        assert row.orbit_diam == rafi_formula(snap, swapped, th), where
+                        assert row.dist_to_fixed == distance_to_fixed_per_candidate(snap, th), where
+                        assert row.farey_term == slot[0], where
+                        seen["farey_positive"] += row.farey_term > 0
+                        seen["equal_slopes"] += snap.slots[0].slope == snap.slots[1].slope
+                        seen["glue_horo_decides"] += glue[1] > slot[1]
+    assert min(seen.values()) >= 100, seen
+
+
+def test_each_row_walks_the_farey_graph_once_if_its_slopes_differ(monkeypatch):
+    walks = []
+
+    def counted(a, b):
+        walks.append((a, b))
+        return farey_distance(a, b)
+
+    monkeypatch.setattr("coarse_teich.flatsim.farey_distance", counted)
+    for d, c in ((10.0, 0.1), (55.0, 1e-6)):
+        walks.clear()
+        res = nonqc_experiment(d, c=c)
+        distinct = [r.slot_slopes for r in res.rows if r.slot_slopes[0] != r.slot_slopes[1]]
+        assert walks == distinct
+        assert 0 < len(distinct) < len(res.rows)
+
+
 def test_sweep_midpoint_growth_is_linear_at_the_farey_rate():
     results, slope, intercept = nonqc_sweep(ds=(10, 15, 20))
     assert 0.5 * FAREY_RATE <= slope <= 2.0 * FAREY_RATE
@@ -337,7 +401,7 @@ def test_distance_to_fixed_vanishes_on_symmetric_snapshots():
         (CurveSnap(Slope(2, 1), 9.0),) * 2,
         (CurveSnap(None, 3.0),) * 2,
     )
-    assert distance_to_fixed(snap, TH, farey_lookup(snap)) == 0.0
+    assert distance_to_fixed(snap, TH) == 0.0
 
 
 def _random_snapshot(rng: random.Random, k: int, g: int, slopes: list[Slope]) -> Snapshot:
@@ -376,16 +440,10 @@ def _candidate_cases(snap: Snapshot, cand: Snapshot) -> set[str]:
     return cases
 
 
-def test_shared_farey_lookup_matches_the_per_candidate_reference(monkeypatch):
-    # the orbit diameter and the distance to the fixed locus, read from one
-    # farey_lookup per snapshot, against full one-pass evaluations
-    walks = []
-
-    def counted(a, b):
-        walks.append((a, b))
-        return farey_distance(a, b)
-
-    monkeypatch.setattr("coarse_teich.flatsim.farey_distance", counted)
+def test_shared_farey_lookup_matches_the_per_candidate_reference():
+    # distance_to_fixed on snapshots of k slots and g gluing curves, and
+    # the swap distance read from one farey_lookup, against full one-pass
+    # evaluations
     rng = random.Random(1313)
     pool = [fibonacci_slope(n) for n in (-12, -3, -1, 0, 2, 9)] + [Slope(3, 7)]
     thresholds = (TH, Thresholds(K=1, K_hat=1), Thresholds(K=5, K_hat=6))
@@ -405,17 +463,14 @@ def test_shared_farey_lookup_matches_the_per_candidate_reference(monkeypatch):
             slopes, g = pool, rng.randint(4, 6)
         snap = _random_snapshot(rng, k, g, slopes)
         th = rng.choice(thresholds)
-        walks.clear()
         farey = farey_lookup(snap)
         distinct = set(s.slope for s in snap.slots)
         swapped = rotate_snapshot(1, snap)
         want = rafi_formula_one_pass(snap, swapped, th)
         slot_term = rafi_side(zip(snap.slots, swapped.slots), th, farey_distance)[0]
-        assert _swap_distance(snap, th, farey) == (want, slot_term)
-        fixed = distance_to_fixed(snap, th, farey)
+        assert swap_distance(snap, th, farey) == (want, slot_term)
+        fixed = distance_to_fixed(snap, th)
         assert fixed == distance_to_fixed_per_candidate(snap, th), (snap, th)
-        # one walk per unordered pair of distinct slopes, all in farey_lookup
-        assert len(walks) == len(distinct) * (len(distinct) - 1) // 2
         assert rafi_formula(snap, swapped, th) == want
         other = _random_snapshot(rng, k, g, pool)
         assert rafi_formula(snap, other, th) == rafi_formula_one_pass(snap, other, th)
