@@ -644,6 +644,27 @@ def test_every_stage_distance_is_the_formula_distance():
     assert runs >= 2000 and multi >= 50, (runs, multi)
 
 
+def test_search_finals_match_their_digest():
+    # the final marking and distance, or the error, of every search over
+    # the criterion-06, digest, short-orbit and grid inputs, hashed; unlike
+    # the two digests above it reads no trace, so it pins the output alone
+    cases = [(TH, mu) for mu in _criterion_06_inputs()]
+    cases += [(TH, mu) for mu in _digest_inputs(1000)]
+    cases += [(TH, mu) for mu in _short_orbit_inputs(2000)]
+    for (K, K_hat, R), n in THRESHOLD_GRID.items():
+        th = Thresholds(K, K_hat, R)
+        cases += [(th, mu) for mu in _grid_inputs(th, n)]
+
+    def final(mu, th):
+        x, trace = fixed_point_search(mu, th)
+        return json.dumps([x.to_json(), trace.final_distance], sort_keys=True)
+
+    h = hashlib.sha256()
+    for th, mu in cases:
+        h.update(f"{_outcome(lambda: final(mu, th))}\n".encode())
+    assert h.hexdigest()[:16] == "fa362eb861aca13f", h.hexdigest()[:16]
+
+
 def test_every_stage_is_the_stage_read_off_the_points():
     # a stage reads its exponent and residuals off the family's mu_orbit and
     # x's point over the core, and builds a marking only where the exponent
