@@ -1,9 +1,9 @@
 """Pinned empirical constants: fitting sweeps, storage, and lookup.
 
 The model's comparison constants (quasi-isometry constants of the distance
-formula, horodisk distortion, family comparability, barycenter linearity,
-experiment bounds) are not explicit, so they are measured once by
-``calibrate`` and regression-tested forever after.  The pinned values live
+formula, horodisk distortion, barycenter linearity, experiment bounds) are
+not explicit, so they are measured once by ``calibrate`` and
+regression-tested forever after.  The pinned values live
 in a versioned JSON file packaged with the library; the environment
 variable COARSE_TEICH_CALIBRATION or an explicit path overrides the
 packaged copy.
@@ -39,8 +39,6 @@ from .metrics import (
     active_segment,
     canonical_path,
     formula_distance_T,
-    formula_terms,
-    group_symmetric_families,
 )
 from .projection import Annulus, proj_distance
 from .search import coarse_barycenter
@@ -59,13 +57,12 @@ __all__ = [
     "sample_marking",
     "quasi_isometry_samples",
     "fit_quasi_isometry",
-    "family_comparability_sweep",
     "presegment_projection_sweep",
     "barycenter_samples",
     "calibrate",
 ]
 
-CALIBRATION_VERSION = 1
+CALIBRATION_VERSION = 2
 ENV_VAR = "COARSE_TEICH_CALIBRATION"
 
 
@@ -77,7 +74,6 @@ class CalibrationConstants:
     L: float  # multiplicative quasi-isometry constant, formula vs move distance
     C: int  # additive quasi-isometry constant
     M2: int  # pre-segment projection bound on canonical paths
-    comparability: float  # within-family max/min projection value ratio
     horoball_mult: float  # graph vs horodisk multiplicative distortion
     horoball_add: float  # graph vs horodisk additive distortion
     K_tilde: float  # barycenter distance vs displacement: slope bound
@@ -92,8 +88,8 @@ class CalibrationConstants:
     @staticmethod
     def from_json(data) -> "CalibrationConstants":
         """Parse a record: an object with exactly the dataclass's keys,
-        version 1, integers for version, C and M2, and finite numbers for
-        the rest.  Anything else raises ValueError."""
+        version CALIBRATION_VERSION, integers for version, C and M2, and
+        finite numbers for the rest.  Anything else raises ValueError."""
         names = sorted(f.name for f in fields(CalibrationConstants))
         if not isinstance(data, dict) or sorted(data) != names:
             raise ValueError(f"a calibration record is an object with the keys {names}")
@@ -273,35 +269,6 @@ def fit_quasi_isometry(samples: Sequence[tuple[int, int]]) -> tuple[float, int]:
     return lo, math.ceil(c_needed) + 2
 
 
-def family_comparability_sweep(th: Thresholds, seed: int) -> float:
-    """Max within-family max/min projection ratio over 60 planted orbits."""
-    rng = random.Random(seed)
-    worst = 1.0
-    for _ in range(60):
-        k = rng.choice((2, 3, 4))
-        base = Slope.of(*rng.choice(((0, 1), (1, 1), (1, 2), (2, 1))))
-        x = AugMarking(
-            (GlueBlock(rng.randint(-3, 3), rng.randint(0, 1)),) * k,
-            (SlotBlock(base, transversal_at(base, rng.randint(-2, 2)), 0),) * k,
-        )
-        mag = 10 ** rng.randint(1, 4)
-        jitter = [rng.randint(0, 2) for _ in range(k)]
-        mu = AugMarking(
-            tuple(GlueBlock(g.tau + mag + j, g.D) for g, j in zip(x.glue, jitter)),
-            tuple(
-                SlotBlock(
-                    s.base,
-                    transversal_at(s.base, rng.randint(-2, 2) - mag),
-                    s.D,
-                )
-                for s in x.slots
-            ),
-        )
-        for fam in group_symmetric_families(mu, x, formula_terms(mu, x, th), th):
-            worst = max(worst, max(fam.values) / min(fam.values))
-    return worst
-
-
 def presegment_projection_sweep(th: Thresholds, seed: int) -> int:
     """Max projection from the path start to an active-segment start, over
     60 sampled marking pairs."""
@@ -368,7 +335,6 @@ def calibrate(seed: int = 0, th: Optional[Thresholds] = None) -> CalibrationCons
     )
     L, C = fit_quasi_isometry(samples)
 
-    comparability = family_comparability_sweep(th, seed + 2)
     m2 = presegment_projection_sweep(th, seed + 3)
 
     bary = []
@@ -388,7 +354,6 @@ def calibrate(seed: int = 0, th: Optional[Thresholds] = None) -> CalibrationCons
         L=L,
         C=C,
         M2=m2 + 2,
-        comparability=round(comparability * 1.1 + 0.05, 4),
         horoball_mult=round(horo.max_mult, 4),
         horoball_add=round(horo.max_add, 4),
         K_tilde=round(slope * 1.15 + 0.1, 4),

@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--whole", action="store_true")
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("fix-search", help="staged symmetric multitwist search")
+    p = sub.add_parser("fix-search", help="fixed seed plus at most two symmetric multitwists")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("marking", nargs="?")
     mode.add_argument("--sweep", action="store_true", help="magnitude sweep CSV")

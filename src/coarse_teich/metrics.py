@@ -157,7 +157,8 @@ class Thresholds:
     def stage_bound(self, level_shift: int) -> int:
         """row_bound + level_shift: the largest residual of a stage of
         fixed_point_search whose core's level differs by level_shift
-        between mu and the stage's output x.
+        between mu and the stage's output x.  A family that the search
+        does not twist has level shift 0, and its residuals are its values.
 
         Residual j compares mu's point over the curve c_j with x's,
         which is x's point over c_0, as x is fixed.  Through mu's point over
@@ -209,7 +210,8 @@ class SymmetricFamily:
     the block-0 curve Glue(0) or InSlot(0, slope), the projection distance
     over each rotate of the core, and mu's point over each rotate as an
     (x, level) int pair, both listed by block index.  fixed_point_search
-    reads its stage off mu_orbit; the trace's JSON leaves mu_orbit out."""
+    reads a twist's residuals off mu_orbit; the trace's JSON leaves mu_orbit
+    out."""
 
     core: CurveRef
     values: tuple[int, ...]
@@ -475,9 +477,11 @@ def group_symmetric_families(
     orbits, first those that meet target's slot-0 base b0 at most once (b0
     and its Farey neighbours), then the others, each group by (p, q).
     The rule reads b0 as mu's slot-0 base too, and every caller passes such
-    a target: fixed_point_search its seed_marking, calibration's sweep and
-    criterion 07 a target built on mu's base.  There no stage moves another
-    family (fixed_point_search), so the order only orders the trace.
+    a target: fixed_point_search its seed_marking and criterion 07 a target
+    built on mu's base.  The order gives each family its time_index, which
+    the search's trace reports; the search twists only the gluing family
+    and the one over b0, and no twist moves another family
+    (fixed_point_search), so the order changes no output.
     """
     b0 = target.slots[0].base
     cores: dict[tuple, CurveRef] = {}

@@ -4,15 +4,15 @@ Given a marking whose orbit under the cyclic slot rotation has small
 diameter, the search produces a marking fixed by the rotation on the nose,
 at a distance bounded by a constant depending only on the slot count and
 the thresholds (Thresholds.final_bound), never on the size of the twist
-data.  The engine is the staged symmetric multitwist: large annular links
-between the input and an exactly fixed seed come in symmetric families,
-and one multitwist per family cancels the family's twist offset
-(_cancel_offset).  group_symmetric_families reads each family's orbits
-once, as int pairs, and a stage reads its exponent and residuals off mu's
-pairs and x's block 0, building a marking only where it twists.  The seed
-is built in closed form and already carries mu's twist data over the short
-orbits, so the orbit-diameter certificate is the search's only
-precondition check.
+data.  The output is an exactly fixed seed plus at most two symmetric
+multitwists, in closed form: one about the gluing curves, which gives every
+gluing block mu's block-0 twist, and one about mu's slot-0 base, which
+gives every slot mu's slot-0 block.  The large annular links between the
+input and the seed come in symmetric families (group_symmetric_families,
+the symmetry certificate), and only the families over those two cores can
+twist.  The seed is built in closed form and already carries mu's twist
+data over the short orbits, so the orbit-diameter certificate is the
+search's only precondition check.
 
 Also here: the orbit-diameter certificate, and the coarse barycenter for
 arbitrary (not almost-fixed) inputs: the orbit average, exactly fixed by
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .horoball import _apex_scan
 from .marking import (
     AugMarking,
-    CurveRef,
     Glue,
     GlueBlock,
     InSlot,
@@ -44,7 +43,7 @@ from .metrics import (
     group_symmetric_families,
 )
 from .projection import _orbit_pairs
-from .slots import TwistWord, transversal_at, twist
+from .slots import transversal_at
 
 __all__ = [
     "AlmostFixedCertificate",
@@ -122,17 +121,16 @@ def seed_marking(mu: AugMarking, th: Thresholds) -> AugMarking:
     level, and block 0's twist data over an orbit with a level above
     short_cut(th), twist 0 elsewhere.
 
-    Twist data off the short orbits is dropped: the staged multitwists
-    recover it, and keeping it would make every stage a no-op by
-    construction.  Over a short orbit the seed is what a multitwist about
-    block 0's curve, cancelling mu's offset there (_cancel_offset), makes
-    of a seed with twist 0: block 0's twist data.  Over a short slot orbit
-    the seed's slot block is therefore mu.slots[0] itself, which needs
-    slot 0's base to be the base of every slot.  Once the orbit diameter
-    is at most th.R it is: a slope short in one slot and missing from
-    another has, against the rotate that carries the one slot to the
-    other, an annulus row past both th.K and th.R, so the certificate
-    already fails.
+    Twist data off the short orbits is dropped: the search's two twists
+    recover it, and keeping it would make both no-ops by construction.
+    Over a short orbit the seed is what a multitwist about block 0's curve,
+    cancelling mu's offset there, makes of a seed with twist 0: block 0's
+    twist data.  Over a short slot orbit the seed's slot block is therefore
+    mu.slots[0] itself, which needs slot 0's base to be the base of every
+    slot.  Once the orbit diameter is at most th.R it is: a slope short in
+    one slot and missing from another has, against the rotate that carries
+    the one slot to the other, an annulus row past both th.K and th.R, so
+    the certificate already fails.
     """
     k, cut = mu.k, short_cut(th)
     tau = mu.glue[0].tau if max(g.D for g in mu.glue) > cut else 0
@@ -144,7 +142,7 @@ def seed_marking(mu: AugMarking, th: Thresholds) -> AugMarking:
 
 
 # ---------------------------------------------------------------------------
-# The staged multitwist search.
+# The search: the seed plus at most two twists.
 # ---------------------------------------------------------------------------
 
 
@@ -195,87 +193,62 @@ class ReductionTrace:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _cancel_offset(x: AugMarking, core: CurveRef, d: int) -> AugMarking:
-    """x after one multitwist, the same power d about every rotate of core,
-    where d is mu's annular coordinate over core minus x's.
-
-    A twist fixes its core, so a slot based on the core keeps its base and
-    its transversal's twist coordinate moves by d.
-    """
-    if isinstance(core, Glue):
-        return AugMarking(tuple(GlueBlock(g.tau + d, g.D) for g in x.glue), x.slots)
-    word = TwistWord(core.slope, d)
-    return AugMarking(x.glue, tuple(
-        SlotBlock(twist(word, blk.base), twist(word, blk.trans), blk.D) for blk in x.slots
-    ))
-
-
 def fixed_point_search(
     mu: AugMarking, th: Thresholds
 ) -> tuple[AugMarking, ReductionTrace]:
     """Turn an almost-fixed marking into an exactly fixed one nearby.
 
     Precondition: orbit diameter <= th.R (PreconditionError with the
-    certificate otherwise).  The seed is seed_marking(mu, th), which is
-    exactly fixed.  Large links against the seed are grouped into
-    symmetric families; each stage applies one symmetric multitwist whose
-    exponent is the core's annular offset, in time order.  Each stage
-    checks that its residuals are within th.stage_bound of the core's level
-    shift, and the search checks that its final distance is within
-    th.final_bound(k); Thresholds derives both, with their proofs, from the
-    thresholds alone.  A failed check raises AssertionError, also under
+    certificate otherwise).  The seed is seed_marking(mu, th): exactly
+    fixed, with mu's slot-0 base b0 in every slot.  The large links against
+    it are grouped into symmetric families, each its core (the block-0
+    curve) with its values; group_symmetric_families raises
+    SymmetryViolationError on a link whose orbit is not one.
+
+    The output is the seed plus at most two twists.  The staged search
+    (search_stages_by_points in tests/oracles.py) applies, family by
+    family, one multitwist about every rotate of the core whose exponent d
+    is mu's annular coordinate over the core minus x's.  Only two stages
+    can have d != 0:
+    - The gluing stage.  It changes only gluing blocks, and makes each one
+      (mu.glue[0].tau, D), with D the seed's gluing level.
+    - The stage about b0.  A twist about b0 keeps every slot's base b0 and
+      level and moves its transversal's twist coordinate to mu's slot 0's,
+      which fixes the transversal: every slot block becomes mu.slots[0].
+      The seed's transversal is mu's (a short slot orbit) or has twist
+      coordinate 0, so d is 0 or mu's coordinate.
+    - A stage about any other slot slope.  mu and x both have base b0 in
+      slot 0, and the point over another slope reads only the base: d = 0.
+    Neither twist changes a base, so no stage moves another family, and the
+    staged search ends where the two twists do, in any order of the
+    families.  The trace lists the gluing stage and the stage about b0,
+    each when its family exists, in that order.
+
+    The checks.  After a twist, x's point over every rotate of the core is
+    (m0, D), with mu_orbit[0] = (m0, _) and D the seed's level over the
+    core, so residual j is the horoball distance from mu_orbit[j] to it, by
+    the int kernel horoball._apex_scan; the residuals must be within
+    th.stage_bound of the core's level shift.  Over every other family x's
+    point is mu's block-0 point, as the seed's is, so its residuals are its
+    values, which must be within th.stage_bound(0).  The final distance
+    must be within th.final_bound(k).  Thresholds derives both bounds, with
+    their proofs.  A failed check raises AssertionError, also under
     python -O.
 
-    The seed has mu's slot-0 base b0, and group_symmetric_families orders
-    the families by it: the gluing family, then the slopes that meet b0 at
-    most once, then the others, each group by (p, q).  No stage moves a
-    later family, so the order only orders the trace.  A family's core is
-    its block-0 curve.  A stage about a slot slope other than b0 reads two
-    equal points, since mu and x both have base b0 in slot 0 and the
-    point over such a slope reads only the base: its exponent is 0.  The
-    stage about b0 changes only transversals, which the point over no other
-    slope reads, and the gluing stage changes only gluing blocks.  Nor does
-    a stage lose exact symmetry: _cancel_offset applies one map to every
-    block of a fixed marking.
-
-    So a stage reads no orbit.  group_symmetric_families has read mu's
-    orbit over the core once, as the family's mu_orbit of (x, level) int
-    pairs.  x is fixed, so its point over every rotate of the core is the
-    point (x0, level) that its block 0 gives.  With mu_orbit[0] = (m0, _),
-    the exponent is d = m0 - x0, mu's annular coordinate over the core
-    minus x's.  Only the gluing stage and the stage about b0 can have
-    d != 0, and only they rebuild x.  There _cancel_offset adds d to every
-    gluing twist, or to the twist coordinate of every slot's transversal
-    about its base b0, and keeps every level.  So after any stage x's point
-    over each rotate is (m0, level), and residual j is the horoball
-    distance from mu_orbit[j] to it, which the int kernel
-    horoball._apex_scan gives.
-
-    The formula rows of (mu, seed) are read once.  They give the seed's
-    distance and the links that group_symmetric_families groups.  Each
-    stage's distance_after is then the previous distance, minus the
-    family's values and plus its residuals, each cut at th.K as the
-    formula cuts its rows; final_distance is the last of them, or the
-    seed's distance with no stage.  The update is exact, that is, it is
-    formula_distance_T(mu, x, th), because a stage changes no row but its
-    family's, and those rows read the family's values before the stage and
-    the residuals after it.  No stage changes a base (a twist about b0
-    fixes every slot's base b0), so the slot rows, the whole surface's
-    and the set of annulus rows stay as they are.  Then, by stage:
-    - The gluing stage changes only gluing blocks, which only the gluing
-      rows read, one per value.  No slot stage changes them, so before the
-      stage they read the seed's blocks, as the values do.
-    - The stage about b0 changes only slot transversals, and a slot block's
-      point over a slope reads its transversal only over its base.  So of
-      the rows of slot i only the one over b0 changes, and every slot has
-      that row, since b0 is x's base there and a pivot region holds both
-      bases.  The stages before it have exponent 0 or touch only gluing
-      blocks, so before it the rows read the seed's transversals.
-    - Every other stage has exponent 0 and changes nothing.  Its residuals
-      are its values, as x has the seed's bases, so the update adds 0.  A
-      slot whose pivot region misses the core's slope has no formula row
-      over it, and its value there is at most 1 <= K (Thresholds.row_bound),
-      so the cut zeroes it on both sides.
+    The distance.  The formula rows of (mu, seed) are read once; they give
+    the seed's distance and the links.  A twist changes no row but its
+    family's, which read the seed before it (values) and x after it
+    (residuals).  The gluing twist changes only the gluing rows, one per
+    value.  The twist about b0 changes only transversals, and a slot
+    block's point over a slope reads its transversal only over its base,
+    so of the rows of slot i it changes only the one over b0, which every
+    slot has: b0 is x's base there, and a pivot region holds both bases.
+    No twist changes a base, so the slot rows, the whole surface's and the
+    set of annulus rows stay.  So each stage's distance_after is the
+    previous distance minus the family's values and plus its residuals,
+    each cut at th.K as the formula cuts its rows, and it equals
+    formula_distance_T(mu, x, th).  final_distance is the last of them, or
+    the seed's distance with no stage.
     """
     if is_fixed(mu):
         # orbit diameter 0; nothing to search for
@@ -288,18 +261,26 @@ def fixed_point_search(
     x = seed = seed_marking(mu, th)
     rows = formula_terms(mu, seed, th)
     distance = sum(contrib for _, _, contrib in rows)
+    families = {fam.core: fam for fam in group_symmetric_families(mu, seed, rows, th)}
+    twisted = [families.pop(c) for c in (Glue(0), InSlot(0, mu.slots[0].base)) if c in families]
+    bound = th.stage_bound(0)
+    for fam in families.values():
+        if max(fam.values) > bound:
+            raise AssertionError(f"family {fam.time_index} values {fam.values} exceed {bound}")
     stages = []
-    for fam in group_symmetric_families(mu, seed, rows, th):
-        block = x.glue[0] if isinstance(fam.core, Glue) else x.slots[0]
-        (x0, level), = _orbit_pairs(fam.core, (block,))
+    for fam in twisted:
         m0, mu_level = fam.mu_orbit[0]
-        d = m0 - x0
-        if d:
-            x = _cancel_offset(x, fam.core, d)
+        if isinstance(fam.core, Glue):
+            d, level = m0 - seed.glue[0].tau, seed.glue[0].D
+            x = AugMarking((GlueBlock(m0, level),) * mu.k, x.slots)
+        else:
+            # the seed's transversal is mu's or has twist coordinate 0
+            d, level = (0 if seed.slots[0] == mu.slots[0] else m0), mu_level
+            x = AugMarking(x.glue, (mu.slots[0],) * mu.k)
         residuals = tuple(_apex_scan(abs(m - m0), lv, level)[0] for m, lv in fam.mu_orbit)
         bound = th.stage_bound(abs(mu_level - level))
         if max(residuals) > bound:
-            raise AssertionError(f"stage {len(stages)} residuals {residuals} exceed {bound}")
+            raise AssertionError(f"stage {fam.time_index} residuals {residuals} exceed {bound}")
         distance += sum(r for r in residuals if r > th.K)
         distance -= sum(v for v in fam.values if v > th.K)
         stages.append(SearchStage(fam, d, x, distance, residuals))

@@ -20,8 +20,9 @@ read from a table of the snapshot's Farey distances, as the flat rows
 computed it before each row was read from one slot pair and one gluing
 pair.
 And the search seed as the short-curve reduction built it, before its
-closed form, and the search's stages as they were computed when each
-stage read its exponent and residuals off the orbits' points.
+closed form, and the staged search that fixed_point_search reduces to two
+twists: one multitwist per symmetric family, each stage reading its
+exponent and residuals off the orbits' points.
 """
 
 from __future__ import annotations
@@ -55,15 +56,17 @@ from coarse_teich.metrics import (
     rafi_total,
 )
 from coarse_teich.projection import annulus_point, orbit_points
-from coarse_teich.search import _cancel_offset, seed_marking, short_cut
+from coarse_teich.search import seed_marking, short_cut
 from coarse_teich.slots import (
     Slope,
+    TwistWord,
     _twist_coordinate,
     complement,
     farey_distance,
     intersection,
     pivot_region,
     transversal_at,
+    twist,
     twist_coordinate,
 )
 
@@ -595,23 +598,35 @@ def short_curve_reduced_seed(mu: AugMarking, th: Thresholds) -> AugMarking:
 def cancel_offset_by_points(
     x: AugMarking, core: CurveRef, mu: AugMarking
 ) -> tuple[AugMarking, int]:
-    """(x', d): the stage multitwist with its exponent d read as mu's
-    annulus_point over core minus x's; x itself when d == 0."""
+    """(x', d): x after the stage multitwist, the same power d about every
+    rotate of core, with d read as mu's annulus_point over core minus x's;
+    x itself when d == 0.  A twist fixes its core, so a slot based on the
+    core keeps its base and its transversal's twist coordinate moves by d."""
     d = annulus_point(core, mu).x - annulus_point(core, x).x
-    return (_cancel_offset(x, core, d) if d else x), d
+    if not d:
+        return x, d
+    if isinstance(core, Glue):
+        return AugMarking(tuple(GlueBlock(g.tau + d, g.D) for g in x.glue), x.slots), d
+    word = TwistWord(core.slope, d)
+    return AugMarking(x.glue, tuple(
+        SlotBlock(twist(word, blk.base), twist(word, blk.trans), blk.D) for blk in x.slots
+    )), d
 
 
 def search_stages_by_points(
     mu: AugMarking, th: Thresholds
-) -> list[tuple[int, tuple[int, ...], AugMarking]]:
-    """(exponent, residuals, marking_after) of each stage of
-    fixed_point_search on a certified, unfixed mu, each stage computed from
-    the points of the orbits: cancel_offset_by_points, then the horoball
-    distances between mu's orbit_points over the core and the new x's."""
+) -> list[tuple[CurveRef, int, tuple[int, ...], AugMarking]]:
+    """(core, exponent, residuals, marking_after) of each stage of the
+    staged search on a certified, unfixed mu: one stage per symmetric
+    family, in the families' order, each computed from the points of the
+    orbits: cancel_offset_by_points, then the horoball distances between
+    mu's orbit_points over the core and the new x's.  fixed_point_search
+    keeps the gluing stage and the stage about mu's slot-0 base, and proves
+    that every other stage has exponent 0."""
     x = seed = seed_marking(mu, th)
     stages = []
     for fam in group_symmetric_families(mu, seed, formula_terms(mu, seed, th), th):
         x, d = cancel_offset_by_points(x, fam.core, mu)
         residuals = tuple(map(horo_distance, orbit_points(fam.core, mu), orbit_points(fam.core, x)))
-        stages.append((d, residuals, x))
+        stages.append((fam.core, d, residuals, x))
     return stages

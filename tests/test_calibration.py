@@ -12,7 +12,6 @@ from coarse_teich.calibration import (
     barycenter_samples,
     compare_constants,
     constant_drift,
-    family_comparability_sweep,
     fit_quasi_isometry,
     load_constants,
     packaged_path,
@@ -34,7 +33,6 @@ def make_constants(**overrides) -> CalibrationConstants:
         L=2.0,
         C=6,
         M2=4,
-        comparability=1.4,
         horoball_mult=2.0,
         horoball_add=1.9,
         K_tilde=1.0,
@@ -63,7 +61,7 @@ def test_save_and_load(tmp_path):
     p = save_constants(consts, tmp_path / "cal.json")
     assert load_constants(str(p)) == consts
     raw = json.loads(p.read_text())
-    for key in ("L", "C", "M2", "comparability"):
+    for key in ("L", "C", "M2"):
         assert key in raw
 
 
@@ -86,7 +84,7 @@ def test_packaged_constants_are_pinned():
     assert consts.L >= 1.0 and consts.C >= 0
     assert consts.horoball_mult <= 4.0 and consts.horoball_add <= 8.0
     # tripwire: regenerating the packaged file is a deliberate act
-    assert consts.digest() == "84455ff2f42f"
+    assert consts.digest() == "8aab84cd9c1d"
 
 
 def test_compare_constants_flags_drift():
@@ -134,13 +132,10 @@ def test_quasi_isometry_samples_within_cap():
 
 
 def test_component_sweeps_smoke():
-    ratio = family_comparability_sweep(TH, seed=1)
-    assert 1.0 <= ratio <= 2.0
     m2 = presegment_projection_sweep(TH, seed=2)
     assert 0 <= m2 <= 8
     pts = barycenter_samples(2, TH, seed=3, instances=25)
     assert len(pts) == 25
     assert all(y <= 40 for _, y in pts)
     consts = load_constants()
-    assert ratio <= consts.comparability * 1.05
     assert m2 <= consts.M2

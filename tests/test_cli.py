@@ -828,6 +828,18 @@ def test_fuzzed_calibration_records_exit_2(tmp_path, capsys, monkeypatch):
             assert code == 2 and rep["error"] == "parse", (case, argv, record.read_text())
 
 
+def test_a_version_1_calibration_record_exits_2(tmp_path, capsys, monkeypatch):
+    # version 1 also pinned a calibrated family comparability, which no
+    # check reads since the search derives it from the thresholds
+    old = dict(load_constants().to_json(), version=1, comparability=1.37)
+    record = tmp_path / "cal.json"
+    record.write_text(json.dumps(old))
+    monkeypatch.setenv(ENV_VAR, str(record))
+    f = write_marking(tmp_path / "m.json", planted_symmetric())
+    code, rep, _ = run(capsys, "fix-search", f)
+    assert code == 2 and rep["error"] == "parse", rep
+
+
 _BAD_CONFIG_VALUES = {
     "int": (True, False, 3.5, 1e400, float("nan"), "3", None, [3], {}),
     "number": (True, float("inf"), -1e999, float("nan"), 10**400, "0.1", [0.1], {}),

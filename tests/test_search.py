@@ -16,7 +16,12 @@ from coarse_teich.marking import (
     SlotBlock,
     act,
 )
-from coarse_teich.metrics import Thresholds, formula_distance_T
+from coarse_teich.metrics import (
+    Thresholds,
+    formula_distance_T,
+    formula_terms,
+    group_symmetric_families,
+)
 from coarse_teich.projection import Annulus, annulus_point, proj_distance
 from coarse_teich.search import (
     PreconditionError,
@@ -227,10 +232,11 @@ def test_search_single_slot_family_large_offset():
 
 
 def test_search_two_families_follow_the_geodesic(monkeypatch):
-    # base walk 0/1 -> 1/30 -> 40/1201: stage one twists -30 about 0/1,
-    # stage two twists +40 about 1/30 and carries the base to the target;
-    # the seed is the flat marking, not mu's symmetrization
-    monkeypatch.setattr("coarse_teich.search.seed_marking", lambda mu, th: flat_marking(2))
+    # the staged search from the flat seed, not mu's symmetrization: base
+    # walk 0/1 -> 1/30 -> 40/1201, stage one twists -30 about 0/1, stage
+    # two twists +40 about 1/30 and carries the base to the target, where
+    # the search's seed on mu's slot-0 base already is
+    monkeypatch.setattr("tests.oracles.seed_marking", lambda mu, th: flat_marking(2))
     target = Slope(40, 1201)
     slots = (
         SlotBlock(target, transversal_at(target, 0), 0),
@@ -238,45 +244,40 @@ def test_search_two_families_follow_the_geodesic(monkeypatch):
     )
     mu = AugMarking((GlueBlock(0, 0),) * 2, slots)
     assert not is_fixed(mu) and almost_fixed_certificate(mu, TH).diameter <= TH.R
-    x, trace = fixed_point_search(mu, TH)
+    stages = search_stages_by_points(mu, TH)
+    assert [(core.slope, d) for core, d, _, _ in stages] == [(Slope(0, 1), -30), (Slope(1, 30), 40)]
+    x = stages[-1][3]
     assert is_fixed(x)
-    assert len(trace.stages) == 2
-    cores = [s.family.core.slope for s in trace.stages]
-    assert cores == [Slope(0, 1), Slope(1, 30)]
-    assert [s.exponent for s in trace.stages] == [-30, 40]
     for s in x.slots:
         assert s.base == target
         assert twist_coordinate(s.base, s.trans) == 0
-    assert trace.final_distance == 0
+    assert formula_distance_T(mu, x, TH) == 0
+    assert fixed_point_search(mu, TH)[0] == x
 
 
 def test_search_family_order_is_immaterial_under_the_seed(monkeypatch):
-    # every stage about a slot slope other than the seed's base, mu's
-    # slot-0 base, has exponent 0, and the families reversed give the same
-    # output: no stage moves a later family
+    # under the seed every stage of the staged search about a slot slope
+    # other than mu's slot-0 base has exponent 0, so no stage moves a later
+    # family: with the families reversed the staged search ends where it
+    # did, and the search gives the same output and trace
     import coarse_teich.search as search
+    import tests.oracles as oracles
 
     runs = []
     for th in (Thresholds(3, 4, 40), Thresholds(3, 4, 100)):
         for mu in _grid_inputs(th, 400):
             if almost_fixed_certificate(mu, th).diameter > th.R:
                 continue
-            x, trace = fixed_point_search(mu, th)
-            if len(_slot_stages(trace)) >= 2:
-                runs.append((mu, th, x, trace))
+            if len(_slot_families(mu, th)) >= 2:
+                runs.append((mu, th, fixed_point_search(mu, th), search_stages_by_points(mu, th)))
     assert len(runs) >= 50, len(runs)
-    for mu, _, _, trace in runs:
-        for stage in _slot_stages(trace):
-            if stage.family.core.slope != mu.slots[0].base:
-                assert stage.exponent == 0, mu
-    grouped = search.group_symmetric_families
-    monkeypatch.setattr(search, "group_symmetric_families", lambda *args: grouped(*args)[::-1])
-    for mu, th, x, trace in runs:
-        x_rev, trace_rev = fixed_point_search(mu, th)
-        assert x_rev == x and trace_rev.final_distance == trace.final_distance, mu
-        assert [s.family.time_index for s in trace_rev.stages] == [
-            s.family.time_index for s in trace.stages[::-1]
-        ]
+    for module in (search, oracles):
+        grouped = module.group_symmetric_families
+        monkeypatch.setattr(module, "group_symmetric_families",
+                            lambda *args, grouped=grouped: grouped(*args)[::-1])
+    for mu, th, (x, trace), staged in runs:
+        assert fixed_point_search(mu, th) == (x, trace), mu
+        assert search_stages_by_points(mu, th)[-1][3] == staged[-1][3] == x, mu
 
 
 def test_search_precondition_failure_carries_certificate():
@@ -524,9 +525,11 @@ def _grid_inputs(th: Thresholds, n: int):
         yield AugMarking(glue, tuple(slots))
 
 
-def _slot_stages(trace):
-    return [s for s in trace.stages
-            if not isinstance(s.family.core, Glue)]
+def _slot_families(mu: AugMarking, th: Thresholds):
+    """The search's symmetric families over slot slopes."""
+    seed = seed_marking(mu, th)
+    families = group_symmetric_families(mu, seed, formula_terms(mu, seed, th), th)
+    return [fam for fam in families if not isinstance(fam.core, Glue)]
 
 
 # (K, K_hat, R) and the inputs drawn there: the default, R >> K, K >> R and
@@ -556,29 +559,29 @@ def test_every_certified_input_ends_fixed_within_the_derived_bounds():
                 glued = isinstance(stage.family.core, Glue)
                 shift = abs(mu.glue[0].D - trace.seed.glue[0].D) if glued else 0
                 assert max(stage.residuals) <= th.stage_bound(shift), mu
-            multi += len(_slot_stages(trace)) >= 2
+            multi += len(_slot_families(mu, th)) >= 2
     assert min(certified.values()) >= 10 and multi >= 100, (certified, multi)
 
 
 def test_grid_search_outputs_match_their_digest():
     # every trace or error over the grid inputs, hashed; they are the only
-    # seeded inputs with two or more slot families, so this digest alone
-    # pins the family order
+    # seeded inputs with families off mu's slot-0 base, which the search
+    # checks but does not twist, so they leave the traces
     h = hashlib.sha256()
     for (K, K_hat, R), n in THRESHOLD_GRID.items():
         th = Thresholds(K, K_hat, R)
         for mu in _grid_inputs(th, n):
             trace = _outcome(lambda: fixed_point_search(mu, th)[1].to_json_str())
             h.update(f"{trace}\n".encode())
-    assert h.hexdigest()[:16] == "7b9a7ed88cba26c5"
+    assert h.hexdigest()[:16] == "503eb628e0944247"
 
 
 def test_every_family_target_has_mu_slot_0_base(monkeypatch):
     # group_symmetric_families orders its families by the target's slot-0
-    # base, which stands for mu's: the search's seed and calibration's sweep
-    # must pass a target on mu's slot-0 base
-    import coarse_teich.calibration as calibration
+    # base, which stands for mu's: the search's seed and criterion 07 must
+    # pass a target on mu's slot-0 base
     import coarse_teich.search as search
+    import tests.test_acceptance as acceptance
 
     calls = []
 
@@ -588,17 +591,16 @@ def test_every_family_target_has_mu_slot_0_base(monkeypatch):
             return grouped(mu, target, rows, th)
         return wrapper
 
-    for module in (search, calibration):
+    for module in (search, acceptance):
         monkeypatch.setattr(module, "group_symmetric_families",
                             recorded(module.group_symmetric_families))
-    for seed in (1, 2):
-        calibration.family_comparability_sweep(TH, seed)
-    swept = len(calls)
+    acceptance.test_criterion_07_asymmetric_large_links_always_flagged()
+    flagged = len(calls)
     for (K, K_hat, R), n in THRESHOLD_GRID.items():
         th = Thresholds(K, K_hat, R)
         for mu in _grid_inputs(th, n):
             _outcome(lambda: fixed_point_search(mu, th))
-    assert swept == 120 and len(calls) - swept >= 800, (swept, len(calls))
+    assert flagged == 200 and len(calls) - flagged >= 800, (flagged, len(calls))
     for mu, target in calls:
         assert target.slots[0].base == mu.slots[0].base, (mu, target)
 
@@ -666,25 +668,86 @@ def test_search_finals_match_their_digest():
 
 
 def test_every_stage_is_the_stage_read_off_the_points():
-    # a stage reads its exponent and residuals off the family's mu_orbit and
-    # x's point over the core, and builds a marking only where the exponent
-    # is nonzero; each stage must be the one computed from mu's and x's
-    # points (the exponent through annulus_point, the residuals through
-    # orbit_points after the multitwist)
+    # the search keeps two stages of the staged search, about the gluing
+    # curve and about mu's slot-0 base b0, read off the family's mu_orbit;
+    # against the staged search computed from the orbits' points it must
+    # end at the same marking, every other staged stage must have exponent
+    # 0, and the trace's stages must be the two kept ones
     cases = [(TH, mu) for mu in _digest_inputs(1000)]
     for (K, K_hat, R), n in THRESHOLD_GRID.items():
         th = Thresholds(K, K_hat, R)
         cases += [(th, mu) for mu in _grid_inputs(th, n)]
-    stages = moved = 0
+    stages = moved = others = 0
     for th, mu in cases:
         if is_fixed(mu) or almost_fixed_certificate(mu, th).diameter > th.R:
             continue
-        _, trace = fixed_point_search(mu, th)
-        got = [(s.exponent, s.residuals, s.marking_after) for s in trace.stages]
-        assert got == search_stages_by_points(mu, th), mu
-        stages += len(got)
-        moved += sum(d != 0 for d, _, _ in got)
-    assert stages >= 1500 and moved >= 1000 and stages - moved >= 300, (stages, moved)
+        x, trace = fixed_point_search(mu, th)
+        staged = search_stages_by_points(mu, th)
+        assert x == (staged[-1][3] if staged else trace.seed), mu
+        twisted = (Glue(0), InSlot(0, mu.slots[0].base))
+        kept = [stage for stage in staged if stage[0] in twisted]
+        assert all(d == 0 for core, d, _, _ in staged if core not in twisted), mu
+        got = [(s.family.core, s.exponent, s.residuals, s.marking_after) for s in trace.stages]
+        assert got == kept, mu
+        stages += len(staged)
+        moved += sum(d != 0 for _, d, _, _ in staged)
+        others += len(staged) - len(kept)
+    assert stages >= 1500 and moved >= 1000 and others >= 300, (stages, moved, others)
+
+
+def test_each_check_of_the_search_can_fire(monkeypatch):
+    # with a bound of -1 the check on a twisted stage, the check on a
+    # family the search does not twist and the final check each raise
+    glue = (GlueBlock(10**6, 0), GlueBlock(10**6 + 1, 0), GlueBlock(10**6 - 1, 0))
+    glued = AugMarking(glue, flat_marking(3).slots)
+    th = Thresholds(3, 4, 40)
+    off_b0 = next(
+        mu for mu in _grid_inputs(th, 400)
+        if almost_fixed_certificate(mu, th).diameter <= th.R
+        and any(fam.core.slope != mu.slots[0].base for fam in _slot_families(mu, th))
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(Thresholds, "stage_bound", lambda self, level_shift: -1)
+        with pytest.raises(AssertionError, match=r"^stage 0 residuals"):
+            fixed_point_search(glued, TH)
+        with pytest.raises(AssertionError, match=r"^family \d+ values"):
+            fixed_point_search(off_b0, th)
+    monkeypatch.setattr(Thresholds, "final_bound", lambda self, k: -1)
+    with pytest.raises(AssertionError, match=r"^final distance"):
+        fixed_point_search(glued, TH)
+
+
+def test_the_search_reads_each_orbit_once(monkeypatch):
+    # per search, _orbit_pairs runs once per symmetric family, all in
+    # group_symmetric_families: the two twists read mu_orbit alone
+    import coarse_teich.metrics as metrics
+    import coarse_teich.projection as projection
+    import coarse_teich.search as search
+
+    calls = []
+    for module in (metrics, projection, search):
+        def counted(*args, name=module.__name__, read=module._orbit_pairs):
+            calls.append(name)
+            return read(*args)
+        monkeypatch.setattr(module, "_orbit_pairs", counted)
+    families = []
+    grouped = search.group_symmetric_families
+    monkeypatch.setattr(search, "group_symmetric_families",
+                        lambda *args: families.append(grouped(*args)) or families[-1])
+    searched = multi = 0
+    for (K, K_hat, R), n in THRESHOLD_GRID.items():
+        th = Thresholds(K, K_hat, R)
+        for mu in _grid_inputs(th, n):
+            if is_fixed(mu) or almost_fixed_certificate(mu, th).diameter > R:
+                continue
+            calls.clear()
+            families.clear()
+            fixed_point_search(mu, th)
+            (fams,) = families
+            assert calls == ["coarse_teich.metrics"] * len(fams), mu
+            searched += 1
+            multi += len(fams) >= 3
+    assert searched >= 500 and multi >= 100, (searched, multi)
 
 
 def test_an_annulus_off_the_pivot_region_reads_at_most_1():
