@@ -14,12 +14,14 @@ of a snapshot against its slot swap is flat near the endpoints and grows
 linearly to a peak at the midpoint, which is the whole point of the
 construction.
 
-Within one nonqc_experiment call each distinct slot time's lattice is
-reduced once (a slot's time is constant outside its window, and both slots
-sweep the same times).  Each grid row reads its orbit diameter and its
-distance to the fixed locus from two formula sides, one for the slot pair
-and one for the gluing pair, and walks the Farey graph at most once.
-Nothing is kept between calls.
+Within one nonqc_experiment call each distinct slot time is read once: its
+lattice is reduced and what a row needs of the slot is kept as one
+SlotReading (a slot's time is constant outside its window, and both slots
+sweep the same times, the reference families' included).  Each grid row adds
+the big tori's area to its two readings and reads its orbit diameter and its
+distance to the fixed locus from two rafi_pair calls, one on the slot pair
+and one on the gluing pair.  It builds no snapshot and walks the Farey graph
+at most once.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import linear_regression
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .metrics import CurveSnap, Snapshot, Thresholds, rafi_formula, rafi_side, rafi_total
+from .metrics import CurveSnap, Snapshot, Thresholds, rafi_formula, rafi_pair, rafi_side, rafi_total
 from .slots import Slope, farey_distance
 
 __all__ = [
@@ -150,14 +152,24 @@ class FlowedSlots:
     slots: tuple[tuple[Slope, float, float], ...]
 
 
-# slot time -> (area, systole slope, systole length) of the flowed small torus
-Reductions = dict[float, tuple[float, Slope, float]]
+class SlotReading(NamedTuple):
+    """One slot at one slot time, its small torus reduced once: the systole
+    slope and length of the unscaled flowed lattice and the slit length,
+    then what a nonqc_experiment row reads of them.  annulus is
+    pi / log(1/slit), or 0.0 when slit >= 1."""
+
+    slope: Slope
+    length: float
+    slit: float
+    scaled_area: float  # delta^2 * area of the small torus
+    systole_sq: float  # (delta * length)^2
+    slit_sq: float
+    annulus: float
+    log_inv_slit: float
 
 
-def _reduced_small_torus(u: float) -> tuple[float, Slope, float]:
-    basis = _flowed_basis(u)
-    slope, length = shortest_slope(basis)
-    return _area(basis), slope, length
+# slot time -> its reading, for the families of one construction
+Reductions = dict[float, SlotReading]
 
 
 @dataclass(frozen=True)
@@ -187,28 +199,39 @@ class TrajectoryFamily:
         lo, hi = self.windows[i]
         return min(max(t, lo), hi) + self.phases[i]
 
-    def at(self, t: float, reduced: Reductions) -> FlowedSlots:
-        """The snapshot record at time t.
+    def _reading(self, u: float, reduced: Reductions) -> SlotReading:
+        reading = reduced.get(u)
+        if reading is None:
+            basis = _flowed_basis(u)
+            slope, length = shortest_slope(basis)
+            slit = slit_length(self.rho, u)
+            phys, log_inv = self.delta * length, math.log(1 / slit)
+            reading = reduced[u] = SlotReading(
+                slope, length, slit, self.delta**2 * _area(basis), phys * phys, slit * slit,
+                math.pi / log_inv if slit < 1.0 else 0.0, log_inv,
+            )
+        return reading
 
-        reduced maps slot times to their small torus's reading and is filled
-        as it goes, so each distinct slot time is reduced once per dict; pass
-        a fresh dict for a one-off snapshot.
-        """
-        u = [self.slot_time(i, t) for i in range(2)]
-        for ui in u:
-            if ui not in reduced:
-                reduced[ui] = _reduced_small_torus(ui)
-        small = [reduced[ui] for ui in u]
+    def _surface(self, t: float, reduced: Reductions) -> tuple[float, SlotReading, SlotReading]:
+        """Total area at time t and the two slots' readings."""
+        a = self._reading(self.slot_time(0, t), reduced)
+        b = self._reading(self.slot_time(1, t), reduced)
         big = _area(_flowed_basis(t))
-        sq = self.delta**2
         # summed component by component around the 4-cycle, not as
         # 2 + 2 delta^2: rafi_formula floors values derived from it
-        area = big + sq * small[0][0] + big + sq * small[1][0]
-        slots = tuple(
-            (slope, length, slit_length(self.rho, ui))
-            for (_, slope, length), ui in zip(small, u)
-        )
-        return FlowedSlots(area, self.delta, slots)
+        return big + a.scaled_area + big + b.scaled_area, a, b
+
+    def at(self, t: float, reduced: Reductions) -> FlowedSlots:
+        """The snapshot record at time t, which with shadow defines what
+        nonqc_experiment's rows compute; only its reference gaps build it.
+
+        reduced maps slot times to their readings and is filled as it goes,
+        so each distinct slot time is reduced once per dict.  A dict serves
+        the families of one construction, which share delta and rho; pass a
+        fresh dict for a one-off snapshot.
+        """
+        area, *small = self._surface(t, reduced)
+        return FlowedSlots(area, self.delta, tuple((r.slope, r.length, r.slit) for r in small))
 
 
 @dataclass(frozen=True)
@@ -271,7 +294,9 @@ def shadow(flowed: FlowedSlots) -> Snapshot:
     """Combinatorial snapshot: systole slope and shortness per slot, slit
     shortness per gluing curve.  A gluing curve has no slope and carries no
     twist.  It reads the systoles that TrajectoryFamily.at reduced and
-    reduces no lattice itself."""
+    reduces no lattice itself.  nonqc_experiment's rows compute its four
+    values from their slot readings and are tested against it bit for bit;
+    only the call's two reference gaps read it."""
     area = flowed.area
     slots = []
     glue = []
@@ -353,18 +378,21 @@ def nonqc_experiment(
 ) -> NonqcResult:
     """Orbit-diameter curve of the slit construction over [0, 2d].
 
-    Per grid time: snapshot, orbit diameter against the slot swap with its
-    Farey term, distance to the fixed locus, and the slit shortness column.
-    Each distinct slot time is reduced once for the whole call (the
-    reference families included).  The endpoint and midpoint claims are
-    checked against the calibrated bounds by cli._nonqc_checks, not here.
-    n_steps must be an int >= 1.
+    Per grid time: orbit diameter against the slot swap with its Farey
+    term, distance to the fixed locus, and the slit shortness column.  Each
+    distinct slot time is read once for the whole call (the reference
+    families included).  The endpoint and midpoint claims are checked
+    against the calibrated bounds by cli._nonqc_checks, not here.  n_steps
+    must be an int >= 1.
 
-    Each row is read from two formula sides, slot = rafi_side of the slot
-    pair (A, B) and glue = rafi_side of the gluing pair (G0, G1), so it
-    walks the Farey graph once when A and B have distinct slopes and not at
-    all otherwise.  The snapshot has two slots and two gluing curves, and
-    rafi_side's terms are symmetric in a pair, so:
+    A row is shadow(main.at(t)) without the records: it adds the big tori's
+    area to its two slot readings and computes the snapshot's four curve
+    values in shadow's float order.  It is read from two formula sides,
+    slot = rafi_pair of the slot pair (A, B) and glue = rafi_pair of the
+    gluing pair (G0, G1), so it walks the Farey graph once when A and B
+    have distinct slopes and not at all otherwise.  The snapshot has two
+    slots and two gluing curves, rafi_side is the fold of rafi_pair over its
+    pairs, and rafi_pair's terms are symmetric in a pair, so:
 
     - orbit_diam is rafi_formula(snap, swapped, th), where the swap
       rotates both the slots and the gluing curves.  Its slot pairs are
@@ -390,17 +418,23 @@ def nonqc_experiment(
     rows = []
     for i in range(n_steps + 1):
         t = 2 * d * i / n_steps
-        flowed = fam.at(t, reduced)
-        snap = shadow(flowed)
-        slot = rafi_side([snap.slots], th, farey_distance)
-        glue = rafi_side([snap.glue], th, farey_distance)
+        area, a, b = fam._surface(t, reduced)
+        slot = rafi_pair(
+            a.slope, math.log(area / a.systole_sq), b.slope, math.log(area / b.systole_sq),
+            th.K, farey_distance,
+        )
+        glue = rafi_pair(
+            None, -math.log(max(a.slit_sq / area, a.annulus)),
+            None, -math.log(max(b.slit_sq / area, b.annulus)),
+            th.K, farey_distance,
+        )
         rows.append(
             NonqcRow(
                 t=t,
                 orbit_diam=rafi_total((2 * slot[0], slot[1], slot[2]), glue),
                 dist_to_fixed=rafi_total(slot, glue),
-                slot_slopes=tuple(s.slope for s in snap.slots),
-                glue_loglen=max(math.log(1 / slit) for _, _, slit in flowed.slots),
+                slot_slopes=(a.slope, b.slope),
+                glue_loglen=max(a.log_inv_slit, b.log_inv_slit),
                 farey_term=2 * slot[0],
             )
         )

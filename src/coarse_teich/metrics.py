@@ -76,6 +76,7 @@ __all__ = [
     "formula_distance_T",
     "formula_distance_WP",
     "rafi_formula",
+    "rafi_pair",
     "rafi_side",
     "rafi_total",
     "large_links",
@@ -382,35 +383,42 @@ def rafi_formula(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
     )
 
 
-def rafi_side(
-    pairs: Iterable[tuple[CurveSnap, CurveSnap]],
-    th: Thresholds,
-    farey: Callable[[Slope, Slope], int],
+def rafi_pair(
+    slope_a: Optional[Slope], value_a: float, slope_b: Optional[Slope], value_b: float,
+    K: int, farey: Callable[[Slope, Slope], int],
 ) -> Side:
-    """The pairs' terms: the thresholded Farey sum, an exact int, then the
-    largest horoball and one-sided terms.
+    """The terms of one curve pair, each curve given by its slope and its
+    log(1/extremal length): the thresholded Farey distance, an exact int,
+    then the horoball term and the larger one-sided term.
 
     farey(a, b) is the Farey distance of two distinct slopes: farey_distance
     itself, or a lookup of distances walked once.  Equal slopes, and the
     None slope of a gluing pair, are not asked for.  Two curves short on one
     slope sit at twist 0 on one vertical of the horoball, so their horoball
-    distance is the gap between their levels; short means neg_log_ext > 1,
+    distance is the gap between their levels; short means a value above 1,
     so both levels are positive.
     """
+    sa, sb = value_a > _SHORT_CUT, value_b > _SHORT_CUT
+    if slope_a == slope_b and sa and sb:
+        return 0, abs(math.floor(value_a) - math.floor(value_b)), 0.0
+    slot_term = _cut(farey(slope_a, slope_b), K) if slope_a != slope_b else 0
+    return slot_term, 0, max(value_a if sa else 0.0, value_b if sb else 0.0)
+
+
+def rafi_side(
+    pairs: Iterable[tuple[CurveSnap, CurveSnap]],
+    th: Thresholds,
+    farey: Callable[[Slope, Slope], int],
+) -> Side:
+    """The pairs' terms: the sum of their rafi_pair Farey terms, then the
+    largest horoball and one-sided terms."""
     slot_term = horo = 0
     one_sided = 0.0
     for a, b in pairs:
-        sa, sb = a.neg_log_ext > _SHORT_CUT, b.neg_log_ext > _SHORT_CUT
-        if a.slope != b.slope:
-            slot_term += _cut(farey(a.slope, b.slope), th.K)
-        elif sa and sb:
-            gap = abs(math.floor(a.neg_log_ext) - math.floor(b.neg_log_ext))
-            horo = max(horo, gap)
-            continue
-        if sa:
-            one_sided = max(one_sided, a.neg_log_ext)
-        if sb:
-            one_sided = max(one_sided, b.neg_log_ext)
+        f, h, o = rafi_pair(a.slope, a.neg_log_ext, b.slope, b.neg_log_ext, th.K, farey)
+        slot_term += f
+        horo = max(horo, h)
+        one_sided = max(one_sided, o)
     return slot_term, horo, one_sided
 
 

@@ -33,7 +33,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from coarse_teich.marking import (
     _block_distance,
 )
 from coarse_teich.metrics import (
+    CurveSnap,
     Snapshot,
     Thresholds,
     formula_terms,
@@ -513,6 +514,31 @@ def rafi_formula_one_pass(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
     if one_sided:
         total += max(one_sided)
     return total
+
+
+def rafi_side_by_pairs(
+    pairs: Iterable[tuple[CurveSnap, CurveSnap]],
+    th: Thresholds,
+    farey: Callable[[Slope, Slope], int],
+) -> tuple[int, int, float]:
+    """rafi_side as one loop over the pairs, with no per-pair kernel: the
+    thresholded Farey sum, then the largest horoball and one-sided terms."""
+    slot_term = horo = 0
+    one_sided = 0.0
+    for a, b in pairs:
+        sa, sb = a.neg_log_ext > 1.0, b.neg_log_ext > 1.0
+        if a.slope != b.slope:
+            dist = farey(a.slope, b.slope)
+            slot_term += dist if dist > th.K else 0
+        elif sa and sb:
+            gap = abs(math.floor(a.neg_log_ext) - math.floor(b.neg_log_ext))
+            horo = max(horo, gap)
+            continue
+        if sa:
+            one_sided = max(one_sided, a.neg_log_ext)
+        if sb:
+            one_sided = max(one_sided, b.neg_log_ext)
+    return slot_term, horo, one_sided
 
 
 def distance_to_fixed_per_candidate(snap: Snapshot, th: Thresholds) -> float:

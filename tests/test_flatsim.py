@@ -1,5 +1,6 @@
 """Tests for the flat slit-torus family and the orbit-diameter curve."""
 
+import collections
 import dataclasses
 import hashlib
 import math
@@ -292,15 +293,13 @@ def test_gluing_level_gap_decides_a_row(monkeypatch):
     # negative control: without the gluing level gap both values fall by 1
     import coarse_teich.flatsim as flatsim
 
-    side = flatsim.rafi_side
+    pair = flatsim.rafi_pair
 
-    def no_glue_horo(pairs, th, farey):
-        pairs = list(pairs)
-        terms = side(pairs, th, farey)
-        glue = bool(pairs) and pairs[0][0].slope is None
-        return (terms[0], 0, terms[2]) if glue else terms
+    def no_glue_horo(slope_a, value_a, slope_b, value_b, K, farey):
+        terms = pair(slope_a, value_a, slope_b, value_b, K, farey)
+        return (terms[0], 0, terms[2]) if slope_a is None else terms
 
-    monkeypatch.setattr(flatsim, "rafi_side", no_glue_horo)
+    monkeypatch.setattr(flatsim, "rafi_pair", no_glue_horo)
     row = nonqc_experiment(20.0, c=1e-6).rows[10]
     assert row.orbit_diam == 79.64608044412178
     assert row.dist_to_fixed == 68.64608044412178
@@ -346,25 +345,35 @@ def test_nonqc_experiment_rejects_a_step_count_that_is_not_a_positive_int(n_step
 def test_rows_match_the_generic_evaluation_bit_for_bit():
     # each row's two-sided reading against the orbit diameter over the
     # rotated snapshot, the minimum over every fixed-locus candidate and
-    # the swap's slot term, at thresholds, depths, slit scales and small
-    # tori scales across the regime
+    # the swap's slot term, at thresholds, depths, slit scales, small tori
+    # scales and step counts across the regime.  A row shares a slot
+    # reading only where two slot times are equal floats, so the grid has
+    # off-round d and step counts that do not divide 40; the 200-step grid
+    # runs at one threshold, as its rows cost five times the 40-step ones.
     seen = {"farey_positive": 0, "equal_slopes": 0, "glue_horo_decides": 0}
-    for K, K_hat in ((1, 1), (3, 4), (8, 9)):
-        th = Thresholds(K=K, K_hat=K_hat)
-        for d in (3, 10, 25, 55):
+    thresholds = [Thresholds(K=K, K_hat=K_hat) for K, K_hat in ((1, 1), (3, 4), (8, 9))]
+    grid = [(n, th) for n in (1, 7, 40) for th in thresholds] + [(200, thresholds[1])]
+    for n_steps, th in grid:
+        for d in (3, 10, 17.5, 25, 33.3, 55):
             for c in (1e-6, 0.1, 0.9):
                 for delta in (None, 1e-20):
-                    res = nonqc_experiment(d, c=c, delta=delta, th=th)
+                    res = nonqc_experiment(d, c=c, delta=delta, th=th, n_steps=n_steps)
+                    assert len(res.rows) == n_steps + 1
                     fam = build_construction(d, c, res.delta).main
                     for row in res.rows:
-                        snap = shadow(fam.at(row.t, {}))
+                        flowed = fam.at(row.t, {})
+                        snap = shadow(flowed)
                         swapped = rotate_snapshot(1, snap)
                         slot = rafi_side(zip(snap.slots, swapped.slots), th, farey_distance)
                         glue = rafi_side(zip(snap.glue, swapped.glue), th, farey_distance)
-                        where = (K, d, c, delta, row.t)
+                        where = (n_steps, th.K, d, c, delta, row.t)
                         assert row.orbit_diam == rafi_formula(snap, swapped, th), where
                         assert row.dist_to_fixed == distance_to_fixed_per_candidate(snap, th), where
                         assert row.farey_term == slot[0], where
+                        assert row.slot_slopes == tuple(s.slope for s in snap.slots), where
+                        assert row.glue_loglen == max(
+                            math.log(1 / slit) for _, _, slit in flowed.slots
+                        ), where
                         seen["farey_positive"] += row.farey_term > 0
                         seen["equal_slopes"] += snap.slots[0].slope == snap.slots[1].slope
                         seen["glue_horo_decides"] += glue[1] > slot[1]
@@ -385,6 +394,37 @@ def test_each_row_walks_the_farey_graph_once_if_its_slopes_differ(monkeypatch):
         distinct = [r.slot_slopes for r in res.rows if r.slot_slopes[0] != r.slot_slopes[1]]
         assert walks == distinct
         assert 0 < len(distinct) < len(res.rows)
+
+
+def test_a_call_reduces_each_slot_time_once_and_builds_no_record_per_row(monkeypatch):
+    # the rows read slot readings; only the two reference gaps build
+    # records, one main and one reference snapshot each
+    import coarse_teich.flatsim as flatsim
+
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("shortest_slope", "shadow", "FlowedSlots", "Snapshot", "CurveSnap"):
+        monkeypatch.setattr(flatsim, name, counted(name, getattr(flatsim, name)))
+    monkeypatch.setattr(TrajectoryFamily, "at", counted("at", TrajectoryFamily.at))
+    for d in (10.0, 55.0):
+        counts.clear()
+        res = nonqc_experiment(d)
+        cons = build_construction(d, res.c, res.delta)
+        reads = [(cons.main, r.t) for r in res.rows] + [
+            (cons.main, 0.0), (cons.ref_start, 0.0), (cons.main, 2 * d), (cons.ref_end, 2 * d)
+        ]
+        slot_times = {fam.slot_time(i, t) for fam, t in reads for i in range(2)}
+        assert counts["shortest_slope"] == len(slot_times) < 2 * len(res.rows), d
+        assert counts["shadow"] == counts["at"] == 4, d
+        assert counts["FlowedSlots"] == counts["Snapshot"] == 4, d
+        assert counts["CurveSnap"] == 16, d
 
 
 def test_sweep_midpoint_growth_is_linear_at_the_farey_rate():

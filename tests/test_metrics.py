@@ -31,11 +31,12 @@ from coarse_teich.metrics import (
     group_symmetric_families,
     large_links,
     rafi_formula,
+    rafi_side,
 )
 from coarse_teich.projection import Annulus, Slot, Whole, proj_distance
 from coarse_teich.search import almost_fixed_certificate
 from coarse_teich.slots import Slope, _nearest, farey_distance, transversal_at
-from tests.oracles import fibonacci_slope, is_elementary_move
+from tests.oracles import fibonacci_slope, is_elementary_move, rafi_side_by_pairs
 from tests.test_marking import flat_marking, random_marking
 
 TH = Thresholds()
@@ -264,6 +265,42 @@ def test_rafi_term_shapes():
     far = farey_distance(Slope(0, 1), Slope(5, 2))
     assert far == 3
     assert rafi_formula(s1, s5, Thresholds(K=1, K_hat=1, R=1)) == pytest.approx(far)
+
+
+def test_rafi_side_folds_the_pair_kernel_bit_for_bit():
+    # rafi_side is the fold of rafi_pair over its pairs; against the one-loop
+    # reference, by repr, so an int where a float was, or -0.0, shows
+    rng = random.Random(3030)
+    pool = [fibonacci_slope(n) for n in (-12, -3, -1, 0, 2, 9)] + [Slope(3, 7)]
+    thresholds = [Thresholds(K=K, K_hat=K + 1) for K in (1, 3, 8)]
+
+    def value() -> float:
+        return rng.choice(
+            (rng.uniform(-1.0, 1.0), 1.0, rng.uniform(1.0, 4.0), rng.uniform(20.0, 60.0))
+        )
+
+    seen = dict.fromkeys(
+        ("at_cut", "none", "equal_both_short", "equal_one_short", "equal_none_short",
+         "far"), 0
+    )
+    seen.update({f"K{th.K}": 0 for th in thresholds})
+    for _ in range(2400):
+        th = rng.choice(thresholds)
+        slopes = [None] if rng.random() < 0.3 else rng.sample(pool, rng.randint(1, 3))
+        pairs = []
+        for _ in range(rng.randint(0, 5)):
+            a, b = (CurveSnap(rng.choice(slopes), value()) for _ in range(2))
+            pairs.append((a, b))
+            shorts = (a.neg_log_ext > 1.0) + (b.neg_log_ext > 1.0)
+            seen["at_cut"] += 1.0 in (a.neg_log_ext, b.neg_log_ext)
+            seen["none"] += a.slope is None
+            if a.slope == b.slope:
+                seen[("equal_none_short", "equal_one_short", "equal_both_short")[shorts]] += 1
+        got = rafi_side(pairs, th, farey_distance)
+        assert repr(got) == repr(rafi_side_by_pairs(pairs, th, farey_distance)), (pairs, th)
+        seen[f"K{th.K}"] += 1
+        seen["far"] += got[0] > 0
+    assert min(seen.values()) >= 100, seen
 
 
 def test_rafi_rejects_snapshots_of_different_shapes():
