@@ -14,11 +14,11 @@ of a snapshot against its slot swap is flat near the endpoints and grows
 linearly to a peak at the midpoint, which is the whole point of the
 construction.
 
-Within one nonqc_experiment call each distinct slot time is read once: its
-lattice is reduced and what a row needs of the slot is kept as one
-SlotReading (a slot's time is constant outside its window, and both slots
-sweep the same times, the reference families' included).  Each grid row adds
-the big tori's area to its two readings and reads its orbit diameter and its
+Within one nonqc_experiment call each distinct slot time is read once into
+a SlotReading (a slot's time is constant outside its window, and both slots
+sweep the same times, the reference families' included).  _curve_values
+turns a reading into its slot's and its gluing curve's values, for shadow
+and for every grid row alike.  A row reads its orbit diameter and its
 distance to the fixed locus from two rafi_pair calls, one on the slot pair
 and one on the gluing pair.  It builds no snapshot and walks the Farey graph
 at most once.  Nothing is kept between calls.
@@ -41,7 +41,6 @@ __all__ = [
     "ParameterRegimeError",
     "slit_length",
     "shortest_slope",
-    "FlowedSlots",
     "TrajectoryFamily",
     "Construction",
     "build_construction",
@@ -107,7 +106,9 @@ def shortest_slope(basis: Basis) -> tuple[Slope, float]:
     vectors; no torus object is built.  Lagrange reduction in double
     precision with exact integer bookkeeping; the returned slope is the
     class of the reduced first vector.  Ties (the square torus) resolve to
-    the earlier basis vector, so the unit lattice reports 1/0.
+    the earlier basis vector, so the unit lattice reports 1/0.  A basis
+    flowed by u carries its rounding amplified by about e^(2|u|), so the
+    flowed Anosov torus reads wrong systoles from |u| = 16.6 (see _D_MAX).
     """
     (x1, y1), (x2, y2) = basis
     c1, c2 = (1, 0), (0, 1)
@@ -130,39 +131,24 @@ def shortest_slope(basis: Basis) -> tuple[Slope, float]:
 # The slit construction.
 # ---------------------------------------------------------------------------
 
-# Regime of the construction: d <= 55 is the range on which the float
-# family was validated, by bisection for c from 1e-6 to 0.9, and a
-# small-torus scale delta below about 1e-153.8 overflows the shadow.
+# Regime of the construction: slot times stay within |u| <= d/2, and a
+# small-torus scale delta below about 1e-153.8 overflows the shadow.  The
+# float family is not exact up to d = 55: against a 150-digit reduction its
+# systole length is off by a relative 8.7e-7 at u = 12.25 and 1.2e-3 at
+# u = -15.7, and at u = 16.6 its slope reads 9227465/5702887 for
+# 5702887/3524578, so every d >= 33.2 reads some wrong systoles.
 _D_MAX = 55.0
 _DELTA_MIN = 1e-150
 
 
-@dataclass(frozen=True)
-class FlowedSlots:
-    """What a shadow reads of one snapshot of the flowed family.
-
-    area: total area of the slit surface; scale: the small tori's scale
-    delta; slots: per slot, the systole slope of the small torus's flowed
-    lattice, the systole's length on the unscaled torus, and the length of
-    the slot's slits.
-    """
-
-    area: float
-    scale: float
-    slots: tuple[tuple[Slope, float, float], ...]
-
-
 class SlotReading(NamedTuple):
     """One slot at one slot time, its small torus reduced once: the systole
-    slope and length of the unscaled flowed lattice and the slit length,
-    then what a nonqc_experiment row reads of them.  annulus is
-    pi / log(1/slit), or 0.0 when slit >= 1."""
+    slope of the flowed lattice, then what _curve_values reads of the slot.
+    annulus is pi / log(1/slit), or 0.0 when slit >= 1."""
 
     slope: Slope
-    length: float
-    slit: float
     scaled_area: float  # delta^2 * area of the small torus
-    systole_sq: float  # (delta * length)^2
+    systole_sq: float  # (delta * systole length)^2
     slit_sq: float
     annulus: float
     log_inv_slit: float
@@ -170,6 +156,9 @@ class SlotReading(NamedTuple):
 
 # slot time -> its reading, for the families of one construction
 Reductions = dict[float, SlotReading]
+
+# total area and the two slots' readings at one time
+Surface = tuple[float, SlotReading, SlotReading]
 
 
 @dataclass(frozen=True)
@@ -207,13 +196,19 @@ class TrajectoryFamily:
             slit = slit_length(self.rho, u)
             phys, log_inv = self.delta * length, math.log(1 / slit)
             reading = reduced[u] = SlotReading(
-                slope, length, slit, self.delta**2 * _area(basis), phys * phys, slit * slit,
+                slope, self.delta**2 * _area(basis), phys * phys, slit * slit,
                 math.pi / log_inv if slit < 1.0 else 0.0, log_inv,
             )
         return reading
 
-    def _surface(self, t: float, reduced: Reductions) -> tuple[float, SlotReading, SlotReading]:
-        """Total area at time t and the two slots' readings."""
+    def _surface(self, t: float, reduced: Reductions) -> Surface:
+        """The surface at time t: its total area and the two slots' readings.
+
+        reduced maps slot times to their readings and is filled as it goes,
+        so each distinct slot time is reduced once per dict.  A dict serves
+        the families of one construction, which share delta and rho; pass a
+        fresh dict for a one-off surface.
+        """
         a = self._reading(self.slot_time(0, t), reduced)
         b = self._reading(self.slot_time(1, t), reduced)
         big = _area(_flowed_basis(t))
@@ -221,25 +216,15 @@ class TrajectoryFamily:
         # 2 + 2 delta^2: rafi_formula floors values derived from it
         return big + a.scaled_area + big + b.scaled_area, a, b
 
-    def at(self, t: float, reduced: Reductions) -> FlowedSlots:
-        """The snapshot record at time t, which with shadow defines what
-        nonqc_experiment's rows compute; only its reference gaps build it.
-
-        reduced maps slot times to their readings and is filled as it goes,
-        so each distinct slot time is reduced once per dict.  A dict serves
-        the families of one construction, which share delta and rho; pass a
-        fresh dict for a one-off snapshot.
-        """
-        area, *small = self._surface(t, reduced)
-        return FlowedSlots(area, self.delta, tuple((r.slope, r.length, r.slit) for r in small))
+    # the public name, which the layer tracer of perfbench/tracer.py times;
+    # nonqc_experiment's rows call _surface, so only its reference gaps count
+    at = _surface
 
 
 @dataclass(frozen=True)
 class Construction:
-    d: float
-    c: float
-    delta: float
-    rho: float
+    """The main family and the two reference families of one (d, c, delta)."""
+
     main: TrajectoryFamily
     ref_start: TrajectoryFamily
     ref_end: TrajectoryFamily
@@ -255,9 +240,7 @@ def build_construction(d: float, c: float, delta: float) -> Construction:
     if not 0 < c < 1:
         raise ParameterRegimeError(f"c={c} outside (0, 1)")
     if not 0 < d <= _D_MAX:
-        raise ParameterRegimeError(
-            f"d={d} outside (0, {_D_MAX}], where the float family was validated"
-        )
+        raise ParameterRegimeError(f"d={d} outside (0, {_D_MAX}]")
     rho = c * math.exp(-d / 2)
     if not _DELTA_MIN <= delta <= rho / 10:
         raise ParameterRegimeError(
@@ -270,7 +253,7 @@ def build_construction(d: float, c: float, delta: float) -> Construction:
     main = family(-d / 2, -3 * d / 2, (0.0, d), (d, 2 * d))
     ref_start = family(-d / 2, -d / 2, (0.0, d), (0.0, d))
     ref_end = family(-3 * d / 2, -3 * d / 2, (d, 2 * d), (d, 2 * d))
-    return Construction(d, c, delta, rho, main, ref_start, ref_end)
+    return Construction(main, ref_start, ref_end)
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +261,26 @@ def build_construction(d: float, c: float, delta: float) -> Construction:
 # ---------------------------------------------------------------------------
 
 
-def _glue_neg_log_ext(ell: float, area: float) -> float:
-    # extremal length of a slit-boundary curve: l^2/Area lower bound against
-    # the annulus-modulus upper bound pi/log(1/l); the larger wins
-    lower = ell * ell / area
-    if ell < 1.0:
-        upper = math.pi / math.log(1.0 / ell)
-        est = max(lower, upper)
-    else:
-        est = lower
-    return -math.log(est)
+def _curve_values(area: float, r: SlotReading) -> tuple[float, float]:
+    """log(1/extremal length) of the slot's systole, log(A/(delta l)^2), and
+    of its gluing curve, whose extremal length is the larger of the lower
+    bound s^2/A and, for a slit length s < 1, the annulus-modulus upper
+    bound pi/log(1/s), on a surface of total area A."""
+    return math.log(area / r.systole_sq), -math.log(max(r.slit_sq / area, r.annulus))
 
 
-def shadow(flowed: FlowedSlots) -> Snapshot:
+def shadow(surface: Surface) -> Snapshot:
     """Combinatorial snapshot: systole slope and shortness per slot, slit
     shortness per gluing curve.  A gluing curve has no slope and carries no
-    twist.  It reads the systoles that TrajectoryFamily.at reduced and
-    reduces no lattice itself.  nonqc_experiment's rows compute its four
-    values from their slot readings and are tested against it bit for bit;
-    only the call's two reference gaps read it."""
-    area = flowed.area
-    slots = []
-    glue = []
-    for slope, length, slit in flowed.slots:
-        phys = flowed.scale * length
-        slots.append(CurveSnap(slope, math.log(area / (phys * phys))))
-        glue.append(CurveSnap(None, _glue_neg_log_ext(slit, area)))
-    return Snapshot(tuple(slots), tuple(glue))
+    twist.  It reads the slot readings of TrajectoryFamily.at and reduces no
+    lattice itself.  Only nonqc_experiment's two reference gaps call it; a
+    row reads the same values from _curve_values without the records."""
+    area, *readings = surface
+    values = [_curve_values(area, r) for r in readings]
+    return Snapshot(
+        tuple(CurveSnap(r.slope, slot) for r, (slot, _) in zip(readings, values)),
+        tuple(CurveSnap(None, glue) for _, glue in values),
+    )
 
 
 def distance_to_fixed(snap: Snapshot, th: Thresholds) -> float:
@@ -385,9 +361,9 @@ def nonqc_experiment(
     against the calibrated bounds by cli._nonqc_checks, not here.  n_steps
     must be an int >= 1.
 
-    A row is shadow(main.at(t)) without the records: it adds the big tori's
-    area to its two slot readings and computes the snapshot's four curve
-    values in shadow's float order.  It is read from two formula sides,
+    A row is shadow(main.at(t)) without the records: it reads the surface
+    at t and the four curve values from _curve_values, as shadow does, and
+    builds no snapshot.  It is read from two formula sides,
     slot = rafi_pair of the slot pair (A, B) and glue = rafi_pair of the
     gluing pair (G0, G1), so it walks the Farey graph once when A and B
     have distinct slopes and not at all otherwise.  The snapshot has two
@@ -419,15 +395,9 @@ def nonqc_experiment(
     for i in range(n_steps + 1):
         t = 2 * d * i / n_steps
         area, a, b = fam._surface(t, reduced)
-        slot = rafi_pair(
-            a.slope, math.log(area / a.systole_sq), b.slope, math.log(area / b.systole_sq),
-            th.K, farey_distance,
-        )
-        glue = rafi_pair(
-            None, -math.log(max(a.slit_sq / area, a.annulus)),
-            None, -math.log(max(b.slit_sq / area, b.annulus)),
-            th.K, farey_distance,
-        )
+        (slot_a, glue_a), (slot_b, glue_b) = _curve_values(area, a), _curve_values(area, b)
+        slot = rafi_pair(a.slope, slot_a, b.slope, slot_b, th.K, farey_distance)
+        glue = rafi_pair(None, glue_a, None, glue_b, th.K, farey_distance)
         rows.append(
             NonqcRow(
                 t=t,

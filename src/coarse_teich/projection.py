@@ -49,7 +49,6 @@ __all__ = [
     "q_membership",
     "phi",
     "annulus_point",
-    "orbit_points",
 ]
 
 
@@ -134,18 +133,6 @@ def annulus_point(c: CurveRef, m: AugMarking) -> HoroPoint:
     """
     i, blocks = _blocks(c, m)
     return HoroPoint(*_orbit_pairs(c, blocks[i : i + 1])[0])
-
-
-def orbit_points(c: CurveRef, m: AugMarking) -> list[HoroPoint]:
-    """annulus_point over every rotate of c, listed by gluing or slot index.
-
-    The rotates of a gluing curve are the k gluing curves, and those of a
-    slot slope are that slope in each slot, so one complement serves all.
-    No runtime code calls it: the search and group_symmetric_families read
-    the same orbits as int pairs through _orbit_pairs.  It stays as the
-    public orbit reader, which the tests' references read.
-    """
-    return [HoroPoint(x, level) for x, level in _orbit_pairs(c, _blocks(c, m)[1])]
 
 
 def _blocks(c: CurveRef, m: AugMarking) -> tuple[int, tuple]:

@@ -46,6 +46,7 @@ from coarse_teich.marking import (
     InSlot,
     SlotBlock,
     _block_distance,
+    act_curve,
 )
 from coarse_teich.metrics import (
     CurveSnap,
@@ -56,7 +57,7 @@ from coarse_teich.metrics import (
     rafi_side,
     rafi_total,
 )
-from coarse_teich.projection import annulus_point, orbit_points
+from coarse_teich.projection import annulus_point
 from coarse_teich.search import seed_marking, short_cut
 from coarse_teich.slots import (
     Slope,
@@ -637,6 +638,12 @@ def cancel_offset_by_points(
     return AugMarking(x.glue, tuple(
         SlotBlock(twist(word, blk.base), twist(word, blk.trans), blk.D) for blk in x.slots
     )), d
+
+
+def orbit_points(c: CurveRef, m: AugMarking) -> list[HoroPoint]:
+    """annulus_point over the rotates act_curve(r, c, k), r = 0..k-1; for a
+    block-0 core, such as a symmetric family's, that is index order."""
+    return [annulus_point(act_curve(r, c, m.k), m) for r in range(m.k)]
 
 
 def search_stages_by_points(

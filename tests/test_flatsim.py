@@ -13,7 +13,6 @@ from coarse_teich.flatsim import (
     FAREY_RATE,
     LAMBDA,
     Construction,
-    FlowedSlots,
     ParameterRegimeError,
     TrajectoryFamily,
     build_construction,
@@ -24,7 +23,7 @@ from coarse_teich.flatsim import (
     shortest_slope,
     slit_length,
 )
-from coarse_teich.flatsim import _area, _flowed_basis
+from coarse_teich.flatsim import _area, _curve_values, _flowed_basis
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.metrics import (
     CurveSnap,
@@ -101,7 +100,7 @@ def test_family_area_is_two_big_tori_plus_two_scaled_small_ones():
         for i in range(41):
             t = 2 * fam.d * i / 40
             for f in (fam, unclamped(fam)):
-                assert f.at(t, {}).area == pytest.approx(2 + 2 * delta**2, rel=1e-12)
+                assert f.at(t, {})[0] == pytest.approx(2 + 2 * delta**2, rel=1e-12)
 
 
 def test_flowed_slit_length_matches_closed_form():
@@ -183,7 +182,7 @@ def test_systole_walks_the_farey_graph_at_the_expected_rate():
 def test_build_construction_shape_and_regime():
     cons = build_construction(10.0, 0.1, 1e-6)
     assert isinstance(cons, Construction)
-    assert cons.rho == pytest.approx(0.1 * math.exp(-5.0), rel=1e-12)
+    assert cons.main.rho == pytest.approx(0.1 * math.exp(-5.0), rel=1e-12)
     assert cons.main.phases == (-5.0, -15.0)
     assert cons.main.windows == ((0.0, 10.0), (10.0, 20.0))
     assert cons.ref_start.phases == (-5.0, -5.0)
@@ -205,25 +204,61 @@ def test_build_construction_shape_and_regime():
 
 
 def test_construction_surfaces_glue_in_both_modes():
-    cons = build_construction(8.0, 0.1, 1e-6)
+    delta = 1e-6
+    cons = build_construction(8.0, 0.1, delta)
     fam = cons.main
     for t in (0.0, 3.7, 8.0, 12.2, 16.0):
         for f in (fam, unclamped(fam)):
-            s = f.at(t, {})
-            assert isinstance(s, FlowedSlots)
-            assert len(s.slots) == 2
-            assert s.scale == 1e-6
-            for i, (slope, length, slit) in enumerate(s.slots):
+            _, *readings = f.at(t, {})
+            assert len(readings) == 2
+            for i, r in enumerate(readings):
                 torus = flowed_anosov(f.slot_time(i, t))
                 assert torus.area == pytest.approx(1.0, rel=1e-9)
-                assert (slope, length) == shortest_slope(torus.basis)
-                assert slit == slit_length(f.rho, f.slot_time(i, t))
+                slope, length = shortest_slope(torus.basis)
+                slit = slit_length(f.rho, f.slot_time(i, t))
+                phys = delta * length
+                assert r.slope == slope
+                assert r.scaled_area == delta**2 * torus.area
+                assert r.systole_sq == phys * phys
+                assert r.slit_sq == slit * slit
+                assert r.log_inv_slit == math.log(1 / slit)
+
+
+def test_curve_values_match_their_closed_forms():
+    # a slot's value log(A / (delta l)^2) and its gluing curve's
+    # -log(max(s^2 / A, pi / log(1/s))), with the modulus bound only while
+    # s < 1, from the oracle's tori and longdouble systoles and from
+    # slit_length; far from its phase centers the unclamped family's slits
+    # grow past 1.  |u| <= 6 keeps the float systoles within 1e-11.
+    delta = 1e-3
+    fam = build_construction(4.0, 0.5, delta).main
+    branches = collections.Counter()
+    for f in (fam, unclamped(fam)):
+        for t in (0.25 * i for i in range(33)):
+            area, *readings = f.at(t, {})
+            us = [f.slot_time(i, t) for i in range(2)]
+            want_area = 2 * flowed_anosov(t).area + delta**2 * sum(
+                flowed_anosov(u).area for u in us
+            )
+            assert area == pytest.approx(want_area, rel=1e-12), t
+            for u, r in zip(us, readings):
+                slope, length = flowed_anosov_systole(u)
+                slit = slit_length(f.rho, u)
+                bounds = [slit * slit / want_area]
+                if slit < 1:
+                    bounds.append(math.pi / math.log(1 / slit))
+                want = (math.log(want_area / (delta * length) ** 2), -math.log(max(bounds)))
+                assert r.slope == slope, (t, u)
+                assert _curve_values(area, r) == pytest.approx(want, rel=1e-9), (t, u)
+                branches[slit < 1] += 1
+    assert branches[True] >= 40 and branches[False] >= 20, branches
 
 
 def test_shadow_of_the_start_surface_is_swap_symmetric():
     cons = build_construction(10.0, 0.1, 1e-6)
     s = cons.main.at(0.0, {})
     snap = shadow(s)
+    area = s[0]
     assert snap.k == 2
     # both phased tori sit at flow time -d/2 once clamping is applied
     assert snap.slots[0].slope == snap.slots[1].slope == flowed_anosov_slope(-5.0)
@@ -232,7 +267,7 @@ def test_shadow_of_the_start_surface_is_swap_symmetric():
     assert rafi_formula(snap, rotate_snapshot(1, snap), TH) == 0.0
     # slot shortness is log(area / scaled systole^2), far past every threshold
     _, syst = shortest_slope(flowed_anosov(cons.main.slot_time(0, 0.0)).basis)
-    expect = math.log(s.area / (1e-6 * syst) ** 2)
+    expect = math.log(area / (1e-6 * syst) ** 2)
     assert snap.slots[0].neg_log_ext == pytest.approx(expect, rel=1e-9)
     assert snap.slots[0].neg_log_ext > 20.0
 
@@ -361,8 +396,7 @@ def test_rows_match_the_generic_evaluation_bit_for_bit():
                     assert len(res.rows) == n_steps + 1
                     fam = build_construction(d, c, res.delta).main
                     for row in res.rows:
-                        flowed = fam.at(row.t, {})
-                        snap = shadow(flowed)
+                        snap = shadow(fam.at(row.t, {}))
                         swapped = rotate_snapshot(1, snap)
                         slot = rafi_side(zip(snap.slots, swapped.slots), th, farey_distance)
                         glue = rafi_side(zip(snap.glue, swapped.glue), th, farey_distance)
@@ -372,7 +406,8 @@ def test_rows_match_the_generic_evaluation_bit_for_bit():
                         assert row.farey_term == slot[0], where
                         assert row.slot_slopes == tuple(s.slope for s in snap.slots), where
                         assert row.glue_loglen == max(
-                            math.log(1 / slit) for _, _, slit in flowed.slots
+                            math.log(1 / slit_length(fam.rho, fam.slot_time(i, row.t)))
+                            for i in range(2)
                         ), where
                         seen["farey_positive"] += row.farey_term > 0
                         seen["equal_slopes"] += snap.slots[0].slope == snap.slots[1].slope
@@ -398,7 +433,7 @@ def test_each_row_walks_the_farey_graph_once_if_its_slopes_differ(monkeypatch):
 
 def test_a_call_reduces_each_slot_time_once_and_builds_no_record_per_row(monkeypatch):
     # the rows read slot readings; only the two reference gaps build
-    # records, one main and one reference snapshot each
+    # snapshots, one main and one reference snapshot each
     import coarse_teich.flatsim as flatsim
 
     counts = collections.Counter()
@@ -410,7 +445,7 @@ def test_a_call_reduces_each_slot_time_once_and_builds_no_record_per_row(monkeyp
 
         return wrapped
 
-    for name in ("shortest_slope", "shadow", "FlowedSlots", "Snapshot", "CurveSnap"):
+    for name in ("shortest_slope", "shadow", "Snapshot", "CurveSnap"):
         monkeypatch.setattr(flatsim, name, counted(name, getattr(flatsim, name)))
     monkeypatch.setattr(TrajectoryFamily, "at", counted("at", TrajectoryFamily.at))
     for d in (10.0, 55.0):
@@ -423,7 +458,7 @@ def test_a_call_reduces_each_slot_time_once_and_builds_no_record_per_row(monkeyp
         slot_times = {fam.slot_time(i, t) for fam, t in reads for i in range(2)}
         assert counts["shortest_slope"] == len(slot_times) < 2 * len(res.rows), d
         assert counts["shadow"] == counts["at"] == 4, d
-        assert counts["FlowedSlots"] == counts["Snapshot"] == 4, d
+        assert counts["Snapshot"] == 4, d
         assert counts["CurveSnap"] == 16, d
 
 

@@ -24,7 +24,6 @@ from coarse_teich.projection import (
     _orbit_pairs,
     annulus_point,
     marked_projection,
-    orbit_points,
     phi,
     proj_distance,
     project,
@@ -41,6 +40,7 @@ from coarse_teich.slots import (
     twist,
     twist_coordinate,
 )
+from tests.oracles import orbit_points
 from tests.test_marking import flat_marking, random_marking
 
 
@@ -132,8 +132,10 @@ def test_project_nonbase_annulus_is_relative_twisting():
 
 
 def test_orbit_points_reads_every_rotate():
-    # entry i is annulus_point of the rotate in gluing or slot index i, for
-    # cores on and off each slot's base, levels 0..4, twists up to 10^6
+    # entry i of _orbit_pairs over a marking's blocks is annulus_point of
+    # the rotate in gluing or slot index i, whichever block the core sits
+    # in, for cores on and off each slot's base, levels 0..4, twists up to
+    # 10^6
     rng = random.Random(19)
     slopes = [Slope(0, 1), Slope(1, 0), Slope(1, 1), Slope(2, 3), Slope(-5, 7)]
     for _ in range(60):
@@ -155,15 +157,17 @@ def test_orbit_points_reads_every_rotate():
             for r in range(k):
                 rc = act_curve(r, c, k)
                 want[rc.j if isinstance(rc, Glue) else rc.slot] = annulus_point(rc, m)
-            assert orbit_points(c, m) == want
+            blocks = m.glue if isinstance(c, Glue) else m.slots
+            assert [HoroPoint(*p) for p in _orbit_pairs(c, blocks)] == want
     with pytest.raises(SurfaceMismatchError):
-        orbit_points(Glue(2), flat_marking(2))
+        annulus_point(Glue(2), flat_marking(2))
 
 
 def test_orbit_pairs_are_orbit_points_as_ints():
-    # the private reader against orbit_points and against the definition
-    # (twist coordinate on the base, relative twisting off it), at k = 2..4
-    # for the gluing core and slot cores on and off each slot's base; one
+    # the private reader against the oracle's orbit_points of the block-0
+    # core and against the definition (twist coordinate on the base,
+    # relative twisting off it), at k = 2..4 for the gluing core and slot
+    # cores on and off each slot's base; one
     # call over two markings' blocks reads each marking's orbit
     rng = random.Random(26)
     slopes = [Slope(0, 1), Slope(1, 0), Slope(1, 1), Slope(2, 3), Slope(-5, 7), Slope(7, 2)]
@@ -184,7 +188,7 @@ def test_orbit_pairs_are_orbit_points_as_ints():
         m, n = pair
         want_glue = [(g.tau, g.D) for g in m.glue]
         assert _orbit_pairs(Glue(0), m.glue) == want_glue
-        assert [(p.x, p.level) for p in orbit_points(Glue(1), m)] == want_glue
+        assert [(p.x, p.level) for p in orbit_points(Glue(0), m)] == want_glue
         assert _orbit_pairs(Glue(0), m.glue + n.glue) == want_glue + _orbit_pairs(Glue(0), n.glue)
         for s in dict.fromkeys(slopes + [b.base for b in m.slots]):
             want = [
@@ -194,7 +198,7 @@ def test_orbit_pairs_are_orbit_points_as_ints():
             ]
             c = InSlot(rng.randrange(k), s)
             assert _orbit_pairs(c, m.slots) == want, (m, s)
-            assert [(p.x, p.level) for p in orbit_points(c, m)] == want, (m, s)
+            assert [(p.x, p.level) for p in orbit_points(InSlot(0, s), m)] == want, (m, s)
             both = _orbit_pairs(c, m.slots + n.slots)
             assert both == want + _orbit_pairs(c, n.slots), (m, n, s)
 

@@ -42,7 +42,7 @@ EXTRA_COMMANDS = [
     ["calibrate", "--check"],
     ["barycenter", "marking.json", "--generator", "0"],  # 3: 0 does not generate Z/2
     ["fix-search", "second.json"],  # 4: orbit diameter 16, past R = 10
-    ["nonqc", "--d", "56"],  # 6: past the validated flat regime
+    ["nonqc", "--d", "56"],  # 6: past the flat family's d range
 ]
 
 
@@ -71,4 +71,4 @@ def test_readme_command_block_matches_its_digest(tmp_path, monkeypatch, capsys):
     for path in sorted(tmp_path.iterdir()):
         h.update(path.name.encode() + b"\n" + path.read_bytes())
     assert codes == [0] * 8 + [3, 4, 6]
-    assert h.hexdigest()[:16] == "457b5daa34bfda2c"
+    assert h.hexdigest()[:16] == "cb7c6a148d1b94b2"
