@@ -258,7 +258,6 @@ def test_shadow_of_the_start_surface_is_swap_symmetric():
     cons = build_construction(10.0, 0.1, 1e-6)
     s = cons.main.at(0.0, {})
     snap = shadow(s)
-    area = s[0]
     assert snap.k == 2
     # both phased tori sit at flow time -d/2 once clamping is applied
     assert snap.slots[0].slope == snap.slots[1].slope == flowed_anosov_slope(-5.0)
@@ -267,7 +266,7 @@ def test_shadow_of_the_start_surface_is_swap_symmetric():
     assert rafi_formula(snap, rotate_snapshot(1, snap), TH) == 0.0
     # slot shortness is log(area / scaled systole^2), far past every threshold
     _, syst = shortest_slope(flowed_anosov(cons.main.slot_time(0, 0.0)).basis)
-    expect = math.log(area / (1e-6 * syst) ** 2)
+    expect = math.log(s[0] / (1e-6 * syst) ** 2)
     assert snap.slots[0].neg_log_ext == pytest.approx(expect, rel=1e-9)
     assert snap.slots[0].neg_log_ext > 20.0
 
