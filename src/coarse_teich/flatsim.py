@@ -20,8 +20,10 @@ sweep the same times, the reference families' included).  _curve_values
 turns a reading into its slot's and its gluing curve's values, for shadow
 and for every grid row alike.  A row reads its orbit diameter and its
 distance to the fixed locus from two rafi_pair calls, one on the slot pair
-and one on the gluing pair.  It builds no snapshot and walks the Farey graph
-at most once.  Nothing is kept between calls.
+and one on the gluing pair.  It builds no snapshot, and it reads the Farey
+distance of its two systoles from their indices on the Anosov torus's
+systole chain, walking the Farey graph only for a float reading off that
+chain.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ def shortest_slope(basis: Basis) -> tuple[Slope, float]:
     class of the reduced first vector.  Ties (the square torus) resolve to
     the earlier basis vector, so the unit lattice reports 1/0.  A basis
     flowed by u carries its rounding amplified by about e^(2|u|), so the
-    flowed Anosov torus reads wrong systoles from |u| = 16.6 (see _D_MAX).
+    flowed Anosov torus reads some wrong systoles from about |u| = 16 (see
+    _D_MAX).
     """
     (x1, y1), (x2, y2) = basis
     c1, c2 = (1, 0), (0, 1)
@@ -127,6 +130,50 @@ def shortest_slope(basis: Basis) -> tuple[Slope, float]:
     return Slope.of(*c1), math.sqrt(n1)
 
 
+# The Anosov torus's systoles lie on one chain s_m = F_{m+1}/F_m, m in Z:
+# the float readings on it reach |m| = 46, and the exact systoles for
+# |u| <= _D_MAX/2 reach m = -58.
+_CHAIN_M = 64
+
+
+def _systole_chain(m_max: int) -> dict[Slope, int]:
+    """Each chain slope s_m = F_{m+1}/F_m to its index m, for |m| <= m_max,
+    with F_{-n} = (-1)^(n+1) F_n, the convention of the oracles'
+    fibonacci_slope."""
+    fib = [0, 1]
+    for _ in range(m_max):
+        fib.append(fib[-1] + fib[-2])
+
+    def f(n: int) -> int:
+        return fib[n] if n >= 0 else (-1) ** (1 - n) * fib[-n]
+
+    return {Slope.of(f(m + 1), f(m)): m for m in range(-m_max, m_max + 1)}
+
+
+_SYSTOLE_CHAIN = _systole_chain(_CHAIN_M)
+
+
+def _chain_farey(a: Slope, b: Slope) -> int:
+    """Farey distance of two slopes, ceil(|i - j| / 2) when both lie on the
+    systole chain at indices i and j.
+
+    s_m is adjacent to s_{m+1} and to s_{m+2}, since F_{m+1} F_{m+2} -
+    F_{m+3} F_m = +-1 and likewise F_{m+1}^2 - F_{m+2} F_m = +-1, so steps of
+    two along the chain bound the distance above.  Equality holds on every
+    pair of the table: tests/test_flatsim.py enumerates all of them against
+    farey_distance.
+
+    A slope off the table falls back to the module's farey_distance.  The
+    float reduction leaves the chain from |u| = 18.8 (see _D_MAX), so those
+    readings keep their walks and the rows stay bit-identical; the fallback
+    goes once the systoles are read in closed form, all on the chain.
+    """
+    i, j = _SYSTOLE_CHAIN.get(a), _SYSTOLE_CHAIN.get(b)
+    if i is None or j is None:
+        return farey_distance(a, b)
+    return (abs(i - j) + 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # The slit construction.
 # ---------------------------------------------------------------------------
@@ -135,8 +182,11 @@ def shortest_slope(basis: Basis) -> tuple[Slope, float]:
 # small-torus scale delta below about 1e-153.8 overflows the shadow.  The
 # float family is not exact up to d = 55: against a 150-digit reduction its
 # systole length is off by a relative 8.7e-7 at u = 12.25 and 1.2e-3 at
-# u = -15.7, and at u = 16.6 its slope reads 9227465/5702887 for
-# 5702887/3524578, so every d >= 33.2 reads some wrong systoles.
+# u = -15.7.  On a 0.01 grid of u its slopes are one index off on the
+# systole chain from |u| = 16.6 (at u = 16.6 it reads 9227465/5702887 for
+# 5702887/3524578; a near-tie of two systoles already flips at u = 16.12,
+# and the band around each tie widens as e^(2|u|)), and they leave the chain
+# from |u| = 18.8, so d >= 37.6 reads slopes off it.
 _D_MAX = 55.0
 _DELTA_MIN = 1e-150
 
@@ -144,13 +194,14 @@ _DELTA_MIN = 1e-150
 class SlotReading(NamedTuple):
     """One slot at one slot time, its small torus reduced once: the systole
     slope of the flowed lattice, then what _curve_values reads of the slot.
-    annulus is pi / log(1/slit), or 0.0 when slit >= 1."""
+    glue is the gluing curve's value -log(pi / log(1/slit)) while slit < 1,
+    and None from slit >= 1, where the value depends on the total area."""
 
     slope: Slope
     scaled_area: float  # delta^2 * area of the small torus
     systole_sq: float  # (delta * systole length)^2
     slit_sq: float
-    annulus: float
+    glue: Optional[float]
     log_inv_slit: float
 
 
@@ -197,7 +248,7 @@ class TrajectoryFamily:
             phys, log_inv = self.delta * length, math.log(1 / slit)
             reading = reduced[u] = SlotReading(
                 slope, self.delta**2 * _area(basis), phys * phys, slit * slit,
-                math.pi / log_inv if slit < 1.0 else 0.0, log_inv,
+                -math.log(math.pi / log_inv) if slit < 1.0 else None, log_inv,
             )
         return reading
 
@@ -265,8 +316,15 @@ def _curve_values(area: float, r: SlotReading) -> tuple[float, float]:
     """log(1/extremal length) of the slot's systole, log(A/(delta l)^2), and
     of its gluing curve, whose extremal length is the larger of the lower
     bound s^2/A and, for a slit length s < 1, the annulus-modulus upper
-    bound pi/log(1/s), on a surface of total area A."""
-    return math.log(area / r.systole_sq), -math.log(max(r.slit_sq / area, r.annulus))
+    bound pi/log(1/s), on a surface of total area A.
+
+    While s < 1 the modulus bound always wins, so the reading keeps its
+    value once per slot time: A >= 2 (two unit tori, up to rounding) and
+    s^2 log(1/s) <= 1/(2e) < 2 pi, hence s^2/A < pi/log(1/s) with a margin
+    of more than 30 times.  Only from s >= 1 does the value read A.
+    """
+    glue = r.glue if r.glue is not None else -math.log(r.slit_sq / area)
+    return math.log(area / r.systole_sq), glue
 
 
 def shadow(surface: Surface) -> Snapshot:
@@ -365,10 +423,12 @@ def nonqc_experiment(
     at t and the four curve values from _curve_values, as shadow does, and
     builds no snapshot.  It is read from two formula sides,
     slot = rafi_pair of the slot pair (A, B) and glue = rafi_pair of the
-    gluing pair (G0, G1), so it walks the Farey graph once when A and B
-    have distinct slopes and not at all otherwise.  The snapshot has two
-    slots and two gluing curves, rafi_side is the fold of rafi_pair over its
-    pairs, and rafi_pair's terms are symmetric in a pair, so:
+    gluing pair (G0, G1).  The slot pair's Farey distance, asked only when
+    A and B have distinct slopes, is read from their systole-chain indices
+    by _chain_farey, which walks the Farey graph only when a slope is off
+    the chain.  The snapshot has two slots and two gluing curves, rafi_side
+    is the fold of rafi_pair over its pairs, and rafi_pair's terms are
+    symmetric in a pair, so:
 
     - orbit_diam is rafi_formula(snap, swapped, th), where the swap
       rotates both the slots and the gluing curves.  Its slot pairs are
@@ -396,8 +456,8 @@ def nonqc_experiment(
         t = 2 * d * i / n_steps
         area, a, b = fam._surface(t, reduced)
         (slot_a, glue_a), (slot_b, glue_b) = _curve_values(area, a), _curve_values(area, b)
-        slot = rafi_pair(a.slope, slot_a, b.slope, slot_b, th.K, farey_distance)
-        glue = rafi_pair(None, glue_a, None, glue_b, th.K, farey_distance)
+        slot = rafi_pair(a.slope, slot_a, b.slope, slot_b, th.K, _chain_farey)
+        glue = rafi_pair(None, glue_a, None, glue_b, th.K, _chain_farey)
         rows.append(
             NonqcRow(
                 t=t,

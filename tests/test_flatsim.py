@@ -23,7 +23,15 @@ from coarse_teich.flatsim import (
     shortest_slope,
     slit_length,
 )
-from coarse_teich.flatsim import _area, _curve_values, _flowed_basis
+from coarse_teich.flatsim import (
+    _CHAIN_M,
+    _D_MAX,
+    _SYSTOLE_CHAIN,
+    _area,
+    _chain_farey,
+    _curve_values,
+    _flowed_basis,
+)
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.metrics import (
     CurveSnap,
@@ -414,7 +422,10 @@ def test_rows_match_the_generic_evaluation_bit_for_bit():
     assert min(seen.values()) >= 100, seen
 
 
-def test_each_row_walks_the_farey_graph_once_if_its_slopes_differ(monkeypatch):
+def test_a_row_walks_the_farey_graph_only_for_distinct_slopes_off_the_chain(monkeypatch):
+    # a row asks for a Farey distance only when its two slopes differ, and
+    # walks the Farey graph only when one of them is off the systole chain:
+    # d = 10 reads every systole on the chain, d = 55 leaves it
     walks = []
 
     def counted(a, b):
@@ -426,8 +437,41 @@ def test_each_row_walks_the_farey_graph_once_if_its_slopes_differ(monkeypatch):
         walks.clear()
         res = nonqc_experiment(d, c=c)
         distinct = [r.slot_slopes for r in res.rows if r.slot_slopes[0] != r.slot_slopes[1]]
-        assert walks == distinct
-        assert 0 < len(distinct) < len(res.rows)
+        off_chain = [p for p in distinct if not all(s in _SYSTOLE_CHAIN for s in p)]
+        assert walks == off_chain, d
+        assert 0 < len(distinct) < len(res.rows), d
+        assert (len(walks) > 0) == (d == 55.0), d
+
+
+def test_the_systole_chain_reads_the_farey_distance_of_its_slopes(monkeypatch):
+    # the table is the oracle's Fibonacci family, and ceil(|i - j| / 2) is
+    # the Farey distance on every ordered pair of it, so in both orders
+    assert _SYSTOLE_CHAIN == {fibonacci_slope(m): m for m in range(-_CHAIN_M, _CHAIN_M + 1)}
+    for a, i in _SYSTOLE_CHAIN.items():
+        for b, j in _SYSTOLE_CHAIN.items():
+            assert _chain_farey(a, b) == farey_distance(a, b) == (abs(i - j) + 1) // 2, (i, j)
+    # it holds every exact systole index of the family's slot times
+    reach = round(50 * _D_MAX)
+    indices = {systole_index(k / 100) for k in range(-reach, reach + 1)}
+    assert indices <= set(_SYSTOLE_CHAIN.values()), sorted(indices)[:3]
+    # the grid of test_rows_match_the_generic_evaluation_bit_for_bit takes
+    # both the chain reading and the walk.  A row's slopes depend on d and
+    # its step count only, not on c, delta or the thresholds.
+    asked, walks = [], []
+
+    def counted(log, fn):
+        def wrapped(a, b):
+            log.append((a, b))
+            return fn(a, b)
+
+        return wrapped
+
+    monkeypatch.setattr("coarse_teich.flatsim._chain_farey", counted(asked, _chain_farey))
+    monkeypatch.setattr("coarse_teich.flatsim.farey_distance", counted(walks, farey_distance))
+    for n_steps in (1, 7, 40, 200):
+        for d in (3, 10, 17.5, 25, 33.3, 55):
+            nonqc_experiment(d, n_steps=n_steps)
+    assert 0 < len(walks) < len(asked), (len(walks), len(asked))
 
 
 def test_a_call_reduces_each_slot_time_once_and_builds_no_record_per_row(monkeypatch):
