@@ -52,7 +52,6 @@ from .metrics import (
     SymmetryViolationError,
     Thresholds,
     formula_distance_T,
-    formula_distance_WP,
     formula_terms,
 )
 from .projection import Annulus, Slot, Whole, project
@@ -185,12 +184,15 @@ def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> None
 
 def cmd_dist(args, cfg: Config, th: Thresholds, consts: CalibrationConstants):
     m1, m2 = _read_marking(args.first), _read_marking(args.second)
+    # one walk over the rows: formula_distance_T sums every contribution,
+    # formula_distance_WP those of the non-annular rows
+    terms = formula_terms(m1, m2, th)
     outputs = {
-        "formula_distance_T": formula_distance_T(m1, m2, th),
-        "formula_distance_WP": formula_distance_WP(m1, m2, th),
+        "formula_distance_T": sum(c for _, _, c in terms),
+        "formula_distance_WP": sum(c for ref, _, c in terms if not isinstance(ref, Annulus)),
         "terms": [
             {"subsurface": _ref_label(ref), "value": v, "contribution": c}
-            for ref, v, c in formula_terms(m1, m2, th)
+            for ref, v, c in terms
         ],
     }
     if args.oracle:

@@ -110,8 +110,13 @@ def shortest_slope(basis: Basis) -> tuple[Slope, float]:
     class of the reduced first vector.  Ties (the square torus) resolve to
     the earlier basis vector, so the unit lattice reports 1/0.  A basis
     flowed by u carries its rounding amplified by about e^(2|u|), so the
-    flowed Anosov torus reads some wrong systoles from about |u| = 16 (see
-    _D_MAX).
+    flowed Anosov torus misreads its systole in bands around each tie of
+    two chain systoles (u / log _GAMMA a half-integer).  Scanned +-3e-3
+    around each tie at step 1e-6 against round(u / log _GAMMA) - 1, u > 0
+    first misreads off a tie at u = 12.27, on 1e-6 of u there; the misread
+    u cover 7.6e-5 at 14.68 and 2.2e-3 at 16.60, and u < 0 misreads two
+    to three times as much up to |u| = 16.1.  On a 0.01 grid of u the
+    slopes are one index off from |u| = 16.6 (see _D_MAX).
     """
     (x1, y1), (x2, y2) = basis
     c1, c2 = (1, 0), (0, 1)

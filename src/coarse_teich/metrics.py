@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .horoball import HoroPoint, _apex_scan, horo_distance, horo_normal_path
+from .horoball import HoroPoint, _apex_scan, horo_normal_path
 from .marking import (
     AugMarking,
     CurveRef,
@@ -286,7 +286,8 @@ def _slot_pair_rows(i: int, s: SlotBlock, t: SlotBlock):
             x = _framed(rows, complement(Slope(p, q)))
             n1, d1, _ = _frame_point(w, x, *e1)
             n2, d2, _ = _frame_point(w, x, *e2)
-        out.append((p, q, horo_distance(HoroPoint(n1, d1), HoroPoint(n2, d2))))
+        # the blocks have checked their levels, so no HoroPoint is built
+        out.append((p, q, _apex_scan(abs(n1 - n2), d1, d2)[0]))
     out.sort()
     return [(Annulus(InSlot(i, Slope(p, q))), d) for p, q, d in out]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .horoball import HoroPoint, horo_distance
+from .horoball import HoroPoint, _apex_scan
 from .marking import (
     AugMarking,
     CurveRef,
@@ -197,9 +197,10 @@ def proj_distance(y: SubsurfaceRef, m1: AugMarking, m2: AugMarking) -> int:
         return farey_distance(m1.slots[y.i].base, m2.slots[y.i].base)
     if isinstance(y, Annulus):
         (i, b1), (_, b2) = _blocks(y.curve, m1), _blocks(y.curve, m2)
-        # one complement serves both markings
-        p1, p2 = _orbit_pairs(y.curve, (b1[i], b2[i]))
-        return horo_distance(HoroPoint(*p1), HoroPoint(*p2))
+        # one complement serves both markings; the blocks have checked
+        # their levels, so the int kernel reads the pairs directly
+        (x1, l1), (x2, l2) = _orbit_pairs(y.curve, (b1[i], b2[i]))
+        return _apex_scan(abs(x1 - x2), l1, l2)[0]
     if isinstance(y, Whole):
         return _whole_distance(m1, m2)
     raise TypeError(f"not a subsurface: {y!r}")

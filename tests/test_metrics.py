@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from coarse_teich import metrics
+from coarse_teich import metrics, projection
 from coarse_teich.calibration import sample_marking
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.marking import (
@@ -213,6 +213,50 @@ def test_slot_pair_walk_needs_its_tie_correction(monkeypatch):
     bad, ties = _walk_cross_check(31, 400)
     assert ties == 0
     assert bad > 0
+
+
+def test_the_formula_path_builds_no_horopoint(monkeypatch):
+    # the annulus rows and proj_distance hand int pairs to the horoball
+    # kernel; criterion 04's sampler pairs, the walk's deep blocks and a
+    # 500-digit transversal twist
+    built = []
+
+    class Counted(HoroPoint):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(metrics, "HoroPoint", Counted)
+    monkeypatch.setattr(projection, "HoroPoint", Counted)
+    rng = random.Random(4001)
+    pairs = []
+    for _ in range(200):
+        k = rng.randint(2, 4)
+        pairs.append((sample_marking(rng, k), sample_marking(rng, k)))
+    for _ in range(40):
+        k = rng.randint(2, 3)
+        glue = [GlueBlock(rng.randint(-9, 9), rng.randint(0, 4)) for _ in range(2 * k)]
+        first = tuple(_walk_test_block(rng) for _ in range(k))
+        second = tuple(_walk_test_block(rng) for _ in range(k))
+        pairs.append((AugMarking(tuple(glue[:k]), first), AugMarking(tuple(glue[k:]), second)))
+    flat = flat_marking(2)
+    base = flat.slots[0].base
+    deep = AugMarking(flat.glue, (SlotBlock(base, transversal_at(base, 10**499 + 7), 0), flat.slots[1]))
+    pairs.append((flat, deep))
+    annulus_rows = 0
+    for m1, m2 in pairs:
+        terms = formula_terms(m1, m2, TH)
+        assert formula_distance_T(m1, m2, TH) == sum(c for _, _, c in terms)
+        for y, d, _ in terms:
+            if isinstance(y, Annulus):
+                annulus_rows += 1
+                assert proj_distance(y, m1, m2) == d
+    assert built == []
+    assert annulus_rows > 5_000
+    assert dict((y, d) for y, d, _ in terms)[Annulus(InSlot(0, base))] > 2_000
+    # the counter sees the HoroPoints that canonical_path still builds
+    canonical_path(flat, AugMarking((GlueBlock(3, 0), flat.glue[1]), flat.slots))
+    assert built
 
 
 def test_formula_envelope_against_bfs():
