@@ -16,7 +16,6 @@ import math
 import os
 import random
 from dataclasses import asdict, dataclass, fields
-from hashlib import sha256
 from importlib import resources
 from pathlib import Path
 from statistics import linear_regression
@@ -107,6 +106,11 @@ class CalibrationConstants:
         return CalibrationConstants(**data)
 
     def digest(self) -> str:
+        # imported here: OpenSSL's _hashlib adds about 3.6 MB to the peak
+        # memory of every process that imports the library, and only a
+        # digest needs it
+        from hashlib import sha256
+
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
         return sha256(blob).hexdigest()[:12]
 

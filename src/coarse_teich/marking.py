@@ -264,11 +264,19 @@ def bfs_distance(a: AugMarking, b: AugMarking) -> int:
 
     The sum of the block distances: _block_distance per gluing curve and
     _slot_distance per slot, each exact, the slot walk linear in the
-    continued-fraction length of the bases.
+    continued-fraction length of the bases.  Only the block pairs that
+    differ are read: the move graph is a product, so an equal pair is one
+    vertex of its factor, at distance 0 from itself.
     """
     check_same_surface(a, b)
-    total = sum(_block_distance(g, h) for g, h in zip(a.glue, b.glue))
-    return total + sum(_slot_distance(s, t) for s, t in zip(a.slots, b.slots))
+    total = 0
+    for g, h in zip(a.glue, b.glue):
+        if g != h:
+            total += _block_distance(g, h)
+    for s, t in zip(a.slots, b.slots):
+        if s != t:
+            total += _slot_distance(s, t)
+    return total
 
 
 def _slot_distance(s: SlotBlock, t: SlotBlock) -> int:

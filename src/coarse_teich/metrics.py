@@ -10,10 +10,13 @@ other annulus provably stays below a small constant.
 Every row but the whole surface's reads one block pair: the annulus of
 gluing curve j reads the two gluing blocks j, and slot i and the annuli
 over its pivot region read the two slot blocks i.  The model is a product
-of these blocks, so an equal block pair contributes only zero rows (its
-pivot region is its one base slope), and those rows are emitted without
-projecting anything.  The annulus rows of a slot pair come from one walk
-over the fans between its bases, and complement is read only at ties.
+of these blocks, so an equal block pair contributes only zero rows: its
+slot row is the Farey distance of a slope to itself, its pivot region is
+its one base slope, and its annulus row compares a horoball point with
+itself.  formula_terms lists every row, and the distance sums skip those
+zero rows, reading only the whole surface and the block pairs that
+differ.  The annulus rows of a slot pair come from one walk over the
+fans between its bases, and complement is read only at ties.
 
 On top of the formulas sit large-link enumeration, the grouping of links
 into orbits of the cyclic symmetry (with the symmetry assertions whose
@@ -244,18 +247,42 @@ def annular_candidates(m1: AugMarking, m2: AugMarking) -> list[CurveRef]:
     return out
 
 
-def _raw_rows(m1: AugMarking, m2: AugMarking):
+def _raw_rows(m1: AugMarking, m2: AugMarking) -> list[tuple[SubsurfaceRef, int]]:
     """(subsurface, projection distance): the whole surface, the slots, then
-    every annular candidate in order; a slot pair's annulus rows come from
-    one fan walk, with complement read only at ties."""
+    every annular candidate in order, each block pair's rows from
+    _block_rows."""
     check_same_surface(m1, m2)
-    yield Whole(), _whole_distance(m1, m2)
-    for i, (s, t) in enumerate(zip(m1.slots, m2.slots)):
-        yield Slot(i), farey_distance(s.base, t.base)
-    for j, (g, h) in enumerate(zip(m1.glue, m2.glue)):
-        yield Annulus(Glue(j)), 0 if g == h else _block_distance(g, h)
-    for i, (s, t) in enumerate(zip(m1.slots, m2.slots)):
-        yield from _slot_pair_rows(i, s, t)
+    glue = [_block_rows(j, g, h) for j, (g, h) in enumerate(zip(m1.glue, m2.glue))]
+    slots = [_block_rows(i, s, t) for i, (s, t) in enumerate(zip(m1.slots, m2.slots))]
+    rows = [(Whole(), _whole_distance(m1, m2))]
+    rows.extend(r[0] for r in slots)
+    for r in glue:
+        rows.extend(r)
+    for r in slots:
+        rows.extend(r[1:])
+    return rows
+
+
+def _differing_rows(m1: AugMarking, m2: AugMarking) -> list[tuple[SubsurfaceRef, int]]:
+    """The whole surface's row, then the rows of each block pair that
+    differs; every row left out reads an equal pair and is 0."""
+    check_same_surface(m1, m2)
+    rows = [(Whole(), _whole_distance(m1, m2))]
+    for blocks in (zip(m1.glue, m2.glue), zip(m1.slots, m2.slots)):
+        for i, (x, y) in enumerate(blocks):
+            if x != y:
+                rows += _block_rows(i, x, y)
+    return rows
+
+
+def _block_rows(
+    i: int, x: GlueBlock | SlotBlock, y: GlueBlock | SlotBlock
+) -> list[tuple[SubsurfaceRef, int]]:
+    """The rows that read block pair i: a gluing pair's annulus, or a slot
+    pair's slot and then its annuli over pivot_region(x.base, y.base)."""
+    if isinstance(x, GlueBlock):
+        return [(Annulus(Glue(i)), _block_distance(x, y))]
+    return [(Slot(i), farey_distance(x.base, y.base)), *_slot_pair_rows(i, x, y)]
 
 
 def _slot_pair_rows(i: int, s: SlotBlock, t: SlotBlock):
@@ -271,7 +298,7 @@ def _slot_pair_rows(i: int, s: SlotBlock, t: SlotBlock):
     """
     a, b = s.base, t.base
     if a == b:
-        return [(Annulus(InSlot(i, a)), 0 if s == t else _block_distance(s, t))]
+        return [(Annulus(InSlot(i, a)), _block_distance(s, t))]
     if b < a:
         s, t, a, b = t, s, b, a
     rows, u, v = _normalized(a, b)
@@ -306,23 +333,27 @@ def formula_terms(
     m1: AugMarking, m2: AugMarking, th: Thresholds
 ) -> list[tuple[SubsurfaceRef, int, int]]:
     """Per-subsurface rows (subsurface, raw value, thresholded contribution)."""
-    rows: list[tuple[SubsurfaceRef, int, int]] = []
-    for y, d in _raw_rows(m1, m2):
-        rows.append((y, d, _cut(d, th.K)))
-    return rows
+    return [(y, d, _cut(d, th.K)) for y, d in _raw_rows(m1, m2)]
 
 
 def formula_distance_T(m1: AugMarking, m2: AugMarking, th: Thresholds) -> int:
-    """Thresholded sum over every subsurface: the full metric surrogate."""
-    return sum(contrib for _, _, contrib in formula_terms(m1, m2, th))
+    """Thresholded sum over every subsurface: the full metric surrogate.
+
+    It reads only the whole surface's row and the rows of the block pairs
+    that differ.  Every other row reads one block pair (module docstring),
+    and over an equal pair it is 0: two equal slot blocks are at Farey
+    distance 0, their pivot region is their one base slope, and two equal
+    points of a horoball are at distance 0.  A 0 row adds 0 at any K.
+    """
+    return sum(_cut(d, th.K) for _, d in _differing_rows(m1, m2))
 
 
 def formula_distance_WP(m1: AugMarking, m2: AugMarking, th: Thresholds) -> int:
-    """The non-annular subsum (slots and whole surface only)."""
+    """The non-annular subsum (slots and whole surface only), read, as
+    formula_distance_T is, from the whole surface and the block pairs that
+    differ: an equal slot pair's slot row is 0."""
     return sum(
-        contrib
-        for y, _, contrib in formula_terms(m1, m2, th)
-        if not isinstance(y, Annulus)
+        _cut(d, th.K) for y, d in _differing_rows(m1, m2) if not isinstance(y, Annulus)
     )
 
 

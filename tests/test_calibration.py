@@ -1,10 +1,15 @@
 """Tests for calibration storage, lookup precedence, and the fitting sweeps."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coarse_teich
 from coarse_teich.calibration import (
     CALIBRATION_VERSION,
     ENV_VAR,
@@ -85,6 +90,24 @@ def test_packaged_constants_are_pinned():
     assert consts.horoball_mult <= 4.0 and consts.horoball_add <= 8.0
     # tripwire: regenerating the packaged file is a deliberate act
     assert consts.digest() == "8aab84cd9c1d"
+
+
+def test_library_imports_load_no_openssl_hashlib():
+    # only CalibrationConstants.digest hashes, so importing the library
+    # leaves OpenSSL's _hashlib unloaded until a digest is taken
+    src = str(Path(coarse_teich.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; import coarse_teich.calibration, coarse_teich.flatsim, "
+        "coarse_teich.search; print('_hashlib' in sys.modules); "
+        "print(coarse_teich.calibration.load_constants().digest())"
+    )
+    env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(env, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "8aab84cd9c1d"]
 
 
 def test_compare_constants_flags_drift():

@@ -425,6 +425,15 @@ def test_slot_distance_is_a_metric():
         assert _slot_distance(s, u) <= dst + _slot_distance(t, u)
 
 
+def _block_sum(a: AugMarking, b: AugMarking) -> int:
+    """The block distances summed over every block pair, equal ones
+    included."""
+    return sum(
+        horo_distance(HoroPoint(g.tau, g.D), HoroPoint(h.tau, h.D))
+        for g, h in zip(a.glue, b.glue)
+    ) + sum(_slot_distance(s, t) for s, t in zip(a.slots, b.slots))
+
+
 def test_bfs_distance_is_the_block_sum_on_random_pairs():
     # the block sum, for the pair and for a rotate of it
     rng = random.Random(7004)
@@ -432,13 +441,41 @@ def test_bfs_distance_is_the_block_sum_on_random_pairs():
         k = rng.randint(2, 4)
         a = sample_marking(rng, k, twist_max=6, level_max=2)
         b = sample_marking(rng, k, twist_max=6, level_max=2)
-        total = sum(
-            horo_distance(HoroPoint(g.tau, g.D), HoroPoint(h.tau, h.D))
-            for g, h in zip(a.glue, b.glue)
-        ) + sum(_slot_distance(s, t) for s, t in zip(a.slots, b.slots))
+        total = _block_sum(a, b)
         r = rng.randrange(1, k)
         assert bfs_distance(a, b) == total
         assert bfs_distance(act(r, a), act(r, b)) == total
+
+
+def block_sharing_pairs(seed: int):
+    """Seeded pairs (a, b) for k = 2..8 whose 2k block pairs include n
+    equal ones, n = 0..2k, two pairs per (k, n).  b's shared blocks
+    are rebuilt, so they equal a's without being the same objects."""
+    rng = random.Random(seed)
+    for k in range(2, 9):
+        for n in range(2 * k + 1):
+            for _ in range(2):
+                twist_max, level_max = rng.choice(((3, 1), (40, 3)))
+                a = sample_marking(rng, k, twist_max, level_max)
+                b = sample_marking(rng, k, twist_max, level_max)
+                glue, slots = list(b.glue), list(b.slots)
+                for p in rng.sample(range(2 * k), n):
+                    if p < k:
+                        glue[p] = GlueBlock(a.glue[p].tau, a.glue[p].D)
+                    else:
+                        s = a.slots[p - k]
+                        slots[p - k] = SlotBlock(s.base, s.trans, s.D)
+                yield a, AugMarking(tuple(glue), tuple(slots))
+
+
+def test_bfs_distance_is_the_block_sum_on_block_sharing_pairs():
+    # bfs_distance reads only the block pairs that differ; the sum over all
+    # of them, equal pairs included, is the same
+    equal = 0
+    for a, b in block_sharing_pairs(3405):
+        assert bfs_distance(a, b) == _block_sum(a, b)
+        equal += sum(x == y for x, y in zip(a.glue + a.slots, b.glue + b.slots))
+    assert equal > 0
 
 
 def _horopoint_leave(states: dict, w: tuple[int, int], level: int) -> int:

@@ -37,7 +37,7 @@ from coarse_teich.projection import Annulus, Slot, Whole, proj_distance
 from coarse_teich.search import almost_fixed_certificate
 from coarse_teich.slots import Slope, _nearest, farey_distance, transversal_at
 from tests.oracles import fibonacci_slope, is_elementary_move, rafi_side_by_pairs
-from tests.test_marking import flat_marking, random_marking
+from tests.test_marking import block_sharing_pairs, flat_marking, random_marking
 
 TH = Thresholds()
 
@@ -122,7 +122,7 @@ def _generic_rows(m1, m2, th):
 
 def test_formula_terms_on_block_sharing_pairs_match_the_generic_rows():
     # rotates of markings built from a small block pool, and pairs sharing a
-    # random half of their blocks: the rows of equal block pairs are skipped
+    # random half of their blocks, so that equal block pairs occur
     rng = random.Random(606)
     equal_glue = equal_slot = 0
     for n in range(300):
@@ -145,6 +145,49 @@ def test_formula_terms_on_block_sharing_pairs_match_the_generic_rows():
         equal_glue += sum(a == b for a, b in zip(m1.glue, m2.glue))
         equal_slot += sum(a == b for a, b in zip(m1.slots, m2.slots))
         assert formula_terms(m1, m2, TH) == _generic_rows(m1, m2, TH)
+    assert equal_glue > 0 and equal_slot > 0
+
+
+def _block_pair(y):
+    """The block pair a formula row reads, ("glue", j) or ("slot", i), or
+    None for the whole surface."""
+    if isinstance(y, Slot):
+        return "slot", y.i
+    if isinstance(y, Annulus):
+        c = y.curve
+        return ("glue", c.j) if isinstance(c, Glue) else ("slot", c.slot)
+    return None
+
+
+def test_distance_sums_equal_the_sums_over_formula_terms():
+    # the sums read the whole surface and the block pairs that differ, the
+    # rows from every block pair; at K = 1 the whole surface's 2 counts, and
+    # it is the one row on no block pair
+    whole_counted = 0
+    for m1, m2 in block_sharing_pairs(3404):
+        for K in (1, 3, 4):
+            th = Thresholds(K=K, K_hat=max(K, 4), R=10)
+            rows = formula_terms(m1, m2, th)
+            assert formula_distance_T(m1, m2, th) == sum(c for _, _, c in rows)
+            assert formula_distance_WP(m1, m2, th) == sum(
+                c for y, _, c in rows if not isinstance(y, Annulus)
+            )
+            off = [(y, c) for y, _, c in rows if _block_pair(y) is None]
+            assert [y for y, _ in off] == [Whole()]
+            whole_counted += off[0][1] > 0
+    assert whole_counted > 0
+
+
+def test_rows_over_equal_block_pairs_are_zero():
+    equal_glue = equal_slot = 0
+    for m1, m2 in block_sharing_pairs(3406):
+        equal = {("glue", j) for j, (g, h) in enumerate(zip(m1.glue, m2.glue)) if g == h}
+        equal |= {("slot", i) for i, (s, t) in enumerate(zip(m1.slots, m2.slots)) if s == t}
+        for y, d, _ in formula_terms(m1, m2, Thresholds(K=1, K_hat=4, R=10)):
+            if _block_pair(y) in equal:
+                assert d == 0, (y, m1, m2)
+                equal_glue += _block_pair(y)[0] == "glue"
+                equal_slot += _block_pair(y)[0] == "slot"
     assert equal_glue > 0 and equal_slot > 0
 
 
