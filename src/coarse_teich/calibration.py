@@ -349,9 +349,7 @@ def calibrate(seed: int = 0, th: Optional[Thresholds] = None) -> CalibrationCons
     )
 
     results, fit_slope, fit_intercept = nonqc_sweep()
-    endpoint = max(
-        max(r.endpoint_max, r.ref_start_gap, r.ref_end_gap) for r in results
-    )
+    endpoint = max(r.endpoint_max for r in results)
 
     return CalibrationConstants(
         version=CALIBRATION_VERSION,

@@ -325,9 +325,7 @@ def _nonqc_rows(res) -> list[list]:
 def _nonqc_checks(res, consts: CalibrationConstants) -> dict:
     """The experiment's three claims at res.d; AssertionError unless all hold."""
     checks = {
-        "endpoints_flat": bool(
-            max(res.endpoint_max, res.ref_start_gap, res.ref_end_gap) <= consts.E0
-        ),
+        "endpoints_flat": bool(res.endpoint_max <= consts.E0),
         "midpoint_large": bool(res.midpoint >= consts.c1 * res.d - consts.c2),
         "peak_near_midpoint": bool(0.8 * res.d <= res.peak_t <= 1.2 * res.d),
     }

@@ -1,9 +1,9 @@
 """Flat slit-torus family behind the non-quasiconvexity experiment.
 
-Two unit tori carry two small phased slit tori glued in a 4-cycle along
-parallel 45-degree slits.  Flowing by diag(e^t, e^{-t}) pinches the first
-slit pair around t = d/2 and the second around t = 3d/2, while the small
-tori's systoles walk along the Farey graph at rate 2/log lambda.  A snapshot
+Two unit tori carry two small slit tori glued in a 4-cycle along parallel
+45-degree slits.  Flowing by diag(e^t, e^{-t}) pinches the first slit pair
+around t = d/2 and the second around t = 3d/2, while the small tori's
+systoles walk along the Farey graph at rate 2/log lambda.  A snapshot
 needs only the small tori's flowed lattices, their slit lengths and the
 total area, so the family computes those and builds no slit geometry.  A
 lattice is a plain tuple of its basis vectors ((x1, y1), (x2, y2)), flowed
@@ -16,14 +16,16 @@ construction.
 
 Within one nonqc_experiment call each distinct slot time is read once into
 a SlotReading (a slot's time is constant outside its window, and both slots
-sweep the same times, the reference families' included).  _curve_values
-turns a reading into its slot's and its gluing curve's values, for shadow
-and for every grid row alike.  A row reads its orbit diameter and its
-distance to the fixed locus from two rafi_pair calls, one on the slot pair
-and one on the gluing pair.  It builds no snapshot, and it reads the Farey
-distance of its two systoles from their indices on the Anosov torus's
-systole chain, walking the Farey graph only for a float reading off that
-chain.  Nothing is kept between calls.
+sweep the same times).  _curve_values turns a reading into its slot's and
+its gluing curve's values, for shadow and for every grid row alike.  A row
+reads its orbit diameter and its distance to the fixed locus from two
+rafi_pair calls, one on the slot pair and one on the gluing pair.  It
+builds no snapshot, and it reads the Farey distance of its two systoles
+from their indices on the Anosov torus's systole chain, walking the Farey
+graph only for a float reading off that chain.  Nothing is kept between
+calls.  shadow, TrajectoryFamily.at and distance_to_fixed have no runtime
+caller: they are the snapshot definitions that the tests compare rows
+against.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from statistics import linear_regression
 from typing import NamedTuple, Optional
 
-from .metrics import CurveSnap, Snapshot, Thresholds, rafi_formula, rafi_pair, rafi_side, rafi_total
+from .metrics import CurveSnap, Snapshot, Thresholds, rafi_pair, rafi_side, rafi_total
 from .slots import Slope, farey_distance
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "slit_length",
     "shortest_slope",
     "TrajectoryFamily",
-    "Construction",
     "build_construction",
     "shadow",
     "distance_to_fixed",
@@ -210,7 +211,7 @@ class SlotReading(NamedTuple):
     log_inv_slit: float
 
 
-# slot time -> its reading, for the families of one construction
+# slot time -> its reading, for one family
 Reductions = dict[float, SlotReading]
 
 # total area and the two slots' readings at one time
@@ -224,16 +225,18 @@ class TrajectoryFamily:
     The surface at time t is the 4-cycle (big, small 0, big, small 1): the
     big tori are the Anosov torus flowed by t, small torus i is the Anosov
     torus flowed by its slot time and scaled by delta, and slot i's slits
-    have length slit_length(rho, slot time).  Each small torus and its slit
-    pair carries a phase, and the piece's time is clamped to its active
-    window, which is the combinatorial straightening that makes shadows
-    stable while the piece is inactive.  Windows of (-inf, inf) unclamp it.
+    have length slit_length(rho, slot time).  Slot i's time is its window's
+    clamp of t, less i * d, then less d/2.  The clamp is the combinatorial
+    straightening that makes shadows stable while a piece is inactive;
+    windows of (-inf, inf) unclamp it.  On build_construction's windows
+    [0, d] and [d, 2d] the clamps less i * d are 0 and d - d = 0 at t = 0,
+    and d and 2d - d = d at t = 2d, all exact, so at each end both slots
+    read one float slot time for every d.
     """
 
     d: float
     c: float
     delta: float
-    phases: tuple[float, float]
     windows: tuple[tuple[float, float], tuple[float, float]]
 
     @property
@@ -242,7 +245,7 @@ class TrajectoryFamily:
 
     def slot_time(self, i: int, t: float) -> float:
         lo, hi = self.windows[i]
-        return min(max(t, lo), hi) + self.phases[i]
+        return (min(max(t, lo), hi) - i * self.d) - self.d / 2
 
     def _reading(self, u: float, reduced: Reductions) -> SlotReading:
         reading = reduced.get(u)
@@ -262,8 +265,7 @@ class TrajectoryFamily:
 
         reduced maps slot times to their readings and is filled as it goes,
         so each distinct slot time is reduced once per dict.  A dict serves
-        the families of one construction, which share delta and rho; pass a
-        fresh dict for a one-off surface.
+        one family; pass a fresh dict for a one-off surface.
         """
         a = self._reading(self.slot_time(0, t), reduced)
         b = self._reading(self.slot_time(1, t), reduced)
@@ -273,25 +275,18 @@ class TrajectoryFamily:
         return big + a.scaled_area + big + b.scaled_area, a, b
 
     # the public name, which the layer tracer of perfbench/tracer.py times;
-    # nonqc_experiment's rows call _surface, so only its reference gaps count
+    # no runtime code calls it: nonqc_experiment's rows call _surface, and
+    # the tests read shadow(at(t)) as the definition of a row
     at = _surface
 
 
-@dataclass(frozen=True)
-class Construction:
-    """The main family and the two reference families of one (d, c, delta)."""
+def build_construction(d: float, c: float, delta: float) -> TrajectoryFamily:
+    """The slit family of (d, c, delta) on [0, 2d].
 
-    main: TrajectoryFamily
-    ref_start: TrajectoryFamily
-    ref_end: TrajectoryFamily
-
-
-def build_construction(d: float, c: float, delta: float) -> Construction:
-    """Main family plus the two reference families, on [0, 2d].
-
-    The main family phases its small tori at -d/2 and -3d/2, so the first
-    slit pair is shortest at t = d/2 and active on [0, d], the second at
-    t = 3d/2 and active on [d, 2d].  The references phase both pieces alike.
+    Slot 0 sits at slot time t - d/2 on its window [0, d] and slot 1 at
+    t - 3d/2 on [d, 2d], so the first slit pair is shortest at t = d/2 and
+    the second at t = 3d/2.  Both slots read -d/2 at t = 0 and d/2 at
+    t = 2d.
     """
     if not 0 < c < 1:
         raise ParameterRegimeError(f"c={c} outside (0, 1)")
@@ -302,14 +297,7 @@ def build_construction(d: float, c: float, delta: float) -> Construction:
         raise ParameterRegimeError(
             f"delta={delta} outside [{_DELTA_MIN}, rho/10] at the slit scale rho={rho}"
         )
-
-    def family(p1: float, p2: float, w1, w2) -> TrajectoryFamily:
-        return TrajectoryFamily(d, c, delta, (p1, p2), (w1, w2))
-
-    main = family(-d / 2, -3 * d / 2, (0.0, d), (d, 2 * d))
-    ref_start = family(-d / 2, -d / 2, (0.0, d), (0.0, d))
-    ref_end = family(-3 * d / 2, -3 * d / 2, (d, 2 * d), (d, 2 * d))
-    return Construction(main, ref_start, ref_end)
+    return TrajectoryFamily(d, c, delta, ((0.0, d), (d, 2 * d)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +324,9 @@ def shadow(surface: Surface) -> Snapshot:
     """Combinatorial snapshot: systole slope and shortness per slot, slit
     shortness per gluing curve.  A gluing curve has no slope and carries no
     twist.  It reads the slot readings of TrajectoryFamily.at and reduces no
-    lattice itself.  Only nonqc_experiment's two reference gaps call it; a
-    row reads the same values from _curve_values without the records."""
+    lattice itself.  No runtime code calls it: a nonqc_experiment row reads
+    the same values from _curve_values without the records, and the tests
+    compare rows against it."""
     area, *readings = surface
     values = [_curve_values(area, r) for r in readings]
     return Snapshot(
@@ -389,11 +378,17 @@ class NonqcRow:
 class NonqcResult:
     """nonqc_experiment's rows and their summary.
 
-    ref_start_gap and ref_end_gap are 0 by construction: at t = 0 every
-    piece of the main family and of both reference families sits at slot
-    time -d/2, and at t = 2d at d/2, so the three shadows are equal there
-    (tests/test_flatsim.py checks it for d = 10..40 and 55 and c in {1e-6,
-    0.1, 0.5, 0.9}).  Both fields stay, as the E0 gates read them.
+    endpoint_max is 0 by construction: at t = 0 and at t = 2d both slots
+    read one slot time for every d (see TrajectoryFamily), so they share
+    one SlotReading and the gluing curves one value.  The end surface is
+    then its own slot swap: each pair of the swap pairs a curve with one of
+    equal slope and shortness, which adds 0 to every term of rafi_pair.
+    tests/test_flatsim.py checks it on seeded float d in (0, 55].
+
+    ref_start_gap and ref_end_gap were the formula distances from the end
+    surfaces to reference surfaces with both slots at -d/2 and at d/2.
+    Those are the end surfaces themselves, so both gaps are the constant
+    0.0, kept for the benchmark gate of perfbench/workloads.py.
     """
 
     d: float
@@ -404,8 +399,9 @@ class NonqcResult:
     peak_value: float
     midpoint: float
     endpoint_max: float
-    ref_start_gap: float
-    ref_end_gap: float
+
+    ref_start_gap = 0.0
+    ref_end_gap = 0.0
 
 
 def nonqc_experiment(
@@ -419,12 +415,11 @@ def nonqc_experiment(
 
     Per grid time: orbit diameter against the slot swap with its Farey
     term, distance to the fixed locus, and the slit shortness column.  Each
-    distinct slot time is read once for the whole call (the reference
-    families included).  The endpoint and midpoint claims are checked
-    against the calibrated bounds by cli._nonqc_checks, not here.  n_steps
-    must be an int >= 1.
+    distinct slot time is read once for the whole call.  The endpoint,
+    midpoint and peak claims are checked against the calibrated bounds by
+    cli._nonqc_checks, not here.  n_steps must be an int >= 1.
 
-    A row is shadow(main.at(t)) without the records: it reads the surface
+    A row is shadow(fam.at(t)) without the records: it reads the surface
     at t and the four curve values from _curve_values, as shadow does, and
     builds no snapshot.  It is read from two formula sides,
     slot = rafi_pair of the slot pair (A, B) and glue = rafi_pair of the
@@ -453,12 +448,12 @@ def nonqc_experiment(
         raise ParameterRegimeError(f"n_steps={n_steps!r} is not an int >= 1")
     th = th or Thresholds()
     delta = delta if delta is not None else c * math.exp(-d / 2) / 100
-    cons = build_construction(d, c, delta)
-    fam = cons.main
+    fam = build_construction(d, c, delta)
     reduced: Reductions = {}
     rows = []
     for i in range(n_steps + 1):
-        t = 2 * d * i / n_steps
+        # the last time is exactly 2d, where both slots read one slot time
+        t = 2 * d * i / n_steps if i < n_steps else 2.0 * d
         area, a, b = fam._surface(t, reduced)
         (slot_a, glue_a), (slot_b, glue_b) = _curve_values(area, a), _curve_values(area, b)
         slot = rafi_pair(a.slope, slot_a, b.slope, slot_b, th.K, _chain_farey)
@@ -476,12 +471,6 @@ def nonqc_experiment(
     peak = max(rows, key=lambda r: r.orbit_diam)
     mid = min(rows, key=lambda r: abs(r.t - d))
     endpoint_max = max(rows[0].orbit_diam, rows[-1].orbit_diam)
-    ref_start_gap = rafi_formula(
-        shadow(fam.at(0.0, reduced)), shadow(cons.ref_start.at(0.0, reduced)), th
-    )
-    ref_end_gap = rafi_formula(
-        shadow(fam.at(2 * d, reduced)), shadow(cons.ref_end.at(2 * d, reduced)), th
-    )
     return NonqcResult(
         d=d,
         c=c,
@@ -491,8 +480,6 @@ def nonqc_experiment(
         peak_value=peak.orbit_diam,
         midpoint=mid.orbit_diam,
         endpoint_max=endpoint_max,
-        ref_start_gap=ref_start_gap,
-        ref_end_gap=ref_end_gap,
     )
 
 

@@ -406,6 +406,8 @@ def rafi_formula(s1: Snapshot, s2: Snapshot, th: Thresholds) -> float:
     carries a twist, so the formula's log-twist term is 0.  It is rafi_total
     of the slot side and the gluing side, so a caller that knows the slot
     Farey distances, or that shares a side between pairs, skips the work.
+    No runtime code calls it: the flat rows read rafi_pair and rafi_total,
+    and the tests compare them against it.
     """
     if s1.k != s2.k or len(s1.glue) != len(s2.glue):
         raise ValueError("snapshot shapes differ")

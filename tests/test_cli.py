@@ -3,6 +3,7 @@
 import ast
 import copy
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 import coarse_teich
 from coarse_teich.calibration import ENV_VAR, load_constants, sample_marking, save_constants
-from coarse_teich.cli import MAX_K, Config, main
+from coarse_teich.cli import MAX_K, Config, _nonqc_checks, main
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock, act, bfs_distance
 from coarse_teich.metrics import Thresholds, formula_distance_T, formula_distance_WP
@@ -413,6 +414,37 @@ def test_nonqc_single_passes_claims(tmp_path, capsys):
     assert lines[0] == "t,orbit_diam,dist_to_fixed,slot1_slope,slot2_slope,glue_loglen"
     assert len(lines) == 42
     assert "endpoints_flat: pass" in err
+
+
+def test_nonqc_ends_are_flat_where_three_halves_of_d_are_inexact(capsys):
+    # while slot 1 sat at t - 3d/2 in one step, its end times missed slot
+    # 0's by an ulp wherever 3d/2 is inexact; at d = 52.802 the float
+    # reduction read another systole there, and the ends failed with exit 5
+    for d in ("52.802", "12.3"):
+        code, rep, _ = run(capsys, "nonqc", "--d", d)
+        assert code == 0, (d, rep)
+        assert rep["outputs"]["endpoint_max"] == 0.0, d
+
+
+def test_the_end_gate_rejects_the_unclamped_family(monkeypatch):
+    # negative control: endpoint_max is 0 by construction, so the E0 gate is
+    # shown to fire on a defect, every slit pair active at all times, whose
+    # ends (46.6 to 127.6) sit far from the swap at every default-grid d
+    import coarse_teich.flatsim as flatsim
+
+    build = flatsim.build_construction
+
+    def unclamped(d, c, delta):
+        return replace(build(d, c, delta), windows=((-math.inf, math.inf),) * 2)
+
+    monkeypatch.setattr(flatsim, "build_construction", unclamped)
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    consts, cfg = load_constants(), Config()
+    for d in cfg.d_grid:
+        res = flatsim.nonqc_experiment(d, c=cfg.c, delta=cfg.delta)
+        assert res.endpoint_max > consts.E0, d
+        with pytest.raises(AssertionError, match="'endpoints_flat': False"):
+            _nonqc_checks(res, consts)
 
 
 def test_nonqc_regime_violation(tmp_path, capsys):
