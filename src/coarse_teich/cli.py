@@ -35,6 +35,7 @@ from .calibration import (
 from .flatsim import (
     FAREY_RATE,
     ParameterRegimeError,
+    nonqc_d_min,
     nonqc_experiment,
     nonqc_sweep,
 )
@@ -335,9 +336,15 @@ def _nonqc_checks(res, consts: CalibrationConstants) -> dict:
 
 
 def cmd_nonqc(args, cfg: Config, th: Thresholds, consts: CalibrationConstants):
+    if args.sweep and len(set(cfg.d_grid)) < 2:
+        raise ValueError("nonqc --sweep fits a line: d_grid needs two distinct values")
+    d = args.d if args.d is not None else cfg.d_grid[0]
+    # the claims hold only above the lower end; every d is checked first
+    lo = nonqc_d_min(th.K)
+    for x in cfg.d_grid if args.sweep else (d,):
+        if not x > lo:
+            raise ParameterRegimeError(f"d={x} not above the claims' lower end {lo:.4f} at K={th.K}")
     if args.sweep:
-        if len(set(cfg.d_grid)) < 2:
-            raise ValueError("nonqc --sweep fits a line: d_grid needs two distinct values")
         results, slope, intercept = nonqc_sweep(cfg.d_grid, c=cfg.c, delta=cfg.delta, th=th)
         per_d = [
             {
@@ -365,7 +372,6 @@ def cmd_nonqc(args, cfg: Config, th: Thresholds, consts: CalibrationConstants):
             [[p["d"], p["midpoint"], p["peak_t"], p["endpoint_max"]] for p in per_d],
         )
         return {"sweep": list(cfg.d_grid), "c": cfg.c, "delta": cfg.delta}, outputs
-    d = args.d if args.d is not None else cfg.d_grid[0]
     res = nonqc_experiment(d, c=cfg.c, delta=cfg.delta, th=th)
     checks = _nonqc_checks(res, consts)
     rows = _nonqc_rows(res)

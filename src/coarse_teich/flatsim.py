@@ -42,6 +42,7 @@ __all__ = [
     "LAMBDA",
     "LOG_LAMBDA",
     "FAREY_RATE",
+    "nonqc_d_min",
     "ParameterRegimeError",
     "slit_length",
     "shortest_slope",
@@ -61,6 +62,26 @@ FAREY_RATE = 2 / LOG_LAMBDA  # systole pivots per unit flow time
 
 _GAMMA = (1 + math.sqrt(5)) / 2
 _QUARTER = 5 ** -0.25
+
+
+def nonqc_d_min(K: int) -> float:
+    """max(2K + 1, 7) * log(gamma), log(gamma) being 1 / FAREY_RATE: the
+    nonqc claims are asked at threshold K only for d above it.
+
+    The 2K + 1 is derived.  At t = d the slots sit at slot times +-d/2, and
+    the systole at slot time u is the chain slope s_m with m =
+    round(u / log(gamma)) - 1 off ties (in floats, for |u| < 16.6: see
+    _D_MAX), so the midpoint Farey distance
+    ceil(|i - j| / 2) is round(d / (2 log(gamma))); it exceeds K, and the
+    midpoint row has a Farey term, only for d > (2K + 1) * log(gamma).  The
+    7 is measured.  On a 0.005 grid of d in (0, 18], at c in {1e-6, 0.1,
+    0.9} and K in {1, 2, 3, 4, 6, 8}, the last d whose peak misses [0.8d,
+    1.2d] lies within 0.01 below this value at every K, and at K <= 4 the
+    value itself misses, where two systoles tie; none above it misses, nor
+    at K = 3 on a 0.001 grid up to d = 8 and at 600 seeded d up to 55.
+    tests/test_flatsim.py pins the scan.
+    """
+    return max(2 * K + 1, 7) / FAREY_RATE
 
 
 class ParameterRegimeError(ValueError):

@@ -7,16 +7,12 @@ the annuli over the slot base slopes, and the annuli over the pivots and
 rims of the fans of the continued fraction between the slot bases; every
 other annulus provably stays below a small constant.
 
-Every row but the whole surface's reads one block pair: the annulus of
-gluing curve j reads the two gluing blocks j, and slot i and the annuli
-over its pivot region read the two slot blocks i.  The model is a product
-of these blocks, so an equal block pair contributes only zero rows: its
-slot row is the Farey distance of a slope to itself, its pivot region is
-its one base slope, and its annulus row compares a horoball point with
-itself.  formula_terms lists every row, and the distance sums skip those
-zero rows, reading only the whole surface and the block pairs that
-differ.  The annulus rows of a slot pair come from one walk over the
-fans between its bases, and complement is read only at ties.
+Every row but the whole surface's reads one block pair, and the model is
+a product of these blocks, so formula_terms and the distance sums read
+only the whole surface and the block pairs that differ; formula_terms
+states the listing and proves that every row it leaves out is 0.  The
+annulus rows of a slot pair come from one walk over the fans between its
+bases, and complement is read only at ties.
 
 On top of the formulas sit large-link enumeration, the grouping of links
 into orbits of the cyclic symmetry (with the symmetry assertions whose
@@ -235,9 +231,10 @@ def _cut(value: int | float, threshold: int | float) -> int | float:
 def annular_candidates(m1: AugMarking, m2: AugMarking) -> list[CurveRef]:
     """The finite annulus list able to carry a formula term for this pair.
 
-    No runtime code calls it: _raw_rows walks slots._region instead.  It
-    stays as the tests' statement of which annuli the formula reads, and
-    because the layer tracer of perfbench/tracer.py times it by name.
+    No runtime code calls it: the rows of formula_terms walk slots._region
+    instead.  It stays as the tests' statement of which annuli the formula
+    can read, and because the layer tracer of perfbench/tracer.py times it
+    by name.
     """
     out: list[CurveRef] = [Glue(j) for j in range(m1.k)]
     for i in range(m1.k):
@@ -247,47 +244,24 @@ def annular_candidates(m1: AugMarking, m2: AugMarking) -> list[CurveRef]:
     return out
 
 
-def _raw_rows(m1: AugMarking, m2: AugMarking) -> list[tuple[SubsurfaceRef, int]]:
-    """(subsurface, projection distance): the whole surface, the slots, then
-    every annular candidate in order, each block pair's rows from
-    _block_rows."""
-    check_same_surface(m1, m2)
-    glue = [_block_rows(j, g, h) for j, (g, h) in enumerate(zip(m1.glue, m2.glue))]
-    slots = [_block_rows(i, s, t) for i, (s, t) in enumerate(zip(m1.slots, m2.slots))]
-    rows = [(Whole(), _whole_distance(m1, m2))]
-    rows.extend(r[0] for r in slots)
-    for r in glue:
-        rows.extend(r)
-    for r in slots:
-        rows.extend(r[1:])
-    return rows
-
-
 def _differing_rows(m1: AugMarking, m2: AugMarking) -> list[tuple[SubsurfaceRef, int]]:
-    """The whole surface's row, then the rows of each block pair that
-    differs; every row left out reads an equal pair and is 0."""
+    """(subsurface, projection distance) in formula_terms' listing."""
     check_same_surface(m1, m2)
     rows = [(Whole(), _whole_distance(m1, m2))]
-    for blocks in (zip(m1.glue, m2.glue), zip(m1.slots, m2.slots)):
-        for i, (x, y) in enumerate(blocks):
-            if x != y:
-                rows += _block_rows(i, x, y)
+    for j, (g, h) in enumerate(zip(m1.glue, m2.glue)):
+        if g != h:
+            rows.append((Annulus(Glue(j)), _block_distance(g, h)))
+    for i, (s, t) in enumerate(zip(m1.slots, m2.slots)):
+        if s != t:
+            rows.append((Slot(i), farey_distance(s.base, t.base)))
+            rows += _slot_pair_rows(i, s, t)
     return rows
-
-
-def _block_rows(
-    i: int, x: GlueBlock | SlotBlock, y: GlueBlock | SlotBlock
-) -> list[tuple[SubsurfaceRef, int]]:
-    """The rows that read block pair i: a gluing pair's annulus, or a slot
-    pair's slot and then its annuli over pivot_region(x.base, y.base)."""
-    if isinstance(x, GlueBlock):
-        return [(Annulus(Glue(i)), _block_distance(x, y))]
-    return [(Slot(i), farey_distance(x.base, y.base)), *_slot_pair_rows(i, x, y)]
 
 
 def _slot_pair_rows(i: int, s: SlotBlock, t: SlotBlock):
-    """Slot i's rows over pivot_region(s.base, t.base), in its order, with
-    proj_distance's values, from one walk over the fans.
+    """Slot i's rows over pivot_region(s.base, t.base), with
+    proj_distance's values, from one walk over the fans and in its order:
+    from the smaller base, in Slope order, to the larger.
 
     In the frame of slots._normalized each region slope w comes with a
     transversal x, and a block's point over w is read from x.  Moving x by
@@ -314,9 +288,8 @@ def _slot_pair_rows(i: int, s: SlotBlock, t: SlotBlock):
             n1, d1, _ = _frame_point(w, x, *e1)
             n2, d2, _ = _frame_point(w, x, *e2)
         # the blocks have checked their levels, so no HoroPoint is built
-        out.append((p, q, _apex_scan(abs(n1 - n2), d1, d2)[0]))
-    out.sort()
-    return [(Annulus(InSlot(i, Slope(p, q))), d) for p, q, d in out]
+        out.append((Annulus(InSlot(i, Slope(p, q))), _apex_scan(abs(n1 - n2), d1, d2)[0]))
+    return out
 
 
 def _frame_point(w, x, base, trans, level) -> tuple[int, int, bool]:
@@ -332,26 +305,31 @@ def _frame_point(w, x, base, trans, level) -> tuple[int, int, bool]:
 def formula_terms(
     m1: AugMarking, m2: AugMarking, th: Thresholds
 ) -> list[tuple[SubsurfaceRef, int, int]]:
-    """Per-subsurface rows (subsurface, raw value, thresholded contribution)."""
-    return [(y, d, _cut(d, th.K)) for y, d in _raw_rows(m1, m2)]
+    """Per-subsurface rows (subsurface, raw value, thresholded contribution):
+    the whole surface's, then the rows of each block pair that differs, one
+    pair at a time.  Gluing pair j, j = 0..k-1, has the annulus of gluing
+    curve j; then slot pair i has slot i and the annuli over pivot_region
+    of its bases, walked from the smaller base, in Slope order, to the
+    larger.  Each subsurface is listed once, and (m2, m1) lists the rows of
+    (m1, m2) in the same order.
+
+    Every row left out reads an equal block pair and is 0: equal slot
+    blocks are at Farey distance 0, their pivot region is their one base,
+    and equal horoball points are at distance 0.  A 0 row adds 0 at any K
+    and exceeds no cut, so no sum or link read off the rows loses one.
+    """
+    return [(y, d, _cut(d, th.K)) for y, d in _differing_rows(m1, m2)]
 
 
 def formula_distance_T(m1: AugMarking, m2: AugMarking, th: Thresholds) -> int:
-    """Thresholded sum over every subsurface: the full metric surrogate.
-
-    It reads only the whole surface's row and the rows of the block pairs
-    that differ.  Every other row reads one block pair (module docstring),
-    and over an equal pair it is 0: two equal slot blocks are at Farey
-    distance 0, their pivot region is their one base slope, and two equal
-    points of a horoball are at distance 0.  A 0 row adds 0 at any K.
-    """
+    """Thresholded sum over every subsurface: the full metric surrogate,
+    summed over the rows that formula_terms lists."""
     return sum(_cut(d, th.K) for _, d in _differing_rows(m1, m2))
 
 
 def formula_distance_WP(m1: AugMarking, m2: AugMarking, th: Thresholds) -> int:
-    """The non-annular subsum (slots and whole surface only), read, as
-    formula_distance_T is, from the whole surface and the block pairs that
-    differ: an equal slot pair's slot row is 0."""
+    """The non-annular subsum (slots and whole surface only) over the rows
+    that formula_terms lists."""
     return sum(
         _cut(d, th.K) for y, d in _differing_rows(m1, m2) if not isinstance(y, Annulus)
     )
@@ -477,7 +455,7 @@ def large_links(m1: AugMarking, m2: AugMarking, cut: int) -> list[LargeLink]:
     """
     if cut < 1:
         raise ValueError("cut must be >= 1")
-    return _links(_raw_rows(m1, m2), cut)
+    return _links(_differing_rows(m1, m2), cut)
 
 
 def _links(rows: Iterable[tuple], cut: int) -> list[LargeLink]:

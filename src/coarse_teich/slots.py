@@ -145,39 +145,33 @@ def _nearest(aa: int, bb: int) -> tuple[int, bool]:
 
 
 def _egcd(p: int, q: int) -> tuple[int, int]:
-    """Coefficients (x, y) with x*p + y*q == gcd(p, q) == 1."""
-    old_r, r = p, q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_x, x = x, old_x - k * x
-        old_y, y = y, old_y - k * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
+    """(x, y) with x*p + y*q == 1 for a canonical slope p/q.
 
-
-def _continued_fraction(u: int, v: int) -> list[int]:
-    """Floor continued fraction of u/v, v >= 1; last coefficient >= 2 if len > 1."""
-    coeffs = []
-    while v != 0:
-        k = u // v
-        coeffs.append(k)
-        u, v = v, u - k * v
-    return coeffs
+    Any solution serves.  Another, (x + t*q, y - t*p), shears the frame of
+    _normalized by (u, v) -> (u - t*v, v), which fixes 1/0, every det and
+    every continued-fraction coefficient after the first: all that
+    farey_distance, _region, _walk, marking._slot_distance and
+    metrics._frame_point read.  _denormalized undoes it, and complement
+    renormalizes over the coset (-y, x) + j*(p, q).
+    """
+    if q == 0:
+        return p, 0
+    x = pow(p, -1, q) if q > 1 else 0
+    return x, (1 - x * p) // q
 
 
 def _fans(u: int, v: int):
     """The fans crossed from (1, 0) to (u, v), v >= 1, in order, as
-    (c_{k-1}, c_k, m, c_{k+1}) with m the continued-fraction coefficient."""
-    coeffs = _continued_fraction(u, v)
-    prev, cur = (1, 0), (coeffs[0], 1)
-    for m in coeffs[1:]:
+    (c_{k-1}, c_k, m, c_{k+1}) with m the continued-fraction coefficient,
+    read one Euclid step at a time."""
+    prev, cur = (1, 0), (u // v, 1)
+    u, v = v, u % v
+    while v:
+        m, r = divmod(u, v)
         nxt = (prev[0] + m * cur[0], prev[1] + m * cur[1])
         yield prev, cur, m, nxt
         prev, cur = cur, nxt
+        u, v = v, r
 
 
 def _walk(u: int, v: int) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -17,6 +17,7 @@ import pytest
 import coarse_teich
 from coarse_teich.calibration import ENV_VAR, load_constants, sample_marking, save_constants
 from coarse_teich.cli import MAX_K, Config, _nonqc_checks, main
+from coarse_teich.flatsim import nonqc_d_min
 from coarse_teich.horoball import HoroPoint, horo_distance
 from coarse_teich.marking import AugMarking, GlueBlock, SlotBlock, act, bfs_distance
 from coarse_teich.metrics import Thresholds, formula_distance_T, formula_distance_WP
@@ -114,6 +115,20 @@ def test_dist_totals_are_sums_of_the_reported_terms(tmp_path, capsys):
         assert out["formula_distance_WP"] == sum(non_annular)
         annular_seen |= out["formula_distance_T"] > out["formula_distance_WP"]
     assert annular_seen
+
+
+def test_dist_lists_only_the_block_pairs_that_differ(tmp_path, capsys):
+    # two k = 256 markings one gluing twist of 25 apart: the whole surface
+    # and gluing curve 0; the other 767 subsurfaces read equal block pairs
+    m1 = AugMarking((GlueBlock(0, 0),) * 256, (SlotBlock(Slope(0, 1), Slope(1, 0), 0),) * 256)
+    m2 = AugMarking((GlueBlock(25, 0),) + m1.glue[1:], m1.slots)
+    f1 = write_marking(tmp_path / "a.json", m1)
+    f2 = write_marking(tmp_path / "b.json", m2)
+    code, rep, _ = run(capsys, "dist", f1, f2, "--oracle")
+    assert code == 0
+    out = rep["outputs"]
+    assert [t["subsurface"] for t in out["terms"]] == ["whole", "glue:0"]
+    assert (out["formula_distance_T"], out["formula_distance_WP"], out["bfs_distance"]) == (8, 0, 8)
 
 
 def test_dist_identical_files_is_zero(tmp_path, capsys):
@@ -460,6 +475,38 @@ def test_nonqc_regime_violation(tmp_path, capsys):
     cfg.write_text(json.dumps({"c": 1e-160}))
     code, rep, _ = run(capsys, "--config", str(cfg), "nonqc", "--d", "10")
     assert code == 6 and rep["error"] == "regime"
+    # below the claims' lower end, where the peak left its window (exit 5)
+    code, rep, _ = run(capsys, "nonqc", "--d", "2")
+    assert code == 6 and rep["error"] == "regime"
+    assert "lower end" in rep["message"]
+    cfg.write_text(json.dumps({"K": 1}))
+    code, rep, _ = run(capsys, "--config", str(cfg), "nonqc", "--d", "3")
+    assert code == 6 and rep["error"] == "regime"
+
+
+def test_nonqc_checks_the_lower_end_before_any_experiment(tmp_path, capsys, monkeypatch):
+    # every d that nonqc would run is checked first: --d, the grid's first
+    # d, and each d of a sweep's grid
+    monkeypatch.setattr("coarse_teich.cli.nonqc_experiment", _not_run)
+    monkeypatch.setattr("coarse_teich.cli.nonqc_sweep", _not_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_grid": [3, 10]}))
+    for argv in (["nonqc", "--d", "3.3"], ["nonqc"], ["nonqc", "--sweep"]):
+        code, rep, _ = run(capsys, "--config", str(cfg), *argv)
+        assert code == 6 and "lower end" in rep["message"], argv
+    cfg.write_text(json.dumps({"d_grid": [10, 15, 3]}))
+    code, rep, _ = run(capsys, "--config", str(cfg), "nonqc", "--sweep")
+    assert code == 6 and rep["message"].startswith("d=3.0 "), rep
+
+
+def test_nonqc_passes_its_claims_just_above_the_lower_end(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for params in ({"K": 1, "K_hat": 4}, {}, {"K": 4}, {"delta": 1e-20}):
+        cfg.write_text(json.dumps(params))
+        d = nonqc_d_min(params.get("K", 3)) + 1e-4
+        code, rep, _ = run(capsys, "--config", str(cfg), "nonqc", "--d", str(d))
+        assert code == 0, (params, rep)
+        assert all(rep["outputs"]["checks"].values())
 
 
 def test_nonqc_sweep_fits_rate(tmp_path, capsys):

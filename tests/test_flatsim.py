@@ -16,6 +16,7 @@ from coarse_teich.flatsim import (
     TrajectoryFamily,
     build_construction,
     distance_to_fixed,
+    nonqc_d_min,
     nonqc_experiment,
     nonqc_sweep,
     shadow,
@@ -526,6 +527,35 @@ def test_sweep_midpoint_growth_is_linear_at_the_farey_rate():
         assert r.endpoint_max == 0.0
         assert 0.8 * r.d <= r.peak_t <= 1.2 * r.d
         assert r.midpoint >= 2.0 * r.d
+
+
+def _peak_misses(d: float, th: Thresholds) -> bool:
+    """Whether the peak misses [0.8d, 1.2d] at some c of the scan."""
+    return any(
+        not 0.8 * d <= nonqc_experiment(d, c=c, th=th).peak_t <= 1.2 * d
+        for c in (1e-6, 0.1, 0.9)
+    )
+
+
+def test_the_peak_claim_holds_above_its_lower_end():
+    # the scan behind nonqc_d_min: the peak misses its window within 0.01
+    # below the lower end, on a 0.0005 grid, and nowhere on a 0.005 grid of
+    # the next 1.0 above it; at the end itself two systoles tie, and the
+    # peak misses its window there at K <= 4
+    for K in (1, 2, 3, 4, 6, 8):
+        th = Thresholds(K=K, K_hat=max(K, 4), R=10)
+        lo = nonqc_d_min(K)
+        assert any(_peak_misses(lo - 0.0005 * n, th) for n in range(1, 21)), K
+        assert not any(_peak_misses(lo + 0.005 * n, th) for n in range(1, 201)), K
+        assert _peak_misses(lo, th) == (K <= 4), K
+    # the 2K + 1: the midpoint's Farey distance is round(d / (2 log gamma))
+    log_gamma = 1 / FAREY_RATE
+    for n in range(1, 1001):
+        d = 0.0271 * n
+        mid = nonqc_experiment(d, th=Thresholds(K=1)).rows[20]
+        assert mid.t == pytest.approx(d)
+        a, b = (_SYSTOLE_CHAIN[s] for s in mid.slot_slopes)
+        assert (abs(a - b) + 1) // 2 == round(d / (2 * log_gamma)), d
 
 
 def test_distance_to_fixed_vanishes_on_symmetric_snapshots():

@@ -103,21 +103,55 @@ def test_formula_terms_breakdown():
     raw, cut = by_y[Annulus(Glue(0))]
     assert raw == horo_distance(HoroPoint(0, 0), HoroPoint(9, 0)) == 6
     assert cut == 6
-    assert by_y[Slot(0)] == (0, 0)
+    # slot 0's blocks are equal, so its rows are not listed
+    assert Slot(0) not in by_y
     assert by_y[Whole()] == (0, 0)
     total = sum(c for _, _, c in rows)
     assert total == formula_distance_T(m1, m2, TH)
 
 
-def _generic_rows(m1, m2, th):
-    """Formula rows with every subsurface projected, equal blocks or not."""
+def _block_pair(y):
+    """The block pair a formula row reads, ("glue", j) or ("slot", i), or
+    None for the whole surface."""
+    if isinstance(y, Slot):
+        return "slot", y.i
+    if isinstance(y, Annulus):
+        c = y.curve
+        return ("glue", c.j) if isinstance(c, Glue) else ("slot", c.slot)
+    return None
+
+
+def _equal_pairs(m1, m2):
+    """The block pairs of (m1, m2) that are equal, named as _block_pair names them."""
+    equal = {("glue", j) for j, (g, h) in enumerate(zip(m1.glue, m2.glue)) if g == h}
+    return equal | {("slot", i) for i, (s, t) in enumerate(zip(m1.slots, m2.slots)) if s == t}
+
+
+def _all_refs(m1, m2):
+    """Every subsurface that can carry a formula row, equal blocks or not."""
     refs = [Whole(), *(Slot(i) for i in range(m1.k))]
-    refs += [Annulus(c) for c in annular_candidates(m1, m2)]
-    rows = []
-    for y in refs:
-        d = proj_distance(y, m1, m2)
-        rows.append((y, d, d if d > th.K else 0))
+    return refs + [Annulus(c) for c in annular_candidates(m1, m2)]
+
+
+def _generic_rows(m1, m2, th):
+    """{subsurface: (raw value, contribution)} with every subsurface
+    projected, over the whole surface and the block pairs that differ."""
+    equal = _equal_pairs(m1, m2)
+    rows = {}
+    for y in _all_refs(m1, m2):
+        if _block_pair(y) not in equal:
+            d = proj_distance(y, m1, m2)
+            rows[y] = (d, d if d > th.K else 0)
     return rows
+
+
+def _terms(m1, m2, th):
+    """formula_terms as {subsurface: (raw value, contribution)}, each
+    subsurface listed once."""
+    rows = formula_terms(m1, m2, th)
+    out = {y: (d, c) for y, d, c in rows}
+    assert len(out) == len(rows), rows
+    return out
 
 
 def test_formula_terms_on_block_sharing_pairs_match_the_generic_rows():
@@ -144,19 +178,8 @@ def test_formula_terms_on_block_sharing_pairs_match_the_generic_rows():
             )
         equal_glue += sum(a == b for a, b in zip(m1.glue, m2.glue))
         equal_slot += sum(a == b for a, b in zip(m1.slots, m2.slots))
-        assert formula_terms(m1, m2, TH) == _generic_rows(m1, m2, TH)
+        assert _terms(m1, m2, TH) == _generic_rows(m1, m2, TH)
     assert equal_glue > 0 and equal_slot > 0
-
-
-def _block_pair(y):
-    """The block pair a formula row reads, ("glue", j) or ("slot", i), or
-    None for the whole surface."""
-    if isinstance(y, Slot):
-        return "slot", y.i
-    if isinstance(y, Annulus):
-        c = y.curve
-        return ("glue", c.j) if isinstance(c, Glue) else ("slot", c.slot)
-    return None
 
 
 def test_distance_sums_equal_the_sums_over_formula_terms():
@@ -179,16 +202,37 @@ def test_distance_sums_equal_the_sums_over_formula_terms():
 
 
 def test_rows_over_equal_block_pairs_are_zero():
+    # every subsurface over an equal block pair projects to 0, and
+    # formula_terms lists none of them
     equal_glue = equal_slot = 0
     for m1, m2 in block_sharing_pairs(3406):
-        equal = {("glue", j) for j, (g, h) in enumerate(zip(m1.glue, m2.glue)) if g == h}
-        equal |= {("slot", i) for i, (s, t) in enumerate(zip(m1.slots, m2.slots)) if s == t}
-        for y, d, _ in formula_terms(m1, m2, Thresholds(K=1, K_hat=4, R=10)):
+        equal = _equal_pairs(m1, m2)
+        for y in _all_refs(m1, m2):
             if _block_pair(y) in equal:
-                assert d == 0, (y, m1, m2)
+                assert proj_distance(y, m1, m2) == 0, (y, m1, m2)
                 equal_glue += _block_pair(y)[0] == "glue"
                 equal_slot += _block_pair(y)[0] == "slot"
+        for y, _, _ in formula_terms(m1, m2, Thresholds(K=1, K_hat=4, R=10)):
+            assert _block_pair(y) not in equal, (y, m1, m2)
     assert equal_glue > 0 and equal_slot > 0
+
+
+def test_formula_terms_list_both_orders_alike():
+    # (m2, m1) lists the rows of (m1, m2), in the same order: each slot
+    # pair's walk starts at its smaller base, whichever marking holds it
+    rng = random.Random(3408)
+    pairs = list(block_sharing_pairs(3407))
+    pairs += [(sample_marking(rng, k, 40, 3), sample_marking(rng, k, 40, 3)) for k in (2, 3, 4) * 20]
+    for m1, m2 in pairs:
+        assert formula_terms(m2, m1, TH) == formula_terms(m1, m2, TH), (m1, m2)
+
+
+def test_one_gluing_twist_at_k_256_reads_two_rows():
+    # one gluing pair differs: 2 rows, of the 769 subsurfaces that can carry one
+    m1 = flat_marking(256)
+    m2 = AugMarking((GlueBlock(25, 0),) + m1.glue[1:], m1.slots)
+    assert formula_terms(m1, m2, TH) == [(Whole(), 0, 0), (Annulus(Glue(0)), 8, 8)]
+    assert len(_all_refs(m1, m2)) == 769
 
 
 def _walk_test_block(rng: random.Random, base: Slope | None = None) -> SlotBlock:
@@ -232,7 +276,7 @@ def _walk_cross_check(seed: int, pairs: int) -> tuple[int, int]:
             glue = [GlueBlock(rng.randint(-9, 9), rng.randint(0, 4)) for _ in range(2 * k)]
             m1 = AugMarking(tuple(glue[:k]), tuple(first))
             m2 = AugMarking(tuple(glue[k:]), tuple(second))
-            bad += formula_terms(m1, m2, TH) != _generic_rows(m1, m2, TH)
+            bad += _terms(m1, m2, TH) != _generic_rows(m1, m2, TH)
     finally:
         metrics.complement = real
     return bad, len(ties)

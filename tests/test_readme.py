@@ -71,4 +71,4 @@ def test_readme_command_block_matches_its_digest(tmp_path, monkeypatch, capsys):
     for path in sorted(tmp_path.iterdir()):
         h.update(path.name.encode() + b"\n" + path.read_bytes())
     assert codes == [0] * 8 + [3, 4, 6]
-    assert h.hexdigest()[:16] == "cb7c6a148d1b94b2"
+    assert h.hexdigest()[:16] == "b7e683fe5665eedd"
