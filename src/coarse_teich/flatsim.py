@@ -16,16 +16,18 @@ construction.
 
 Within one nonqc_experiment call each distinct slot time is read once into
 a SlotReading (a slot's time is constant outside its window, and both slots
-sweep the same times).  _curve_values turns a reading into its slot's and
-its gluing curve's values, for shadow and for every grid row alike.  A row
-reads its orbit diameter and its distance to the fixed locus from two
-rafi_pair calls, one on the slot pair and one on the gluing pair.  It
-builds no snapshot, and it reads the Farey distance of its two systoles
-from their indices on the Anosov torus's systole chain, walking the Farey
-graph only for a float reading off that chain.  Nothing is kept between
-calls.  shadow, TrajectoryFamily.at and distance_to_fixed have no runtime
-caller: they are the snapshot definitions that the tests compare rows
-against.
+sweep the same times), which carries its systole's index on the Anosov
+torus's systole chain.  A grid row then works on floats, ints and tuples:
+it reads its two slot times, the big tori's area and the four curve values
+of _curve_values in their own float expressions, so every bit is the
+snapshot's, and it takes its orbit diameter and its distance to the fixed
+locus from two rafi_pair calls, one on the slot pair and one on the gluing
+pair.  The slot pair's Farey term is ceil(|i - j| / 2) of its two indices;
+the Farey graph is walked only for a float reading off the chain.  A row
+builds no snapshot and hashes or compares no Slope when both indices are
+known.  Nothing is kept between calls.  shadow, TrajectoryFamily.at and
+distance_to_fixed have no runtime caller: they are the snapshot
+definitions that the tests compare rows against.
 """
 
 from __future__ import annotations
@@ -180,9 +182,9 @@ def _systole_chain(m_max: int) -> dict[Slope, int]:
 _SYSTOLE_CHAIN = _systole_chain(_CHAIN_M)
 
 
-def _chain_farey(a: Slope, b: Slope) -> int:
-    """Farey distance of two slopes, ceil(|i - j| / 2) when both lie on the
-    systole chain at indices i and j.
+def _chain_farey(a: Slope | int, b: Slope | int) -> int:
+    """Farey distance of two systole-chain indices i and j, ceil(|i - j| / 2),
+    or of two slopes, read through their chain indices when both have one.
 
     s_m is adjacent to s_{m+1} and to s_{m+2}, since F_{m+1} F_{m+2} -
     F_{m+3} F_m = +-1 and likewise F_{m+1}^2 - F_{m+2} F_m = +-1, so steps of
@@ -195,10 +197,12 @@ def _chain_farey(a: Slope, b: Slope) -> int:
     readings keep their walks and the rows stay bit-identical; the fallback
     goes once the systoles are read in closed form, all on the chain.
     """
-    i, j = _SYSTOLE_CHAIN.get(a), _SYSTOLE_CHAIN.get(b)
-    if i is None or j is None:
-        return farey_distance(a, b)
-    return (abs(i - j) + 1) // 2
+    if a.__class__ is not int:
+        i, j = _SYSTOLE_CHAIN.get(a), _SYSTOLE_CHAIN.get(b)
+        if i is None or j is None:
+            return farey_distance(a, b)
+        a, b = i, j
+    return (abs(a - b) + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +224,13 @@ _DELTA_MIN = 1e-150
 
 class SlotReading(NamedTuple):
     """One slot at one slot time, its small torus reduced once: the systole
-    slope of the flowed lattice, then what _curve_values reads of the slot.
-    glue is the gluing curve's value -log(pi / log(1/slit)) while slit < 1,
-    and None from slit >= 1, where the value depends on the total area."""
+    slope of the flowed lattice and its index m on the systole chain (None
+    off the chain), then what _curve_values reads of the slot.  glue is the
+    gluing curve's value -log(pi / log(1/slit)) while slit < 1, and None
+    from slit >= 1, where the value depends on the total area."""
 
     slope: Slope
+    index: Optional[int]  # _SYSTOLE_CHAIN.get(slope), looked up once
     scaled_area: float  # delta^2 * area of the small torus
     systole_sq: float  # (delta * systole length)^2
     slit_sq: float
@@ -276,7 +282,8 @@ class TrajectoryFamily:
             slit = slit_length(self.rho, u)
             phys, log_inv = self.delta * length, math.log(1 / slit)
             reading = reduced[u] = SlotReading(
-                slope, self.delta**2 * _area(basis), phys * phys, slit * slit,
+                slope, _SYSTOLE_CHAIN.get(slope),
+                self.delta**2 * _area(basis), phys * phys, slit * slit,
                 -math.log(math.pi / log_inv) if slit < 1.0 else None, log_inv,
             )
         return reading
@@ -296,8 +303,9 @@ class TrajectoryFamily:
         return big + a.scaled_area + big + b.scaled_area, a, b
 
     # the public name, which the layer tracer of perfbench/tracer.py times;
-    # no runtime code calls it: nonqc_experiment's rows call _surface, and
-    # the tests read shadow(at(t)) as the definition of a row
+    # no runtime code calls it: nonqc_experiment's rows read the same
+    # surface in _surface's float expressions, and the tests read
+    # shadow(at(t)) as the definition of a row
     at = _surface
 
 
@@ -383,9 +391,12 @@ def distance_to_fixed(snap: Snapshot, th: Thresholds) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonqcRow:
-    """One grid time; farey_term is the slot curve-graph part of orbit_diam."""
+class NonqcRow(NamedTuple):
+    """One grid time; farey_term is the slot curve-graph part of orbit_diam.
+
+    A NamedTuple, as SlotReading is, built positionally once per row; its
+    repr is the frozen dataclass's it replaced, field for field, so the
+    digests that hash it hold."""
 
     t: float
     orbit_diam: float
@@ -441,15 +452,19 @@ def nonqc_experiment(
     cli._nonqc_checks, not here.  n_steps must be an int >= 1.
 
     A row is shadow(fam.at(t)) without the records: it reads the surface
-    at t and the four curve values from _curve_values, as shadow does, and
+    at t, with fam._surface's slot times and big-torus area, and the four
+    curve values of _curve_values, each in the same float expression, and
     builds no snapshot.  It is read from two formula sides,
     slot = rafi_pair of the slot pair (A, B) and glue = rafi_pair of the
-    gluing pair (G0, G1).  The slot pair's Farey distance, asked only when
-    A and B have distinct slopes, is read from their systole-chain indices
-    by _chain_farey, which walks the Farey graph only when a slope is off
-    the chain.  The snapshot has two slots and two gluing curves, rafi_side
-    is the fold of rafi_pair over its pairs, and rafi_pair's terms are
-    symmetric in a pair, so:
+    gluing pair (G0, G1).  When both readings have a systole-chain index,
+    the indices stand in for the slopes: rafi_pair only compares its two
+    slopes and hands distinct ones to its farey, and two indices are equal
+    exactly when their slopes are.  The Farey distance, asked only for
+    distinct slopes, is then _chain_farey of the indices, ceil(|i - j| / 2).
+    A row with a reading off the chain hands _chain_farey the slopes, and
+    it walks the Farey graph.  The snapshot has two slots and two gluing
+    curves, rafi_side is the fold of rafi_pair over its pairs, and
+    rafi_pair's terms are symmetric in a pair, so:
 
     - orbit_diam is rafi_formula(snap, swapped, th), where the swap
       rotates both the slots and the gluing curves.  Its slot pairs are
@@ -464,31 +479,58 @@ def nonqc_experiment(
       and the value is rafi_total(slot, glue), what distance_to_fixed
       returns.
     - farey_term, the slot Farey part of orbit_diam, is 2 * slot[0].
+
+    Both values sum as rafi_total does, in its float order.
     """
     if isinstance(n_steps, bool) or not isinstance(n_steps, int) or n_steps < 1:
         raise ParameterRegimeError(f"n_steps={n_steps!r} is not an int >= 1")
     th = th or Thresholds()
     delta = delta if delta is not None else c * math.exp(-d / 2) / 100
     fam = build_construction(d, c, delta)
+    K, pair, farey = th.K, rafi_pair, _chain_farey
+    (lo0, hi0), (lo1, hi1) = fam.windows
+    half = d / 2
+    (x1, y1), (x2, y2) = _ANOSOV_BASIS
     reduced: Reductions = {}
     rows = []
     for i in range(n_steps + 1):
         # the last time is exactly 2d, where both slots read one slot time
         t = 2 * d * i / n_steps if i < n_steps else 2.0 * d
-        area, a, b = fam._surface(t, reduced)
-        (slot_a, glue_a), (slot_b, glue_b) = _curve_values(area, a), _curve_values(area, b)
-        slot = rafi_pair(a.slope, slot_a, b.slope, slot_b, th.K, _chain_farey)
-        glue = rafi_pair(None, glue_a, None, glue_b, th.K, _chain_farey)
-        rows.append(
-            NonqcRow(
-                t=t,
-                orbit_diam=rafi_total((2 * slot[0], slot[1], slot[2]), glue),
-                dist_to_fixed=rafi_total(slot, glue),
-                slot_slopes=(a.slope, b.slope),
-                glue_loglen=max(a.log_inv_slit, b.log_inv_slit),
-                farey_term=2 * slot[0],
-            )
-        )
+        # fam._surface(t, reduced) in its own float expressions: slot_time's
+        # "- 0 * d" of slot 0 is exact, and big is _area(_flowed_basis(t))
+        u0 = min(max(t, lo0), hi0) - half
+        u1 = (min(max(t, lo1), hi1) - d) - half
+        a = reduced.get(u0) or fam._reading(u0, reduced)
+        b = reduced.get(u1) or fam._reading(u1, reduced)
+        grow, shrink = math.exp(t), math.exp(-t)
+        big = abs(x1 * grow * (y2 * shrink) - y1 * shrink * (x2 * grow))
+        slope_a, i_a, area_a, syst_a, slit_a, glue_a, log_a = a
+        slope_b, i_b, area_b, syst_b, slit_b, glue_b, log_b = b
+        area = big + area_a + big + area_b
+        # _curve_values of both readings
+        if glue_a is None:
+            glue_a = -math.log(slit_a / area)
+        if glue_b is None:
+            glue_b = -math.log(slit_b / area)
+        slot_a, slot_b = math.log(area / syst_a), math.log(area / syst_b)
+        # chain indices stand in for their slopes: rafi_pair only compares
+        # the two and hands them to farey
+        if i_a is None or i_b is None:
+            slot = pair(slope_a, slot_a, slope_b, slot_b, K, farey)
+        else:
+            slot = pair(i_a, slot_a, i_b, slot_b, K, farey)
+        glue = pair(None, glue_a, None, glue_b, K, farey)
+        # rafi_total of (2 * slot[0], slot[1], slot[2]) and glue, and of
+        # slot and glue, in its float order
+        farey_sum, horo, one_sided = slot[0], max(slot[1], glue[1]), max(slot[2], glue[2])
+        rows.append(NonqcRow(
+            t,
+            0.0 + (2 * farey_sum + glue[0]) + horo + one_sided,
+            0.0 + (farey_sum + glue[0]) + horo + one_sided,
+            (slope_a, slope_b),
+            max(log_a, log_b),
+            2 * farey_sum,
+        ))
     peak = max(rows, key=lambda r: r.orbit_diam)
     mid = min(rows, key=lambda r: abs(r.t - d))
     endpoint_max = max(rows[0].orbit_diam, rows[-1].orbit_diam)

@@ -126,7 +126,9 @@ def test_criterion_03_distance_formula_two_sided_bounds():
     )
 
 
-def test_criterion_04_equivariance_is_exact():
+def _equivariance_bad(act_fn) -> int:
+    """Criterion 04's count on its 10^4 seeded cases: pairs whose distance,
+    and curves whose annulus point, do not commute with act_fn."""
     rng = random.Random(4001)
     bad = 0
     for _ in range(10_000):
@@ -134,18 +136,37 @@ def test_criterion_04_equivariance_is_exact():
         m1 = sample_marking(rng, k)
         m2 = sample_marking(rng, k)
         h = rng.randrange(1, k)
-        if formula_distance_T(act(h, m1), act(h, m2), TH) != formula_distance_T(m1, m2, TH):
+        if formula_distance_T(act_fn(h, m1), act_fn(h, m2), TH) != formula_distance_T(m1, m2, TH):
             bad += 1
         i = rng.randrange(k)
         c = Glue(i) if rng.random() < 0.5 else InSlot(i, m1.slots[i].base)
-        if annulus_point(act_curve(h, c, k), act(h, m1)) != annulus_point(c, m1):
+        if annulus_point(act_curve(h, c, k), act_fn(h, m1)) != annulus_point(c, m1):
             bad += 1
+    return bad
+
+
+def test_criterion_04_equivariance_is_exact():
+    bad = _equivariance_bad(act)
     _verdict(
         4,
         "distance and annulus points commute with the cyclic action, 10^4 cases",
         bad == 0,
         f"bad={bad}",
     )
+
+
+def test_criterion_04_rejects_an_action_that_is_not_equivariant():
+    # negative control: act that also shifts gluing block 0's twist by 1,
+    # on the same seeded cases.  Both markings of a pair shift alike, so
+    # their distance holds; the annulus points over gluing curve 0 move.
+    def twisted(h, m):
+        moved = act(h, m)
+        g = moved.glue[0]
+        return AugMarking((GlueBlock(g.tau + 1, g.D),) + moved.glue[1:], moved.slots)
+
+    bad = _equivariance_bad(twisted)
+    print(f"[criterion 04 control] bad={bad}")
+    assert bad > 0
 
 
 def test_criterion_05_projection_suite():

@@ -440,6 +440,57 @@ def test_rows_match_the_generic_evaluation_bit_for_bit():
     assert min(seen.values()) >= 100, seen
 
 
+def test_an_index_off_by_one_fails_the_bit_for_bit_comparison(monkeypatch):
+    # negative control: with every positive chain index one too large, a
+    # row with one index above 0 and one at or below reads its Farey
+    # distance one step off
+    import coarse_teich.flatsim as flatsim
+
+    shifted = {s: m + 1 if m > 0 else m for s, m in _SYSTOLE_CHAIN.items()}
+    monkeypatch.setattr(flatsim, "_SYSTOLE_CHAIN", shifted)
+    with pytest.raises(AssertionError, match="orbit_diam"):
+        test_rows_match_the_generic_evaluation_bit_for_bit()
+
+
+def test_each_reading_carries_the_chain_index_of_its_slope():
+    # on a 0.01 grid of |u| <= 27.5, the slot times of d = 55: a reading's
+    # index is the m with fibonacci_slope(m) its slope, or None off the
+    # chain, which the float readings leave from |u| = 18.8; up to |u| = 12
+    # the index is the exact systole's
+    fam = build_construction(55.0, 0.1, 1e-30)
+    chain = {fibonacci_slope(m): m for m in range(-_CHAIN_M, _CHAIN_M + 1)}
+    off = 0
+    for k in range(-2750, 2751):
+        u = k / 100
+        r = fam._reading(u, {})
+        assert r.index == chain.get(r.slope), u
+        off += r.index is None
+        if abs(u) <= 12:
+            assert r.index == systole_index(u), u
+    assert 0 < off < 5501 // 2, off
+
+
+def test_rows_with_a_reading_off_the_chain_match_the_walk():
+    # a row with a slope off the chain reads its Farey term from the walk:
+    # its values against the generic evaluation, at both d whose slot
+    # times leave the chain
+    for d in (40.0, 55.0):
+        res = nonqc_experiment(d, c=1e-6)
+        fam = build_construction(d, res.c, res.delta)
+        walked = 0
+        for row in res.rows:
+            if all(s in _SYSTOLE_CHAIN for s in row.slot_slopes):
+                continue
+            snap = shadow(fam.at(row.t, {}))
+            swapped = rotate_snapshot(1, snap)
+            slot = rafi_side(zip(snap.slots, swapped.slots), TH, farey_distance)
+            assert row.orbit_diam == rafi_formula(snap, swapped, TH), (d, row.t)
+            assert row.dist_to_fixed == distance_to_fixed_per_candidate(snap, TH), (d, row.t)
+            assert row.farey_term == slot[0], (d, row.t)
+            walked += slot[0] > 0
+        assert walked >= 19, (d, walked)
+
+
 def test_a_row_walks_the_farey_graph_only_for_distinct_slopes_off_the_chain(monkeypatch):
     # a row asks for a Farey distance only when its two slopes differ, and
     # walks the Farey graph only when one of them is off the systole chain:

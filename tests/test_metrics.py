@@ -361,6 +361,76 @@ def test_formula_envelope_against_bfs():
         assert d <= 4 * t + 12
 
 
+def _cf_slope(rng: random.Random) -> Slope:
+    """The slope [a0; a1, ..., an] with n <= 12, |a0| <= 9 and 1 <= ai <= 9."""
+    p, q = 1, 0
+    for a in [rng.randint(1, 9) for _ in range(rng.randint(0, 12))] + [rng.randint(-9, 9)]:
+        p, q = a * p + q, p
+    return Slope.of(p, q)
+
+
+def _far_block(rng: random.Random, base: Slope) -> SlotBlock:
+    """A slot block on base with a twist up to 10^6 and a level up to 40."""
+    twist = 10 ** rng.randint(0, 6)
+    return SlotBlock(base, transversal_at(base, rng.randint(-twist, twist)), rng.randint(0, 40))
+
+
+def _block_law_cases(seed: int, pairs: int):
+    """(kind, b, rows) of seeded far pairs at k = 2 that differ in one
+    block, a gluing block or a slot block: b is their move distance and
+    rows their formula_terms rows but the whole surface's, the rows of that
+    one block pair.  No window drops a far pair.  A slot pair's second base
+    is its first, a Farey neighbour of it, or a base of its own."""
+    rng = random.Random(seed)
+    glue, slot = GlueBlock(0, 0), SlotBlock(Slope(0, 1), Slope(1, 0), 0)
+    for n in range(pairs):
+        if n % 2:
+            twist = 10 ** rng.randint(0, 6)
+            g = GlueBlock(rng.randint(-twist, twist), rng.randint(0, 40))
+            h = GlueBlock(g.tau + rng.randint(-twist, twist), rng.randint(0, 40))
+            m1, m2 = AugMarking((g, glue), (slot, slot)), AugMarking((h, glue), (slot, slot))
+            kind = "glue"
+        else:
+            s = _far_block(rng, _cf_slope(rng))
+            other = (s.base, s.trans, _cf_slope(rng))[n // 2 % 3]
+            t = _far_block(rng, other)
+            m1, m2 = AugMarking((glue, glue), (s, slot)), AugMarking((glue, glue), (t, slot))
+            kind = "slot"
+        rows = [r for r in formula_terms(m1, m2, TH) if not isinstance(r[0], Whole)]
+        yield kind, bfs_distance(m1, m2), rows
+
+
+def test_each_block_pair_obeys_the_per_block_law():
+    # both metrics are sums over block pairs.  A gluing pair's move
+    # distance b is its one row's raw value h, and its formula value f is
+    # h cut at K.  A slot pair's f sums its Slot row and its annulus rows,
+    # each cut at K, and f <= b <= 2f + 3
+    seen = {"glue_cut": 0, "glue_far": 0, "slot_same_base": 0, "slot_far": 0, "slot_tight": 0}
+    for kind, b, rows in _block_law_cases(3701, 2000):
+        if kind == "glue":
+            ((y, h, f),) = rows
+            assert isinstance(y, Annulus) and b == h and f == (h if h > TH.K else 0), (b, rows)
+            seen["glue_cut"] += 0 < h <= TH.K
+            seen["glue_far"] += h > 20
+            continue
+        f = sum(c for _, _, c in rows)
+        assert f <= b <= 2 * f + 3, (b, rows)
+        seen["slot_same_base"] += not any(isinstance(y, Slot) and d for y, d, _ in rows)
+        seen["slot_far"] += b > 40
+        seen["slot_tight"] += b >= 2 * f
+    assert min(seen.values()) >= 20, seen
+
+
+def test_the_per_block_law_needs_the_annulus_rows():
+    # negative control: a slot pair's f read from its Slot row alone
+    # breaks b <= 2f + 3 on the same pairs
+    broken = 0
+    for kind, b, rows in _block_law_cases(3701, 2000):
+        if kind == "slot":
+            broken += b > 2 * sum(c for y, _, c in rows if isinstance(y, Slot)) + 3
+    assert broken > 0
+
+
 def test_rafi_equal_snapshots():
     s = Snapshot(
         (CurveSnap(Slope(1, 2), 0.3), CurveSnap(Slope(0, 1), 2.5)),
